@@ -16,7 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,14 +36,39 @@ var experimentIDs = []string{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (or comma list)")
-	paper := flag.Bool("paper", false, "paper-faithful parameters (slow: full 5000-step runs, 30s proxy loops)")
-	jobs := flag.Int("j", 0, "worker pool size for sweeps (0 = GOMAXPROCS, 1 = serial); output is byte-identical for every value")
-	traceOut := flag.String("trace", "", "write a Chrome trace of one serving (or churn) window to this file (requires -exp serving or churn)")
-	faultLog := flag.Bool("faultlog", false, "dump the deterministic outage schedule the churn experiment draws (requires -exp churn)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// failure carries an error from check up to run's recover.
+type failure struct{ err error }
+
+// run parses args, renders the selected experiments to stdout, and returns
+// the process exit code: 0 on success, 1 when an experiment fails, 2 on a
+// usage error.
+func run(args []string, stdout io.Writer) (code int) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(failure)
+			if !ok {
+				panic(r)
+			}
+			fmt.Fprintf(os.Stderr, "reproduce: %v\n", f.err)
+			code = 1
+		}
+	}()
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment id (or comma list)")
+	paper := fs.Bool("paper", false, "paper-faithful parameters (slow: full 5000-step runs, 30s proxy loops)")
+	jobs := fs.Int("j", 0, "worker pool size for sweeps (0 = GOMAXPROCS, 1 = serial); output is byte-identical for every value")
+	traceOut := fs.String("trace", "", "write a Chrome trace of one serving (or churn) window to this file (requires -exp serving or churn)")
+	faultLog := fs.Bool("faultlog", false, "dump the deterministic outage schedule the churn experiment draws (requires -exp churn)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -88,22 +113,22 @@ func main() {
 		sort.Strings(unknown)
 		fmt.Fprintf(os.Stderr, "unknown experiment id(s): %s\n", strings.Join(unknown, ", "))
 		fmt.Fprintf(os.Stderr, "valid ids: all, %s\n", strings.Join(experimentIDs, ", "))
-		os.Exit(2)
+		return 2
 	}
 	if *traceOut != "" && !(want["all"] || want["serving"] || want["churn"]) {
 		fmt.Fprintf(os.Stderr, "-trace requires -exp serving or -exp churn\n")
-		os.Exit(2)
+		return 2
 	}
 	if *faultLog && !(want["all"] || want["churn"]) {
 		fmt.Fprintf(os.Stderr, "-faultlog requires -exp churn\n")
-		os.Exit(2)
+		return 2
 	}
 	all := want["all"]
 	ran := 0
 
 	section := func(id string) bool {
 		if all || want[id] {
-			fmt.Printf("\n======== %s ========\n", id)
+			fmt.Fprintf(stdout, "\n======== %s ========\n", id)
 			ran++
 			return true
 		}
@@ -113,134 +138,134 @@ func main() {
 	if section("table1") {
 		rows, err := experiments.Table1(opts)
 		check(err)
-		fmt.Print(experiments.RenderTable1(rows))
+		fmt.Fprint(stdout, experiments.RenderTable1(rows))
 	}
 	if section("figure2") {
 		series, err := experiments.Figure2(opts)
 		check(err)
-		fmt.Print(experiments.RenderFigure2(series))
+		fmt.Fprint(stdout, experiments.RenderFigure2(series))
 	}
 	if section("threads") {
 		rows, err := experiments.ThreadScaling(opts)
 		check(err)
-		fmt.Print(experiments.RenderThreadScaling(rows))
+		fmt.Fprint(stdout, experiments.RenderThreadScaling(rows))
 	}
 	if section("cfcpu") {
 		rows, err := experiments.CosmoFlowCPU(opts)
 		check(err)
-		fmt.Print(experiments.RenderCosmoFlowCPU(rows))
+		fmt.Fprint(stdout, experiments.RenderCosmoFlowCPU(rows))
 	}
 	if section("table2") {
 		rows, err := experiments.Table2(opts)
 		check(err)
-		fmt.Print(experiments.RenderTable2(rows))
+		fmt.Fprint(stdout, experiments.RenderTable2(rows))
 	}
 	if section("figure3") {
 		pts, err := experiments.Figure3(opts, nil)
 		check(err)
-		fmt.Print(experiments.RenderFigure3(pts))
+		fmt.Fprint(stdout, experiments.RenderFigure3(pts))
 	}
 	if all || want["figure4"] || want["figure5"] || want["table3"] || want["table4"] {
 		traces, err := experiments.CollectTraces(opts)
 		check(err)
 		if section("figure4") {
-			fmt.Print(experiments.RenderFigure4(traces))
+			fmt.Fprint(stdout, experiments.RenderFigure4(traces))
 		}
 		if section("figure5") {
-			fmt.Print(experiments.RenderFigure5(traces))
+			fmt.Fprint(stdout, experiments.RenderFigure5(traces))
 		}
 		if all || want["table3"] || want["table4"] {
 			blocks, surface, err := experiments.Table4(opts, traces)
 			check(err)
 			if section("table3") {
 				rows := experiments.Table3(traces, surface)
-				fmt.Print(experiments.RenderTable3(rows, surface))
+				fmt.Fprint(stdout, experiments.RenderTable3(rows, surface))
 			}
 			if section("table4") {
-				fmt.Print(experiments.RenderTable4(blocks))
+				fmt.Fprint(stdout, experiments.RenderTable4(blocks))
 			}
 		}
 	}
 	if section("validate") {
 		v, err := experiments.Validate(opts)
 		check(err)
-		fmt.Print(experiments.RenderValidation(v))
+		fmt.Fprint(stdout, experiments.RenderValidation(v))
 	}
 	if section("compose") {
 		c, err := experiments.Compose()
 		check(err)
-		fmt.Print(experiments.RenderCompose(c))
+		fmt.Fprint(stdout, experiments.RenderCompose(c))
 	}
 	if section("appvalidate") {
 		rows, err := experiments.AppSlackValidation(opts, nil)
 		check(err)
-		fmt.Print(experiments.RenderAppValidation(rows))
+		fmt.Fprint(stdout, experiments.RenderAppValidation(rows))
 	}
 	if section("scales") {
 		rows, err := experiments.DeploymentScales(opts)
 		check(err)
-		fmt.Print(experiments.RenderDeploymentScales(rows))
+		fmt.Fprint(stdout, experiments.RenderDeploymentScales(rows))
 	}
 	if section("preload") {
 		rows, err := experiments.PreloadComparison(opts)
 		check(err)
-		fmt.Print(experiments.RenderPreload(rows))
+		fmt.Fprint(stdout, experiments.RenderPreload(rows))
 	}
 	if section("congestion") {
 		pts, err := experiments.Congestion(opts)
 		check(err)
-		fmt.Print(experiments.RenderCongestion(pts))
+		fmt.Fprint(stdout, experiments.RenderCongestion(pts))
 	}
 	if section("remoting") {
 		results, err := experiments.RemotingComparison(opts)
 		check(err)
-		fmt.Print(experiments.RenderRemoting(results))
+		fmt.Fprint(stdout, experiments.RenderRemoting(results))
 	}
 	if section("resilience") {
 		rows, err := experiments.Resilience(opts)
 		check(err)
-		fmt.Print(experiments.RenderResilience(rows))
+		fmt.Fprint(stdout, experiments.RenderResilience(rows))
 	}
 	if section("weak") {
 		rows, err := experiments.WeakScaling(opts)
 		check(err)
-		fmt.Print(experiments.RenderWeakScaling(rows))
+		fmt.Fprint(stdout, experiments.RenderWeakScaling(rows))
 	}
 	if section("coupling") {
 		rows, err := experiments.ChassisCoupling(opts)
 		check(err)
-		fmt.Print(experiments.RenderChassisCoupling(rows))
+		fmt.Fprint(stdout, experiments.RenderChassisCoupling(rows))
 	}
 	if section("throughput") {
 		rows, err := experiments.Throughput(opts)
 		check(err)
-		fmt.Print(experiments.RenderThroughput(rows))
+		fmt.Fprint(stdout, experiments.RenderThroughput(rows))
 	}
 	if section("reach") {
 		traces, err := experiments.CollectTraces(opts)
 		check(err)
 		rows, err := experiments.Reach(opts, traces)
 		check(err)
-		fmt.Print(experiments.RenderReach(rows))
+		fmt.Fprint(stdout, experiments.RenderReach(rows))
 	}
 	if section("serving") {
 		rows, err := experiments.Serving(opts)
 		check(err)
-		fmt.Print(experiments.RenderServing(rows))
+		fmt.Fprint(stdout, experiments.RenderServing(rows))
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			check(err)
 			check(experiments.WriteServingTrace(opts, f))
 			check(f.Close())
-			fmt.Printf("wrote serving trace to %s\n", *traceOut)
+			fmt.Fprintf(stdout, "wrote serving trace to %s\n", *traceOut)
 		}
 	}
 	if section("churn") {
 		rows, err := experiments.Churn(opts)
 		check(err)
-		fmt.Print(experiments.RenderChurn(rows))
+		fmt.Fprint(stdout, experiments.RenderChurn(rows))
 		if *faultLog {
-			fmt.Print(experiments.ChurnFaultLog(opts))
+			fmt.Fprint(stdout, experiments.ChurnFaultLog(opts))
 		}
 		if *traceOut != "" {
 			// When the serving section already claimed the path, the churn
@@ -253,25 +278,27 @@ func main() {
 			check(err)
 			check(experiments.WriteChurnTrace(opts, f))
 			check(f.Close())
-			fmt.Printf("wrote churn trace to %s\n", out)
+			fmt.Fprintf(stdout, "wrote churn trace to %s\n", out)
 		}
 	}
 
 	if section("pool") {
 		rows, err := experiments.Pool(opts)
 		check(err)
-		fmt.Print(experiments.RenderPool(rows))
+		fmt.Fprint(stdout, experiments.RenderPool(rows))
 	}
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiments selected by %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }
 
+// check aborts run with exit code 1 when err is non-nil.
 func check(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(failure{err})
 	}
 }
