@@ -39,11 +39,10 @@ var hotRootConfig = []struct {
 	{"internal/lammps", "", "RunPerf"},
 	{"internal/cosmoflow", "", "RunPerf"},
 	{"internal/sim", "Env", "RunUntil"},
-	// The sharded engine's per-event core: the baton dispatch a yielding
-	// process runs, the yield that enters it, and the schedule path that
-	// feeds the timing wheels. Rooting them keeps the merge tree, wheel,
-	// and handoff allocation-clean even if a future caller stops being a
-	// root itself.
+	// The engine's per-event core: the baton dispatch a yielding process
+	// runs, the yield that enters it, and the schedule path that feeds the
+	// event heap. Rooting them keeps the heap and the handoff
+	// allocation-clean even if a future caller stops being a root itself.
 	{"internal/sim", "Env", "dispatch"},
 	{"internal/sim", "Env", "schedule"},
 	{"internal/sim", "Proc", "yield"},

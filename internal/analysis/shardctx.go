@@ -13,11 +13,11 @@ import (
 // waitgraph analyzers: which procs run on which event domain, and how
 // affinity flows through closures and cross-package calls.
 //
-// PR 7's sharded engine made "which shard does this code run on" a real
-// property of every process: sim.Shard is a spawn-time domain key, and the
-// determinism argument (one global (time, seq) order, per-shard queues as a
-// pure data-structure change) only survives if shard-owned state is mutated
-// from its own domain or across an explicit Signal happens-before edge.
+// "Which shard does this code run on" is a property of every process:
+// sim.Shard is a spawn-time domain label, and the engine delivers every
+// domain's wake-ups in one global (time, seq) order. Treating a domain as a
+// unit of ownership only stays sound if shard-owned state is mutated from
+// its own domain or across an explicit Signal happens-before edge.
 // Ownership is declared in source with an annotation on a struct field:
 //
 //	//cdivet:shard(<domain>)

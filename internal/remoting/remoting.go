@@ -40,6 +40,18 @@ type Config struct {
 	ServerOverhead sim.Duration
 }
 
+// validate rejects a path with an invalid hop and a noise fraction outside
+// [0, 1): either would otherwise panic deep inside the transport.
+func (c Config) validate() error {
+	if err := c.Path.Validate(); err != nil {
+		return err
+	}
+	if c.NoiseFraction < 0 || c.NoiseFraction >= 1 {
+		return fmt.Errorf("remoting: noise fraction %g outside [0, 1)", c.NoiseFraction)
+	}
+	return nil
+}
+
 // Remote is a CUDA-like context whose every call crosses the network. It
 // deliberately mirrors the cuda.Context API surface used by the proxy so
 // workloads can run unmodified against either.
@@ -207,6 +219,9 @@ type CompareResult struct {
 func Compare(matrixSize, n int, cfg Config) (CompareResult, error) {
 	if matrixSize <= 0 || n <= 0 {
 		return CompareResult{}, fmt.Errorf("remoting: invalid comparison shape %d×%d", matrixSize, n)
+	}
+	if err := cfg.validate(); err != nil {
+		return CompareResult{}, err
 	}
 	matBytes := gpu.MatrixBytes(matrixSize)
 	kernel := gpu.MatMul(matrixSize)

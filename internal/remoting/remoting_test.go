@@ -146,6 +146,27 @@ func TestInvalidNoisePanics(t *testing.T) {
 	New(dev, Config{NoiseFraction: 1.5})
 }
 
+// Compare must reject bad configurations with an error instead of
+// panicking inside the transport or the slack injector.
+func TestCompareRejectsInvalidConfig(t *testing.T) {
+	good := mustPathForSlack(t, 10*sim.Microsecond)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"noise fraction 1", Config{Path: good, NoiseFraction: 1}},
+		{"negative noise fraction", Config{Path: good, NoiseFraction: -0.1}},
+		{"negative hop latency", Config{Path: fabric.Path{Hops: []fabric.Hop{{Name: "bad", Latency: -sim.Microsecond}}}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Compare(512, 2, c.cfg); err == nil {
+				t.Fatal("Compare accepted an invalid config")
+			}
+		})
+	}
+}
+
 func TestDeterministicWithSeed(t *testing.T) {
 	cfg := Config{Path: mustPathForSlack(t, 10*sim.Microsecond), NoiseFraction: 0.2, Seed: 3}
 	a, err := Compare(512, 10, cfg)

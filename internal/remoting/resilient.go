@@ -128,11 +128,8 @@ type Resilient struct {
 // standby servers, and (unless disabled) a node-local fallback device, all
 // of the given spec.
 func NewResilient(env *sim.Env, spec gpu.Spec, cfg ResilientConfig) (*Resilient, error) {
-	if err := cfg.Path.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.NoiseFraction < 0 || cfg.NoiseFraction >= 1 {
-		return nil, fmt.Errorf("remoting: noise fraction %g outside [0, 1)", cfg.NoiseFraction)
 	}
 	if cfg.Standbys < 0 {
 		return nil, fmt.Errorf("remoting: negative standby count %d", cfg.Standbys)

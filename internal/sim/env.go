@@ -12,7 +12,6 @@ type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for simultaneous events
 	proc *Proc
-	link *event // intrusive timing-wheel bucket chain
 	// cancelled events stay queued but are skipped when they surface; this
 	// is how racing wake-ups (timeout vs signal) resolve without queue
 	// surgery.
@@ -30,9 +29,9 @@ const (
 	wakeStart
 )
 
-// Env is a simulation environment: a virtual clock plus the sharded event
-// queues and process bookkeeping that drive it. The zero value is not
-// usable; create environments with NewEnv.
+// Env is a simulation environment: a virtual clock plus the event queue and
+// process bookkeeping that drive it. The zero value is not usable; create
+// environments with NewEnv.
 //
 // Env is not safe for concurrent use from multiple goroutines the caller
 // owns; the engine's determinism comes precisely from running exactly one
@@ -40,8 +39,9 @@ const (
 //
 // # Scheduling core
 //
-// Pending events live in per-shard queues (see Shard) drained through an
-// ordered merge on (time, seq). Control transfer uses a baton scheme: the
+// Pending events live in one min-heap ordered by (time, seq), where seq is
+// the global schedule counter; shards (see Shard) only label processes and
+// never change delivery order. Control transfer uses a baton scheme: the
 // scheduler loop runs on whichever goroutine is yielding. When a process
 // parks, it pops the next event itself — if that event is its own wake-up
 // it simply continues (no handoff at all); if it belongs to another process
@@ -51,35 +51,22 @@ const (
 // segment ends. Step and Close fall back to the central-handoff path, which
 // delivers exactly one wake-up per exchange.
 type Env struct {
-	now    Time
-	seq    uint64
-	shards []*Shard
-	shard0 Shard // default domain, embedded to keep NewEnv to one allocation
+	now     Time
+	seq     uint64
+	nshards int   // shards created so far, the default one included
+	shard0  Shard // default domain, embedded to keep NewEnv to one allocation
 
-	// The ordered merge over shard queues is a tournament tree. heads
-	// mirrors each shard's queue head as a flat (time, seq) array (+Inf =
-	// empty shard); merge is a winner tree over mergeCap leaves whose root,
-	// merge[1], always indexes the shard holding the globally earliest
-	// event. dirty lists the shards whose mirror entry is stale — a queue
-	// lands there at most once (guarded by its dirty flag) when a push or
-	// pop drops its cached head — and next() replays only their leaf-to-
-	// root paths: O(log shards) per event. The first version of this merge
-	// rescanned every shard head per event, which profiling measured at a
-	// quarter of the LAMMPS strong-scaling renderer's cycles once worlds
-	// grew to one shard per rank.
-	heads    []headKey
-	merge    []int32
-	mergeCap int
-	dirty    []int32
+	// queue holds every pending event, cancelled ones included, as a
+	// min-heap ordered by evLess.
+	queue eventHeap
 
 	horizon Time // current run's clock bound (+Inf outside RunUntil)
 	// direct enables the baton fast path; Step and Close clear it so every
 	// wake-up is delivered from the driver goroutine.
-	direct  bool
-	park    chan struct{} // a yielding process hands the run back to the driver
-	nprocs  int           // live (started, not finished) processes
-	pending int           // queued events across all shards, cancelled included
-	closed  bool
+	direct bool
+	park   chan struct{} // a yielding process hands the run back to the driver
+	nprocs int           // live (started, not finished) processes
+	closed bool
 
 	// parked tracks every process currently blocked on a Signal (not a
 	// timer), so deadlocks can be reported and Close can unwind goroutines.
@@ -97,21 +84,73 @@ type Env struct {
 	// shardSlab batch-allocates Shard structs in 8-shard chunks: topologies
 	// mint shards in groups (one per rank, per host, per OpenMP thread), and
 	// sweeps pay that setup once per point, so it shows up in allocs/op.
-	// ringSlab does the same for the shards' timing-wheel bucket arrays,
-	// carved wheelBuckets at a time on first near-term push.
 	shardSlab []Shard
-	ringSlab  []*event
 }
 
-// newRing carves one timing wheel's bucket array from the ring slab.
-func (e *Env) newRing() []*event {
-	if len(e.ringSlab) < wheelBuckets {
-		//cdivet:allow escape wheels are slab-allocated four at a time, on a shard's first near-term event
-		e.ringSlab = make([]*event, 4*wheelBuckets)
+// evLess is the engine's total event order: time first, then the global
+// schedule sequence as FIFO tie-break.
+func evLess(a, b *event) bool {
+	//cdivet:allow floateq exact tie-break: events at bit-identical times fall through to the seq FIFO order; an epsilon would merge distinct instants
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	r := e.ringSlab[:wheelBuckets:wheelBuckets]
-	e.ringSlab = e.ringSlab[wheelBuckets:]
-	return r
+	return a.seq < b.seq
+}
+
+// eventHeap is a hand-rolled 4-ary min-heap ordered by evLess. The
+// container/heap interface would force an `any` conversion and dynamic
+// dispatch on the hottest queue path. Four children per node halve a
+// binary heap's depth, so each push and pop walks fewer levels.
+type eventHeap []*event
+
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !evLess(ev, s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+}
+
+// pop removes and returns the minimum event. The heap must be non-empty.
+func (h *eventHeap) pop() *event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root.
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if evLess(s[c], s[least]) {
+				least = c
+			}
+		}
+		if !evLess(s[least], last) {
+			break
+		}
+		s[i] = s[least]
+		i = least
+	}
+	s[i] = last
+	return top
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -119,8 +158,7 @@ func NewEnv() *Env {
 	//cdivet:allow escape one environment per simulation run, built at setup
 	e := &Env{park: make(chan struct{}), parked: make(map[*Proc]struct{})}
 	e.shard0.env = e
-	e.shards = append(e.shards, &e.shard0)
-	e.heads = append(e.heads, headKey{at: math.Inf(1), seq: ^uint64(0)})
+	e.nshards = 1
 	e.horizon = Time(math.Inf(1))
 	return e
 }
@@ -145,8 +183,8 @@ func (e *Env) newEvent() *event {
 	return ev
 }
 
-// schedule enqueues a wake-up event for p on p's shard and registers it
-// with the process, so that delivering any one of a process's outstanding
+// schedule enqueues a wake-up event for p and registers it with the
+// process, so that delivering any one of a process's outstanding
 // wake-ups cancels the others.
 func (e *Env) schedule(at Time, p *Proc, kind wakeKind) *event {
 	if at < e.now {
@@ -156,96 +194,9 @@ func (e *Env) schedule(at Time, p *Proc, kind wakeKind) *event {
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.proc, ev.kind = at, e.seq, p, kind
 	ev.cancelled = false
-	s := p.shard
-	s.push(ev, tickOf(e.now))
-	if !s.q.headValid {
-		e.markDirty(s)
-	}
-	e.pending++
+	e.queue.push(ev)
 	p.waits = append(p.waits, ev)
 	return ev
-}
-
-// markDirty queues s for a merge-mirror refresh on the next event pop. The
-// per-queue flag keeps each shard in the list at most once.
-func (e *Env) markDirty(s *Shard) {
-	if !s.q.dirty {
-		s.q.dirty = true
-		e.dirty = append(e.dirty, int32(s.id))
-	}
-}
-
-// headKey is one shard's mirror entry: its queue head's (time, seq), or
-// (+Inf, maxuint) for an empty shard. Packing both into one struct keeps a
-// tournament comparison inside a single cache line per shard.
-type headKey struct {
-	at  float64
-	seq uint64
-}
-
-// headLess orders shard mirror entries like evLess orders events. Two
-// non-empty shards can never tie (seq is globally unique), and the Inf/Inf
-// tie for empty shards resolves to "not less", which keeps replay stable.
-func (e *Env) headLess(a, b int32) bool {
-	x, y := &e.heads[a], &e.heads[b]
-	//cdivet:allow floateq exact tie-break mirroring evLess: equal times fall through to the seq comparison
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	return x.seq < y.seq
-}
-
-// mergeReplay recomputes the tournament path from shard i's leaf to the
-// root after its mirror entry changed.
-func (e *Env) mergeReplay(i int) {
-	m := e.merge
-	for n := (e.mergeCap + i) >> 1; n >= 1; n >>= 1 {
-		l, r := m[2*n], m[2*n+1]
-		if e.headLess(r, l) {
-			m[n] = r
-		} else {
-			m[n] = l
-		}
-	}
-}
-
-// mergeRebuild resizes the tournament tree to the current shard count,
-// padding the mirror with empty-shard sentinels up to the next power of
-// two. It runs on shard creation (topology setup), not per event.
-func (e *Env) mergeRebuild() {
-	c := 1
-	for c < len(e.shards) {
-		c <<= 1
-	}
-	e.mergeCap = c
-	for len(e.heads) < c {
-		e.heads = append(e.heads, headKey{at: math.Inf(1), seq: ^uint64(0)})
-	}
-	if cap(e.merge) >= 2*c {
-		e.merge = e.merge[:2*c]
-	} else {
-		//cdivet:allow escape reallocated only when the shard count crosses a power of two, at topology setup
-		e.merge = make([]int32, 2*c)
-	}
-	// Pre-size the dirty list for the worst case (every shard stale) so
-	// markDirty never grows it on the event path.
-	if cap(e.dirty) < c {
-		//cdivet:allow escape same power-of-two growth schedule as the tree itself
-		nd := make([]int32, len(e.dirty), c)
-		copy(nd, e.dirty)
-		e.dirty = nd
-	}
-	for i := 0; i < c; i++ {
-		e.merge[c+i] = int32(i)
-	}
-	for n := c - 1; n >= 1; n-- {
-		l, r := e.merge[2*n], e.merge[2*n+1]
-		if e.headLess(r, l) {
-			e.merge[n] = r
-		} else {
-			e.merge[n] = l
-		}
-	}
 }
 
 // recycle returns a consumed event to the freelist. The caller must hold
@@ -253,68 +204,31 @@ func (e *Env) mergeRebuild() {
 // waits list contains it.
 func (e *Env) recycle(ev *event) {
 	ev.proc = nil
-	ev.link = nil
 	e.free = append(e.free, ev)
 }
 
-// next pops the earliest live event at or before the horizon, merging the
-// shard queues by (time, seq). It returns nil when the run segment is over:
-// either every queue is empty, or the earliest live event lies beyond the
-// horizon (in which case the clock advances to the horizon, matching the
-// contract of RunUntil).
+// next pops the earliest live event at or before the horizon, dropping
+// cancelled events as they surface. It returns nil when the run segment is
+// over: either the queue is empty, or the earliest live event lies beyond
+// the horizon (in which case the clock advances to the horizon, matching
+// the contract of RunUntil).
 func (e *Env) next() *event {
-	cursor := tickOf(e.now)
-	for {
-		var bestEv *event
-		var best *Shard
-		if len(e.shards) == 1 {
-			bestEv = e.shard0.q.peek(cursor)
-			best = &e.shard0
-		} else {
-			// Refresh stale mirror entries and replay their tournament
-			// paths; the root then indexes the shard whose head the single
-			// global queue would have surfaced (seq is globally unique, so
-			// the (time, seq) order is total).
-			if len(e.dirty) > 0 {
-				for _, id := range e.dirty {
-					s := e.shards[id]
-					s.q.dirty = false
-					if ev := s.q.peek(cursor); ev != nil {
-						e.heads[id] = headKey{at: float64(ev.at), seq: ev.seq}
-					} else {
-						e.heads[id] = headKey{at: math.Inf(1), seq: ^uint64(0)}
-					}
-					e.mergeReplay(int(id))
-				}
-				e.dirty = e.dirty[:0]
-			}
-			root := e.merge[1]
-			if !math.IsInf(e.heads[root].at, 1) {
-				best = e.shards[root]
-				bestEv = best.q.head
-			}
-		}
-		if bestEv == nil {
-			return nil
-		}
-		if bestEv.cancelled {
-			best.q.popHead()
-			e.markDirty(best)
-			e.pending--
-			e.recycle(bestEv)
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
+		if ev.cancelled {
+			e.queue.pop()
+			e.recycle(ev)
 			continue
 		}
-		if bestEv.at > e.horizon {
+		if ev.at > e.horizon {
 			if e.now < e.horizon {
 				e.now = e.horizon
 			}
 			return nil
 		}
-		best.q.popHead()
-		e.markDirty(best)
-		e.pending--
-		return bestEv
+		return e.queue.pop()
 	}
+	return nil
 }
 
 // wake consumes ev: it cancels the process's rival wake-ups, clears its
@@ -363,7 +277,7 @@ func (e *Env) dispatch(self *Proc) bool {
 // through which all blocking primitives are reached. Spawn may be called
 // before Run or from inside a running process. Processes modelling distinct
 // hardware domains should be spawned through per-domain shards (NewShard)
-// instead, which bounds the queue each of their wake-ups touches.
+// instead, so ownership rules can tell the domains apart.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.spawnAt(&e.shard0, 0, name, fn)
 }
@@ -425,7 +339,7 @@ func (e *Env) Run() Time {
 	return e.RunUntil(Time(math.Inf(1)))
 }
 
-// RunUntil drives the simulation until the event queues are exhausted or
+// RunUntil drives the simulation until the event queue is exhausted or
 // the next event lies beyond horizon. The clock never advances past
 // horizon. Within the run, wake-ups are delivered via the baton fast path:
 // control flows process-to-process without bouncing through this
@@ -502,8 +416,7 @@ func (e *Env) Close() {
 	}
 	//cdivet:allow escape teardown: Close runs once per environment
 	e.parked = map[*Proc]struct{}{}
-	// Unwind processes parked on timers (or not yet started), including
-	// wake-ups still sitting in wheel buckets or far heaps.
+	// Unwind processes parked on timers (or not yet started).
 	for {
 		ev := e.next()
 		if ev == nil {
@@ -519,5 +432,5 @@ func (e *Env) Close() {
 // String summarizes the environment state for debugging.
 func (e *Env) String() string {
 	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d, shards: %d}",
-		e.now, e.pending, e.nprocs, len(e.parked), len(e.shards))
+		e.now, len(e.queue), e.nprocs, len(e.parked), e.nshards)
 }

@@ -2,15 +2,18 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 )
 
-// The sharded engine's one load-bearing promise is that sharding is purely
-// an indexing optimization: delivery order is identical to a single global
-// event heap for every shard topology. The unit tests pin that for
-// hand-picked tie-breaks; the fuzzer searches for programs where it is not
-// true, by running a random little concurrent program once on 1 shard and
-// once on a fuzzed topology and demanding byte-identical execution logs.
+// Two fuzzers guard the event queue. FuzzShardedMergeOrder pins that shards
+// are labels only: delivery order is the same for every shard topology. The
+// unit tests pin that for hand-picked tie-breaks; the fuzzer searches for
+// programs where it is not true, by running a random little concurrent
+// program once on 1 shard and once on a fuzzed topology and demanding
+// byte-identical execution logs. Both runs share one heap, so FuzzEventHeap
+// checks the heap itself against an independent sorted-slice reference.
 
 // progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait, or
 // wait-with-timeout over a small set of shared signals.
@@ -126,6 +129,105 @@ func FuzzShardedMergeOrder(f *testing.F) {
 				t.Fatalf("delivery order diverges at step %d: %d shards ran proc %d op %d at %v, 1 shard ran proc %d op %d at %v",
 					i, shards, got[i].proc, got[i].op, got[i].at, want[i].proc, want[i].op, want[i].at)
 			}
+		}
+	})
+}
+
+// FuzzEventHeap drives the engine's queue through Env.schedule and Env.next
+// and checks every pop against a reference: the live events' (at, seq) keys
+// in a sorted slice. Each input byte is one operation. Its low two bits pick
+// push (0, 1), pop (2) or cancel (3); the high bits pick a push time from
+// eight values, so equal times that only seq can order are common, a pop's
+// horizon, or the live event to cancel. Popped events are woken, which
+// advances the clock and recycles them into the freelist the next push
+// draws from.
+func FuzzEventHeap(f *testing.F) {
+	// Seeds: a same-instant pileup drained in FIFO order, a descending run
+	// that fills two heap levels, pushes and pops interleaved across times,
+	// cancels of head and tail, and pops whose horizon lies before the head.
+	// The last seed is a mixed-time program that catches a push sifting
+	// against the wrong parent index.
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 2, 2, 2})
+	f.Add([]byte{224, 192, 160, 128, 96, 64, 32, 0, 225, 193, 161, 2, 2, 2, 2, 2, 2})
+	f.Add([]byte{224, 32, 128, 2, 96, 1, 2, 64, 2, 30, 2, 2})
+	f.Add([]byte{0, 32, 64, 96, 3, 7, 11, 2, 2, 2})
+	f.Add([]byte{160, 192, 2, 6, 10, 255, 254, 3, 30, 2})
+	f.Add([]byte("0A007AAA0000000000000000"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reference's inserts and cancels are linear; cap the program
+		// so long mutated inputs stay fast to run and to minimize. 512 ops
+		// still build a heap five levels deep.
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		env := NewEnv()
+		p := &Proc{env: env, shard: &env.shard0}
+		type entry struct {
+			at  Time
+			seq uint64
+			ev  *event
+		}
+		var ref []entry // live events, sorted by (at, seq)
+		pop := func(step int, horizon Time) {
+			env.horizon = horizon
+			before := env.now
+			ev := env.next()
+			switch {
+			case len(ref) == 0:
+				if ev != nil || env.now != before {
+					t.Fatalf("step %d: empty queue returned %v and moved the clock %v -> %v", step, ev, before, env.now)
+				}
+			case ref[0].at > horizon:
+				if ev != nil {
+					t.Fatalf("step %d: popped (%v, %d) past horizon %v", step, ev.at, ev.seq, horizon)
+				}
+				if want := max(before, horizon); env.now != want {
+					t.Fatalf("step %d: clock %v after a pop past the horizon, want %v", step, env.now, want)
+				}
+			default:
+				if ev != ref[0].ev || ev.at != ref[0].at || ev.seq != ref[0].seq {
+					t.Fatalf("step %d: popped %v, want (%v, %d)", step, ev, ref[0].at, ref[0].seq)
+				}
+				ref = ref[1:]
+				env.wake(ev)
+			}
+		}
+		for step, b := range data {
+			arg := int(b >> 2)
+			switch b & 3 {
+			case 0, 1:
+				at := Time(0).Add(Duration(b>>5) * Microsecond)
+				ev := env.schedule(at, p, wakeTimer)
+				p.waits = p.waits[:0]
+				want := entry{at: max(at, env.now), seq: ev.seq, ev: ev}
+				if ev.at != want.at {
+					t.Fatalf("step %d: scheduled at %v, want %v", step, ev.at, want.at)
+				}
+				i := sort.Search(len(ref), func(i int) bool {
+					return want.at < ref[i].at || (!(ref[i].at < want.at) && want.seq < ref[i].seq)
+				})
+				ref = append(ref, entry{})
+				copy(ref[i+1:], ref[i:])
+				ref[i] = want
+			case 2:
+				horizon := Time(math.Inf(1))
+				if h := arg & 7; h < 7 {
+					horizon = Time(0).Add(Duration(h) * Microsecond)
+				}
+				pop(step, horizon)
+			case 3:
+				if len(ref) > 0 {
+					i := arg % len(ref)
+					ref[i].ev.cancelled = true
+					ref = append(ref[:i], ref[i+1:]...)
+				}
+			}
+		}
+		for len(ref) > 0 {
+			pop(len(data), Time(math.Inf(1)))
+		}
+		if ev := env.next(); ev != nil || len(env.queue) != 0 {
+			t.Fatalf("drained queue still holds %d events, next = %v", len(env.queue), ev)
 		}
 	})
 }

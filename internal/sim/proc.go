@@ -15,7 +15,7 @@ var ErrTimeout = errors.New("sim: wait timed out")
 // must not be shared between process functions.
 type Proc struct {
 	env      *Env
-	shard    *Shard // owns the queue this process's wake-ups land in
+	shard    *Shard // the event domain the process was spawned into
 	name     string
 	resume   chan struct{}
 	wake     wakeKind // why the last resume happened, set before the handoff

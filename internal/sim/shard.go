@@ -1,273 +1,16 @@
 package sim
 
-import (
-	"math"
-	"math/bits"
-)
-
-// This file implements the sharded event-queue layer behind Env's clock.
-//
-// Events are partitioned by *shard* — a spawn-time domain key (a device, a
-// node, an OpenMP thread) — and each shard owns an independent queue
-// optimized for the near-term schedule/cancel traffic that dominates every
-// workload in this repository. The clock drains the shards through an
-// ordered merge keyed on (time, seq): seq is a single global counter
-// assigned at schedule time, so the merged delivery order is *identical* to
-// the order a single global queue would produce, regardless of how procs
-// are distributed across shards. Sharding is therefore a pure data-structure
-// change: experiment outputs are byte-identical with one shard or fifty.
-//
-// Each shard queue is a ladder-style hierarchy with three levels:
-//
-//	ring — a timing wheel of wheelBuckets buckets, wheelTick wide each,
-//	       covering the window [now, now+wheelSpan). Insertion is O(1):
-//	       compute the bucket index, prepend to an intrusive chain.
-//	cur  — a small binary heap holding the events of the lowest occupied
-//	       tick(s), staged out of the ring when the merge first needs them.
-//	       Same-instant bursts (Signal.Fire fan-out) land here in O(log k)
-//	       of the burst size, not O(log n) of the whole simulation.
-//	far  — a binary heap for events beyond the wheel window (open-loop
-//	       arrival schedules, multi-second sleeps). These never migrate:
-//	       the merge simply compares the far head against the staged head,
-//	       so there is no cascade cost when the window advances.
-//
-// Cancellation stays O(1) and lazy: a cancelled event keeps its slot and is
-// discarded when it surfaces, exactly as the previous global heap did.
-
-const (
-	// wheelBuckets is the timing-wheel size; must be a power of two.
-	wheelBuckets = 256
-	wheelMask    = wheelBuckets - 1
-	// wheelTick is the bucket granularity. One microsecond matches the
-	// event spacing of the kernel/DMA/slack paths that produce nearly all
-	// schedule traffic; events further than wheelSpan out fall to `far`.
-	wheelTick = float64(Microsecond)
-	// invWheelTick converts a Time in seconds to a wheel tick index.
-	invWheelTick = 1.0 / wheelTick
-)
-
-// tickOf quantizes an absolute time to its wheel tick. Monotone in t, so
-// tick order never contradicts time order.
-func tickOf(t Time) int64 { return int64(float64(t) * invWheelTick) }
-
-// mathInf is +Inf without importing math twice at every use site.
-var mathInf = math.Inf(1)
-
-// evLess is the engine's total event order: time first, then the global
-// schedule sequence as FIFO tie-break.
-func evLess(a, b *event) bool {
-	//cdivet:allow floateq exact tie-break: events at bit-identical times fall through to the seq FIFO order; an epsilon would merge distinct instants
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by evLess. The
-// container/heap interface would force an `any` conversion and dynamic
-// dispatch on the hottest queue path; these two loops are the whole of
-// what the engine needs.
-type eventHeap []*event
-
-func (h *eventHeap) pushEv(ev *event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) popMin() *event {
-	s := *h
-	n := len(s) - 1
-	min := s[0]
-	s[0] = s[n]
-	s[n] = nil
-	s = s[:n]
-	*h = s
-	// Sift the moved element down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && evLess(s[l], s[least]) {
-			least = l
-		}
-		if r < n && evLess(s[r], s[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-	return min
-}
-
-// shardQueue is one shard's pending-event store.
-type shardQueue struct {
-	ring      []*event // wheelBuckets bucket chains; nil until first near push
-	occ       [wheelBuckets / 64]uint64
-	ringCount int
-	cur       eventHeap // staged lowest-tick events, ready for the merge
-	far       eventHeap // events beyond the wheel window
-
-	// head caches the queue's (possibly cancelled) minimum between merge
-	// scans; pops and head-displacing pushes invalidate it.
-	head      *event
-	headFar   bool
-	headValid bool
-	// dirty means the queue sits in the environment's merge refresh list
-	// (Env.dirty); the flag keeps it there at most once.
-	dirty bool
-
-	// curBuf/farBuf seed the heaps' first few entries in place: most shards
-	// (an OpenMP thread, a congestion host) hold one or two pending events,
-	// and without the inline capacity every such shard would pay heap-growth
-	// allocations during topology warm-up.
-	curBuf [4]*event
-	farBuf [4]*event
-}
-
-func (q *shardQueue) empty() bool {
-	return q.ringCount == 0 && len(q.cur) == 0 && len(q.far) == 0
-}
-
-// push inserts ev into s's queue. cursor is the wheel tick of the current
-// clock; all live events satisfy tick >= cursor, so the window test against
-// the insertion cursor stays valid as the clock advances.
-func (s *Shard) push(ev *event, cursor int64) {
-	q := &s.q
-	// A push can only displace the cached minimum if it sorts before it;
-	// keeping the cache valid otherwise spares the merge a refresh of this
-	// shard (steady-state wake-ups land behind the head far more often
-	// than in front of it).
-	if !q.headValid || q.head == nil || evLess(ev, q.head) {
-		q.headValid = false
-	}
-	t := tickOf(ev.at)
-	if t-cursor >= wheelBuckets {
-		if q.far == nil {
-			q.far = q.farBuf[:0]
-		}
-		q.far.pushEv(ev)
-		return
-	}
-	if q.ring == nil {
-		q.ring = s.env.newRing()
-	}
-	idx := t & wheelMask
-	ev.link = q.ring[idx]
-	q.ring[idx] = ev
-	q.occ[idx>>6] |= 1 << (idx & 63)
-	q.ringCount++
-}
-
-// firstOccupiedTick returns the lowest tick with a non-empty ring bucket.
-// Bucket indices wrap, but because every live tick lies in
-// [cursor, cursor+wheelBuckets), index order starting at cursor&mask IS
-// tick order.
-func (q *shardQueue) firstOccupiedTick(cursor int64) (int64, bool) {
-	if q.ringCount == 0 {
-		return 0, false
-	}
-	start := int(cursor) & wheelMask
-	// Bits at or above start first; the fifth pass revisits the starting
-	// word unmasked to pick up wrapped bits below start.
-	w := start >> 6
-	word := q.occ[w] &^ ((1 << (start & 63)) - 1)
-	for i := 0; i <= len(q.occ); i++ {
-		if word != 0 {
-			idx := (w&3)<<6 + bits.TrailingZeros64(word)
-			off := idx - start
-			if off < 0 {
-				off += wheelBuckets
-			}
-			return cursor + int64(off), true
-		}
-		w++
-		word = q.occ[w&3]
-	}
-	return 0, false
-}
-
-// stage moves bucket tick's chain into the cur heap and clears its bit.
-func (q *shardQueue) stage(tick int64) {
-	idx := tick & wheelMask
-	ev := q.ring[idx]
-	q.ring[idx] = nil
-	q.occ[idx>>6] &^= 1 << (idx & 63)
-	if q.cur == nil {
-		q.cur = q.curBuf[:0]
-	}
-	for ev != nil {
-		next := ev.link
-		ev.link = nil
-		q.cur.pushEv(ev)
-		q.ringCount--
-		ev = next
-	}
-}
-
-// peek returns the queue's minimum event (which may be cancelled) without
-// removing it, staging ring buckets as needed. cursor is tickOf(now).
-func (q *shardQueue) peek(cursor int64) *event {
-	if q.headValid {
-		return q.head
-	}
-	// Stage every ring bucket that could precede (or interleave with) the
-	// staged minimum: bucket ticks strictly below tickOf(cur-min) hold
-	// strictly earlier events; an equal tick can interleave by seq.
-	for q.ringCount > 0 {
-		fb, ok := q.firstOccupiedTick(cursor)
-		if !ok {
-			break
-		}
-		if len(q.cur) > 0 && fb > tickOf(q.cur[0].at) {
-			break
-		}
-		q.stage(fb)
-	}
-	q.head, q.headFar = nil, false
-	if len(q.cur) > 0 {
-		q.head = q.cur[0]
-	}
-	if len(q.far) > 0 && (q.head == nil || evLess(q.far[0], q.head)) {
-		q.head, q.headFar = q.far[0], true
-	}
-	q.headValid = true
-	return q.head
-}
-
-// popHead removes the event peek returned. Callers must have called peek
-// (with the same cursor) since the last mutation.
-func (q *shardQueue) popHead() *event {
-	var ev *event
-	if q.headFar {
-		ev = q.far.popMin()
-	} else {
-		ev = q.cur.popMin()
-	}
-	q.headValid = false
-	return ev
-}
-
-// Shard is an event domain within an Env: processes spawned on a shard keep
-// their wake-up events in that shard's queue. Shards change nothing about
-// delivery order — the clock merges all shards by (time, seq) — they only
-// bound the queue each schedule/cancel touches, which is what lets
-// thousands of concurrent processes coexist without fighting one structure.
+// Shard is an event domain within an Env: a spawn-time label for the
+// processes that model one hardware domain (a device, a node, an OpenMP
+// thread). Shards change nothing about delivery order — every wake-up goes
+// through the environment's single (time, seq) queue — so experiment
+// outputs are identical with one shard or fifty. What the label buys is
+// ownership: the cdivet `//cdivet:shard` rules check that state owned by
+// one domain is mutated only by processes spawned on it, or after a Signal
+// wait that orders the write.
 type Shard struct {
 	env *Env
 	id  int
-	q   shardQueue
 }
 
 // NewShard creates an additional event domain. Processes that model one
@@ -280,15 +23,8 @@ func (e *Env) NewShard() *Shard {
 	}
 	s := &e.shardSlab[0]
 	e.shardSlab = e.shardSlab[1:]
-	s.env, s.id = e, len(e.shards)
-	e.shards = append(e.shards, s)
-	e.heads = append(e.heads, headKey{at: mathInf, seq: ^uint64(0)})
-	e.mergeRebuild()
-	// Mirror entries are only maintained while the merge runs multi-shard,
-	// so force a refresh of every queue when the topology grows.
-	for _, sh := range e.shards {
-		e.markDirty(sh)
-	}
+	s.env, s.id = e, e.nshards
+	e.nshards++
 	return s
 }
 

@@ -73,22 +73,22 @@ func TestWaitTimeoutTieBreakAcrossShards(t *testing.T) {
 	}
 }
 
-// Close must unwind processes whose pending wake-ups still sit in wheel
-// buckets (near-term sleeps) and far heaps (sleeps beyond the wheel
-// window), across shards, without running any more model code.
-func TestCloseWithPendingWheelEntries(t *testing.T) {
+// Close must unwind processes whose wake-ups are still queued — near-term
+// sleeps, long sleeps and an undelivered delayed start — across shards,
+// without running any more model code.
+func TestCloseWithPendingTimers(t *testing.T) {
 	env := NewEnv()
 	s := env.NewShard()
 	finished := 0
 	env.Spawn("near", func(p *Proc) {
-		p.Sleep(50 * Microsecond) // within the 256µs wheel window: ring entry
+		p.Sleep(50 * Microsecond) // near-term wake-up
 		finished++
 	})
 	s.Spawn("far", func(p *Proc) {
-		p.Sleep(5 * Millisecond) // beyond the wheel window: far-heap entry
+		p.Sleep(5 * Millisecond) // long sleep, far behind the queue head
 		finished++
 	})
-	// A start event parked in the far heap of a shard, never delivered.
+	// A delayed start on a shard, never delivered.
 	s.SpawnAt(10*Millisecond, "unstarted", func(p *Proc) { finished++ })
 	env.RunUntil(Time(0).Add(10 * Microsecond))
 	if got := env.Live(); got != 3 {
@@ -103,10 +103,10 @@ func TestCloseWithPendingWheelEntries(t *testing.T) {
 	}
 }
 
-// A horizon falling between two events of the same wheel bucket must
+// A horizon falling between two events less than a microsecond apart must
 // deliver the earlier one, clamp the clock exactly to the horizon, and
 // leave the later one for the next run — including on a non-default shard.
-func TestRunUntilHorizonWithinWheelBucket(t *testing.T) {
+func TestRunUntilHorizonBetweenCloseEvents(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
 	var wokeEarly, wokeLate Time
@@ -118,7 +118,7 @@ func TestRunUntilHorizonWithinWheelBucket(t *testing.T) {
 		p.Sleep(800 * Nanosecond)
 		wokeLate = p.Now()
 	})
-	h := Time(0).Add(500 * Nanosecond) // mid-bucket: both events are in tick 0
+	h := Time(0).Add(500 * Nanosecond) // between the two wake-ups
 	if got := env.RunUntil(h); got != h {
 		t.Fatalf("RunUntil = %v, want clock clamped to %v", got, h)
 	}
@@ -135,9 +135,8 @@ func TestRunUntilHorizonWithinWheelBucket(t *testing.T) {
 }
 
 // Blocked must report exactly the signal-parked processes — sorted, and
-// regardless of which shard each lives on — while sleepers in either timer
-// tier (wheel window or far heap) have pending wake-ups and so never count
-// as blocked.
+// regardless of which shard each lives on — while sleepers, short or long,
+// have pending wake-ups and so never count as blocked.
 func TestBlockedAcrossShards(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
@@ -146,7 +145,7 @@ func TestBlockedAcrossShards(t *testing.T) {
 	env.Spawn("wait-default", func(p *Proc) { sig.Wait(p) })
 	sA.Spawn("wait-a", func(p *Proc) { sig.Wait(p) })
 	sB.Spawn("wait-b", func(p *Proc) { sig.Wait(p) })
-	// One sleeper inside the wheel window, one past it in the far heap.
+	// One short sleeper, one whose wake-up lies far past the horizon.
 	sA.Spawn("sleep-near", func(p *Proc) { p.Sleep(50 * Microsecond) })
 	sB.Spawn("sleep-far", func(p *Proc) { p.Sleep(5 * Millisecond) })
 

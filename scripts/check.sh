@@ -70,12 +70,15 @@ if [ "$pool_j1" != "$pool_j8" ]; then
   exit 1
 fi
 
-# Coverage-guided fuzz smoke of the sharded merge-order invariant. The
-# recorded seeds always run as part of `go test` above; the search itself
-# is opt-in locally (CI always runs its own 10s pass).
+# Coverage-guided fuzz smoke of the sharded merge-order invariant and of
+# the event heap against its sorted-slice reference. The recorded seeds
+# always run as part of `go test` above; the search itself is opt-in
+# locally (CI always runs its own 10s passes).
 if [ "${CDI_FUZZ:-0}" = "1" ]; then
   echo "== fuzz smoke (FuzzShardedMergeOrder, 10s)"
   go test ./internal/sim -run xxx -fuzz FuzzShardedMergeOrder -fuzztime=10s
+  echo "== fuzz smoke (FuzzEventHeap, 10s)"
+  go test ./internal/sim -run xxx -fuzz FuzzEventHeap -fuzztime=10s
 fi
 
 echo "== bench.sh --smoke"
