@@ -240,8 +240,8 @@ func CompareBatch(jobs []BatchJob, nodes, coresPerNode, gpusPerNode int, policy 
 }
 
 // WorkloadMix synthesizes a deterministic mixed job stream (CPU-dominant,
-// GPU-dominant, balanced).
-func WorkloadMix(n, coresPerNode int, seed int64) []BatchJob {
+// GPU-dominant, balanced). A non-positive job count is an error.
+func WorkloadMix(n, coresPerNode int, seed int64) ([]BatchJob, error) {
 	return sched.WorkloadMix(n, coresPerNode, seed)
 }
 

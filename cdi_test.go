@@ -91,6 +91,31 @@ func TestPublicFabricConversions(t *testing.T) {
 	}
 }
 
+// TestPublicBadInputs: bad inputs to the facade return errors or clamp to
+// a finite value; none panics or yields NaN.
+func TestPublicBadInputs(t *testing.T) {
+	nan := math.NaN()
+	if got := SlackForDistance(nan); got != 0 {
+		t.Errorf("SlackForDistance(NaN) = %v, want 0", got)
+	}
+	if got := DistanceForSlack(Duration(nan)); got != 0 {
+		t.Errorf("DistanceForSlack(NaN) = %v, want 0", got)
+	}
+	if got := FabricPreset(RowScale, nan).Latency(); math.IsNaN(float64(got)) {
+		t.Errorf("FabricPreset(RowScale, NaN).Latency() = %v", got)
+	}
+	if _, err := WorkloadMix(0, 24, 1); err == nil {
+		t.Error("WorkloadMix(0) accepted")
+	}
+	jobs, err := WorkloadMix(4, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompareBatch(jobs, 2, 8, 4, BatchPolicy(9)); err == nil {
+		t.Error("CompareBatch accepted an unknown policy")
+	}
+}
+
 func TestPublicComposeFlow(t *testing.T) {
 	cmp, err := PaperScenario()
 	if err != nil {
@@ -145,7 +170,10 @@ func TestPublicA100Spec(t *testing.T) {
 }
 
 func TestPublicBatchFlow(t *testing.T) {
-	jobs := WorkloadMix(20, 24, 1)
+	jobs, err := WorkloadMix(20, 24, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cmp, err := CompareBatch(jobs, 8, 24, 2, Backfill)
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,6 @@
 //	cdivet -sarif out.sarif ./...  # also write SARIF 2.1.0 for code scanning
 //	cdivet -fix ./...              # apply suggested fixes in place
 //	cdivet -fix -diff ./...        # print the fixes as a unified diff instead
-//	cdivet -baseline b.json ./...  # suppress findings recorded in b.json
-//	cdivet -write-baseline b.json  # record current findings as the baseline
-//	cdivet -prune-baseline b.json  # shrink b.json to what findings still justify
 //	cdivet -directives ./...       # inventory //cdivet:allow directives
 //	cdivet -list                   # describe every rule
 //
@@ -40,9 +37,6 @@ func main() {
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
 	diff := flag.Bool("diff", false, "with -fix, print a unified diff instead of writing files")
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this file and exit 0")
-	pruneBaseline := flag.String("prune-baseline", "", "drop baseline entries the current findings no longer justify and rewrite the file")
 	directives := flag.Bool("directives", false, "inventory //cdivet:allow directives; exit 1 on malformed or stale ones")
 	flag.Parse()
 
@@ -84,57 +78,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	if *writeBaseline != "" {
-		b := analysis.NewBaseline(findings, m.Root)
-		if err := analysis.WriteBaseline(*writeBaseline, b); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cdivet: baselined %d finding(s) in %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *pruneBaseline != "" {
-		b, err := analysis.ReadBaseline(*pruneBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		pruned, removed, trimmed := b.Prune(findings, m.Root)
-		for _, e := range removed {
-			fmt.Fprintf(os.Stderr, "cdivet: pruned: %s %s %q\n", e.Rule, e.File, e.Message)
-		}
-		for _, e := range trimmed {
-			fmt.Fprintf(os.Stderr, "cdivet: trimmed %d of: %s %s %q\n", e.Count, e.Rule, e.File, e.Message)
-		}
-		if len(removed) == 0 && len(trimmed) == 0 {
-			fmt.Fprintf(os.Stderr, "cdivet: baseline %s already minimal\n", *pruneBaseline)
-			return
-		}
-		if err := analysis.WriteBaseline(*pruneBaseline, pruned); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cdivet: rewrote %s with %d entries\n", *pruneBaseline, len(pruned.Entries))
-		return
-	}
-	if *baselinePath != "" {
-		b, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		var suppressed int
-		if stale := b.Stale(findings, m.Root); len(stale) > 0 {
-			for _, e := range stale {
-				fmt.Fprintf(os.Stderr, "cdivet: baseline entry no longer matches: %s %s %q\n", e.Rule, e.File, e.Message)
-			}
-		}
-		findings, suppressed = b.Filter(findings, m.Root)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "cdivet: %d finding(s) suppressed by baseline\n", suppressed)
-		}
 	}
 
 	if *sarifPath != "" {

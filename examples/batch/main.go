@@ -20,7 +20,10 @@ func main() {
 	nodes := flag.Int("nodes", 8, "nodes (24 cores, 2 GPUs each traditionally)")
 	flag.Parse()
 
-	jobs := cdi.WorkloadMix(*njobs, 24, *seed)
+	jobs, err := cdi.WorkloadMix(*njobs, 24, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cmp, err := cdi.CompareBatch(jobs, *nodes, 24, 2, cdi.Backfill)
 	if err != nil {
 		log.Fatal(err)

@@ -21,21 +21,17 @@
 //	taint       nondeterministic value reaching a result-emitting sink
 //	simunits    unitless literals / float64 round-trips in sim.Duration math
 //	waitlock    sync.Mutex held across a simulated wait point
-//	hotpath     per-iteration allocation patterns in benchmark-reachable code
-//	escape      escaping heap allocations in hot loops, with escape reasons
 //	shardsafety cross-shard write to shard-owned state without a wait edge
 //	waitgraph   sim.Signal deadlock / lost-wake / unbound-use patterns
 //
 // The first six are per-file syntactic/type checks. The rest run on a
-// module-wide dataflow layer (dataflow.go, callgraph.go, hotness.go): taint
-// propagates nondeterminism through assignments, returns, and cross-package
-// calls and reports only at sinks, so the sorted-keys idiom stays silent
-// while a map-order value laundered through a helper in another package is
-// still caught; hotpath and escape work over the set of functions reachable
-// from the benchmark call graph and the configured steady-state roots; and
-// shardsafety and waitgraph reason over the shard-affinity context
-// (shardctx.go) the PR 7 sharded engine introduced — which proc runs on
-// which event domain, and how sim.Signal wait/fire edges order them.
+// module-wide dataflow layer (dataflow.go, callgraph.go): taint propagates
+// nondeterminism through assignments, returns, and cross-package calls and
+// reports only at sinks, so the sorted-keys idiom stays silent while a
+// map-order value laundered through a helper in another package is still
+// caught; and shardsafety and waitgraph reason over the shard-affinity
+// context (shardctx.go) — which proc runs on which event domain, and how
+// sim.Signal wait/fire edges order them.
 //
 // Intentional exceptions are suppressed in source with a justified
 // directive on, or immediately above, the offending line:
@@ -168,8 +164,6 @@ func All() []*Analyzer {
 		Taint,
 		SimUnits,
 		WaitLock,
-		Hotpath,
-		Escape,
 		ShardSafety,
 		WaitGraph,
 	}

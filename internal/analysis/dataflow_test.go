@@ -186,119 +186,6 @@ func TestSARIFGolden(t *testing.T) {
 	compareGolden(t, filepath.Join("testdata", "sarif.golden"), buf.Bytes())
 }
 
-// TestBaselineRoundTrip: a baseline cut from the current findings swallows
-// exactly those findings, counts duplicate messages, survives a write/read
-// cycle, and reports entries that stop matching as stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	m, err := LoadDirAs(filepath.Join("testdata", "simunits"), corpusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{SimUnits}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) == 0 {
-		t.Fatal("corpus produced no findings to baseline")
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, NewBaseline(findings, m.Root)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed := b.Filter(findings, m.Root)
-	if len(kept) != 0 || suppressed != len(findings) {
-		t.Errorf("self-filter kept %d findings (suppressed %d of %d)", len(kept), suppressed, len(findings))
-	}
-	if stale := b.Stale(findings, m.Root); len(stale) != 0 {
-		t.Errorf("fresh baseline reports stale entries: %v", stale)
-	}
-
-	// A finding beyond the baselined count survives the filter.
-	extra := append([]Finding{}, findings...)
-	extra = append(extra, findings[0])
-	kept, _ = b.Filter(extra, m.Root)
-	if len(kept) != 1 {
-		t.Errorf("duplicate finding beyond baseline count: kept %d, want 1", len(kept))
-	}
-
-	// Entries with no live finding are stale.
-	if stale := b.Stale(nil, m.Root); len(stale) != len(b.Entries) {
-		t.Errorf("all-gone baseline: %d stale, want %d", len(stale), len(b.Entries))
-	}
-}
-
-// TestBaselinePrune: Prune drops entries with no live finding, trims counts
-// down to the live occurrence count, leaves justified entries alone, and
-// the pruned baseline survives a write/read cycle still covering exactly
-// the live findings.
-func TestBaselinePrune(t *testing.T) {
-	m, err := LoadDirAs(filepath.Join("testdata", "simunits"), corpusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{SimUnits}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) < 2 {
-		t.Fatalf("corpus produced %d findings; need at least 2", len(findings))
-	}
-
-	// Cut a baseline from an inflated view of the findings: every finding
-	// duplicated (counts of 2), plus a phantom that never occurs.
-	inflated := append(append([]Finding{}, findings...), findings...)
-	phantom := findings[0]
-	phantom.Message = "phantom finding that no longer occurs"
-	inflated = append(inflated, phantom)
-	b := NewBaseline(inflated, m.Root)
-
-	pruned, removed, trimmed := b.Prune(findings, m.Root)
-	if len(removed) != 1 || removed[0].Message != phantom.Message {
-		t.Errorf("removed = %v, want just the phantom", removed)
-	}
-	if len(trimmed) == 0 {
-		t.Error("inflated counts were not trimmed")
-	}
-	for _, e := range trimmed {
-		if e.Count <= 0 {
-			t.Errorf("trimmed entry reports non-positive cut %d", e.Count)
-		}
-	}
-
-	// The pruned baseline still swallows the live findings exactly...
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, pruned); err != nil {
-		t.Fatal(err)
-	}
-	pruned, err = ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed := pruned.Filter(findings, m.Root)
-	if len(kept) != 0 || suppressed != len(findings) {
-		t.Errorf("pruned baseline kept %d findings (suppressed %d of %d)", len(kept), suppressed, len(findings))
-	}
-	// ...with no slack left: one extra copy of any finding now fails.
-	extra := append(append([]Finding{}, findings...), findings[0])
-	if kept, _ := pruned.Filter(extra, m.Root); len(kept) != 1 {
-		t.Errorf("pruned baseline left slack: kept %d of the extra copy, want 1", len(kept))
-	}
-
-	// Pruning a minimal baseline is the identity.
-	again, removed, trimmed := pruned.Prune(findings, m.Root)
-	if len(removed) != 0 || len(trimmed) != 0 {
-		t.Errorf("pruning a minimal baseline changed it: removed %v trimmed %v", removed, trimmed)
-	}
-	if len(again.Entries) != len(pruned.Entries) {
-		t.Errorf("idempotent prune lost entries: %d -> %d", len(pruned.Entries), len(again.Entries))
-	}
-}
-
 // TestSelfCheck: the analyzer package itself must pass its own full suite —
 // an analysis suite that cannot gate its own source has no business gating
 // the model's.

@@ -118,6 +118,30 @@ func (r *shardRegion) describe() string {
 	return "func literal"
 }
 
+// describeFunc renders a node as pkg.Func or pkg.(Recv).Func for messages.
+func describeFunc(n *funcNode) string {
+	short := n.pkg.Path
+	if i := strings.LastIndexByte(short, '/'); i >= 0 {
+		short = short[i+1:]
+	}
+	if sig, ok := n.obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return short + ".(" + recvTypeName(sig.Recv().Type()) + ")." + n.obj.Name()
+	}
+	return short + "." + n.obj.Name()
+}
+
+// recvTypeName extracts the bare receiver type name from a receiver type,
+// unwrapping pointers.
+func recvTypeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
 // spawnSite is one resolved Spawn/SpawnAt call.
 type spawnSite struct {
 	region  *shardRegion // region containing the call

@@ -125,7 +125,6 @@ type Context struct {
 // newEvent hands out an Event from the context's slab.
 func (c *Context) newEvent(op *gpu.Op) *Event {
 	if len(c.eventSlab) == 0 {
-		//cdivet:allow escape slab refill: one amortized allocation per 64 events
 		c.eventSlab = make([]Event, 64)
 	}
 	e := &c.eventSlab[0]
@@ -139,7 +138,6 @@ func launchName(m map[string]string, prefix, kernel string) string {
 	if s, ok := m[kernel]; ok {
 		return s
 	}
-	//cdivet:allow hotpath cache miss: the concatenation runs once per distinct kernel name
 	s := prefix + kernel
 	m[kernel] = s
 	return s
@@ -162,7 +160,6 @@ func NewContext(dev *gpu.Device, cfg Config) *Context {
 	if ov < 0 {
 		ov = 0
 	}
-	//cdivet:allow escape constructed once per host context at setup, not per iteration
 	return &Context{
 		dev:             dev,
 		callOverhead:    ov,

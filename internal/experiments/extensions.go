@@ -373,7 +373,10 @@ func Throughput(o Options) ([]ThroughputRow, error) {
 	const seeds = 5
 	cmps, err := runner.Map(o.Jobs, seeds, func(i int) (sched.Comparison, error) {
 		seed := int64(i + 1)
-		jobs := sched.WorkloadMix(40, 24, seed)
+		jobs, err := sched.WorkloadMix(40, 24, seed)
+		if err != nil {
+			return sched.Comparison{}, err
+		}
 		return sched.Compare(jobs, 8, 24, 2, sched.Backfill)
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -18,20 +19,20 @@ import (
 const FibreKmPerSecond = 200_000.0
 
 // PropagationDelay returns the one-way propagation time over km kilometres
-// of fibre. It is total: negative distances clamp to zero. Validation
+// of fibre. It is total: negative and NaN distances clamp to zero. Validation
 // belongs to the constructor path (NewPath, NewSharedLink, PathForSlack),
 // which returns errors callers can recover from.
 func PropagationDelay(km float64) sim.Duration {
-	if km < 0 {
+	if !(km >= 0) {
 		km = 0
 	}
 	return sim.Duration(km / FibreKmPerSecond)
 }
 
 // DistanceForDelay inverts PropagationDelay: the fibre length whose one-way
-// propagation time equals d. Negative delays clamp to zero.
+// propagation time equals d. Negative and NaN delays clamp to zero.
 func DistanceForDelay(d sim.Duration) float64 {
-	if d < 0 {
+	if !(d >= 0) {
 		d = 0
 	}
 	return float64(d) * FibreKmPerSecond
@@ -46,13 +47,15 @@ type Hop struct {
 	Bandwidth float64
 }
 
-// Validate reports the first invalid field of the hop.
+// Validate reports the first invalid field of the hop: a latency that is
+// negative, NaN or infinite, or a bandwidth that is negative or NaN. An
+// infinite bandwidth is valid and adds no serialization term.
 func (h Hop) Validate() error {
-	if h.Latency < 0 {
-		return fmt.Errorf("fabric: hop %q has negative latency %v", h.Name, h.Latency)
+	if l := float64(h.Latency); !(l >= 0) || math.IsInf(l, 1) {
+		return fmt.Errorf("fabric: hop %q has latency %g s, want finite and non-negative", h.Name, l)
 	}
-	if h.Bandwidth < 0 {
-		return fmt.Errorf("fabric: hop %q has negative bandwidth %g B/s", h.Name, h.Bandwidth)
+	if !(h.Bandwidth >= 0) {
+		return fmt.Errorf("fabric: hop %q has bandwidth %g B/s, want non-negative", h.Name, h.Bandwidth)
 	}
 	return nil
 }
@@ -64,9 +67,9 @@ type Path struct {
 	Hops []Hop
 }
 
-// NewPath is the validated constructor: it rejects hops with negative
-// latency or bandwidth, so downstream arithmetic (Latency, TransferTime)
-// can stay total and panic-free.
+// NewPath is the validated constructor: it rejects the hops Hop.Validate
+// rejects, so downstream arithmetic (Latency, TransferTime) can stay total
+// and panic-free.
 func NewPath(hops ...Hop) (Path, error) {
 	p := Path{Hops: hops}
 	return p, p.Validate()
@@ -154,7 +157,6 @@ func (s Scale) String() string {
 	case ClusterScale:
 		return "cluster-scale"
 	default:
-		//cdivet:allow hotpath defensive fallback, unreachable for valid scales
 		return fmt.Sprintf("Scale(%d)", int(s))
 	}
 }

@@ -55,6 +55,45 @@ func TestValidatedConstructorPath(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputs: NaN and infinite latencies and NaN bandwidths are
+// rejected by the validated constructors, and the scalar converters clamp
+// NaN to zero the way they clamp negatives, so no NaN reaches a slack.
+func TestNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	hops := []struct {
+		name  string
+		hop   Hop
+		valid bool
+	}{
+		{"NaN latency", Hop{Name: "bad", Latency: sim.Duration(nan)}, false},
+		{"+Inf latency", Hop{Name: "bad", Latency: sim.Duration(inf)}, false},
+		{"-Inf latency", Hop{Name: "bad", Latency: sim.Duration(-inf)}, false},
+		{"NaN bandwidth", Hop{Name: "bad", Latency: sim.Microsecond, Bandwidth: nan}, false},
+		{"+Inf bandwidth", Hop{Name: "ok", Latency: sim.Microsecond, Bandwidth: inf}, true},
+	}
+	for _, c := range hops {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := NewPath(c.hop); (err == nil) != c.valid {
+				t.Errorf("NewPath(%+v) err = %v, want valid=%v", c.hop, err, c.valid)
+			}
+		})
+	}
+	if _, err := PathForSlack(sim.Duration(nan)); err == nil {
+		t.Error("PathForSlack(NaN) accepted")
+	}
+	if _, err := PathForSlack(sim.Duration(inf)); err == nil {
+		t.Error("PathForSlack(+Inf) accepted")
+	}
+	if got := PropagationDelay(nan); got != 0 {
+		t.Errorf("PropagationDelay(NaN) = %v, want 0", got)
+	}
+	if got := DistanceForDelay(sim.Duration(nan)); got != 0 {
+		t.Errorf("DistanceForDelay(NaN) = %v, want 0", got)
+	}
+	if got := Preset(RowScale, nan).Latency(); math.IsNaN(float64(got)) || got <= 0 {
+		t.Errorf("Preset(RowScale, NaN).Latency() = %v, want a finite positive slack", got)
+	}
+}
 
 func TestPathLatencySumsHops(t *testing.T) {
 	p := Path{Hops: []Hop{

@@ -134,7 +134,6 @@ type Device struct {
 // newOp returns a zeroed Op from the device's slab.
 func (d *Device) newOp() *Op {
 	if len(d.opSlab) == 0 {
-		//cdivet:allow escape slab refill: one amortized allocation per 64 ops
 		d.opSlab = make([]Op, 64)
 	}
 	o := &d.opSlab[0]
@@ -147,7 +146,6 @@ func NewDevice(env *sim.Env, spec Spec) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	//cdivet:allow escape constructed once per simulated GPU at setup, not per iteration
 	return &Device{
 		env:     env,
 		shard:   env.NewShard(),
@@ -273,7 +271,6 @@ type Stream struct {
 
 // NewStream creates a stream and starts its runner process.
 func (d *Device) NewStream() *Stream {
-	//cdivet:allow escape streams are created per host thread at setup, not per iteration
 	s := &Stream{
 		id:      d.nextStreamID,
 		dev:     d,
@@ -282,7 +279,6 @@ func (d *Device) NewStream() *Stream {
 	}
 	d.nextStreamID++
 	d.streams = append(d.streams, s)
-	//cdivet:allow hotpath the runner name is built once per stream creation
 	d.shard.Spawn(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.run)
 	return s
 }

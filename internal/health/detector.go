@@ -28,8 +28,8 @@ import (
 // timeout.
 //
 // Observe and Phi are allocation-free: the controller calls them on
-// every beat and every evaluator tick, and the steady-state benchmark
-// holds them to zero allocs/op.
+// every beat and every evaluator tick, and TestDetectorAllocFree holds a
+// warmed Observe+Phi cycle to zero allocations.
 type Detector struct {
 	prior  sim.Duration   // assumed mean interval until samples arrive
 	buf    []sim.Duration // ring of recent inter-arrival intervals
@@ -49,7 +49,7 @@ func NewDetector(window int, prior sim.Duration) *Detector {
 	if window < 1 {
 		window = 1
 	}
-	return &Detector{prior: prior, buf: make([]sim.Duration, window)} //cdivet:allow escape constructor runs once per monitored server at startup; Observe and Phi are the alloc-free hot path
+	return &Detector{prior: prior, buf: make([]sim.Duration, window)}
 }
 
 // Observe records a heartbeat arrival at time t. The first observation

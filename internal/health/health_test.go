@@ -100,6 +100,27 @@ func testPool(t *testing.T, env *sim.Env, fc faults.Config, standbys int) *remot
 	return r
 }
 
+// TestDetectorAllocFree: once the ring has wrapped, a heartbeat Observe
+// plus a Phi evaluation allocates nothing — the controller runs this pair
+// on every beat of every server.
+func TestDetectorAllocFree(t *testing.T) {
+	d := NewDetector(16, 250*sim.Microsecond)
+	now := sim.Time(0)
+	cycle := func() {
+		now = now.Add(250 * sim.Microsecond)
+		d.Observe(now)
+		if d.Phi(now.Add(100*sim.Microsecond)) < 0 {
+			t.Fatal("negative phi")
+		}
+	}
+	for i := 0; i < 64; i++ { // warm-up: prime the clock and wrap the ring
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 0 {
+		t.Fatalf("steady-state Observe+Phi allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()

@@ -223,7 +223,6 @@ func Run(cfg Config) (Result, error) {
 		rec.Start(env)
 	}
 	loopStart := env.Now()
-	//cdivet:allow escape one error collector per Run call, sized at setup
 	runErrs := make([]error, 0, cfg.Threads)
 	for t := 0; t < cfg.Threads; t++ {
 		offset := sim.Duration(t) * cfg.ThreadOffset

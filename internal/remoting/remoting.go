@@ -46,7 +46,7 @@ func (c Config) validate() error {
 	if err := c.Path.Validate(); err != nil {
 		return err
 	}
-	if c.NoiseFraction < 0 || c.NoiseFraction >= 1 {
+	if !(c.NoiseFraction >= 0 && c.NoiseFraction < 1) {
 		return fmt.Errorf("remoting: noise fraction %g outside [0, 1)", c.NoiseFraction)
 	}
 	return nil

@@ -157,6 +157,10 @@ func TestCompareRejectsInvalidConfig(t *testing.T) {
 		{"noise fraction 1", Config{Path: good, NoiseFraction: 1}},
 		{"negative noise fraction", Config{Path: good, NoiseFraction: -0.1}},
 		{"negative hop latency", Config{Path: fabric.Path{Hops: []fabric.Hop{{Name: "bad", Latency: -sim.Microsecond}}}}},
+		{"NaN hop latency", Config{Path: fabric.Path{Hops: []fabric.Hop{{Name: "bad", Latency: sim.Duration(math.NaN())}}}}},
+		{"+Inf hop latency", Config{Path: fabric.Path{Hops: []fabric.Hop{{Name: "bad", Latency: sim.Duration(math.Inf(1))}}}}},
+		{"NaN hop bandwidth", Config{Path: fabric.Path{Hops: []fabric.Hop{{Name: "bad", Latency: sim.Microsecond, Bandwidth: math.NaN()}}}}},
+		{"NaN noise fraction", Config{Path: good, NoiseFraction: math.NaN()}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

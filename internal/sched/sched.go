@@ -92,8 +92,12 @@ func (p Policy) String() string {
 }
 
 // Run schedules jobs on the system under the policy and returns the
-// outcome. The system must be freshly built (no live allocations).
+// outcome. The system must be freshly built (no live allocations). A
+// policy other than FCFS or Backfill is an error.
 func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
+	if policy != FCFS && policy != Backfill {
+		return Result{}, fmt.Errorf("sched: unknown policy %v", policy)
+	}
 	for _, j := range jobs {
 		if err := j.validate(); err != nil {
 			return Result{}, err
@@ -220,10 +224,11 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 
 // WorkloadMix synthesizes a deterministic job stream resembling the
 // paper's framing: CPU-dominant jobs that would trap GPUs, GPU-dominant
-// jobs that starve for them, and balanced jobs.
-func WorkloadMix(n int, coresPerNode int, seed int64) []Job {
+// jobs that starve for them, and balanced jobs. A non-positive job count
+// is an error.
+func WorkloadMix(n int, coresPerNode int, seed int64) ([]Job, error) {
 	if n <= 0 {
-		panic("sched: non-positive job count")
+		return nil, fmt.Errorf("sched: non-positive job count %d", n)
 	}
 	rng := rand.New(rand.NewPCG(uint64(seed), workloadSalt))
 	var jobs []Job
@@ -244,7 +249,7 @@ func WorkloadMix(n int, coresPerNode int, seed int64) []Job {
 		req.FlexCores = true
 		jobs = append(jobs, Job{Name: req.Name, Arrival: t, Duration: dur, Req: req})
 	}
-	return jobs
+	return jobs, nil
 }
 
 // Comparison contrasts the same workload on both architectures.

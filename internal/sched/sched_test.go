@@ -16,6 +16,15 @@ func mustTraditional(t *testing.T, nodes, cores, gpus int) *compose.System {
 	return s
 }
 
+func mustMix(t *testing.T, n, coresPerNode int, seed int64) []Job {
+	t.Helper()
+	jobs, err := WorkloadMix(n, coresPerNode, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
 func TestSingleJobRunsImmediately(t *testing.T) {
 	s := mustTraditional(t, 2, 24, 2)
 	jobs := []Job{{
@@ -133,8 +142,8 @@ func TestJobValidation(t *testing.T) {
 }
 
 func TestWorkloadMixDeterministicAndValid(t *testing.T) {
-	a := WorkloadMix(30, 24, 7)
-	b := WorkloadMix(30, 24, 7)
+	a := mustMix(t, 30, 24, 7)
+	b := mustMix(t, 30, 24, 7)
 	if len(a) != 30 {
 		t.Fatalf("jobs = %d", len(a))
 	}
@@ -159,7 +168,7 @@ func TestCompareCDIWinsOnMixedWorkload(t *testing.T) {
 	// several seeds.
 	var tradSpan, cdiSpan, tradWait, cdiWait sim.Duration
 	for seed := int64(1); seed <= 5; seed++ {
-		jobs := WorkloadMix(40, 24, seed)
+		jobs := mustMix(t, 40, 24, seed)
 		cmp, err := Compare(jobs, 8, 24, 2, Backfill)
 		if err != nil {
 			t.Fatal(err)
@@ -207,8 +216,42 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// TestRejectsBadInputs: an unknown policy and a non-positive job count
+// are errors, not a silent backfill run or a panic.
+func TestRejectsBadInputs(t *testing.T) {
+	jobs := mustMix(t, 4, 24, 1)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"Run with unknown policy", func() error {
+			_, err := Run(mustTraditional(t, 2, 24, 2), jobs, Policy(9))
+			return err
+		}},
+		{"Compare with unknown policy", func() error {
+			_, err := Compare(jobs, 2, 24, 2, Policy(-1))
+			return err
+		}},
+		{"WorkloadMix with zero jobs", func() error {
+			_, err := WorkloadMix(0, 24, 1)
+			return err
+		}},
+		{"WorkloadMix with negative jobs", func() error {
+			_, err := WorkloadMix(-3, 24, 1)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
 func TestDeterministicSchedule(t *testing.T) {
-	jobs := WorkloadMix(25, 24, 11)
+	jobs := mustMix(t, 25, 24, 11)
 	run := func() Result {
 		s := mustTraditional(t, 6, 24, 2)
 		r, err := Run(s, jobs, Backfill)

@@ -244,7 +244,6 @@ func (e *Engine) enqueue(pd *pending) {
 // newPending hands out a pending record from the engine's slab.
 func (e *Engine) newPending(r Request) *pending {
 	if len(e.pendSlab) == 0 {
-		//cdivet:allow escape slab refill: one amortized allocation per 64 requests
 		e.pendSlab = make([]pending, 64)
 	}
 	pd := &e.pendSlab[0]
@@ -335,7 +334,6 @@ func (e *Engine) finish(p *sim.Proc, r *pending) error {
 	e.completed++
 	if e.cfg.RecordSpans {
 		e.spans = append(e.spans, trace.AppSpan{
-			//cdivet:allow hotpath spans are opt-in (RecordSpans) and inherently allocate; off on measured paths
 			Name:  "req " + strconv.Itoa(r.req.ID) + " (" + e.cfg.Tenants[r.req.Tenant].Name + ")",
 			Cat:   "request",
 			Track: r.req.Tenant,
@@ -360,7 +358,6 @@ func (e *Engine) admit(p *sim.Proc, r *pending) (gpu.Kernel, error) {
 func (e *Engine) batchSpan(kind string, n int, start, end sim.Time) {
 	if e.cfg.RecordSpans {
 		e.spans = append(e.spans, trace.AppSpan{
-			//cdivet:allow hotpath spans are opt-in (RecordSpans) and inherently allocate; off on measured paths
 			Name:  kind + " n=" + strconv.Itoa(n),
 			Cat:   "batch",
 			Track: batchTrack,

@@ -67,12 +67,10 @@ func Place(tenants []Tenant, tiers []Tier) ([]Replica, error) {
 		if err != nil {
 			return nil, err
 		}
-		//cdivet:allow hotpath built once per tier, not per replica
 		prefix := "serve-" + tier.Scale.String() + "-"
 		for g := 0; g < tier.GPUs; g++ {
 			// Each replica owns a distinct name; the allocation is the
 			// result itself, not transient scratch.
-			//cdivet:allow hotpath the string is the replica's stored identity
 			name := prefix + strconv.Itoa(g)
 			a, err := sys.Alloc(compose.Request{Name: name, Cores: 1, GPUs: 1})
 			if err != nil {

@@ -155,7 +155,6 @@ func (h *eventHeap) pop() *event {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	//cdivet:allow escape one environment per simulation run, built at setup
 	e := &Env{park: make(chan struct{}), parked: make(map[*Proc]struct{})}
 	e.shard0.env = e
 	e.nshards = 1
@@ -175,7 +174,6 @@ func (e *Env) newEvent() *event {
 		return ev
 	}
 	if len(e.slab) == 0 {
-		//cdivet:allow escape freelist miss: one amortized allocation per 64 events, bounded by concurrent wake-ups
 		e.slab = make([]event, 64)
 	}
 	ev := &e.slab[0]
@@ -294,7 +292,6 @@ func (e *Env) spawnAt(s *Shard, delay Duration, name string, fn func(p *Proc)) *
 	if delay < 0 {
 		panic("sim: negative spawn delay")
 	}
-	//cdivet:allow escape one handle and resume channel per spawned process, at spawn time not per iteration
 	p := &Proc{env: e, shard: s, name: name, resume: make(chan struct{})}
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
@@ -414,7 +411,6 @@ func (e *Env) Close() {
 		p.resume <- struct{}{}
 		<-e.park
 	}
-	//cdivet:allow escape teardown: Close runs once per environment
 	e.parked = map[*Proc]struct{}{}
 	// Unwind processes parked on timers (or not yet started).
 	for {

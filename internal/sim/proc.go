@@ -99,7 +99,6 @@ type Signal struct {
 
 // NewSignal returns a Signal bound to env.
 func NewSignal(env *Env) *Signal {
-	//cdivet:allow escape signals are created when their owning structure is built, not per iteration
 	s := &Signal{env: env}
 	s.waiters = s.wbuf[:0]
 	return s
@@ -206,7 +205,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: Resource capacity must be positive")
 	}
-	//cdivet:allow escape one resource per modeled engine, built at setup
 	return &Resource{env: env, capacity: capacity, queue: NewSignal(env)}
 }
 
@@ -254,7 +252,6 @@ type WaitGroup struct {
 
 // NewWaitGroup returns a WaitGroup bound to env.
 func NewWaitGroup(env *Env) *WaitGroup {
-	//cdivet:allow escape one waitgroup per modeled device, built at setup
 	return &WaitGroup{env: env, done: NewSignal(env)}
 }
 

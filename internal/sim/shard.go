@@ -18,7 +18,6 @@ type Shard struct {
 // shard; unrelated domains should get their own.
 func (e *Env) NewShard() *Shard {
 	if len(e.shardSlab) == 0 {
-		//cdivet:allow escape shards are slab-allocated in chunks at topology setup, one chunk per 8 domains
 		e.shardSlab = make([]Shard, 8)
 	}
 	s := &e.shardSlab[0]

@@ -1,10 +1,9 @@
 package cdi
 
 // Self-checks and seeded-bug regressions for the shard-era analyzers. The
-// self-checks hold every shard-threaded package to zero unbaselined
-// shardsafety/waitgraph findings — ownership violations in the measured
-// core cannot hide behind a frozen baseline entry, only behind an inline
-// justified directive. The seeded tests prove the analyzers actually catch
+// self-checks hold every shard-threaded package to zero shardsafety and
+// waitgraph findings — an ownership violation in the measured core can
+// hide only behind an inline justified directive. The seeded tests prove the analyzers actually catch
 // the failure classes they exist for, by planting each bug in a scratch
 // copy of the module and demanding a finding.
 
@@ -49,7 +48,7 @@ func runShardSelfCheck(t *testing.T, rule string) {
 		t.Errorf("%s", f)
 	}
 	if len(findings) > 0 {
-		t.Logf("the shard-threaded packages are kept clean without a baseline: fix the violation or justify it with an inline `//cdivet:allow %s <reason>`", rule)
+		t.Logf("the shard-threaded packages are kept clean: fix the violation or justify it with an inline `//cdivet:allow %s <reason>`", rule)
 	}
 }
 
@@ -57,14 +56,13 @@ func TestShardSafetySelfCheck(t *testing.T) { runShardSelfCheck(t, "shardsafety"
 
 func TestWaitGraphSelfCheck(t *testing.T) { runShardSelfCheck(t, "waitgraph") }
 
-// TestPoolSelfCheck holds the pool scheduler alone to zero unbaselined
-// findings across the three analyzers its design leans on: shardsafety
-// (the single-writer mailbox discipline), waitgraph (the wake signal is
-// always fireable), and hotpath (the placement path stays allocation-
-// lean). The repo-wide self-checks above cover the first two; this one
+// TestPoolSelfCheck holds the pool scheduler alone to zero findings
+// across the two analyzers its design leans on: shardsafety (the
+// single-writer mailbox discipline) and waitgraph (the wake signal is
+// always fireable). The repo-wide self-checks above cover both; this one
 // exists so a pool-only regression fails with the package's name on it.
 func TestPoolSelfCheck(t *testing.T) {
-	for _, rule := range []string{"shardsafety", "waitgraph", "hotpath"} {
+	for _, rule := range []string{"shardsafety", "waitgraph"} {
 		as, err := analysis.ByName(rule)
 		if err != nil {
 			t.Fatalf("resolve analyzer: %v", err)
