@@ -4,7 +4,7 @@ package cdi
 // tier-1 testing, so `go test ./...` fails the moment any package breaks a
 // determinism invariant (wall-clock reads, global rand, bare goroutines,
 // order-dependent map iteration, exact float comparison, dropped errors,
-// shard ownership). The same suite is available interactively as
+// signal wait/fire misuse). The same suite is available interactively as
 // `go run ./cmd/cdivet ./...`.
 //
 // There is no findings baseline: every finding fails the test, and an

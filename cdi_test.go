@@ -114,6 +114,27 @@ func TestPublicBadInputs(t *testing.T) {
 	if _, err := CompareBatch(jobs, 2, 8, 4, BatchPolicy(9)); err == nil {
 		t.Error("CompareBatch accepted an unknown policy")
 	}
+	// Non-finite durations must fail validation: run through the model
+	// they give NaN or Inf times, or, for the iteration spacing, a
+	// silently finite one.
+	for _, d := range []Duration{Duration(nan), Duration(math.Inf(1))} {
+		if r, err := RunLAMMPS(LAMMPSConfig{BoxSize: 20, Procs: 1, Steps: 5, Slack: d}); err == nil {
+			t.Errorf("RunLAMMPS(Slack: %v) accepted, runtime %v", d, r.Runtime)
+		}
+		if r, err := RunCosmoFlow(CosmoFlowConfig{Slack: d}); err == nil {
+			t.Errorf("RunCosmoFlow(Slack: %v) accepted, runtime %v", d, r.Runtime)
+		}
+		for _, cfg := range []ProxyConfig{
+			{MatrixSize: 1 << 11, Iters: 10, Slack: d},
+			{MatrixSize: 1 << 11, Iters: 10, Threads: 2, ThreadOffset: d},
+			{MatrixSize: 1 << 11, Iters: 10, IterSpacing: d},
+		} {
+			if r, err := RunProxy(cfg); err == nil {
+				t.Errorf("RunProxy(Slack: %v, ThreadOffset: %v, IterSpacing: %v) accepted, loop time %v",
+					cfg.Slack, cfg.ThreadOffset, cfg.IterSpacing, r.LoopTime)
+			}
+		}
+	}
 }
 
 func TestPublicComposeFlow(t *testing.T) {

@@ -8,7 +8,7 @@
 // randomness flows from explicit rand.New(rand.NewSource(seed)) streams, and
 // no result-emitting path depends on Go map iteration order. Nothing in the
 // compiler enforces any of that — a single time.Now(), global rand.Intn, or
-// unsorted map range silently corrupts every regenerated artifact. The six
+// unsorted map range silently corrupts every regenerated artifact. The
 // analyzers in this package turn those conventions into build-breaking
 // checks:
 //
@@ -21,7 +21,6 @@
 //	taint       nondeterministic value reaching a result-emitting sink
 //	simunits    unitless literals / float64 round-trips in sim.Duration math
 //	waitlock    sync.Mutex held across a simulated wait point
-//	shardsafety cross-shard write to shard-owned state without a wait edge
 //	waitgraph   sim.Signal deadlock / lost-wake / unbound-use patterns
 //
 // The first six are per-file syntactic/type checks. The rest run on a
@@ -29,9 +28,9 @@
 // nondeterminism through assignments, returns, and cross-package calls and
 // reports only at sinks, so the sorted-keys idiom stays silent while a
 // map-order value laundered through a helper in another package is still
-// caught; and shardsafety and waitgraph reason over the shard-affinity
-// context (shardctx.go) — which proc runs on which event domain, and how
-// sim.Signal wait/fire edges order them.
+// caught; and waitgraph reasons over the process-region model (regions.go) —
+// which code each spawned proc runs, and which sim.Signal waits and fires
+// it reaches.
 //
 // Intentional exceptions are suppressed in source with a justified
 // directive on, or immediately above, the offending line:
@@ -164,7 +163,6 @@ func All() []*Analyzer {
 		Taint,
 		SimUnits,
 		WaitLock,
-		ShardSafety,
 		WaitGraph,
 	}
 }

@@ -42,7 +42,7 @@ func lostWake(env *sim.Env) {
 	torch := sim.NewSignal(env)
 	env.Spawn("igniter", func(p *sim.Proc) {
 		torch.Fire() // want
-		p.Shard().Spawn("late", func(cp *sim.Proc) {
+		p.Env().Spawn("late", func(cp *sim.Proc) {
 			torch.Wait(cp)
 		})
 	})

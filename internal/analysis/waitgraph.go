@@ -9,8 +9,8 @@ import (
 )
 
 // WaitGraph builds the static wait/fire graph over sim.Signal and reports
-// the Signal misuse patterns that the sharded engine turns into
-// deterministic hangs or silently lost events:
+// the Signal misuse patterns that the deterministic engine turns into
+// hangs or silently lost events:
 //
 //   - a Signal that is waited on but never fired anywhere in the module:
 //     every waiter parks forever, and because the engine is deterministic
@@ -42,7 +42,7 @@ var WaitGraph = &Analyzer{
 
 // sigSite is one Signal method call attributed to a region.
 type sigSite struct {
-	region  *shardRegion
+	region  *region
 	pos     token.Pos
 	method  string // Bind, Wait, WaitTimeout, Fire, FireOne
 	guarded bool   // inside a for/range loop in its region
@@ -73,8 +73,7 @@ func (c *signalClass) count(methods ...string) int {
 }
 
 func runWaitGraph(mp *ModulePass) {
-	sc := shardContextFor(mp.Module)
-	w := &waitGraph{sc: sc, classes: map[*types.Var]*signalClass{}, consumed: map[token.Pos]bool{}}
+	w := &waitGraph{rg: regionGraphFor(mp.Module), classes: map[*types.Var]*signalClass{}, consumed: map[token.Pos]bool{}}
 	w.collectParams()
 	w.collectSites()
 	w.collectCreations()
@@ -89,7 +88,7 @@ func runWaitGraph(mp *ModulePass) {
 }
 
 type waitGraph struct {
-	sc       *shardContext
+	rg       *regionGraph
 	classes  map[*types.Var]*signalClass
 	order    []*signalClass
 	params   map[types.Object]bool
@@ -115,7 +114,7 @@ func (w *waitGraph) collectParams() {
 			}
 		}
 	}
-	for _, r := range w.sc.regions {
+	for _, r := range w.rg.regions {
 		if r.node != nil {
 			record(r.pkg.Info, r.node.decl.Type, r.node.decl.Recv)
 		} else {
@@ -126,7 +125,7 @@ func (w *waitGraph) collectParams() {
 
 // collectSites attributes every Signal method call to its region and class.
 func (w *waitGraph) collectSites() {
-	for _, r := range w.sc.regions {
+	for _, r := range w.rg.regions {
 		if r.inSimPackage() {
 			continue
 		}
@@ -164,7 +163,7 @@ func (w *waitGraph) collectSites() {
 }
 
 // classOf returns (creating on first use) the class of Signal variable v.
-func (w *waitGraph) classOf(r *shardRegion, info *types.Info, recv ast.Expr, v *types.Var) *signalClass {
+func (w *waitGraph) classOf(r *region, info *types.Info, recv ast.Expr, v *types.Var) *signalClass {
 	if c := w.classes[v]; c != nil {
 		return c
 	}
@@ -181,7 +180,7 @@ func (w *waitGraph) classOf(r *shardRegion, info *types.Info, recv ast.Expr, v *
 
 // describeSignalVar renders a class for messages using the shape of its
 // first use site.
-func describeSignalVar(r *shardRegion, info *types.Info, recv ast.Expr, v *types.Var) string {
+func describeSignalVar(r *region, info *types.Info, recv ast.Expr, v *types.Var) string {
 	pkg := ""
 	if v.Pkg() != nil {
 		pkg = v.Pkg().Name()
@@ -254,7 +253,7 @@ func signalVarOf(info *types.Info, e ast.Expr) (*types.Var, token.Pos) {
 // for value-type Signals, Bind calls, and marks those identifier uses
 // consumed so they don't read as aliases.
 func (w *waitGraph) collectCreations() {
-	for _, p := range w.sc.module.Packages {
+	for _, p := range w.rg.module.Packages {
 		if p.Info == nil {
 			continue
 		}
@@ -333,7 +332,7 @@ func (w *waitGraph) markAliases() {
 	for v, c := range w.classes {
 		byObj[v] = c
 	}
-	for _, p := range w.sc.module.Packages {
+	for _, p := range w.rg.module.Packages {
 		if p.Info == nil {
 			continue
 		}
@@ -412,7 +411,7 @@ func (c *signalClass) firstUse(methods ...string) token.Pos {
 // class: the wake lands before the waiter exists.
 func (w *waitGraph) checkLostWakeOrdering(mp *ModulePass, classes []*signalClass) {
 	// Unguarded plain waits by spawnee region.
-	regionWaits := map[*shardRegion][]*signalClass{}
+	regionWaits := map[*region][]*signalClass{}
 	for _, c := range classes {
 		for _, s := range c.sites {
 			if s.method == "Wait" && !s.guarded {
@@ -425,7 +424,7 @@ func (w *waitGraph) checkLostWakeOrdering(mp *ModulePass, classes []*signalClass
 			if s.method != "Fire" && s.method != "FireOne" {
 				continue
 			}
-			for _, sp := range w.sc.spawns {
+			for _, sp := range w.rg.spawns {
 				if sp.region != s.region || sp.spawnee == nil || sp.call.Pos() < s.pos {
 					continue
 				}
@@ -444,8 +443,8 @@ func (w *waitGraph) checkLostWakeOrdering(mp *ModulePass, classes []*signalClass
 // everything statically reachable from it on the same proc (callees and
 // non-spawned nested literals).
 type waitCtx struct {
-	root    *shardRegion
-	reach   map[*shardRegion]bool
+	root    *region
+	reach   map[*region]bool
 	waits   map[*signalClass]bool // unguarded plain Wait
 	fires   map[*signalClass]bool
 	waitPos map[*signalClass]token.Pos
@@ -454,9 +453,9 @@ type waitCtx struct {
 // checkWaitCycles finds timeout-free wait cycles among spawned procs.
 func (w *waitGraph) checkWaitCycles(mp *ModulePass, classes []*signalClass) {
 	// One context per distinct spawnee region.
-	seen := map[*shardRegion]bool{}
+	seen := map[*region]bool{}
 	var ctxs []*waitCtx
-	for _, sp := range w.sc.spawns {
+	for _, sp := range w.rg.spawns {
 		if sp.spawnee == nil || seen[sp.spawnee] || sp.spawnee.inSimPackage() {
 			continue
 		}
@@ -470,7 +469,7 @@ func (w *waitGraph) checkWaitCycles(mp *ModulePass, classes []*signalClass) {
 	// Edges: waiter -> every context that can fire the class. A class whose
 	// fire sites are not all inside spawned contexts contributes no edge —
 	// an unmodeled firer could break the would-be cycle.
-	inCtx := map[*shardRegion]*waitCtx{}
+	inCtx := map[*region]*waitCtx{}
 	for _, c := range ctxs {
 		for r := range c.reach {
 			if inCtx[r] == nil {
@@ -553,20 +552,20 @@ func (w *waitGraph) checkWaitCycles(mp *ModulePass, classes []*signalClass) {
 }
 
 // buildCtx computes a context's reachable regions and its wait/fire sets.
-func (w *waitGraph) buildCtx(root *shardRegion, classes []*signalClass) *waitCtx {
+func (w *waitGraph) buildCtx(root *region, classes []*signalClass) *waitCtx {
 	ctx := &waitCtx{
 		root:    root,
-		reach:   map[*shardRegion]bool{},
+		reach:   map[*region]bool{},
 		waits:   map[*signalClass]bool{},
 		fires:   map[*signalClass]bool{},
 		waitPos: map[*signalClass]token.Pos{},
 	}
-	stack := []*shardRegion{root}
+	stack := []*region{root}
 	ctx.reach[root] = true
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, next := range append(append([]*shardRegion{}, r.callees...), r.children...) {
+		for _, next := range append(append([]*region{}, r.callees...), r.children...) {
 			if !ctx.reach[next] {
 				ctx.reach[next] = true
 				stack = append(stack, next)

@@ -115,8 +115,8 @@ func (c PerfConfig) validate() error {
 	if c.InputSide < 8 || c.InputSide&(c.InputSide-1) != 0 {
 		return fmt.Errorf("cosmoflow: input side %d must be a power of two ≥ 8", c.InputSide)
 	}
-	if c.Slack < 0 {
-		return fmt.Errorf("cosmoflow: negative slack %v", c.Slack)
+	if !c.Slack.Valid() {
+		return fmt.Errorf("cosmoflow: slack %g s, want finite and non-negative", float64(c.Slack))
 	}
 	return nil
 }
@@ -270,8 +270,7 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 		space := sim.NewSignal(p.Env())
 		queued := 0
 		totalBatches := cfg.Epochs * (steps + valSteps)
-		// The loader serves exactly this rank, so it shares the rank's shard.
-		p.Shard().Spawn(fmt.Sprintf("loader%d", r.Rank()), func(lp *sim.Proc) {
+		p.Env().Spawn(fmt.Sprintf("loader%d", r.Rank()), func(lp *sim.Proc) {
 			for b := 0; b < totalBatches; b++ {
 				lp.Sleep(loadTime)
 				for queued >= depth {

@@ -119,18 +119,13 @@ func CongestionSweepParallel(hosts []int, msgBytes int64, thinkTime sim.Duration
 			return CongestionPoint{}, err
 		}
 		rng := rand.New(rand.NewSource(int64(h)))
-		// One shard for the whole fabric: the hosts interleave on the shared
-		// link every transfer, so the event domain is the fabric itself —
-		// per-host shards would rebuild hundreds of queues per sweep point
-		// for traffic that is cross-shard on every event.
-		shard := env.NewShard() //cdivet:shard(fabric.congestion)
 		for i := 0; i < h; i++ {
 			// Jitter each host's phase and period: perfectly staggered
 			// deterministic senders would never collide, which is not how
 			// independent hosts behave.
 			offset := sim.Duration(rng.Float64()) * thinkTime
 			think := sim.Duration(float64(thinkTime) * (0.7 + 0.6*rng.Float64()))
-			shard.SpawnAt(offset, fmt.Sprintf("host%d", i), func(p *sim.Proc) {
+			env.SpawnAt(offset, fmt.Sprintf("host%d", i), func(p *sim.Proc) {
 				for k := 0; k < perHost; k++ {
 					link.Transfer(p, msgBytes)
 					p.Sleep(think)

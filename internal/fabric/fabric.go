@@ -8,7 +8,6 @@ package fabric
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 )
@@ -51,8 +50,8 @@ type Hop struct {
 // negative, NaN or infinite, or a bandwidth that is negative or NaN. An
 // infinite bandwidth is valid and adds no serialization term.
 func (h Hop) Validate() error {
-	if l := float64(h.Latency); !(l >= 0) || math.IsInf(l, 1) {
-		return fmt.Errorf("fabric: hop %q has latency %g s, want finite and non-negative", h.Name, l)
+	if !h.Latency.Valid() {
+		return fmt.Errorf("fabric: hop %q has latency %g s, want finite and non-negative", h.Name, float64(h.Latency))
 	}
 	if !(h.Bandwidth >= 0) {
 		return fmt.Errorf("fabric: hop %q has bandwidth %g B/s, want non-negative", h.Name, h.Bandwidth)

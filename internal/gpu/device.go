@@ -95,26 +95,19 @@ type Counters struct {
 
 // Device is one simulated GPU.
 type Device struct {
-	env *sim.Env
-	// shard is the event domain for the device's stream runners.
-	//cdivet:shard(gpu.device)
-	shard *sim.Shard
-	spec  Spec
-	mem   *allocator
+	env  *sim.Env
+	spec Spec
+	mem  *allocator
 
 	compute *sim.Resource // kernel execution serializes on the device
 	dma     *sim.Resource
 
 	// Execution-history state, written only by the device's own stream
 	// runners (execKernel/execCopy).
-	//cdivet:shard(gpu.device)
 	lastComputeEnd sim.Time
-	//cdivet:shard(gpu.device)
-	lastStream int
-	//cdivet:shard(gpu.device)
-	everComputed bool
+	lastStream     int
+	everComputed   bool
 
-	//cdivet:shard(gpu.device)
 	counters  Counters
 	listeners []Listener
 
@@ -148,7 +141,6 @@ func NewDevice(env *sim.Env, spec Spec) (*Device, error) {
 	}
 	return &Device{
 		env:     env,
-		shard:   env.NewShard(),
 		spec:    spec,
 		mem:     newAllocator(spec.MemoryBytes),
 		compute: sim.NewResource(env, 1),
@@ -159,11 +151,6 @@ func NewDevice(env *sim.Env, spec Spec) (*Device, error) {
 
 // Env returns the simulation environment the device lives on.
 func (d *Device) Env() *sim.Env { return d.env }
-
-// Shard returns the device's event domain. Processes that act on behalf of
-// this device (server-side executors, per-device drivers) should be spawned
-// on it so their wake-ups share the device's queue.
-func (d *Device) Shard() *sim.Shard { return d.shard }
 
 // Spec returns the device specification.
 func (d *Device) Spec() Spec { return d.spec }
@@ -224,9 +211,8 @@ type Op struct {
 	dir     Direction
 	bytes   int64
 	enqueue sim.Time
-	// done flips exactly once, on the device domain, just before doneSig
+	// done flips exactly once, in the stream runner, just before doneSig
 	// fires — host-side Op.Wait re-checks it in the guard loop.
-	//cdivet:shard(gpu.device)
 	done bool
 	// doneSig is this op's private completion signal, embedded so the slab
 	// allocation covers it. A per-op signal (rather than one broadcast
@@ -253,16 +239,12 @@ func (o *Op) Wait(p *sim.Proc) {
 type Stream struct {
 	id  int
 	dev *Device
-	// The queue triple is owned by the device domain; the host-side enqueue
-	// path appends under the mutate-then-fire handoff (arrive.Fire below the
-	// writes), recorded as explicit suppressions there.
-	//cdivet:shard(gpu.device)
+	// The host-side enqueue path appends to the queue and fires arrive;
+	// the stream runner consumes it.
 	queue []*Op
 	// head: queue[:head] is consumed; the array is reused once drained.
-	//cdivet:shard(gpu.device)
 	head int
 	// pending counts queued + executing ops.
-	//cdivet:shard(gpu.device)
 	pending int
 	arrive  *sim.Signal
 	drained *sim.Signal
@@ -279,7 +261,7 @@ func (d *Device) NewStream() *Stream {
 	}
 	d.nextStreamID++
 	d.streams = append(d.streams, s)
-	d.shard.Spawn(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.run)
+	d.env.Spawn(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.run)
 	return s
 }
 
@@ -300,9 +282,7 @@ func (s *Stream) enqueue(o *Op) *Op {
 	}
 	o.enqueue = s.dev.env.Now()
 	o.doneSig.Bind(s.dev.env)
-	//cdivet:allow shardsafety cross-shard handoff: the write is published to the owning domain by the Signal fire below
 	s.queue = append(s.queue, o)
-	//cdivet:allow shardsafety cross-shard handoff: the write is published to the owning domain by the Signal fire below
 	s.pending++
 	s.dev.allIdle.Add(1)
 	s.arrive.Fire()

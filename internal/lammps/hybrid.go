@@ -46,8 +46,8 @@ func RunHybrid(cfg HybridConfig) (HybridResult, error) {
 	if cfg.BoxSize <= 0 || cfg.Steps <= 0 {
 		return HybridResult{}, fmt.Errorf("lammps: invalid hybrid shape box=%d steps=%d", cfg.BoxSize, cfg.Steps)
 	}
-	if cfg.Slack < 0 {
-		return HybridResult{}, fmt.Errorf("lammps: negative slack %v", cfg.Slack)
+	if !cfg.Slack.Valid() {
+		return HybridResult{}, fmt.Errorf("lammps: slack %g s, want finite and non-negative", float64(cfg.Slack))
 	}
 	if cfg.Spec.Name == "" {
 		cfg.Spec = gpu.A100()

@@ -421,7 +421,9 @@ func TestHybridValidation(t *testing.T) {
 	if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 0}); err == nil {
 		t.Error("zero steps accepted")
 	}
-	if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 1, Slack: -1}); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 1, Slack: slack}); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 }

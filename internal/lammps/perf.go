@@ -103,8 +103,8 @@ func (c PerfConfig) validate() error {
 		return fmt.Errorf("lammps: invalid run shape procs=%d threads=%d steps=%d rebuild=%d",
 			c.Procs, c.Threads, c.Steps, c.RebuildEvery)
 	}
-	if c.Slack < 0 {
-		return fmt.Errorf("lammps: negative slack %v", c.Slack)
+	if !c.Slack.Valid() {
+		return fmt.Errorf("lammps: slack %g s, want finite and non-negative", float64(c.Slack))
 	}
 	return nil
 }

@@ -63,32 +63,18 @@ type message struct {
 }
 
 // World is a communicator: a fixed set of ranks over one environment.
-//
-// The shard annotations use one domain name for every rank: affinity is
-// tracked at the domain-name level, so rank-to-rank traffic (a send into
-// another rank's inbox) is in-domain by construction — the invariant the
-// annotations encode is "only rank procs touch communicator state", not
-// "only rank i touches rank i's inbox".
 type World struct {
 	env  *sim.Env
 	size int
 	cost CostModel
 	// inbox holds in-flight messages per destination rank.
-	//cdivet:shard(mpi.rank)
 	inbox [][]*message
 	avail []*sim.Signal
-	// shards is the binder: one event domain per rank.
-	//cdivet:shard(mpi.rank)
-	shards []*sim.Shard
 
-	//cdivet:shard(mpi.rank)
-	collSeq []int
-	//cdivet:shard(mpi.rank)
-	colls map[int]*collective
-	//cdivet:shard(mpi.rank)
+	collSeq  []int
+	colls    map[int]*collective
 	bytesP2P int64
-	//cdivet:shard(mpi.rank)
-	msgsP2P int64
+	msgsP2P  int64
 }
 
 // collective is the rendezvous state for one collective call site.
@@ -113,15 +99,11 @@ func NewWorld(env *sim.Env, size int, cost CostModel) *World {
 		cost:    cost,
 		inbox:   make([][]*message, size),
 		avail:   make([]*sim.Signal, size),
-		shards:  make([]*sim.Shard, size),
 		collSeq: make([]int, size),
 		colls:   make(map[int]*collective),
 	}
 	for i := range w.avail {
 		w.avail[i] = sim.NewSignal(env)
-		// One event domain per rank: each rank's compute sleeps and message
-		// waits live in their own queue, mirroring the per-node hardware.
-		w.shards[i] = env.NewShard()
 	}
 	return w
 }
@@ -151,7 +133,7 @@ func (w *World) Spawn(rank int, fn func(r *Rank)) {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of world size %d", rank, w.size))
 	}
-	w.shards[rank].Spawn("rank"+strconv.Itoa(rank), func(p *sim.Proc) {
+	w.env.Spawn("rank"+strconv.Itoa(rank), func(p *sim.Proc) {
 		fn(&Rank{w: w, rank: rank, p: p})
 	})
 }

@@ -2,9 +2,8 @@ package pool
 
 import "repro/internal/sim"
 
-// health.Pool implementation. The heartbeat control plane runs on its
-// own shard; its verdicts cross into the scheduler's domain through the
-// mailbox, exactly like job completions and migration copies, so a dead
+// health.Pool implementation. The heartbeat control plane's verdicts
+// reach the scheduler through the mailbox, exactly like job completions and migration copies, so a dead
 // server's allocations re-place through the same machinery a defrag
 // sweep uses.
 

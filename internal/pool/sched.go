@@ -136,9 +136,9 @@ type alloc struct {
 	effAcc   float64
 }
 
-// Scheduler is the pool control loop: a single process on its own shard
-// owns every placement decision; per-rack shards host job-lifetime and
-// migration-copy processes that talk back through the mailbox. It
+// Scheduler is the pool control loop: a single process owns every
+// placement decision; job-lifetime and migration-copy processes talk back
+// to it through the mailbox. It
 // implements health.Pool, so the heartbeat control plane can drain and
 // readmit pool servers like any other.
 type Scheduler struct {
@@ -158,65 +158,37 @@ type Scheduler struct {
 	eff     [numShapes][4]float64
 	migCost [numShapes][5][4]sim.Duration
 
-	// The scheduler process runs on sched; per-rack shards host job
-	// lifetime and migration-copy processes.
-	//cdivet:shard(pool.sched)
-	sched *sim.Shard
-	//cdivet:shard(pool.rack)
-	racks []*sim.Shard
-	wake  *sim.Signal
+	wake *sim.Signal
 
 	// Free-list state and run bookkeeping, owned by the scheduler
 	// process.
-	//cdivet:shard(pool.sched)
-	free []int
-	//cdivet:shard(pool.sched)
-	freeRack []int
-	//cdivet:shard(pool.sched)
-	freeRow []int
-	//cdivet:shard(pool.sched)
-	freeHist []int
-	//cdivet:shard(pool.sched)
-	totalFree int
-	//cdivet:shard(pool.sched)
-	stranded int
-	//cdivet:shard(pool.sched)
-	pinned []int
-	//cdivet:shard(pool.sched)
-	allocs []alloc
-	//cdivet:shard(pool.sched)
-	jobsOn [][]int
-	//cdivet:shard(pool.sched)
-	queue []int
-	//cdivet:shard(pool.sched)
-	mail []msg
-	//cdivet:shard(pool.sched)
-	nextArrival int
-	//cdivet:shard(pool.sched)
-	runningJobs int
-	//cdivet:shard(pool.sched)
+	free             []int
+	freeRack         []int
+	freeRow          []int
+	freeHist         []int
+	totalFree        int
+	stranded         int
+	pinned           []int
+	allocs           []alloc
+	jobsOn           [][]int
+	queue            []int
+	mail             []msg
+	nextArrival      int
+	runningJobs      int
 	sweepOutstanding int
-	//cdivet:shard(pool.sched)
-	defragBusy bool
-	//cdivet:shard(pool.sched)
-	nextDefrag sim.Time
-	//cdivet:shard(pool.sched)
-	lastAt sim.Time
-	//cdivet:shard(pool.sched)
-	fragInt float64
-	//cdivet:shard(pool.sched)
-	strandedInt float64
-	//cdivet:shard(pool.sched)
-	effGPUSec float64
-	//cdivet:shard(pool.sched)
-	placeLatTotal sim.Duration
-	//cdivet:shard(pool.sched)
-	stats Stats
+	defragBusy       bool
+	nextDefrag       sim.Time
+	lastAt           sim.Time
+	fragInt          float64
+	strandedInt      float64
+	effGPUSec        float64
+	placeLatTotal    sim.Duration
+	stats            Stats
 
 	// live is the published rotation view: written by the scheduler
-	// process, sampled read-only from other domains (the health
-	// evaluator's Live checks), the same deliberately un-annotated
-	// pattern as health.Registry's degraded counter.
+	// process, sampled read-only by other processes (the health
+	// evaluator's Live checks), the same pattern as health.Registry's
+	// degraded counter.
 	live []bool
 
 	// scratch buffers reused across placements and sweeps.
@@ -258,7 +230,6 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 		pinned:    make([]int, servers),
 		jobsOn:    make([][]int, servers),
 		live:      make([]bool, servers),
-		racks:     make([]*sim.Shard, racks),
 	}
 	for sv := range s.free {
 		s.free[sv] = topo.GPUsPerServer
@@ -298,12 +269,8 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 	s.mail = make([]msg, 0, 256)
 	s.stats.Jobs = len(jobs)
 
-	s.sched = env.NewShard()
-	for r := range s.racks {
-		s.racks[r] = env.NewShard()
-	}
 	s.wake = sim.NewSignal(env)
-	s.sched.Spawn("pool-sched", s.run)
+	env.Spawn("pool-sched", s.run)
 	return s, nil
 }
 
@@ -346,10 +313,10 @@ func (s *Scheduler) reserveServing() error {
 // drained.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
-// post delivers a mailbox message to the scheduler from another event
-// domain (a rack-shard process or the health plane) and wakes it.
+// post delivers a mailbox message to the scheduler from another process
+// (a job-lifetime or migration-copy process, or the health plane) and
+// wakes it.
 func (s *Scheduler) post(k msgKind, arg int) {
-	//cdivet:allow shardsafety cross-shard handoff: the write is published to the owning domain by the Signal fire below
 	s.mail = append(s.mail, msg{kind: k, arg: arg})
 	s.wake.Fire()
 }
@@ -493,8 +460,8 @@ func (s *Scheduler) tryQueue(now sim.Time) {
 }
 
 // doPlace commits a placement. Initial placements start the job's
-// lifetime clock on its home rack's shard; re-placements (drain
-// recovery) keep the original end time.
+// lifetime clock; re-placements (drain recovery) keep the original end
+// time.
 func (s *Scheduler) doPlace(now sim.Time, id int, sl []slice, scale fabric.Scale, initial bool) {
 	a := &s.allocs[id]
 	j := s.jobs[id]
@@ -520,8 +487,7 @@ func (s *Scheduler) doPlace(now sim.Time, id int, sl []slice, scale fabric.Scale
 	if lat > s.stats.PlaceLatencyMax {
 		s.stats.PlaceLatencyMax = lat
 	}
-	rk := s.racks[s.topo.RackOf(sl[0].server)]
-	rk.SpawnAt(j.Lifetime, "pool-job-end", func(jp *sim.Proc) {
+	s.env.SpawnAt(j.Lifetime, "pool-job-end", func(jp *sim.Proc) {
 		s.post(msgDone, id)
 	})
 }

@@ -90,11 +90,12 @@ func (c Config) validate() error {
 	if c.Threads < 1 {
 		return fmt.Errorf("proxy: thread count %d", c.Threads)
 	}
-	if c.Slack < 0 {
-		return fmt.Errorf("proxy: negative slack %v", c.Slack)
+	if !c.Slack.Valid() {
+		return fmt.Errorf("proxy: slack %g s, want finite and non-negative", float64(c.Slack))
 	}
-	if c.ThreadOffset < 0 || c.IterSpacing < 0 {
-		return fmt.Errorf("proxy: negative offset/spacing")
+	if !c.ThreadOffset.Valid() || !c.IterSpacing.Valid() {
+		return fmt.Errorf("proxy: thread offset %g s / iteration spacing %g s, want finite and non-negative",
+			float64(c.ThreadOffset), float64(c.IterSpacing))
 	}
 	return nil
 }
@@ -226,10 +227,7 @@ func Run(cfg Config) (Result, error) {
 	runErrs := make([]error, 0, cfg.Threads)
 	for t := 0; t < cfg.Threads; t++ {
 		offset := sim.Duration(t) * cfg.ThreadOffset
-		// One shard per OpenMP thread: each thread's sleep/wake traffic
-		// stays in its own queue instead of all threads contending on one.
-		//cdivet:shard(proxy.omp)
-		env.NewShard().SpawnAt(offset, "omp"+strconv.Itoa(t), func(p *sim.Proc) {
+		env.SpawnAt(offset, "omp"+strconv.Itoa(t), func(p *sim.Proc) {
 			if err := threadLoop(p, ctx, kernel, matBytes, res.Iters, cfg.IterSpacing); err != nil {
 				runErrs = append(runErrs, err)
 			}

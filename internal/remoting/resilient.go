@@ -315,9 +315,7 @@ func (r *Resilient) attempt(p *sim.Proc, ep *endpoint, reqID uint64, cs callSpec
 	var res execResult
 	if !lost {
 		reqTransfer := r.transfer(cs.reqBytes, r.inj.BandwidthFactor(now))
-		// Server bodies run in the endpoint device's event domain: each
-		// GPU server's request traffic shares that server's queue.
-		ep.dev.Shard().Spawn(fmt.Sprintf("rsrv-%s-%d", cs.name, reqID), func(sp *sim.Proc) {
+		r.env.Spawn(fmt.Sprintf("rsrv-%s-%d", cs.name, reqID), func(sp *sim.Proc) {
 			sp.Sleep(reqTransfer)
 			if ep.srv != nil {
 				switch state, until := ep.srv.StateAt(sp.Now()); state {

@@ -3,9 +3,8 @@ package serve
 // CapacitySignal tells the admission gate whether pool capacity is
 // currently degraded. The health control plane's registry satisfies it;
 // the engine samples it at arrival and dequeue time. Sampling is a
-// read-only cross-domain observation: the signal owner mutates it on its
-// own shard, and the global event order makes every sample
-// deterministic.
+// read-only observation of state another process mutates, and the global
+// event order makes every sample deterministic.
 type CapacitySignal interface {
 	Degraded() bool
 }

@@ -40,8 +40,7 @@ const (
 // # Scheduling core
 //
 // Pending events live in one min-heap ordered by (time, seq), where seq is
-// the global schedule counter; shards (see Shard) only label processes and
-// never change delivery order. Control transfer uses a baton scheme: the
+// the global schedule counter. Control transfer uses a baton scheme: the
 // scheduler loop runs on whichever goroutine is yielding. When a process
 // parks, it pops the next event itself — if that event is its own wake-up
 // it simply continues (no handoff at all); if it belongs to another process
@@ -51,10 +50,8 @@ const (
 // segment ends. Step and Close fall back to the central-handoff path, which
 // delivers exactly one wake-up per exchange.
 type Env struct {
-	now     Time
-	seq     uint64
-	nshards int   // shards created so far, the default one included
-	shard0  Shard // default domain, embedded to keep NewEnv to one allocation
+	now Time
+	seq uint64
 
 	// queue holds every pending event, cancelled ones included, as a
 	// min-heap ordered by evLess.
@@ -80,11 +77,6 @@ type Env struct {
 	// left both its queue and its process's waits list.
 	free []*event
 	slab []event
-
-	// shardSlab batch-allocates Shard structs in 8-shard chunks: topologies
-	// mint shards in groups (one per rank, per host, per OpenMP thread), and
-	// sweeps pay that setup once per point, so it shows up in allocs/op.
-	shardSlab []Shard
 }
 
 // evLess is the engine's total event order: time first, then the global
@@ -156,8 +148,6 @@ func (h *eventHeap) pop() *event {
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{park: make(chan struct{}), parked: make(map[*Proc]struct{})}
-	e.shard0.env = e
-	e.nshards = 1
 	e.horizon = Time(math.Inf(1))
 	return e
 }
@@ -270,29 +260,24 @@ func (e *Env) dispatch(self *Proc) bool {
 	return false
 }
 
-// Spawn creates a process in the default shard running fn and schedules it
-// to start at the current virtual time. fn receives the process handle,
-// through which all blocking primitives are reached. Spawn may be called
-// before Run or from inside a running process. Processes modelling distinct
-// hardware domains should be spawned through per-domain shards (NewShard)
-// instead, so ownership rules can tell the domains apart.
+// Spawn creates a process running fn and schedules it to start at the
+// current virtual time. fn receives the process handle, through which all
+// blocking primitives are reached. Spawn may be called before Run or from
+// inside a running process; a process that needs to spawn reaches the
+// environment through Proc.Env.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(&e.shard0, 0, name, fn)
+	return e.SpawnAt(0, name, fn)
 }
 
 // SpawnAt is Spawn with a start delay.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(&e.shard0, delay, name, fn)
-}
-
-func (e *Env) spawnAt(s *Shard, delay Duration, name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
 	if delay < 0 {
 		panic("sim: negative spawn delay")
 	}
-	p := &Proc{env: e, shard: s, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, resume: make(chan struct{})}
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
 	go func() {
@@ -427,6 +412,6 @@ func (e *Env) Close() {
 
 // String summarizes the environment state for debugging.
 func (e *Env) String() string {
-	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d, shards: %d}",
-		e.now, len(e.queue), e.nprocs, len(e.parked), e.nshards)
+	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d}",
+		e.now, len(e.queue), e.nprocs, len(e.parked))
 }

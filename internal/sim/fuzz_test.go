@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// Two fuzzers guard the event queue. FuzzShardedMergeOrder pins that shards
-// are labels only: delivery order is the same for every shard topology. The
-// unit tests pin that for hand-picked tie-breaks; the fuzzer searches for
-// programs where it is not true, by running a random little concurrent
-// program once on 1 shard and once on a fuzzed topology and demanding
-// byte-identical execution logs. Both runs share one heap, so FuzzEventHeap
-// checks the heap itself against an independent sorted-slice reference.
+// Two fuzzers guard the engine. FuzzRunStepOrder pins that the baton fast
+// path delivers the same wake-ups as the central handoff: it runs a random
+// little concurrent program once under Run, where a yielding process
+// dispatches the next event itself and continues inline on a self-wake,
+// and once under a Step loop, where the goroutine calling Step delivers
+// every wake-up, and demands identical completion logs. Both paths pop one
+// heap, so FuzzEventHeap checks the heap itself against an independent
+// sorted-slice reference.
 
 // progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait, or
 // wait-with-timeout over a small set of shared signals.
@@ -22,10 +23,9 @@ type progOp struct {
 	arg  int
 }
 
-// decodeProgram turns fuzz bytes into a shard count and up to 16 procs of
-// up to 8 ops each. Decoding never fails: short input just means a short
-// program.
-func decodeProgram(data []byte) (shards int, procs [][]progOp) {
+// decodeProgram turns fuzz bytes into up to 16 procs of up to 8 ops each.
+// Decoding never fails: short input just means a short program.
+func decodeProgram(data []byte) (procs [][]progOp) {
 	next := func() (int, bool) {
 		if len(data) == 0 {
 			return 0, false
@@ -35,8 +35,6 @@ func decodeProgram(data []byte) (shards int, procs [][]progOp) {
 		return b, true
 	}
 	b, _ := next()
-	shards = 1 + b%8
-	b, _ = next()
 	nprocs := 1 + b%16
 	for i := 0; i < nprocs; i++ {
 		b, ok := next()
@@ -54,7 +52,7 @@ func decodeProgram(data []byte) (shards int, procs [][]progOp) {
 		}
 		procs = append(procs, ops)
 	}
-	return shards, procs
+	return procs
 }
 
 // progEvent records one completed op: which proc, which op, and the
@@ -64,25 +62,21 @@ type progEvent struct {
 	at       Time
 }
 
-// runProgram executes the program with proc i pinned to shard i%shards
-// (shard 0 being the default domain) and returns the completion log. Procs
+// runProgram executes the program, driving the engine with Run or, when
+// step is set, with a Step loop, and returns the completion log. Procs
 // parked forever on a never-fired signal simply never log their wait — the
-// same on every topology.
-func runProgram(shards int, procs [][]progOp) []progEvent {
+// same under Run and Step.
+func runProgram(procs [][]progOp, step bool) []progEvent {
 	env := NewEnv()
 	defer env.Close()
 	var sigs [4]*Signal
 	for i := range sigs {
 		sigs[i] = NewSignal(env)
 	}
-	domains := make([]*Shard, shards-1)
-	for i := range domains {
-		domains[i] = env.NewShard()
-	}
 	var log []progEvent
 	for pi, ops := range procs {
 		pi, ops := pi, ops
-		body := func(p *Proc) {
+		env.Spawn(fmt.Sprintf("p%d", pi), func(p *Proc) {
 			for oi, op := range ops {
 				switch op.kind {
 				case 0:
@@ -98,36 +92,36 @@ func runProgram(shards int, procs [][]progOp) []progEvent {
 				}
 				log = append(log, progEvent{proc: pi, op: oi, at: p.Now()})
 			}
-		}
-		name := fmt.Sprintf("p%d", pi)
-		if d := pi % shards; d == 0 {
-			env.Spawn(name, body)
-		} else {
-			domains[d-1].Spawn(name, body)
-		}
+		})
 	}
-	env.Run()
+	if step {
+		for env.Step() {
+		}
+	} else {
+		env.Run()
+	}
 	return log
 }
 
-func FuzzShardedMergeOrder(f *testing.F) {
+func FuzzRunStepOrder(f *testing.F) {
 	// Seeds: a sleeper/firer mix, a wait-heavy program, a same-instant
-	// pileup, and a topology wider than the proc count.
-	f.Add([]byte{3, 7, 4, 0, 12, 10, 17, 3, 5, 22, 9, 8, 15, 4, 2, 60, 61, 62})
-	f.Add([]byte{7, 15, 8, 3, 3, 3, 3, 2, 2, 2, 2})
-	f.Add([]byte{1, 4, 2, 0, 0, 2, 0, 0})
-	f.Add([]byte{255, 1, 8, 4, 19, 24, 4, 19, 24})
+	// pileup, and one proc that sleeps and times out alone, so every
+	// wake-up is a self-wake on the fast path.
+	f.Add([]byte{7, 4, 0, 12, 10, 17, 3, 5, 22, 9, 8, 15, 4, 2, 60, 61, 62})
+	f.Add([]byte{15, 8, 3, 3, 3, 3, 2, 2, 2, 2})
+	f.Add([]byte{4, 2, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 8, 5, 1, 24, 4, 19, 10, 6, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		shards, procs := decodeProgram(data)
-		got := runProgram(shards, procs)
-		want := runProgram(1, procs)
+		procs := decodeProgram(data)
+		got := runProgram(procs, false)
+		want := runProgram(procs, true)
 		if len(got) != len(want) {
-			t.Fatalf("%d shards completed %d ops, 1 shard completed %d", shards, len(got), len(want))
+			t.Fatalf("Run completed %d ops, Step completed %d", len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("delivery order diverges at step %d: %d shards ran proc %d op %d at %v, 1 shard ran proc %d op %d at %v",
-					i, shards, got[i].proc, got[i].op, got[i].at, want[i].proc, want[i].op, want[i].at)
+				t.Fatalf("delivery order diverges at step %d: Run ran proc %d op %d at %v, Step ran proc %d op %d at %v",
+					i, got[i].proc, got[i].op, got[i].at, want[i].proc, want[i].op, want[i].at)
 			}
 		}
 	})
@@ -161,7 +155,7 @@ func FuzzEventHeap(f *testing.F) {
 			data = data[:512]
 		}
 		env := NewEnv()
-		p := &Proc{env: env, shard: &env.shard0}
+		p := &Proc{env: env}
 		type entry struct {
 			at  Time
 			seq uint64

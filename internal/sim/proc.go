@@ -15,7 +15,6 @@ var ErrTimeout = errors.New("sim: wait timed out")
 // must not be shared between process functions.
 type Proc struct {
 	env      *Env
-	shard    *Shard // the event domain the process was spawned into
 	name     string
 	resume   chan struct{}
 	wake     wakeKind // why the last resume happened, set before the handoff
@@ -39,9 +38,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Env returns the environment that owns this process.
 func (p *Proc) Env() *Env { return p.env }
-
-// Shard returns the event domain the process was spawned into.
-func (p *Proc) Shard() *Shard { return p.shard }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }

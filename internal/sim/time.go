@@ -47,6 +47,10 @@ func (d Duration) Millis() float64 { return float64(d) / 1e-3 }
 // Seconds returns d expressed in seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
+// Valid reports whether d is a usable span: non-negative and finite. NaN
+// fails the comparison, so it is rejected with the negatives.
+func (d Duration) Valid() bool { return d >= 0 && !math.IsInf(float64(d), 1) }
+
 // String formats the duration with an SI-scaled unit, e.g. "12.3µs".
 // strconv.FormatFloat('g') produces the same bytes as fmt's %g without the
 // format-string parse — String sits on trace/report paths that run once per
