@@ -7,10 +7,8 @@
 //	reproduce -exp all -j 8       # eight sweep workers; output is
 //	                              # byte-identical for every -j value
 //
-// Paper experiments: table1 figure2 threads cfcpu table2 figure3 figure4
-// figure5 table3 table4 validate compose.
-// Extensions: appvalidate congestion remoting resilience weak reach throughput coupling preload scales serving churn.
-// "all" runs everything.
+// `reproduce -h` lists the experiment ids: the paper's tables and figures
+// first, then the extensions. "all" runs everything.
 package main
 
 import (
@@ -20,23 +18,108 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-// experimentIDs lists every id -exp accepts, in presentation order.
-var experimentIDs = []string{
-	"table1", "figure2", "threads", "cfcpu", "table2", "figure3",
-	"figure4", "figure5", "table3", "table4", "validate", "compose",
-	"appvalidate", "scales", "preload", "congestion", "remoting",
-	"resilience", "weak", "coupling", "throughput", "reach", "serving",
-	"churn", "pool",
+// experiment is one -exp section.
+type experiment struct {
+	id string
+	// run computes the section and returns its rendered body.
+	run func(in *inputs) string
+	// trace, when set, writes a Chrome trace of one window of the
+	// experiment (-trace).
+	trace func(experiments.Options, io.Writer) error
+	// faultLog, when set, returns the outage schedule the experiment
+	// draws (-faultlog).
+	faultLog func(experiments.Options) string
 }
 
+// table lists every experiment in presentation order.
+var table = []experiment{
+	{id: "table1", run: render(experiments.Table1, experiments.RenderTable1)},
+	{id: "figure2", run: render(experiments.Figure2, experiments.RenderFigure2)},
+	{id: "threads", run: render(experiments.ThreadScaling, experiments.RenderThreadScaling)},
+	{id: "cfcpu", run: render(experiments.CosmoFlowCPU, experiments.RenderCosmoFlowCPU)},
+	{id: "table2", run: render(experiments.Table2, experiments.RenderTable2)},
+	{id: "figure3", run: func(in *inputs) string {
+		return experiments.RenderFigure3(must(experiments.Figure3(in.opts, nil)))
+	}},
+	{id: "figure4", run: func(in *inputs) string { return experiments.RenderFigure4(in.traces()) }},
+	{id: "figure5", run: func(in *inputs) string { return experiments.RenderFigure5(in.traces()) }},
+	// Table III reads only the traces; its surface parameter is unused.
+	{id: "table3", run: func(in *inputs) string {
+		return experiments.RenderTable3(experiments.Table3(in.traces(), nil), nil)
+	}},
+	{id: "table4", run: func(in *inputs) string {
+		blocks, _, err := experiments.Table4(in.opts, in.traces())
+		check(err)
+		return experiments.RenderTable4(blocks)
+	}},
+	{id: "validate", run: render(experiments.Validate, experiments.RenderValidation)},
+	{id: "compose", run: func(*inputs) string { return experiments.RenderCompose(must(experiments.Compose())) }},
+	{id: "appvalidate", run: func(in *inputs) string {
+		return experiments.RenderAppValidation(must(experiments.AppSlackValidation(in.opts, nil)))
+	}},
+	{id: "scales", run: render(experiments.DeploymentScales, experiments.RenderDeploymentScales)},
+	{id: "preload", run: render(experiments.PreloadComparison, experiments.RenderPreload)},
+	{id: "congestion", run: render(experiments.Congestion, experiments.RenderCongestion)},
+	{id: "remoting", run: render(experiments.RemotingComparison, experiments.RenderRemoting)},
+	{id: "resilience", run: render(experiments.Resilience, experiments.RenderResilience)},
+	{id: "weak", run: render(experiments.WeakScaling, experiments.RenderWeakScaling)},
+	{id: "coupling", run: render(experiments.ChassisCoupling, experiments.RenderChassisCoupling)},
+	{id: "throughput", run: render(experiments.Throughput, experiments.RenderThroughput)},
+	{id: "reach", run: func(in *inputs) string {
+		return experiments.RenderReach(must(experiments.Reach(in.opts, in.traces())))
+	}},
+	{id: "serving", run: render(experiments.Serving, experiments.RenderServing),
+		trace: experiments.WriteServingTrace},
+	{id: "churn", run: render(experiments.Churn, experiments.RenderChurn),
+		trace: experiments.WriteChurnTrace, faultLog: experiments.ChurnFaultLog},
+	{id: "pool", run: render(experiments.Pool, experiments.RenderPool)},
+}
+
+// inputs carries the options and the data several sections share, so one
+// invocation computes each shared input at most once.
+type inputs struct {
+	opts experiments.Options
+	tr   *experiments.Traces
+}
+
+// traces returns the LAMMPS and CosmoFlow traces behind figure4, figure5,
+// table3, table4 and reach, collecting them on first use.
+func (in *inputs) traces() experiments.Traces {
+	if in.tr == nil {
+		tr := must(experiments.CollectTraces(in.opts))
+		in.tr = &tr
+	}
+	return *in.tr
+}
+
+// render adapts a compute/render pair to a table entry.
+func render[T any](compute func(experiments.Options) (T, error), show func(T) string) func(*inputs) string {
+	return func(in *inputs) string { return show(must(compute(in.opts))) }
+}
+
+// ids returns the ids of the table entries keep accepts, in table order.
+func ids(keep func(experiment) bool) []string {
+	var out []string
+	for _, e := range table {
+		if keep(e) {
+			out = append(out, e.id)
+		}
+	}
+	return out
+}
+
+func traced(e experiment) bool { return e.trace != nil }
+func logged(e experiment) bool { return e.faultLog != nil }
+
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // failure carries an error from check up to run's recover.
@@ -45,28 +128,63 @@ type failure struct{ err error }
 // run parses args, renders the selected experiments to stdout, and returns
 // the process exit code: 0 on success, 1 when an experiment fails, 2 on a
 // usage error.
-func run(args []string, stdout io.Writer) (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(failure)
 			if !ok {
 				panic(r)
 			}
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", f.err)
+			fmt.Fprintf(stderr, "reproduce: %v\n", f.err)
 			code = 1
 		}
 	}()
+	allIDs := ids(func(experiment) bool { return true })
+	traceReq := "-exp " + strings.Join(ids(traced), " or -exp ")
+	logReq := "-exp " + strings.Join(ids(logged), " or -exp ")
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (or comma list)")
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma list of experiment ids: all, "+strings.Join(allIDs, ", "))
 	paper := fs.Bool("paper", false, "paper-faithful parameters (slow: full 5000-step runs, 30s proxy loops)")
 	jobs := fs.Int("j", 0, "worker pool size for sweeps (0 = GOMAXPROCS, 1 = serial); output is byte-identical for every value")
-	traceOut := fs.String("trace", "", "write a Chrome trace of one serving (or churn) window to this file (requires -exp serving or churn)")
-	faultLog := fs.Bool("faultlog", false, "dump the deterministic outage schedule the churn experiment draws (requires -exp churn)")
+	traceOut := fs.String("trace", "", "write a Chrome trace of one experiment window to this file (requires "+traceReq+")")
+	faultLog := fs.Bool("faultlog", false, "dump the deterministic outage schedule the experiment draws (requires "+logReq+")")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
+		return 2
+	}
+
+	want := map[string]bool{}
+	var unknown []string
+	for _, e := range strings.Split(*exp, ",") {
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(allIDs, e) {
+			unknown = append(unknown, e)
+			continue
+		}
+		want[e] = true
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		fmt.Fprintf(stderr, "unknown experiment id(s): %s\n", strings.Join(unknown, ", "))
+		fmt.Fprintf(stderr, "valid ids: all, %s\n", strings.Join(allIDs, ", "))
+		return 2
+	}
+	var selected []experiment
+	for _, e := range table {
+		if want["all"] || want[e.id] {
+			selected = append(selected, e)
+		}
+	}
+	if *traceOut != "" && !slices.ContainsFunc(selected, traced) {
+		fmt.Fprintf(stderr, "-trace requires %s\n", traceReq)
+		return 2
+	}
+	if *faultLog && !slices.ContainsFunc(selected, logged) {
+		fmt.Fprintf(stderr, "-faultlog requires %s\n", logReq)
 		return 2
 	}
 
@@ -89,209 +207,32 @@ func run(args []string, stdout io.Writer) (code int) {
 		}()
 	}
 
-	opts := experiments.Quick()
+	in := &inputs{opts: experiments.Quick()}
 	if *paper {
-		opts = experiments.Paper()
+		in.opts = experiments.Paper()
 	}
-	opts.Jobs = *jobs
-
-	known := map[string]bool{"all": true}
-	for _, id := range experimentIDs {
-		known[id] = true
-	}
-	want := map[string]bool{}
-	var unknown []string
-	for _, e := range strings.Split(*exp, ",") {
-		e = strings.TrimSpace(e)
-		if !known[e] {
-			unknown = append(unknown, e)
-			continue
+	in.opts.Jobs = *jobs
+	// The first traced section writes to the -trace path; later ones write
+	// beside it, suffixed with their id.
+	wroteTrace := false
+	for _, e := range selected {
+		fmt.Fprintf(stdout, "\n======== %s ========\n", e.id)
+		fmt.Fprint(stdout, e.run(in))
+		if *faultLog && e.faultLog != nil {
+			fmt.Fprint(stdout, e.faultLog(in.opts))
 		}
-		want[e] = true
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		fmt.Fprintf(os.Stderr, "unknown experiment id(s): %s\n", strings.Join(unknown, ", "))
-		fmt.Fprintf(os.Stderr, "valid ids: all, %s\n", strings.Join(experimentIDs, ", "))
-		return 2
-	}
-	if *traceOut != "" && !(want["all"] || want["serving"] || want["churn"]) {
-		fmt.Fprintf(os.Stderr, "-trace requires -exp serving or -exp churn\n")
-		return 2
-	}
-	if *faultLog && !(want["all"] || want["churn"]) {
-		fmt.Fprintf(os.Stderr, "-faultlog requires -exp churn\n")
-		return 2
-	}
-	all := want["all"]
-	ran := 0
-
-	section := func(id string) bool {
-		if all || want[id] {
-			fmt.Fprintf(stdout, "\n======== %s ========\n", id)
-			ran++
-			return true
-		}
-		return false
-	}
-
-	if section("table1") {
-		rows, err := experiments.Table1(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderTable1(rows))
-	}
-	if section("figure2") {
-		series, err := experiments.Figure2(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderFigure2(series))
-	}
-	if section("threads") {
-		rows, err := experiments.ThreadScaling(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderThreadScaling(rows))
-	}
-	if section("cfcpu") {
-		rows, err := experiments.CosmoFlowCPU(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderCosmoFlowCPU(rows))
-	}
-	if section("table2") {
-		rows, err := experiments.Table2(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderTable2(rows))
-	}
-	if section("figure3") {
-		pts, err := experiments.Figure3(opts, nil)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderFigure3(pts))
-	}
-	if all || want["figure4"] || want["figure5"] || want["table3"] || want["table4"] {
-		traces, err := experiments.CollectTraces(opts)
-		check(err)
-		if section("figure4") {
-			fmt.Fprint(stdout, experiments.RenderFigure4(traces))
-		}
-		if section("figure5") {
-			fmt.Fprint(stdout, experiments.RenderFigure5(traces))
-		}
-		if all || want["table3"] || want["table4"] {
-			blocks, surface, err := experiments.Table4(opts, traces)
-			check(err)
-			if section("table3") {
-				rows := experiments.Table3(traces, surface)
-				fmt.Fprint(stdout, experiments.RenderTable3(rows, surface))
-			}
-			if section("table4") {
-				fmt.Fprint(stdout, experiments.RenderTable4(blocks))
-			}
-		}
-	}
-	if section("validate") {
-		v, err := experiments.Validate(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderValidation(v))
-	}
-	if section("compose") {
-		c, err := experiments.Compose()
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderCompose(c))
-	}
-	if section("appvalidate") {
-		rows, err := experiments.AppSlackValidation(opts, nil)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderAppValidation(rows))
-	}
-	if section("scales") {
-		rows, err := experiments.DeploymentScales(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderDeploymentScales(rows))
-	}
-	if section("preload") {
-		rows, err := experiments.PreloadComparison(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderPreload(rows))
-	}
-	if section("congestion") {
-		pts, err := experiments.Congestion(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderCongestion(pts))
-	}
-	if section("remoting") {
-		results, err := experiments.RemotingComparison(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderRemoting(results))
-	}
-	if section("resilience") {
-		rows, err := experiments.Resilience(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderResilience(rows))
-	}
-	if section("weak") {
-		rows, err := experiments.WeakScaling(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderWeakScaling(rows))
-	}
-	if section("coupling") {
-		rows, err := experiments.ChassisCoupling(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderChassisCoupling(rows))
-	}
-	if section("throughput") {
-		rows, err := experiments.Throughput(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderThroughput(rows))
-	}
-	if section("reach") {
-		traces, err := experiments.CollectTraces(opts)
-		check(err)
-		rows, err := experiments.Reach(opts, traces)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderReach(rows))
-	}
-	if section("serving") {
-		rows, err := experiments.Serving(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderServing(rows))
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			check(err)
-			check(experiments.WriteServingTrace(opts, f))
-			check(f.Close())
-			fmt.Fprintf(stdout, "wrote serving trace to %s\n", *traceOut)
-		}
-	}
-	if section("churn") {
-		rows, err := experiments.Churn(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderChurn(rows))
-		if *faultLog {
-			fmt.Fprint(stdout, experiments.ChurnFaultLog(opts))
-		}
-		if *traceOut != "" {
-			// When the serving section already claimed the path, the churn
-			// trace goes alongside it.
+		if *traceOut != "" && e.trace != nil {
 			out := *traceOut
-			if all || want["serving"] {
-				out += ".churn"
+			if wroteTrace {
+				out += "." + e.id
 			}
 			f, err := os.Create(out)
 			check(err)
-			check(experiments.WriteChurnTrace(opts, f))
+			check(e.trace(in.opts, f))
 			check(f.Close())
-			fmt.Fprintf(stdout, "wrote churn trace to %s\n", out)
+			fmt.Fprintf(stdout, "wrote %s trace to %s\n", e.id, out)
+			wroteTrace = true
 		}
-	}
-
-	if section("pool") {
-		rows, err := experiments.Pool(opts)
-		check(err)
-		fmt.Fprint(stdout, experiments.RenderPool(rows))
-	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments selected by %q\n", *exp)
-		fs.Usage()
-		return 2
 	}
 	return 0
 }
@@ -301,4 +242,10 @@ func check(err error) {
 	if err != nil {
 		panic(failure{err})
 	}
+}
+
+// must returns v, aborting run with exit code 1 when err is non-nil.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
 }

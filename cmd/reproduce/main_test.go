@@ -5,6 +5,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,7 +23,7 @@ func TestReproduceAllGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "all.golden")
 	for _, j := range []string{"1", "2"} {
 		var out bytes.Buffer
-		if code := run([]string{"-exp", "all", "-j", j}, &out); code != 0 {
+		if code := run([]string{"-exp", "all", "-j", j}, &out, os.Stderr); code != 0 {
 			t.Fatalf("-j %s: exit code %d", j, code)
 		}
 		if *update && j == "1" {
@@ -36,6 +39,59 @@ func TestReproduceAllGolden(t *testing.T) {
 		if !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("-j %s: output differs from %s at byte %d", j, golden, firstDiff(out.Bytes(), want))
 		}
+	}
+}
+
+// TestTableMatchesGolden pins the experiment table to the golden: its ids
+// are the golden's section headers, in order.
+func TestTableMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headers []string
+	for _, m := range regexp.MustCompile(`(?m)^======== (\S+) ========$`).FindAllSubmatch(golden, -1) {
+		headers = append(headers, string(m[1]))
+	}
+	if got := ids(func(experiment) bool { return true }); !slices.Equal(got, headers) {
+		t.Errorf("table ids %v\nwant golden headers %v", got, headers)
+	}
+}
+
+// TestRunUsageErrors covers run's exit codes for bad and help arguments;
+// none of these cases runs an experiment.
+func TestRunUsageErrors(t *testing.T) {
+	validIDs := "valid ids: all, " + strings.Join(ids(func(experiment) bool { return true }), ", ") + "\n"
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	cases := []struct {
+		name      string
+		args      []string
+		code      int
+		errSubstr string
+	}{
+		{"unknown id", []string{"-exp", "table1,nope"}, 2, "unknown experiment id(s): nope\n" + validIDs},
+		{"empty id", []string{"-exp", ""}, 2, validIDs},
+		{"trace without a traced section", []string{"-trace", trace, "-exp", "table1"}, 2, "-trace requires -exp serving or -exp churn\n"},
+		{"faultlog without churn", []string{"-faultlog", "-exp", "serving"}, 2, "-faultlog requires -exp churn\n"},
+		{"bad flag", []string{"-nope"}, 2, "flag provided but not defined"},
+		{"help", []string{"-h"}, 0, "Usage of reproduce"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.code {
+				t.Errorf("exit code %d, want %d", code, c.code)
+			}
+			if !strings.Contains(stderr.String(), c.errSubstr) {
+				t.Errorf("stderr %q does not contain %q", stderr.String(), c.errSubstr)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rendered output on a usage path: %q", stdout.String())
+			}
+		})
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Errorf("rejected -trace still created %s (stat: %v)", trace, err)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 type Policy struct {
 	// CallTimeout is the per-attempt deadline beyond the nominal response
 	// time; an attempt whose response is not in by then counts as a
-	// timeout.
+	// timeout. In remoting.Resilient the nominal response time is wire
+	// time plus ServerOverhead, not the call's execution, so a call that
+	// runs longer than CallTimeout fails over even with no fault active.
 	CallTimeout sim.Duration
 	// MaxRetries bounds retries per call (after the first attempt) before
 	// failing over.

@@ -7,16 +7,16 @@
 // "doesn't allow for a granular level of control over the network delays
 // experienced": the delay per call depends on hop counts, payload
 // serialization, and uncontrollable network noise. This package exists to
-// demonstrate exactly that — a Remote context genuinely routes every call
-// through a fabric path (with optional noise), so experiments can compare
-// its *measured* behaviour against the slack injector's *controlled*
-// behaviour and quantify the variance the paper worried about.
+// demonstrate exactly that — the Resilient transport genuinely routes every
+// call through a fabric path (with optional noise), so Compare can set its
+// *measured* behaviour against the slack injector's *controlled* behaviour
+// and quantify the variance the paper worried about. The same transport,
+// under a fault schedule, carries the serving and churn experiments.
 package remoting
 
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"repro/internal/cuda"
 	"repro/internal/fabric"
@@ -52,143 +52,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Remote is a CUDA-like context whose every call crosses the network. It
-// deliberately mirrors the cuda.Context API surface used by the proxy so
-// workloads can run unmodified against either.
-type Remote struct {
-	ctx *cuda.Context
-	cfg Config
-	rng *rand.Rand
-
-	calls        int64
-	networkTime  sim.Duration
-	requestBytes int64
-}
-
-// New wraps a device with a remoting transport.
-func New(dev *gpu.Device, cfg Config) *Remote {
-	if cfg.NoiseFraction < 0 || cfg.NoiseFraction >= 1 {
-		panic("remoting: noise fraction must be in [0, 1)")
-	}
-	if cfg.ServerOverhead == 0 {
-		cfg.ServerOverhead = 2 * sim.Microsecond
-	}
-	return &Remote{
-		// The server-side context dispatches locally at the chassis; its
-		// own driver overhead still applies. The noise stream is a salted
-		// substream of the seed, so other seed consumers (the injected arm
-		// of Compare, the fault schedule) can never perturb it.
-		ctx: cuda.NewContext(dev, cuda.Config{}),
-		cfg: cfg,
-		rng: faults.Substream(cfg.Seed, saltNoise),
-	}
-}
-
-// Context returns the server-side CUDA context (for attaching tracers).
-func (r *Remote) Context() *cuda.Context { return r.ctx }
-
-// Calls returns the number of remoted API calls.
-func (r *Remote) Calls() int64 { return r.calls }
-
-// NetworkTime returns the cumulative time spent traversing the fabric.
-func (r *Remote) NetworkTime() sim.Duration { return r.networkTime }
-
-// MeanCallDelay returns the average network delay added per call — the
-// quantity the slack injector controls exactly and remoting only
-// approximates.
-func (r *Remote) MeanCallDelay() sim.Duration {
-	if r.calls == 0 {
-		return 0
-	}
-	return r.networkTime / sim.Duration(r.calls)
-}
-
-// traverse charges one network crossing carrying n payload bytes.
-func (r *Remote) traverse(p *sim.Proc, n int64) {
-	d := r.cfg.Path.TransferTime(n)
-	if r.cfg.NoiseFraction > 0 {
-		u := 1 + r.cfg.NoiseFraction*(2*r.rng.Float64()-1)
-		d = sim.Duration(float64(d) * u)
-	}
-	p.Sleep(d)
-	r.networkTime += d
-	r.requestBytes += n
-}
-
-// roundTrip wraps an API call body with request and response crossings.
-// Requests carry the payload (H2D data rides the request; D2H data rides
-// the response).
-func (r *Remote) roundTrip(p *sim.Proc, reqBytes, respBytes int64, body func()) {
-	r.traverse(p, reqBytes)
-	if r.cfg.ServerOverhead > 0 {
-		p.Sleep(r.cfg.ServerOverhead)
-	}
-	body()
-	r.traverse(p, respBytes)
-	r.calls++
-}
-
-// Malloc forwards cudaMalloc.
-func (r *Remote) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) {
-	var ptr gpu.Ptr
-	var err error
-	r.roundTrip(p, 64, 64, func() { ptr, err = r.ctx.Malloc(p, n) })
-	return ptr, err
-}
-
-// Free forwards cudaFree.
-func (r *Remote) Free(p *sim.Proc, ptr gpu.Ptr) error {
-	var err error
-	r.roundTrip(p, 64, 64, func() { err = r.ctx.Free(p, ptr) })
-	return err
-}
-
-// MemcpyH2D forwards a synchronous host-to-device copy; the payload
-// crosses the network in the request.
-func (r *Remote) MemcpyH2D(p *sim.Proc, dst gpu.Ptr, n int64) error {
-	var err error
-	r.roundTrip(p, 64+n, 64, func() { err = r.ctx.MemcpyH2D(p, dst, n) })
-	return err
-}
-
-// MemcpyD2H forwards a synchronous device-to-host copy; the payload
-// crosses in the response.
-func (r *Remote) MemcpyD2H(p *sim.Proc, src gpu.Ptr, n int64) error {
-	var err error
-	r.roundTrip(p, 64, 64+n, func() { err = r.ctx.MemcpyD2H(p, src, n) })
-	return err
-}
-
-// LaunchSync forwards a blocking kernel launch.
-func (r *Remote) LaunchSync(p *sim.Proc, k gpu.Kernel) {
-	r.roundTrip(p, 256, 64, func() { r.ctx.LaunchSync(p, k, nil) })
-}
-
-// DeviceSynchronize forwards cudaDeviceSynchronize.
-func (r *Remote) DeviceSynchronize(p *sim.Proc) {
-	r.roundTrip(p, 64, 64, func() { r.ctx.DeviceSynchronize(p) })
-}
-
-// RunProxyIteration executes one proxy-style compute iteration (copy A,
-// copy B, kernel, sync, copy C) against the remote GPU and returns the
-// host-observed duration — the building block of the comparison
-// experiment.
-func (r *Remote) RunProxyIteration(p *sim.Proc, a, bm, c gpu.Ptr, matBytes int64, k gpu.Kernel) (sim.Duration, error) {
-	start := p.Now()
-	if err := r.MemcpyH2D(p, a, matBytes); err != nil {
-		return 0, err
-	}
-	if err := r.MemcpyH2D(p, bm, matBytes); err != nil {
-		return 0, err
-	}
-	r.LaunchSync(p, k)
-	r.DeviceSynchronize(p)
-	if err := r.MemcpyD2H(p, c, matBytes); err != nil {
-		return 0, err
-	}
-	return p.Now().Sub(start), nil
-}
-
 // CompareResult contrasts remoting against controlled injection for the
 // same nominal slack.
 type CompareResult struct {
@@ -220,20 +83,24 @@ func Compare(matrixSize, n int, cfg Config) (CompareResult, error) {
 	if matrixSize <= 0 || n <= 0 {
 		return CompareResult{}, fmt.Errorf("remoting: invalid comparison shape %d×%d", matrixSize, n)
 	}
-	if err := cfg.validate(); err != nil {
-		return CompareResult{}, err
-	}
 	matBytes := gpu.MatrixBytes(matrixSize)
 	kernel := gpu.MatMul(matrixSize)
 
-	// Arm 1: genuine remoting across the fabric.
+	// Arm 1: genuine remoting across the fabric, on the resilient
+	// transport with no faults. Its deadline is unbounded because
+	// Resilient's per-attempt deadline covers wire time and server
+	// overhead but not execution: under the default allowance a large
+	// kernel outlasts it, and the call times out and fails over even
+	// though no fault is active.
 	env := sim.NewEnv()
 	defer env.Close()
-	dev, err := gpu.NewDevice(env, gpu.A100())
+	r, err := NewResilient(env, gpu.A100(), ResilientConfig{
+		Config: cfg,
+		Policy: faults.Policy{CallTimeout: sim.Duration(math.Inf(1))},
+	})
 	if err != nil {
 		return CompareResult{}, err
 	}
-	r := New(dev, cfg)
 	remoted, err := proxyLoop(env, n, matBytes, r.Malloc, func(p *sim.Proc, a, bm, c gpu.Ptr) (sim.Duration, error) {
 		return r.RunProxyIteration(p, a, bm, c, matBytes, kernel)
 	})

@@ -13,8 +13,7 @@ import (
 // Stream salts for seed-derived substreams (see faults.Substream; the
 // faults package reserves everything below 0x10000).
 const (
-	// saltNoise seeds network-traversal noise. Remote and Resilient share
-	// it so a zero-fault Resilient replays a Remote run bit for bit.
+	// saltNoise seeds network-traversal noise.
 	saltNoise uint64 = 0x10000
 	// saltInjectedArm seeds the controlled-injection arm of Compare.
 	saltInjectedArm uint64 = 0x10001
@@ -98,6 +97,12 @@ type endpoint struct {
 // re-upload modeled as DMA replays, and graceful degradation to
 // node-local execution when no remote survives.
 //
+// The per-attempt deadline covers the nominal wire time plus
+// ServerOverhead, not the call's execution on the server: a call that
+// outlasts Policy.CallTimeout (a long kernel, a large copy) times out and
+// fails over even with no fault active. A transport meant to measure the
+// fabric alone, like Compare's, sets an unbounded CallTimeout.
+//
 // Memory handles returned by Malloc are virtual: they survive failover,
 // being re-bound to the new server's allocations during state re-upload.
 type Resilient struct {
@@ -122,6 +127,9 @@ type Resilient struct {
 	degraded       bool
 	exhausted      error // set once no executor remains; fails calls fast
 	stats          Stats
+	// netTime sums every network crossing (see MeanCallDelay); it is not
+	// in Stats, whose printed form the serving goldens pin.
+	netTime sim.Duration
 }
 
 // NewResilient builds the transport with a primary server, cfg.Standbys
@@ -199,6 +207,16 @@ func (r *Resilient) Live(i int) bool {
 	return i >= 0 && i < len(r.eps) && !r.eps[i].dead && !r.eps[i].drained
 }
 
+// MeanCallDelay returns the average network time per logical call — the
+// quantity the slack injector controls exactly and remoting only
+// approximates.
+func (r *Resilient) MeanCallDelay() sim.Duration {
+	if r.stats.Calls == 0 {
+		return 0
+	}
+	return r.netTime / sim.Duration(r.stats.Calls)
+}
+
 // Injector exposes the transport's fault injector, so a control plane
 // monitoring the same pool consults the identical schedule.
 func (r *Resilient) Injector() *faults.Injector { return r.inj }
@@ -215,11 +233,13 @@ func (r *Resilient) transfer(n int64, bwFactor float64) sim.Duration {
 	if r.cfg.NoiseFraction > 0 {
 		d = sim.Duration(float64(d) * (1 + r.cfg.NoiseFraction*(2*r.noise.Float64()-1)))
 	}
+	r.netTime += d
 	return d
 }
 
 // deadline returns the per-attempt deadline for a call shape: the nominal
 // round trip (with worst-case noise) plus the policy's timeout allowance.
+// Server-side execution is not included (see Resilient).
 func (r *Resilient) deadline(reqBytes, respBytes int64) sim.Duration {
 	rtt := r.cfg.Path.TransferTime(reqBytes) + r.cfg.Path.TransferTime(respBytes)
 	if r.cfg.ServerOverhead > 0 {
@@ -472,7 +492,7 @@ func (r *Resilient) Readmit(server int) error {
 }
 
 // migrate re-attaches on ep and re-uploads every live allocation as a DMA
-// replay. Remote targets additionally pay the network transfer for the
+// replay. Remote servers additionally pay the network transfer for the
 // payload; the node-local fallback only pays the PCIe copy.
 func (r *Resilient) migrate(p *sim.Proc, ep *endpoint, overNetwork bool) error {
 	if r.pol.FailoverPenalty > 0 {
@@ -600,7 +620,7 @@ func (r *Resilient) DeviceSynchronize(p *sim.Proc) error {
 
 // RunProxyIteration executes one proxy-style compute iteration (copy A,
 // copy B, kernel, sync, copy C) and returns the host-observed duration —
-// the same loop Remote.RunProxyIteration runs, now fault-tolerant.
+// the loop Compare times.
 func (r *Resilient) RunProxyIteration(p *sim.Proc, a, bm, c gpu.Ptr, matBytes int64, k gpu.Kernel) (sim.Duration, error) {
 	start := p.Now()
 	if err := r.MemcpyH2D(p, a, matBytes); err != nil {

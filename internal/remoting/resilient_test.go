@@ -40,61 +40,6 @@ func runResilientLoop(env *sim.Env, r *Resilient, n, matrixSize int) ([]sim.Dura
 	return durs, runErr
 }
 
-func TestResilientZeroFaultsMatchesRemote(t *testing.T) {
-	// With no faults configured, the resilient transport must replay a
-	// plain Remote run bit for bit: same path, same seed, same noise
-	// stream, identical per-iteration durations.
-	cfg := Config{Path: mustPathForSlack(t, 50*sim.Microsecond), NoiseFraction: 0.3, Seed: 7}
-
-	env := sim.NewEnv()
-	defer env.Close()
-	dev, err := gpu.NewDevice(env, gpu.A100())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem := New(dev, cfg)
-	matBytes := gpu.MatrixBytes(64)
-	kernel := gpu.MatMul(64)
-	var want []sim.Duration
-	env.Spawn("host", func(p *sim.Proc) {
-		a, _ := rem.Malloc(p, matBytes)
-		bm, _ := rem.Malloc(p, matBytes)
-		c, _ := rem.Malloc(p, matBytes)
-		for i := 0; i < 20; i++ {
-			d, err := rem.RunProxyIteration(p, a, bm, c, matBytes, kernel)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			want = append(want, d)
-		}
-	})
-	env.Run()
-
-	renv := sim.NewEnv()
-	defer renv.Close()
-	res, err := NewResilient(renv, gpu.A100(), ResilientConfig{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runResilientLoop(renv, res, 20, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("iteration count %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("iteration %d: resilient %v != remote %v", i, got[i], want[i])
-		}
-	}
-	st := res.Stats()
-	if st.Retries != 0 || st.Timeouts != 0 || st.Failovers != 0 || st.Degraded {
-		t.Errorf("zero-fault run recorded resilience activity: %+v", st)
-	}
-}
-
 func TestResilientDeterministicReplay(t *testing.T) {
 	run := func() ([]sim.Duration, Stats) {
 		env := sim.NewEnv()

@@ -28,6 +28,11 @@ echo "== go test -race -count=1 (resilience)"
 go test -race -count=1 -run 'Resilien|Fault|WaitTimeout' \
   ./internal/faults/ ./internal/remoting/ ./internal/sim/ ./internal/experiments/
 
+# The serving engine and its sweep, uncached and race-enabled: the batcher
+# and the transports interleave many simulated processes per request.
+echo "== go test -race -count=1 (serving)"
+go test -race -count=1 -run 'TestServ' ./internal/serve/ ./internal/experiments/
+
 # The pool control plane and the churn sweep guard the other half of that
 # determinism story: zero-churn cells must reproduce the serving sweep
 # byte for byte and a fault-free control plane must be invisible. Uncached
