@@ -1,15 +1,17 @@
 package cdi
 
-// The repo-wide determinism lint gate: running the cdivet suite is part of
-// tier-1 testing, so `go test ./...` fails the moment any package breaks a
-// determinism invariant (wall-clock reads, global rand, bare goroutines,
-// order-dependent map iteration, exact float comparison, dropped errors,
-// signal wait/fire misuse). The same suite is available interactively as
-// `go run ./cmd/cdivet ./...`.
+// The repo-wide determinism lint gate and the suite's only entry point:
+// running the cdivet suite is part of tier-1 testing, so `go test ./...`
+// fails the moment any package breaks a determinism invariant (wall-clock
+// reads, global rand, bare goroutines, exact float comparison, dropped
+// errors, or a nondeterministic value or map-range loop reaching a
+// result-emitting sink). To check one scratch package, run
+// `go test -run TestDeterminismInvariants .` with it in the tree.
 //
 // There is no findings baseline: every finding fails the test, and an
 // intentional exception must carry an inline `//cdivet:allow <rule>
-// <reason>` directive at the line it excuses.
+// <reason>` directive at the line it excuses. A directive that suppresses
+// nothing fails the test too.
 
 import (
 	"testing"

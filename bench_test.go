@@ -418,13 +418,11 @@ func BenchmarkLAMMPSHybridStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCdivetModule measures one full ten-analyzer pass — per-file
-// rules plus the module-wide dataflow layer (call graph, taint fixpoint,
-// wait-point propagation, process regions and the signal wait graph) — over
-// the already-loaded module, and requires it to report zero findings.
-// Parsing and type-checking run once outside the timed loop, as cdivet
-// itself amortizes them across analyzers; -benchmem makes allocation
-// regressions in the dataflow engine visible.
+// BenchmarkCdivetModule measures one full pass of the six-analyzer suite —
+// per-file rules plus the module-wide taint layer (call graph and summary
+// fixpoint) — over the already-loaded module, and requires it to report
+// zero findings. Parsing and type-checking run once outside the timed loop;
+// -benchmem makes allocation regressions in the dataflow engine visible.
 func BenchmarkCdivetModule(b *testing.B) {
 	m, err := analysis.LoadModule(".")
 	if err != nil {
@@ -433,11 +431,7 @@ func BenchmarkCdivetModule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		findings, err := analysis.RunModule(m, analysis.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(findings) != 0 {
+		if findings := analysis.RunModule(m, analysis.Config{}); len(findings) != 0 {
 			b.Fatalf("module not clean: %v", findings)
 		}
 	}

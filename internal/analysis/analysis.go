@@ -15,22 +15,18 @@
 //	walltime    wall-clock time in simulated code
 //	seededrand  global math/rand instead of an explicit seeded stream
 //	barego      go statements outside the sim engine
-//	maporder    map iteration with order-dependent effects
 //	floateq     exact float ==/!= outside internal/stats helpers
 //	errdrop     silently discarded error returns in internal, cmd, examples
-//	taint       nondeterministic value reaching a result-emitting sink
-//	simunits    unitless literals / float64 round-trips in sim.Duration math
-//	waitlock    sync.Mutex held across a simulated wait point
-//	waitgraph   sim.Signal deadlock / lost-wake / unbound-use patterns
+//	taint       nondeterministic value, or map iteration order, reaching a
+//	            result-emitting sink
 //
-// The first six are per-file syntactic/type checks. The rest run on a
-// module-wide dataflow layer (dataflow.go, callgraph.go): taint propagates
+// The first five are per-file syntactic/type checks. taint runs on a
+// module-wide dataflow layer (dataflow.go, callgraph.go): it propagates
 // nondeterminism through assignments, returns, and cross-package calls and
 // reports only at sinks, so the sorted-keys idiom stays silent while a
 // map-order value laundered through a helper in another package is still
-// caught; and waitgraph reasons over the process-region model (regions.go) —
-// which code each spawned proc runs, and which sim.Signal waits and fires
-// it reaches.
+// caught. A sink inside a map-range body is reported even for a
+// deterministic value, because the loop emits it once per key in map order.
 //
 // Intentional exceptions are suppressed in source with a justified
 // directive on, or immediately above, the offending line:
@@ -38,12 +34,11 @@
 //	//cdivet:allow <rule> <reason...>
 //
 // A directive without a reason, naming an unknown rule, or matching no
-// finding is itself reported (rule "directive"), so the suppression
-// inventory stays honest.
+// finding is itself reported (rule "directive"), so the suppressions stay
+// honest.
 //
-// The suite is exposed two ways: the cdivet command (cmd/cdivet) and a
-// repo-wide test gate (analysis_test.go at the module root) that makes
-// `go test ./...` fail on any new violation.
+// The one entry point is the repo-wide test gate (analysis_test.go at the
+// module root): `go test ./...` fails on any finding or stale directive.
 package analysis
 
 import (
@@ -55,16 +50,14 @@ import (
 	"strings"
 )
 
-// Finding is one rule violation (or directive problem) at a position. A
-// finding may carry a machine-applicable Fix (`cdivet -fix`).
+// Finding is one rule violation (or directive problem) at a position.
 type Finding struct {
-	Rule    string         `json:"rule"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Message string         `json:"message"`
-	Fix     *Fix           `json:"fix,omitempty"`
+	Rule    string
+	Pos     token.Position
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -103,15 +96,10 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, newFinding(p.Fset, p.Analyzer.Name, pos, nil, format, args...))
+	*p.findings = append(*p.findings, newFinding(p.Fset, p.Analyzer.Name, pos, format, args...))
 }
 
-// ReportFixf records a finding at pos carrying a machine-applicable fix.
-func (p *Pass) ReportFixf(pos token.Pos, fix *Fix, format string, args ...any) {
-	*p.findings = append(*p.findings, newFinding(p.Fset, p.Analyzer.Name, pos, fix, format, args...))
-}
-
-func newFinding(fset *token.FileSet, rule string, pos token.Pos, fix *Fix, format string, args ...any) Finding {
+func newFinding(fset *token.FileSet, rule string, pos token.Pos, format string, args ...any) Finding {
 	position := fset.Position(pos)
 	return Finding{
 		Rule:    rule,
@@ -120,7 +108,6 @@ func newFinding(fset *token.FileSet, rule string, pos token.Pos, fix *Fix, forma
 		Line:    position.Line,
 		Col:     position.Column,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	}
 }
 
@@ -138,12 +125,7 @@ type ModulePass struct {
 
 // Reportf records a finding at pos.
 func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*mp.findings = append(*mp.findings, newFinding(mp.Module.Fset, mp.Analyzer.Name, pos, nil, format, args...))
-}
-
-// ReportFixf records a finding at pos carrying a machine-applicable fix.
-func (mp *ModulePass) ReportFixf(pos token.Pos, fix *Fix, format string, args ...any) {
-	*mp.findings = append(*mp.findings, newFinding(mp.Module.Fset, mp.Analyzer.Name, pos, fix, format, args...))
+	*mp.findings = append(*mp.findings, newFinding(mp.Module.Fset, mp.Analyzer.Name, pos, format, args...))
 }
 
 // IsTestFile reports whether f is a _test.go file.
@@ -157,38 +139,10 @@ func All() []*Analyzer {
 		WallTime,
 		SeededRand,
 		BareGo,
-		MapOrder,
 		FloatEq,
 		ErrDrop,
 		Taint,
-		SimUnits,
-		WaitLock,
-		WaitGraph,
 	}
-}
-
-// ByName resolves a comma-separated rule list against the full suite.
-func ByName(names string) ([]*Analyzer, error) {
-	index := map[string]*Analyzer{}
-	for _, a := range All() {
-		index[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := index[n]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown rule %q", n)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: empty rule list %q", names)
-	}
-	return out, nil
 }
 
 // sortFindings orders findings by file, line, column, rule, message so

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -34,20 +32,34 @@ func markers(m *Module) map[string]int {
 	return want
 }
 
+// corpus is one testdata directory and the analyzer it exercises.
+type corpus struct {
+	dir string
+	a   *Analyzer
+}
+
+// corpora lists one corpus per analyzer, named after it, plus maporder:
+// the map-range sinks taint reports even for an untainted value.
+func corpora() []corpus {
+	var cs []corpus
+	for _, a := range All() {
+		cs = append(cs, corpus{a.Name, a})
+	}
+	return append(cs, corpus{"maporder", Taint})
+}
+
 // TestCorpus proves each analyzer both fires on its positive cases and
 // honors a justified suppression: any missed positive, spurious negative,
 // failed suppression, or stale directive shows up as a set difference.
 func TestCorpus(t *testing.T) {
-	for _, a := range All() {
-		t.Run(a.Name, func(t *testing.T) {
-			m, err := LoadDirAs(filepath.Join("testdata", a.Name), corpusPath)
+	for _, c := range corpora() {
+		a := c.a
+		t.Run(c.dir, func(t *testing.T) {
+			m, err := LoadDirAs(filepath.Join("testdata", c.dir), corpusPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings, err := RunModule(m, Config{Analyzers: []*Analyzer{a}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			findings := RunModule(m, Config{Analyzers: []*Analyzer{a}})
 			got := map[string]int{}
 			for _, f := range findings {
 				if f.Rule != a.Name {
@@ -58,7 +70,7 @@ func TestCorpus(t *testing.T) {
 			}
 			want := markers(m)
 			if len(want) == 0 {
-				t.Fatalf("corpus for %s has no // want markers", a.Name)
+				t.Fatalf("corpus %s has no // want markers", c.dir)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("findings mismatch\n got: %v\nwant: %v", got, want)
@@ -75,10 +87,7 @@ func TestDirectiveProblems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunModule(m, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := RunModule(m, Config{})
 	var msgs []string
 	for _, f := range findings {
 		if f.Rule != DirectiveRule {
@@ -103,9 +112,9 @@ func TestDirectiveProblems(t *testing.T) {
 	}
 }
 
-// TestFindingOrderStable runs the multi-finding maporder corpus repeatedly
-// and demands byte-identical reports: reporting must not inherit map
-// iteration nondeterminism from the driver itself.
+// TestFindingOrderStable runs the full suite over the multi-finding
+// maporder corpus repeatedly and demands byte-identical reports: reporting
+// must not inherit map iteration nondeterminism from the driver itself.
 func TestFindingOrderStable(t *testing.T) {
 	var first []Finding
 	for i := 0; i < 3; i++ {
@@ -113,13 +122,13 @@ func TestFindingOrderStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		findings, err := RunModule(m, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		findings := RunModule(m, Config{})
 		if !sort.SliceIsSorted(findings, func(a, b int) bool {
-			return findings[a].Line < findings[b].Line ||
-				findings[a].Line == findings[b].Line && findings[a].Col < findings[b].Col
+			fa, fb := findings[a], findings[b]
+			if fa.File != fb.File {
+				return fa.File < fb.File
+			}
+			return fa.Line < fb.Line || fa.Line == fb.Line && fa.Col < fb.Col
 		}) {
 			t.Fatalf("run %d: findings not in position order: %v", i, findings)
 		}
@@ -147,110 +156,7 @@ func TestSubsetKeepsForeignDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{MapOrder}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("unexpected finding with maporder-only run: %s", f)
-	}
-}
-
-// TestJSONReporter checks the machine-readable output end to end,
-// including the empty-slice (never null) contract.
-func TestJSONReporter(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Fatalf("empty findings encode as %q, want []", got)
-	}
-
-	m, err := LoadDirAs(filepath.Join("testdata", "errdrop"), corpusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{ErrDrop}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteJSON(&buf, findings); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []struct {
-		Rule    string `json:"rule"`
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("reporter emitted invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(decoded) != len(findings) {
-		t.Fatalf("decoded %d findings, want %d", len(decoded), len(findings))
-	}
-	for i, d := range decoded {
-		f := findings[i]
-		if d.Rule != f.Rule || d.Line != f.Line || d.Col != f.Col || d.Message != f.Message || !strings.HasSuffix(d.File, "errdrop.go") {
-			t.Errorf("decoded[%d] = %+v, want %v", i, d, f)
-		}
-	}
-}
-
-// TestNoMatchIsError: a pattern matching zero packages must be an error,
-// not a silent pass — a typo'd pattern in CI would otherwise gate nothing.
-func TestNoMatchIsError(t *testing.T) {
-	m, err := LoadDirAs(filepath.Join("testdata", "floateq"), corpusPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunModule(m, Config{Patterns: []string{"./nonexistent/..."}}); err == nil {
-		t.Fatal("zero-match pattern did not error")
-	}
-}
-
-// TestByName resolves rule subsets and rejects unknown names.
-func TestByName(t *testing.T) {
-	as, err := ByName("maporder, floateq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 2 || as[0].Name != "maporder" || as[1].Name != "floateq" {
-		t.Fatalf("ByName = %v", as)
-	}
-	if _, err := ByName("nosuchrule"); err == nil {
-		t.Fatal("ByName accepted an unknown rule")
-	}
-	if _, err := ByName(""); err == nil {
-		t.Fatal("ByName accepted an empty list")
-	}
-}
-
-// TestMatch covers the package-pattern matcher used by the CLI.
-func TestMatch(t *testing.T) {
-	m := &Module{Path: "repro"}
-	pkg := func(path string) *Package { return &Package{Path: path} }
-	cases := []struct {
-		path     string
-		patterns []string
-		want     bool
-	}{
-		{"repro/internal/sim", nil, true},
-		{"repro/internal/sim", []string{"./..."}, true},
-		{"repro/internal/sim", []string{"./internal/..."}, true},
-		{"repro/internal/sim", []string{"./internal/sim"}, true},
-		{"repro/internal/sim", []string{"internal/sim"}, true},
-		{"repro/internal/sim", []string{"./cmd/..."}, false},
-		{"repro/internal/simulator", []string{"./internal/sim/..."}, false},
-		{"repro", []string{"./..."}, true},
-		{"repro/cmd/cdivet", []string{"./internal/...", "./cmd/cdivet"}, true},
-	}
-	for _, c := range cases {
-		if got := m.Match(pkg(c.path), c.patterns); got != c.want {
-			t.Errorf("Match(%q, %v) = %v, want %v", c.path, c.patterns, got, c.want)
-		}
+	for _, f := range RunModule(m, Config{Analyzers: []*Analyzer{Taint}}) {
+		t.Errorf("unexpected finding with taint-only run: %s", f)
 	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // funcNode is one module function (or method) with a body, as seen by the
@@ -19,30 +18,18 @@ type funcNode struct {
 	// order (deduplicated), so fixpoint iteration stays deterministic.
 	callees []*funcNode
 
-	// Dataflow summaries, computed to fixpoint by the analyzers.
+	// Dataflow summaries, computed to fixpoint by the taint analyzer.
 	returnsTaint string // non-empty: why any result is nondeterministic
 	retParams    uint64 // bitset: parameter flows to a return value
 	sinkParams   []bool // parameter flows to a result-emitting sink inside
-	mayWait      bool   // body may block on a simulated wait point
 }
 
 // callGraph indexes every module function with a body and its
 // module-internal call edges. Nodes are ordered (package path, file,
 // declaration position) so iteration is deterministic.
 type callGraph struct {
-	module *Module
-	nodes  []*funcNode
-	byObj  map[*types.Func]*funcNode
-}
-
-// callGraphFor returns the module's call graph, built once and shared by
-// every module-wide analyzer in the run: the graph is pure derived data,
-// and rebuilding it per analyzer dominated cdivet's own benchmark.
-func callGraphFor(m *Module) *callGraph {
-	if m.cg == nil {
-		m.cg = buildCallGraph(m)
-	}
-	return m.cg
+	nodes []*funcNode
+	byObj map[*types.Func]*funcNode
 }
 
 // buildCallGraph walks the base files of every package. It resolves call
@@ -50,7 +37,7 @@ func callGraphFor(m *Module) *callGraph {
 // values or interfaces have no static callee and simply contribute no edge
 // (the dataflow layer is deliberately a may-analysis over static calls).
 func buildCallGraph(m *Module) *callGraph {
-	g := &callGraph{module: m, byObj: map[*types.Func]*funcNode{}}
+	g := &callGraph{byObj: map[*types.Func]*funcNode{}}
 	for _, p := range m.Packages {
 		if p.Info == nil {
 			continue
@@ -106,72 +93,4 @@ func (g *callGraph) calleeOf(info *types.Info, call *ast.CallExpr) *funcNode {
 		return nil
 	}
 	return g.byObj[fn]
-}
-
-// simWaitPoint reports whether call blocks the calling process on simulated
-// virtual time: a method named Sleep/Yield/Wait/WaitTimeout/Acquire whose
-// receiver type lives in internal/sim (Proc, Signal, Resource, WaitGroup).
-func simWaitPoint(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	if pkg := fn.Pkg(); pkg == nil || !strings.HasSuffix(pkg.Path(), "/internal/sim") {
-		return "", false
-	}
-	switch fn.Name() {
-	case "Sleep", "Yield", "Wait", "WaitTimeout", "Acquire":
-		recv := sig.Recv().Type().String()
-		if i := strings.LastIndexByte(recv, '.'); i >= 0 {
-			recv = "sim." + recv[i+1:]
-		}
-		return recv + "." + fn.Name(), true
-	}
-	return "", false
-}
-
-// computeMayWait propagates "may block on a simulated wait point" up the
-// call graph to fixpoint. Direct waits are sim blocking methods and channel
-// operations (send, receive, select) in the body.
-func (g *callGraph) computeMayWait() {
-	for _, n := range g.nodes {
-		ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-			switch node := node.(type) {
-			case *ast.CallExpr:
-				if _, ok := simWaitPoint(n.pkg.Info, node); ok {
-					n.mayWait = true
-				}
-			case *ast.SendStmt, *ast.SelectStmt:
-				n.mayWait = true
-			case *ast.UnaryExpr:
-				if node.Op.String() == "<-" {
-					n.mayWait = true
-				}
-			}
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.nodes {
-			if n.mayWait {
-				continue
-			}
-			for _, c := range n.callees {
-				if c.mayWait {
-					n.mayWait = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
 }

@@ -13,8 +13,11 @@ import (
 // flow-sensitivity approximated by replaying each body in source order —
 // because the property being checked is coarse too: does a value whose
 // identity depends on map iteration order, the wall clock, or unseeded
-// randomness ever reach a result-emitting sink? Three engineering choices
-// keep the rule quiet on correct code:
+// randomness ever reach a result-emitting sink? One order check needs no
+// value at all: a sink inside a map-range body runs once per key in map
+// order, so it is reported whatever it emits. Appends are not such sinks;
+// the appended slice carries the order taint to wherever it is emitted.
+// Three engineering choices keep the rule quiet on correct code:
 //
 //   - Sorting launders order taint: sort.Strings(keys) (and friends) erases
 //     the taint a map range put on keys, so the repo's collect-sort-range
@@ -61,12 +64,14 @@ type funcState struct {
 	sinkParams   uint64
 
 	// Non-nil only during the reporting pass.
-	report func(pos token.Pos, reason, sink string)
+	report func(pos token.Pos, format string, args ...any)
+	// mapBodies are the map-range bodies seen so far in the reporting pass.
+	mapBodies []*ast.BlockStmt
 }
 
 // analyzeFunc replays the function body (twice, to pick up loop-carried
 // taint) and returns the updated summary triple.
-func analyzeFunc(g *callGraph, n *funcNode, report func(pos token.Pos, reason, sink string)) (string, uint64, uint64) {
+func analyzeFunc(g *callGraph, n *funcNode, report func(pos token.Pos, format string, args ...any)) (string, uint64, uint64) {
 	st := &funcState{g: g, node: n, info: n.pkg.Info, taint: map[types.Object]taintVal{}}
 	if sig, ok := n.obj.Type().(*types.Signature); ok && sig.Params() != nil {
 		params := sig.Params()
@@ -110,11 +115,9 @@ func (st *funcState) walk() {
 		case *ast.CallExpr:
 			st.checkSink(node)
 		case *ast.SendStmt:
-			if t := st.exprTaint(node.Value); t.reason != "" && st.report != nil {
-				st.report(node.Arrow, t.reason, "channel send")
-			} else {
-				st.sinkParams |= t.params
-			}
+			t := st.exprTaint(node.Value)
+			st.sinkParams |= t.params
+			st.reportSink(node.Arrow, t.reason, "channel send")
 		}
 		return true
 	})
@@ -270,6 +273,9 @@ func (st *funcState) rangeStmt(r *ast.RangeStmt) {
 	xt := st.exprTaint(r.X)
 	if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 		xt = mergeTaint(taintVal{reason: "map iteration order"}, xt)
+		if st.report != nil {
+			st.mapBodies = append(st.mapBodies, r.Body)
+		}
 	} else if xt.empty() {
 		return
 	}
@@ -442,26 +448,64 @@ func (st *funcState) callTaint(call *ast.CallExpr) taintVal {
 }
 
 // checkSink reports (in the reporting pass) a tainted argument reaching a
-// result-emitting sink, and accumulates sink parameters during summary
-// passes.
+// result-emitting sink, or an order sink inside a map-range body, and
+// accumulates sink parameters during summary passes.
 func (st *funcState) checkSink(call *ast.CallExpr) {
-	sink, argAt := sinkOf(st.g, st.info, call)
-	if sink == "" {
-		return
-	}
-	for i, a := range call.Args {
-		if argAt != nil && !argAt(i) {
-			continue
-		}
-		t := st.exprTaint(a)
-		if t.reason != "" {
-			if st.report != nil {
-				st.report(call.Pos(), t.reason, sink)
+	if sink, argAt := sinkOf(st.g, st.info, call); sink != "" {
+		for i, a := range call.Args {
+			if argAt != nil && !argAt(i) {
+				continue
 			}
-			return
+			t := st.exprTaint(a)
+			if t.reason != "" {
+				st.reportSink(call.Pos(), t.reason, sink)
+				return
+			}
+			st.sinkParams |= t.params
 		}
-		st.sinkParams |= t.params
 	}
+	st.reportSink(call.Pos(), "", orderSink(call))
+}
+
+// reportSink reports, in the reporting pass, a sink reached by a value
+// tainted for reason, or an untainted sink inside a map-range body.
+func (st *funcState) reportSink(pos token.Pos, reason, sink string) {
+	switch {
+	case st.report == nil || sink == "":
+	case reason != "":
+		st.report(pos, "value derived from %s reaches result-emitting sink %s; make the value deterministic (sort keys, use seeded streams, use sim virtual time) before it is emitted", reason, sink)
+	case st.inMapRange(pos):
+		st.report(pos, "%s runs once per key in map iteration order; range over the sorted keys instead", sink)
+	}
+}
+
+// inMapRange reports whether pos lies inside a map-range body.
+func (st *funcState) inMapRange(pos token.Pos) bool {
+	for _, b := range st.mapBodies {
+		if b.Pos() < pos && pos < b.End() {
+			return true
+		}
+	}
+	return false
+}
+
+// orderSink names a call that makes map iteration order observable when it
+// runs inside a map-range body, whatever its arguments: output (print,
+// write, encode) or simulator events (spawn, fire, launch, schedule). It
+// matches by method name, so any receiver's Write or Fire counts.
+func orderSink(call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	switch name := sel.Sel.Name; {
+	case strings.HasPrefix(name, "Print"), strings.HasPrefix(name, "Fprint"),
+		strings.HasPrefix(name, "Write"), strings.HasPrefix(name, "Encode"):
+		return name + " (output)"
+	case name == "Spawn", name == "SpawnAt", name == "Fire", name == "Launch", name == "schedule":
+		return name + " (simulator event)"
+	}
+	return ""
 }
 
 // sinkOf classifies a call as a result-emitting sink. The returned argAt

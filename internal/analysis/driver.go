@@ -1,24 +1,20 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"path/filepath"
 )
 
 // Config selects what to analyze.
 type Config struct {
 	// Dir is any directory inside the target module (default ".").
 	Dir string
-	// Patterns restrict the packages analyzed ("./..." when empty).
-	Patterns []string
 	// Analyzers defaults to the full suite (All).
 	Analyzers []*Analyzer
 }
 
 // Run loads the module containing cfg.Dir and applies the analyzer suite to
-// every matching package, returning suppression-filtered findings in stable
+// every package, returning suppression-filtered findings in stable
 // (file, line, col, rule) order.
 func Run(cfg Config) ([]Finding, error) {
 	dir := cfg.Dir
@@ -29,11 +25,11 @@ func Run(cfg Config) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunModule(m, cfg)
+	return RunModule(m, cfg), nil
 }
 
 // RunModule applies the suite to an already loaded module.
-func RunModule(m *Module, cfg Config) ([]Finding, error) {
+func RunModule(m *Module, cfg Config) []Finding {
 	analyzers := cfg.Analyzers
 	if len(analyzers) == 0 {
 		analyzers = All()
@@ -62,14 +58,7 @@ func RunModule(m *Module, cfg Config) ([]Finding, error) {
 	}
 
 	var dirFiles []*ast.File
-	matchedDirs := map[string]bool{}
-	matched := 0
 	for _, p := range m.Packages {
-		if !m.Match(p, cfg.Patterns) {
-			continue
-		}
-		matched++
-		matchedDirs[p.Dir] = true
 		runPass(p, p.Files, p.Types, p.Info)
 		runPass(p, p.TestFiles, p.TestTypes, p.TestInfo)
 		runPass(p, p.XTestFiles, p.XTypes, p.XInfo)
@@ -78,33 +67,20 @@ func RunModule(m *Module, cfg Config) ([]Finding, error) {
 		dirFiles = append(dirFiles, p.XTestFiles...)
 	}
 
-	if matched == 0 {
-		return nil, fmt.Errorf("analysis: no packages match %v; a typo here would silently gate nothing", cfg.Patterns)
-	}
-
-	// Module-wide analyzers see every package (cross-package dataflow needs
-	// the full call graph); their findings are then filtered to the matched
-	// packages so `cdivet ./internal/sim` reports on internal/sim only.
-	var moduleFindings []Finding
+	// Module-wide analyzers see every package at once: cross-package
+	// dataflow needs the full call graph.
 	for _, a := range analyzers {
 		if a.RunModule == nil {
 			continue
 		}
-		mp := &ModulePass{Analyzer: a, Module: m, findings: &moduleFindings}
-		a.RunModule(mp)
-	}
-	for _, f := range moduleFindings {
-		if matchedDirs[filepath.Dir(f.File)] {
-			findings = append(findings, f)
-		}
+		a.RunModule(&ModulePass{Analyzer: a, Module: m, findings: &findings})
 	}
 
 	enabled := map[string]bool{}
 	for _, a := range analyzers {
 		enabled[a.Name] = true
 	}
-	dirs := parseDirectives(m.Fset, dirFiles)
-	findings = applySuppression(m.Fset, findings, dirs, enabled)
+	findings = applySuppression(findings, parseDirectives(m.Fset, dirFiles), enabled)
 	sortFindings(findings)
-	return findings, nil
+	return findings
 }

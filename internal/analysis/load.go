@@ -43,12 +43,6 @@ type Module struct {
 	Path     string // module path from go.mod
 	Fset     *token.FileSet
 	Packages []*Package // in deterministic (path) order
-
-	// cg and regions memoize the module-wide structures the dataflow
-	// analyzers share, built on first use (callGraphFor, regionGraphFor).
-	// Module analysis is sequential, so plain fields suffice.
-	cg      *callGraph
-	regions *regionGraph
 }
 
 // LoadModule parses and type-checks every package of the module containing
@@ -347,32 +341,4 @@ func LoadDirAs(dir, asPath string) (*Module, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// Match reports whether the package path matches any of the patterns,
-// interpreted relative to the module: "./..." matches everything, a
-// trailing "/..." matches a subtree, anything else matches one package.
-// Patterns may be given as import paths or as ./-prefixed directories.
-func (m *Module) Match(p *Package, patterns []string) bool {
-	if len(patterns) == 0 {
-		return true
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(p.Path, m.Path), "/")
-	for _, pat := range patterns {
-		pat = filepath.ToSlash(pat)
-		pat = strings.TrimPrefix(pat, "./")
-		if pat == "..." || pat == "" && rel == "" {
-			return true
-		}
-		if sub, ok := strings.CutSuffix(pat, "/..."); ok {
-			if rel == sub || strings.HasPrefix(rel, sub+"/") || p.Path == sub || strings.HasPrefix(p.Path, sub+"/") {
-				return true
-			}
-			continue
-		}
-		if rel == pat || p.Path == pat {
-			return true
-		}
-	}
-	return false
 }

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // seededRandAllowed are the math/rand and math/rand/v2 package-level names
 // that construct explicit streams — the only sanctioned way to get
@@ -44,64 +41,10 @@ func runSeededRand(pass *Pass) {
 				return true
 			}
 			if !seededRandAllowed[fn.Name()] {
-				pass.ReportFixf(sel.Pos(), seededRandFix(pass, sel, fn),
+				pass.Reportf(sel.Pos(),
 					"global rand.%s shares hidden state across call sites; use an explicit rand.New(rand.NewSource(seed)) stream", fn.Name())
 			}
 			return true
 		})
 	}
-}
-
-// seededRandFix substitutes an in-scope *rand.Rand stream for the global:
-// rand.Intn(n) becomes rng.Intn(n) when a variable rng of type *rand.Rand is
-// visible at the call and the global function exists as a Rand method.
-// Scopes are searched innermost-out and names within a scope in sorted
-// order, so the substitution is deterministic. No stream in scope means no
-// fix — inventing one would need a seed we cannot guess.
-func seededRandFix(pass *Pass, sel *ast.SelectorExpr, fn *types.Func) *Fix {
-	if !randMethod[fn.Name()] {
-		return nil
-	}
-	scope := pass.Pkg.Scope().Innermost(sel.Pos())
-	var stream string
-	for s := scope; s != nil && stream == ""; s = s.Parent() {
-		for _, nm := range s.Names() { // Names() is sorted: deterministic pick
-			obj := s.Lookup(nm)
-			v, ok := obj.(*types.Var)
-			if !ok || (s.Parent() != nil && v.Pos() >= sel.Pos()) {
-				continue // not declared yet at the call site (package scope exempt)
-			}
-			if ptr, ok := v.Type().(*types.Pointer); ok {
-				if named, ok := ptr.Elem().(*types.Named); ok &&
-					named.Obj().Name() == "Rand" && named.Obj().Pkg() != nil &&
-					(named.Obj().Pkg().Path() == "math/rand" || named.Obj().Pkg().Path() == "math/rand/v2") {
-					stream = nm
-					break
-				}
-			}
-		}
-	}
-	if stream == "" {
-		return nil
-	}
-	pos := pass.Fset.Position(sel.X.Pos())
-	return &Fix{
-		Message: "draw from the seeded stream " + stream,
-		Edits: []TextEdit{{
-			File:   pos.Filename,
-			Offset: pos.Offset,
-			End:    pass.Fset.Position(sel.X.End()).Offset,
-			Text:   stream,
-		}},
-	}
-}
-
-// randMethod lists the global math/rand functions that also exist as
-// methods on *rand.Rand, i.e. the calls the stream substitution can rewrite
-// textually.
-var randMethod = map[string]bool{
-	"ExpFloat64": true, "Float32": true, "Float64": true, "Int": true,
-	"Int31": true, "Int31n": true, "Int63": true, "Int63n": true,
-	"Intn": true, "NormFloat64": true, "Perm": true, "Seed": true,
-	"Shuffle": true, "Uint32": true, "Uint64": true,
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"os"
 	"strings"
 )
 
@@ -17,9 +16,7 @@ const DirectiveRule = "directive"
 // directive is one parsed //cdivet:allow comment.
 type directive struct {
 	pos    token.Position
-	start  token.Pos // comment start (for fixes)
-	end    token.Pos // comment end
-	text   string    // raw comment text
+	text   string // raw comment text
 	rule   string
 	reason string
 	used   bool
@@ -36,8 +33,8 @@ func (d *directive) canonical() string {
 
 // parseDirectives extracts every //cdivet:allow directive from the files.
 // Rule names are validated against the full suite, not the enabled subset,
-// so running `cdivet -rules maporder` never miscalls a floateq directive
-// unknown.
+// so a run restricted to one analyzer never miscalls another rule's
+// directive unknown.
 func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 	known := map[string]bool{}
 	for _, a := range All() {
@@ -50,7 +47,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 				if !strings.HasPrefix(c.Text, directivePrefix) {
 					continue
 				}
-				d := &directive{pos: fset.Position(c.Pos()), start: c.Pos(), end: c.End(), text: c.Text}
+				d := &directive{pos: fset.Position(c.Pos()), text: c.Text}
 				rest := strings.TrimPrefix(c.Text, directivePrefix)
 				if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
 					continue // e.g. //cdivet:allowlist — not our directive
@@ -79,9 +76,8 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 // malformed/unknown directives, directives that suppressed nothing, and
 // non-canonical spelling. Staleness is only judged for rules in the enabled
 // set — a directive for an analyzer that is not running cannot prove itself
-// useful. Stale and non-canonical directives carry autofixes (delete the
-// directive; rewrite it canonically).
-func applySuppression(fset *token.FileSet, findings []Finding, dirs []*directive, enabled map[string]bool) []Finding {
+// useful.
+func applySuppression(findings []Finding, dirs []*directive, enabled map[string]bool) []Finding {
 	type key struct {
 		file string
 		line int
@@ -108,22 +104,11 @@ func applySuppression(fset *token.FileSet, findings []Finding, dirs []*directive
 	}
 	for _, d := range dirs {
 		msg := d.bad
-		var fix *Fix
 		if msg == "" && !d.used && enabled[d.rule] {
 			msg = "directive suppresses no " + d.rule + " finding; remove it"
-			fix = deleteDirectiveFix(fset, d)
 		}
 		if msg == "" && d.text != d.canonical() {
 			msg = "non-canonical directive spelling; normalize to `" + d.canonical() + "`"
-			fix = &Fix{
-				Message: "normalize directive spelling",
-				Edits: []TextEdit{{
-					File:   d.pos.Filename,
-					Offset: fset.Position(d.start).Offset,
-					End:    fset.Position(d.end).Offset,
-					Text:   d.canonical(),
-				}},
-			}
 		}
 		if msg != "" {
 			kept = append(kept, Finding{
@@ -133,96 +118,8 @@ func applySuppression(fset *token.FileSet, findings []Finding, dirs []*directive
 				Line:    d.pos.Line,
 				Col:     d.pos.Column,
 				Message: msg,
-				Fix:     fix,
 			})
 		}
 	}
 	return kept
-}
-
-// deleteDirectiveFix removes a stale directive. A directive alone on its
-// line is removed line and all; a trailing directive loses the comment and
-// the spaces before it.
-func deleteDirectiveFix(fset *token.FileSet, d *directive) *Fix {
-	file := fset.File(d.start)
-	if file == nil {
-		return nil
-	}
-	lineStart := file.Offset(file.LineStart(d.pos.Line))
-	edit := TextEdit{File: d.pos.Filename, Offset: file.Offset(d.start), End: file.Offset(d.end)}
-	if src, err := os.ReadFile(d.pos.Filename); err == nil && edit.Offset <= len(src) {
-		if strings.TrimSpace(string(src[lineStart:edit.Offset])) == "" {
-			// Comment is the only thing on its line: delete the whole line.
-			edit.Offset = lineStart
-			if d.pos.Line < file.LineCount() {
-				edit.End = file.Offset(file.LineStart(d.pos.Line + 1))
-			} else {
-				edit.End = len(src)
-			}
-		} else {
-			// Trailing comment: also eat the blanks separating it from code.
-			for edit.Offset > lineStart && (src[edit.Offset-1] == ' ' || src[edit.Offset-1] == '\t') {
-				edit.Offset--
-			}
-		}
-	}
-	return &Fix{Message: "delete stale directive", Edits: []TextEdit{edit}}
-}
-
-// DirectiveInfo is one //cdivet:allow directive as seen by the
-// suppression-inventory subcommand (cdivet -directives).
-type DirectiveInfo struct {
-	Pos    token.Position
-	Rule   string // empty when malformed
-	Reason string
-	Bad    string // malformed/unknown-rule message, if any
-	Stale  bool   // well-formed but suppressed nothing under the full suite
-}
-
-// Inventory runs the full analyzer suite over the module and returns every
-// directive with its status. A directive is stale when the full suite —
-// including the module-wide analyzers — produces no finding for it to
-// suppress; the repo gate fails on those, so the inventory is also the
-// tool for cleaning them up.
-func Inventory(m *Module, cfg Config) ([]DirectiveInfo, error) {
-	cfg.Analyzers = All()
-	findings, err := RunModule(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	staleAt := map[string]bool{}
-	badAt := map[string]string{}
-	for _, f := range findings {
-		if f.Rule != DirectiveRule {
-			continue
-		}
-		at := fmt.Sprintf("%s:%d", f.File, f.Line)
-		if strings.Contains(f.Message, "suppresses no") {
-			staleAt[at] = true
-		} else if !strings.Contains(f.Message, "non-canonical") {
-			badAt[at] = f.Message
-		}
-	}
-
-	var files []*ast.File
-	for _, p := range m.Packages {
-		if !m.Match(p, cfg.Patterns) {
-			continue
-		}
-		files = append(files, p.Files...)
-		files = append(files, p.TestFiles...)
-		files = append(files, p.XTestFiles...)
-	}
-	var out []DirectiveInfo
-	for _, d := range parseDirectives(m.Fset, files) {
-		at := fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line)
-		out = append(out, DirectiveInfo{
-			Pos:    d.pos,
-			Rule:   d.rule,
-			Reason: d.reason,
-			Bad:    badAt[at],
-			Stale:  staleAt[at],
-		})
-	}
-	return out, nil
 }

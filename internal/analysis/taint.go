@@ -1,7 +1,5 @@
 package analysis
 
-import "go/token"
-
 // Taint is the module-wide nondeterminism dataflow rule. Values originating
 // from map iteration order, the wall clock, or unseeded global randomness
 // are propagated through assignments, returns, and cross-package calls, and
@@ -9,15 +7,17 @@ import "go/token"
 // encode call, a channel send, or sim event scheduling. This closes both
 // gaps of per-file checking: a map-order value returned from one package
 // and emitted in another is caught, while a map range whose output is
-// sorted before use stays silent.
+// sorted before use stays silent. A sink inside a map-range body is
+// reported even when its value is deterministic: the loop emits once per
+// key, in map order.
 var Taint = &Analyzer{
 	Name:      "taint",
-	Doc:       "nondeterministic value (map order, wall clock, unseeded rand) reaching a result-emitting sink",
+	Doc:       "nondeterministic value (map order, wall clock, unseeded rand), or a map-range loop, reaching a result-emitting sink",
 	RunModule: runTaint,
 }
 
 func runTaint(mp *ModulePass) {
-	g := callGraphFor(mp.Module)
+	g := buildCallGraph(mp.Module)
 
 	// Summary fixpoint: re-derive (returnsTaint, retParams, sinkParams) for
 	// every function until stable. Convergence is fast in practice; the
@@ -40,10 +40,7 @@ func runTaint(mp *ModulePass) {
 
 	// Reporting pass with converged summaries.
 	for _, n := range g.nodes {
-		n := n
-		analyzeFunc(g, n, func(pos token.Pos, reason, sink string) {
-			mp.Reportf(pos, "value derived from %s reaches result-emitting sink %s; make the value deterministic (sort keys, use seeded streams, use sim virtual time) before it is emitted", reason, sink)
-		})
+		analyzeFunc(g, n, mp.Reportf)
 	}
 }
 

@@ -1,15 +1,13 @@
 // Package producer manufactures values whose content depends on map
-// iteration order without ever emitting them. No per-file rule can flag
-// these functions — nothing here prints, appends to output, or schedules —
-// so catching a consumer that publishes the returned values takes the
-// module-wide taint analysis.
+// iteration order without ever emitting them. Nothing here prints, sends,
+// or schedules, so catching a consumer that publishes the returned values
+// takes the module-wide taint analysis.
 package producer
 
 import "sort"
 
 // ArbitraryKey returns whichever key Go's randomized map walk yields first.
-// maporder's order-dependent-effect list (append/print/send/spawn) has
-// nothing to match in this body: the nondeterminism escapes via return.
+// No sink runs in this body: the nondeterminism escapes via return.
 func ArbitraryKey(m map[string]int) string {
 	for k := range m {
 		return k
@@ -31,7 +29,7 @@ func FloatSum(m map[string]float64) float64 {
 // receive a deterministic slice.
 func SortedKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m { //cdivet:allow maporder keys are collected unordered and sorted on the next line
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -12,7 +12,7 @@ import (
 )
 
 // EmitArbitrary publishes a map-order-dependent value produced one package
-// away — the case the per-file maporder rule provably misses.
+// away, where no sink ran inside the map range.
 func EmitArbitrary(m map[string]int) {
 	k := producer.ArbitraryKey(m)
 	fmt.Println(k) // want

@@ -110,12 +110,10 @@ func BuildSurface(points []proxy.SweepPoint) (*Surface, error) {
 		}
 		s.curves[k] = in
 	}
-	//cdivet:allow maporder keys are collected unordered and sorted on the next line
 	for size := range sizeSet {
 		s.sizes = append(s.sizes, size)
 	}
 	sort.Ints(s.sizes)
-	//cdivet:allow maporder keys are collected unordered and sorted on the next line
 	for th := range threadSet {
 		s.threads = append(s.threads, th)
 	}
@@ -278,7 +276,7 @@ func (s *Surface) spComponent(b Binned, threads int, slack sim.Duration) (lower,
 // sortedSizes returns the bin sizes of a Binned mapping in ascending order.
 func sortedSizes(m map[int]int) []int {
 	sizes := make([]int, 0, len(m))
-	for size := range m { //cdivet:allow maporder keys are collected unordered and sorted on the next line
+	for size := range m {
 		sizes = append(sizes, size)
 	}
 	sort.Ints(sizes)

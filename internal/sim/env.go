@@ -269,13 +269,16 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(0, name, fn)
 }
 
-// SpawnAt is Spawn with a start delay.
+// SpawnAt is Spawn with a start delay. A negative or NaN delay panics.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
 	if delay < 0 {
 		panic("sim: negative spawn delay")
+	}
+	if math.IsNaN(float64(delay)) {
+		panic("sim: NaN spawn delay")
 	}
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
 	p.waits = p.waitsBuf[:0]
@@ -363,7 +366,6 @@ func (e *Env) Step() bool {
 // result is sorted for stable test output.
 func (e *Env) Blocked() []string {
 	names := make([]string, 0, len(e.parked))
-	//cdivet:allow maporder keys are collected unordered and sorted on the next line
 	for p := range e.parked {
 		names = append(names, p.name)
 	}
@@ -386,13 +388,13 @@ func (e *Env) Close() {
 	e.direct = false
 	e.horizon = Time(math.Inf(1))
 	// Unwind processes parked on signals.
-	//cdivet:allow maporder teardown after results are final: aborted processes run no model code, so unwind order is unobservable
 	for p := range e.parked {
 		for _, o := range p.waits {
 			o.cancelled = true
 		}
 		p.waits = nil
 		p.aborted = true
+		//cdivet:allow taint teardown after results are final: aborted processes run no model code, so unwind order is unobservable
 		p.resume <- struct{}{}
 		<-e.park
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"math"
+)
 
 // errAborted is the panic value used to unwind process goroutines when the
 // environment is closed. It never escapes the package.
@@ -65,10 +68,14 @@ func (p *Proc) yield() wakeKind {
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
-// treated as zero (the process still yields, preserving event ordering).
+// treated as zero (the process still yields, preserving event ordering). A
+// NaN duration panics: NaN compares false both ways, so it would break the
+// event queue's time order.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
+	} else if math.IsNaN(float64(d)) {
+		panic("sim: NaN sleep duration")
 	}
 	p.env.schedule(p.env.now.Add(d), p, wakeTimer)
 	p.yield()
@@ -132,8 +139,12 @@ func (s *Signal) Wait(p *Proc) {
 
 // WaitTimeout parks the process until the next Fire or until d elapses,
 // whichever comes first. It returns nil if the signal fired and ErrTimeout
-// if the deadline won.
+// if the deadline won. A NaN d panics before the process registers as a
+// waiter.
 func (s *Signal) WaitTimeout(p *Proc, d Duration) error {
+	if math.IsNaN(float64(d)) {
+		panic("sim: NaN wait timeout")
+	}
 	s.waiters = append(s.waiters, p)
 	p.env.parked[p] = struct{}{}
 	p.sigParked = true

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -42,6 +43,51 @@ func TestSleepNegativeTreatedAsZero(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestNaNDurationsPanic: NaN compares false both ways, so a NaN event time
+// would break the queue's time order. Every entry point that turns a
+// caller's duration into an event rejects it, and the environment stays
+// usable: a process due at t = 1 still runs at t = 1.
+func TestNaNDurationsPanic(t *testing.T) {
+	nan := Duration(math.NaN())
+	cases := []struct {
+		name   string
+		inProc bool // the call needs a running process
+		call   func(env *Env, p *Proc)
+	}{
+		{"SpawnAt", false, func(env *Env, _ *Proc) { env.SpawnAt(nan, "late", func(*Proc) {}) }},
+		{"Sleep", true, func(_ *Env, p *Proc) { p.Sleep(nan) }},
+		{"WaitTimeout", true, func(env *Env, p *Proc) { _ = NewSignal(env).WaitTimeout(p, nan) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := NewEnv()
+			defer env.Close()
+			var got any
+			catch := func() { got = recover() }
+			if c.inProc {
+				env.Spawn("p", func(p *Proc) {
+					defer catch()
+					c.call(env, p)
+				})
+			} else {
+				func() {
+					defer catch()
+					c.call(env, nil)
+				}()
+			}
+			at := Time(-1)
+			env.SpawnAt(1, "due", func(p *Proc) { at = p.Now() })
+			env.Run()
+			if got == nil {
+				t.Fatalf("%s(NaN) did not panic", c.name)
+			}
+			if at != 1 || env.Now() != 1 || len(env.Blocked()) != 0 {
+				t.Errorf("after the panic: due process ran at %v, clock %v, blocked %v; want 1, 1, none", at, env.Now(), env.Blocked())
+			}
+		})
+	}
 }
 
 func TestEventOrderingFIFOAtSameInstant(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# check.sh — the full CI gate: build, vet, race-enabled tests, the bench
-# module's own tests, and the determinism-invariant lint suite (cmd/cdivet).
-# Run from anywhere.
+# check.sh — the full CI gate: build, vet, race-enabled tests (which include
+# the determinism-invariant lint gate, TestDeterminismInvariants), the bench
+# module's own vet and tests, the -j byte-identity smokes and a benchmark
+# smoke pass. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,12 +49,6 @@ go test -race -count=1 -run 'TestChurn' ./internal/experiments/
 echo "== go test -race -count=1 (pool scheduler + sweep)"
 go test -race -count=1 ./internal/pool/
 go test -race -count=1 -run 'TestPool' ./internal/experiments/ .
-
-echo "== cdivet ./..."
-go run ./cmd/cdivet -sarif cdivet.sarif ./...
-
-echo "== cdivet -directives ./..."
-go run ./cmd/cdivet -directives ./...
 
 echo "== reproduce -exp serving smoke (-j byte-identity + trace)"
 serving_trace="$(mktemp)"
