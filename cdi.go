@@ -20,8 +20,6 @@
 package cdi
 
 import (
-	"io"
-
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/cosmoflow"
@@ -74,7 +72,7 @@ type (
 // NewStudy runs the calibrating proxy sweep and returns a Study.
 func NewStudy(cfg StudyConfig) (*Study, error) { return core.NewStudy(cfg) }
 
-// NewStudyFromSweep builds a Study from saved sweep points without
+// NewStudyFromSweep builds a Study from caller-held sweep points without
 // re-running the proxy (nil slacks selects the paper's Table IV grid).
 func NewStudyFromSweep(pts []SweepPoint, slacks []Duration) (*Study, error) {
 	return core.NewStudyFromSweep(pts, slacks)
@@ -123,15 +121,8 @@ func ProxySweep(sizes, threads []int, slacks []Duration, iters int) ([]SweepPoin
 // against its zero-slack baseline.
 func ProxyPenalty(baseline, run ProxyResult) float64 { return proxy.Penalty(baseline, run) }
 
-// WriteSweep saves sweep points as JSON so an expensive calibration can be
-// reused; ReadSweep loads them back.
-func WriteSweep(w io.Writer, pts []SweepPoint) error { return proxy.WriteSweepJSON(w, pts) }
-
-// ReadSweep loads sweep points saved by WriteSweep.
-func ReadSweep(r io.Reader) ([]SweepPoint, error) { return proxy.ReadSweepJSON(r) }
-
-// BuildSurface assembles a response surface from sweep points (saved or
-// freshly run) without re-running the proxy.
+// BuildSurface assembles a response surface from sweep points without
+// re-running the proxy.
 func BuildSurface(pts []SweepPoint) (*Surface, error) { return model.BuildSurface(pts) }
 
 // The workloads.

@@ -1,10 +1,10 @@
 package cdi
 
 // Integration tests exercising the public API end to end — the same flows
-// the README and examples advertise.
+// the README and example_test.go advertise.
 import (
-	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -114,6 +114,38 @@ func TestPublicBadInputs(t *testing.T) {
 	if _, err := CompareBatch(jobs, 2, 8, 4, BatchPolicy(9)); err == nil {
 		t.Error("CompareBatch accepted an unknown policy")
 	}
+	// Bad batch jobs fail before the simulation starts, with an error
+	// naming the job. Inside it, NaN panics a process, Inf gives an
+	// infinite makespan and NaN energy, and a name mismatch, a duplicate
+	// name or an invalid request corrupts or deadlocks the schedule.
+	bad := func(mod func(*BatchJob)) BatchJob {
+		j := BatchJob{Name: "bad", Duration: Second, Req: ComposeRequest{Name: "bad", Cores: 1}}
+		mod(&j)
+		return j
+	}
+	for _, c := range []struct {
+		name string
+		jobs []BatchJob
+	}{
+		{"NaN duration", []BatchJob{bad(func(j *BatchJob) { j.Duration = Duration(nan) })}},
+		{"Inf duration", []BatchJob{bad(func(j *BatchJob) { j.Duration = Duration(math.Inf(1)) })}},
+		{"NaN arrival", []BatchJob{bad(func(j *BatchJob) { j.Arrival = Time(nan) })}},
+		{"Inf arrival", []BatchJob{bad(func(j *BatchJob) { j.Arrival = Time(math.Inf(1)) })}},
+		{"name mismatch", []BatchJob{bad(func(j *BatchJob) { j.Req.Name = "other" })}},
+		{"negative cores", []BatchJob{bad(func(j *BatchJob) { j.Req.Cores = -1 })}},
+		{"duplicate name", []BatchJob{bad(func(*BatchJob) {}), bad(func(*BatchJob) {})}},
+	} {
+		sys, err := NewTraditionalSystem(2, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunBatch(sys, c.jobs, FCFS)
+		if err == nil {
+			t.Errorf("RunBatch(%s) accepted: makespan %v, energy %v Wh", c.name, res.Makespan, res.GPUEnergyWh)
+		} else if !strings.Contains(err.Error(), `"bad"`) {
+			t.Errorf("RunBatch(%s) error does not name the job: %v", c.name, err)
+		}
+	}
 	// Non-finite durations must fail validation: run through the model
 	// they give NaN or Inf times, or, for the iteration spacing, a
 	// silently finite one.
@@ -215,25 +247,17 @@ func TestPublicBatchFlow(t *testing.T) {
 	}
 }
 
+// TestPublicSweepPersistence: a study built from caller-held sweep points
+// answers exactly like a surface built from the same points.
 func TestPublicSweepPersistence(t *testing.T) {
 	pts, err := ProxySweep([]int{512, 2048}, []int{1}, []Duration{1 * Microsecond, 1 * Millisecond}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSweep(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSweep(&buf)
+	study, err := NewStudyFromSweep(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	study, err := NewStudyFromSweep(loaded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The rebuilt surface answers exactly like one built from the
-	// original points.
 	direct, err := BuildSurface(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +272,7 @@ func TestPublicSweepPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Errorf("rebuilt surface diverges at %v: %v vs %v", slack, a, b)
+			t.Errorf("study surface diverges at %v: %v vs %v", slack, a, b)
 		}
 	}
 }

@@ -42,6 +42,37 @@ func TestReproduceAllGolden(t *testing.T) {
 	}
 }
 
+// TestServingTrace: -trace writes a non-empty Chrome trace and leaves the
+// section's rendered output as the golden has it, followed by one line
+// naming the file.
+func TestServingTrace(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := "\n======== serving ========\n"
+	start := bytes.Index(golden, []byte(header))
+	if start < 0 {
+		t.Fatal("no serving section in the golden")
+	}
+	section := golden[start:]
+	if end := bytes.Index(section[len(header):], []byte("\n======== ")); end >= 0 {
+		section = section[:len(header)+end]
+	}
+	trace := filepath.Join(t.TempDir(), "serving.json")
+	var out bytes.Buffer
+	if code := run([]string{"-exp", "serving", "-j", "2", "-trace", trace}, &out, os.Stderr); code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	want := string(section) + "wrote serving trace to " + trace + "\n"
+	if out.String() != want {
+		t.Errorf("output differs from the golden's serving section at byte %d", firstDiff(out.Bytes(), []byte(want)))
+	}
+	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
+		t.Errorf("trace file missing or empty (stat: %v)", err)
+	}
+}
+
 // TestTableMatchesGolden pins the experiment table to the golden: its ids
 // are the golden's section headers, in order.
 func TestTableMatchesGolden(t *testing.T) {

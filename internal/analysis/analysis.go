@@ -16,7 +16,7 @@
 //	seededrand  global math/rand instead of an explicit seeded stream
 //	barego      go statements outside the sim engine
 //	floateq     exact float ==/!= outside internal/stats helpers
-//	errdrop     silently discarded error returns in internal, cmd, examples
+//	errdrop     silently discarded error returns in internal and cmd
 //	taint       nondeterministic value, or map iteration order, reaching a
 //	            result-emitting sink
 //

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// ErrDrop flags statement-position calls in internal, cmd, and examples
-// packages whose error result vanishes. A swallowed error in a persistence
+// ErrDrop flags statement-position calls in internal and cmd packages
+// whose error result vanishes. A swallowed error in a persistence
 // or rendering path turns a failed write into a silently truncated artifact
 // — worse than a crash for a reproduction whose whole output is regenerated
 // files; in a cmd/ entry point it additionally turns a failed run into exit
@@ -17,13 +17,13 @@ import (
 // strings.Builder writers are exempt.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "silently discarded error return in an internal, cmd, or examples package",
+	Doc:  "silently discarded error return in an internal or cmd package",
 	Run:  runErrDrop,
 }
 
 func runErrDrop(pass *Pass) {
 	p := pass.Path + "/"
-	if !strings.Contains(p, "/internal/") && !strings.Contains(p, "/cmd/") && !strings.Contains(p, "/examples/") {
+	if !strings.Contains(p, "/internal/") && !strings.Contains(p, "/cmd/") {
 		return
 	}
 	for _, f := range pass.Files {

@@ -24,9 +24,9 @@ var wallClockFuncs = map[string]bool{
 // simulation package observes must be virtual time from internal/sim —
 // sim.Time carries the paper's Equations 1–3; a time.Now() sneaking into a
 // model makes the regenerated tables depend on host speed. Package main
-// (cmd/* and examples/*) is exempt: progress output there wraps the
-// simulation rather than feeding it. Test files are exempt for the same
-// reason.
+// (cmd/reproduce and the bench harness) is exempt: progress output there
+// wraps the simulation rather than feeding it. Test files are exempt for
+// the same reason.
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc:  "wall-clock time (time.Now etc.) in simulated code; use internal/sim virtual time",

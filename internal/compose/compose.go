@@ -54,7 +54,9 @@ type Request struct {
 	FlexCores bool
 }
 
-func (r Request) validate() error {
+// Validate returns an error unless the request is well formed: no
+// negative counts, and at least one core or GPU.
+func (r Request) Validate() error {
 	if r.Cores < 0 || r.GPUs < 0 || (r.Cores == 0 && r.GPUs == 0) {
 		return fmt.Errorf("compose: invalid request %+v", r)
 	}
@@ -167,7 +169,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // Alloc grants a request or returns ErrInsufficient. Allocation names must
 // be unique among live allocations.
 func (s *System) Alloc(req Request) (*Allocation, error) {
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	if _, dup := s.allocs[req.Name]; dup {

@@ -76,9 +76,9 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	return NewStudyFromSweep(pts, cfg.Slacks)
 }
 
-// NewStudyFromSweep builds a Study from previously collected (typically
-// saved and reloaded) sweep points — the adopter workflow of calibrating
-// once and profiling many workloads. slacks selects the prediction grid
+// NewStudyFromSweep builds a Study from previously collected sweep
+// points — the adopter workflow of calibrating once and profiling many
+// workloads. slacks selects the prediction grid
 // (nil = the paper's Table IV values).
 func NewStudyFromSweep(pts []proxy.SweepPoint, slacks []sim.Duration) (*Study, error) {
 	surface, err := model.BuildSurface(pts)

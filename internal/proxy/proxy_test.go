@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -359,38 +358,5 @@ func TestNegativeOffsetSpacingRejected(t *testing.T) {
 	}
 	if _, err := Run(Config{MatrixSize: 512, IterSpacing: -1}); err == nil {
 		t.Error("negative spacing accepted")
-	}
-}
-
-func TestSweepJSONRoundTrip(t *testing.T) {
-	pts, err := Sweep([]int{1 << 9}, []int{1}, []sim.Duration{1 * sim.Microsecond, 1 * sim.Millisecond}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSweepJSON(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSweepJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pts) {
-		t.Fatalf("round trip lost points: %d vs %d", len(got), len(pts))
-	}
-	for i := range pts {
-		if got[i].Penalty != pts[i].Penalty || got[i].Slack != pts[i].Slack ||
-			got[i].Result.KernelTime != pts[i].Result.KernelTime {
-			t.Fatalf("point %d mismatch: %+v vs %+v", i, got[i], pts[i])
-		}
-	}
-}
-
-func TestReadSweepJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadSweepJSON(bytes.NewBufferString("{")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := ReadSweepJSON(bytes.NewBufferString(`[{"MatrixSize":0}]`)); err == nil {
-		t.Error("invalid point accepted")
 	}
 }

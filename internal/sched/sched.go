@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -35,12 +36,22 @@ type Job struct {
 	Req compose.Request
 }
 
+// validate rejects a job the simulation cannot run. The negated
+// comparisons also catch NaN, which would otherwise panic inside a sim
+// process, and Inf would yield an infinite makespan and NaN energy.
+// Alloc books under Req.Name, so Name must match it.
 func (j Job) validate() error {
-	if j.Duration <= 0 {
+	if !(j.Duration > 0) || math.IsInf(float64(j.Duration), 1) {
 		return fmt.Errorf("sched: job %q duration %v", j.Name, j.Duration)
 	}
-	if j.Arrival < 0 {
-		return fmt.Errorf("sched: job %q negative arrival", j.Name)
+	if !(j.Arrival >= 0) || math.IsInf(float64(j.Arrival), 1) {
+		return fmt.Errorf("sched: job %q arrival %v", j.Name, j.Arrival)
+	}
+	if j.Name != j.Req.Name {
+		return fmt.Errorf("sched: job %q has request name %q", j.Name, j.Req.Name)
+	}
+	if err := j.Req.Validate(); err != nil {
+		return fmt.Errorf("sched: job %q: %w", j.Name, err)
 	}
 	return nil
 }
@@ -98,10 +109,15 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 	if policy != FCFS && policy != Backfill {
 		return Result{}, fmt.Errorf("sched: unknown policy %v", policy)
 	}
+	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		if err := j.validate(); err != nil {
 			return Result{}, err
 		}
+		if seen[j.Name] {
+			return Result{}, fmt.Errorf("sched: duplicate job %q", j.Name)
+		}
+		seen[j.Name] = true
 	}
 	env := sim.NewEnv()
 	defer env.Close()

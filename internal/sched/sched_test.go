@@ -133,10 +133,10 @@ func TestImpossibleJobRejected(t *testing.T) {
 
 func TestJobValidation(t *testing.T) {
 	s := mustTraditional(t, 1, 8, 0)
-	if _, err := Run(s, []Job{{Name: "x", Duration: 0, Req: compose.Request{Cores: 1}}}, FCFS); err == nil {
+	if _, err := Run(s, []Job{{Name: "x", Duration: 0, Req: compose.Request{Name: "x", Cores: 1}}}, FCFS); err == nil {
 		t.Error("zero-duration job accepted")
 	}
-	if _, err := Run(s, []Job{{Name: "x", Arrival: -1, Duration: 1, Req: compose.Request{Cores: 1}}}, FCFS); err == nil {
+	if _, err := Run(s, []Job{{Name: "x", Arrival: -1, Duration: 1, Req: compose.Request{Name: "x", Cores: 1}}}, FCFS); err == nil {
 		t.Error("negative arrival accepted")
 	}
 }

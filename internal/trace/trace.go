@@ -7,9 +7,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/cuda"
@@ -298,20 +295,4 @@ func (t *Trace) Streams() int {
 		seen[c.Stream] = true
 	}
 	return len(seen)
-}
-
-// WriteJSON serializes the trace.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// ReadJSON deserializes a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decoding: %w", err)
-	}
-	return &t, nil
 }

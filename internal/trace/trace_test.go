@@ -245,35 +245,6 @@ func TestStreams(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := record(t, func(p *sim.Proc, ctx *cuda.Context) {
-		ptr, _ := ctx.Malloc(p, 1000)
-		ctx.MemcpyH2D(p, ptr, 1000)
-		ctx.LaunchSync(p, gpu.Fixed("k", 1*sim.Millisecond), nil)
-	})
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Label != tr.Label || len(got.Kernels) != len(tr.Kernels) ||
-		len(got.Copies) != len(tr.Copies) || len(got.Calls) != len(tr.Calls) {
-		t.Errorf("round trip mismatch: %+v vs %+v", got, tr)
-	}
-	if got.Kernels[0].Name != "k" {
-		t.Errorf("kernel name lost: %q", got.Kernels[0].Name)
-	}
-}
-
-func TestReadJSONError(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("{not json")); err == nil {
-		t.Fatal("malformed JSON accepted")
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	tr := record(t, func(p *sim.Proc, ctx *cuda.Context) {
 		ptr, _ := ctx.Malloc(p, 1<<20)
