@@ -309,14 +309,6 @@ func BenchmarkProxyIteration(b *testing.B) {
 	}
 }
 
-func BenchmarkLAMMPSNumericStep(b *testing.B) {
-	s := lammps.NewSystem(5, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
 func BenchmarkLAMMPSPerfStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: 60, Procs: 8, Steps: 10}); err != nil {
@@ -330,8 +322,7 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 		env := sim.NewEnv()
 		w := mpi.NewWorld(env, 8, mpi.IntraNode())
 		w.SpawnAll(func(r *mpi.Rank) {
-			v := make([]float64, 1024)
-			r.Allreduce(v, mpi.OpSum)
+			r.AllreduceBytes(8 << 10)
 		})
 		env.Run()
 		env.Close()
@@ -405,14 +396,6 @@ func BenchmarkExtensionPreload(b *testing.B) {
 	opts := experiments.Quick()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.PreloadComparison(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLAMMPSHybridStep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := lammps.RunHybrid(lammps.HybridConfig{BoxSize: 4, Steps: 5, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

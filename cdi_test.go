@@ -107,6 +107,9 @@ func TestPublicBadInputs(t *testing.T) {
 	if _, err := WorkloadMix(0, 24, 1); err == nil {
 		t.Error("WorkloadMix(0) accepted")
 	}
+	if _, err := WorkloadMix(3, 0, 1); err == nil {
+		t.Error("WorkloadMix(coresPerNode 0) accepted")
+	}
 	jobs, err := WorkloadMix(4, 8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +148,10 @@ func TestPublicBadInputs(t *testing.T) {
 		} else if !strings.Contains(err.Error(), `"bad"`) {
 			t.Errorf("RunBatch(%s) error does not name the job: %v", c.name, err)
 		}
+	}
+	// A negative validation split would silently drop the validation pass.
+	if r, err := RunCosmoFlow(CosmoFlowConfig{ValSamples: -4}); err == nil {
+		t.Errorf("RunCosmoFlow(ValSamples: -4) accepted, runtime %v", r.Runtime)
 	}
 	// Non-finite durations must fail validation: run through the model
 	// they give NaN or Inf times, or, for the iteration spacing, a

@@ -125,6 +125,9 @@ func NewCDI(cpuNodes, coresPerNode, chassis, gpusPerChassis int, path fabric.Pat
 	if cpuNodes <= 0 || coresPerNode <= 0 || chassis < 0 || gpusPerChassis < 0 {
 		return nil, fmt.Errorf("compose: invalid CDI shape %d nodes, %d chassis", cpuNodes, chassis)
 	}
+	if err := path.Validate(); err != nil {
+		return nil, err
+	}
 	return &System{
 		arch:           CDI,
 		nodes:          cpuNodes,

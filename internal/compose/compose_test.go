@@ -3,11 +3,13 @@ package compose
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/fabric"
+	"repro/internal/sim"
 )
 
 func TestTraditionalNodeGranularity(t *testing.T) {
@@ -90,6 +92,10 @@ func TestAllocValidationAndExhaustion(t *testing.T) {
 	}
 	if _, err := s.Alloc(Request{Name: "b", Cores: 1}); err != nil {
 		t.Errorf("allocation after release failed: %v", err)
+	}
+	nan := fabric.Path{Hops: []fabric.Hop{{Name: "bad", Latency: sim.Duration(math.NaN())}}}
+	if _, err := NewCDI(4, 8, 1, 2, nan); err == nil {
+		t.Error("NaN-latency path accepted")
 	}
 }
 

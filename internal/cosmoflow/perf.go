@@ -1,3 +1,12 @@
+// Package cosmoflow is the performance model of the CosmoFlow benchmark
+// the paper profiles: a 3-D convolutional network that regresses
+// cosmological parameters from voxelized dark-matter density volumes,
+// trained with data-parallel workers synchronized by Horovod-style
+// allreduce. The training loop is driven through the simulated
+// CUDA/GPU/Horovod substrates with cost models, reproducing the paper's
+// trace and CPU-affinity experiments; no tensor values are computed, since
+// the paper's method reads only kernel durations, memcpy sizes and runtime
+// fractions.
 package cosmoflow
 
 import (
@@ -112,6 +121,9 @@ func (c PerfConfig) validate() error {
 		return fmt.Errorf("cosmoflow: invalid run shape gpus=%d batch=%d epochs=%d cores=%d",
 			c.GPUs, c.BatchSize, c.Epochs, c.Cores)
 	}
+	if c.TrainSamples < 0 || c.ValSamples < 0 {
+		return fmt.Errorf("cosmoflow: negative dataset size train=%d val=%d", c.TrainSamples, c.ValSamples)
+	}
 	if c.InputSide < 8 || c.InputSide&(c.InputSide-1) != 0 {
 		return fmt.Errorf("cosmoflow: input side %d must be a power of two ≥ 8", c.InputSide)
 	}
@@ -121,13 +133,14 @@ func (c PerfConfig) validate() error {
 	return nil
 }
 
-// convBlock describes one conv/pool stage of the cost model, mirroring
-// NewNetwork's architecture.
+// convBlock describes one conv/pool stage of the cost model.
 type convBlock struct {
 	cin, cout, out int // out is the conv output extent (pre-pool)
 }
 
-// blocks enumerates the conv stages for an input side.
+// blocks enumerates the conv stages for an input side: conv3d+pool blocks
+// halving the volume down to 4³, with channels doubling from 16 up to 256.
+// It restates CosmoFlow's layer shapes here; nothing else defines them.
 func blocks(side, channels int) []convBlock {
 	var out []convBlock
 	cin := channels

@@ -531,22 +531,28 @@ func runPreloadProxy(size, iters int, sl sim.Duration) (proxy.Result, error) {
 	kernel := gpu.MatMul(size)
 	var runErr error
 	env.Spawn("omp0", func(p *sim.Proc) {
-		a, _ := ctx.Malloc(p, matBytes)
-		b, _ := ctx.Malloc(p, matBytes)
-		c, _ := ctx.Malloc(p, matBytes)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if err := ctx.MemcpyH2D(p, a, matBytes); err != nil {
+		var bufs [3]gpu.Ptr
+		for i := range bufs {
+			ptr, err := ctx.Malloc(p, matBytes)
+			if err != nil {
 				runErr = err
 				return
 			}
-			if err := ctx.MemcpyH2D(p, b, matBytes); err != nil {
+			bufs[i] = ptr
+		}
+		start := p.Now()
+		for i := 0; i < iters; i++ {
+			if err := ctx.MemcpyH2D(p, bufs[0], matBytes); err != nil {
+				runErr = err
+				return
+			}
+			if err := ctx.MemcpyH2D(p, bufs[1], matBytes); err != nil {
 				runErr = err
 				return
 			}
 			ctx.LaunchSync(p, kernel, nil)
 			ctx.DeviceSynchronize(p)
-			if err := ctx.MemcpyD2H(p, c, matBytes); err != nil {
+			if err := ctx.MemcpyD2H(p, bufs[2], matBytes); err != nil {
 				runErr = err
 				return
 			}

@@ -316,9 +316,6 @@ func (s *Stream) EnqueueMarker() *Op {
 	return s.enqueue(o)
 }
 
-// Pending returns the number of queued-plus-executing operations.
-func (s *Stream) Pending() int { return s.pending }
-
 // Sync parks the calling process until every operation enqueued so far has
 // completed.
 func (s *Stream) Sync(p *sim.Proc) {

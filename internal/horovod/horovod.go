@@ -1,14 +1,13 @@
-// Package horovod reproduces the gradient-synchronization layer CosmoFlow
-// uses: Horovod-style allreduce over MPI with tensor fusion. Gradients from
-// all workers are averaged after every training step; small tensors are
-// fused into a single buffer before the ring allreduce, amortizing the
-// per-message latency — the optimization that makes Horovod efficient and
-// that the paper's CosmoFlow runs rely on for inter-GPU communication.
+// Package horovod models the gradient-synchronization layer CosmoFlow
+// uses: Horovod-style allreduce over MPI with tensor fusion. After every
+// training step each worker synchronizes its gradient bytes in fusion-
+// buffer chunks, one coordination cycle and one ring allreduce per chunk —
+// the cost structure that makes Horovod efficient and that the paper's
+// CosmoFlow runs rely on for inter-GPU communication. No gradient values
+// move; only their cost is charged.
 package horovod
 
 import (
-	"fmt"
-
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -33,9 +32,8 @@ type Session struct {
 	rank *mpi.Rank
 	cfg  Config
 
-	allreduces int64
-	cycles     int64
-	bytes      int64
+	cycles int64
+	bytes  int64
 }
 
 // New returns a session for this rank.
@@ -58,19 +56,14 @@ func (s *Session) Rank() *mpi.Rank { return s.rank }
 // Size returns the number of workers.
 func (s *Session) Size() int { return s.rank.Size() }
 
-// Allreduces returns the number of tensor allreduces performed.
-func (s *Session) Allreduces() int64 { return s.allreduces }
-
 // Cycles returns the number of fusion cycles performed.
 func (s *Session) Cycles() int64 { return s.cycles }
 
 // BytesReduced returns the total gradient bytes this worker contributed.
 func (s *Session) BytesReduced() int64 { return s.bytes }
 
-// SyncBytes performs the synchronization of n gradient bytes without
-// materializing them: one fusion cycle plus the ring-allreduce cost per
-// fusion-buffer chunk. Performance-mode workloads use this to charge the
-// true communication cost of large models cheaply.
+// SyncBytes synchronizes n gradient bytes: one fusion cycle plus the
+// ring-allreduce cost per fusion-buffer chunk.
 func (s *Session) SyncBytes(n int64) {
 	if n < 0 {
 		panic("horovod: negative gradient size")
@@ -84,70 +77,6 @@ func (s *Session) SyncBytes(n int64) {
 		s.cycles++
 		s.rank.AllreduceBytes(chunk)
 		s.bytes += chunk
-		s.allreduces++
 		n -= chunk
 	}
-}
-
-// GradAllreduce averages the named gradient tensors across all workers and
-// returns them in the same order. All workers must call it with tensors of
-// identical shapes in identical order (the usual Horovod contract).
-func (s *Session) GradAllreduce(tensors ...[]float64) [][]float64 {
-	if len(tensors) == 0 {
-		return nil
-	}
-	// Pack tensors into fusion chunks.
-	maxElems := int(s.cfg.FusionThresholdBytes / 8)
-	if maxElems < 1 {
-		maxElems = 1
-	}
-	out := make([][]float64, len(tensors))
-	for i := range out {
-		out[i] = make([]float64, len(tensors[i]))
-	}
-	type span struct{ tensor, off, n int }
-	var fused []float64
-	var spans []span
-	flush := func() {
-		if len(fused) == 0 {
-			return
-		}
-		s.rank.Proc().Sleep(s.cfg.CycleTime)
-		s.cycles++
-		reduced := s.rank.Allreduce(fused, mpi.OpSum)
-		inv := 1 / float64(s.rank.Size())
-		pos := 0
-		for _, sp := range spans {
-			for j := 0; j < sp.n; j++ {
-				out[sp.tensor][sp.off+j] = reduced[pos+j] * inv
-			}
-			pos += sp.n
-		}
-		if pos != len(reduced) {
-			panic(fmt.Sprintf("horovod: fusion bookkeeping mismatch: %d vs %d", pos, len(reduced)))
-		}
-		s.bytes += int64(len(fused) * 8)
-		fused = fused[:0]
-		spans = spans[:0]
-	}
-	for ti, tens := range tensors {
-		s.allreduces++
-		off := 0
-		for off < len(tens) {
-			room := maxElems - len(fused)
-			if room == 0 {
-				flush()
-				room = maxElems
-			}
-			n := len(tens) - off
-			if n > room {
-				n = room
-			}
-			fused = append(fused, tens[off:off+n]...)
-			spans = append(spans, span{tensor: ti, off: off, n: n})
-			off += n
-		}
-	}
-	flush()
-	return out
 }

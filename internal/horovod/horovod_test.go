@@ -1,125 +1,11 @@
 package horovod
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
-
-func runWorkers(t *testing.T, size int, cfg Config, fn func(s *Session)) {
-	t.Helper()
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	w := mpi.NewWorld(env, size, mpi.IntraNode())
-	w.SpawnAll(func(r *mpi.Rank) {
-		fn(New(r, cfg))
-	})
-	env.Run()
-	if blocked := env.Blocked(); len(blocked) != 0 {
-		t.Fatalf("deadlocked workers: %v", blocked)
-	}
-}
-
-func TestGradAllreduceAverages(t *testing.T) {
-	results := make([][][]float64, 4)
-	runWorkers(t, 4, Config{}, func(s *Session) {
-		rank := float64(s.Rank().Rank())
-		g1 := []float64{rank, rank * 2}
-		g2 := []float64{10 * rank}
-		results[s.Rank().Rank()] = s.GradAllreduce(g1, g2)
-	})
-	// Average of ranks 0..3 = 1.5.
-	for rank, got := range results {
-		if len(got) != 2 {
-			t.Fatalf("rank %d tensors = %d", rank, len(got))
-		}
-		if math.Abs(got[0][0]-1.5) > 1e-12 || math.Abs(got[0][1]-3.0) > 1e-12 {
-			t.Errorf("rank %d g1 = %v", rank, got[0])
-		}
-		if math.Abs(got[1][0]-15) > 1e-12 {
-			t.Errorf("rank %d g2 = %v", rank, got[1])
-		}
-	}
-}
-
-func TestGradAllreduceDoesNotMutateInputs(t *testing.T) {
-	runWorkers(t, 2, Config{}, func(s *Session) {
-		g := []float64{float64(s.Rank().Rank())}
-		s.GradAllreduce(g)
-		if g[0] != float64(s.Rank().Rank()) {
-			t.Errorf("input gradient mutated: %v", g)
-		}
-	})
-}
-
-func TestFusionPacksSmallTensors(t *testing.T) {
-	runWorkers(t, 2, Config{}, func(s *Session) {
-		// 10 tiny tensors must fuse into a single cycle under the 64 MiB
-		// default threshold.
-		tensors := make([][]float64, 10)
-		for i := range tensors {
-			tensors[i] = []float64{1, 2, 3}
-		}
-		s.GradAllreduce(tensors...)
-		if s.Cycles() != 1 {
-			t.Errorf("cycles = %d, want 1 (fusion)", s.Cycles())
-		}
-		if s.Allreduces() != 10 {
-			t.Errorf("allreduces = %d, want 10", s.Allreduces())
-		}
-	})
-}
-
-func TestFusionSplitsLargeTensors(t *testing.T) {
-	runWorkers(t, 2, Config{FusionThresholdBytes: 800}, func(s *Session) { // 100 elems
-		big := make([]float64, 250)
-		for i := range big {
-			big[i] = float64(i)
-		}
-		out := s.GradAllreduce(big)
-		if s.Cycles() != 3 {
-			t.Errorf("cycles = %d, want 3 (250 elems / 100 per buffer)", s.Cycles())
-		}
-		for i, v := range out[0] {
-			if math.Abs(v-float64(i)) > 1e-12 { // both ranks equal → average = value
-				t.Fatalf("element %d = %v, want %v", i, v, float64(i))
-				return
-			}
-		}
-		if s.BytesReduced() != 2000 {
-			t.Errorf("BytesReduced = %d, want 2000", s.BytesReduced())
-		}
-	})
-}
-
-func TestCycleTimeCharged(t *testing.T) {
-	var elapsed sim.Duration
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	w := mpi.NewWorld(env, 2, mpi.CostModel{})
-	w.SpawnAll(func(r *mpi.Rank) {
-		s := New(r, Config{CycleTime: 5 * sim.Millisecond})
-		start := r.Proc().Now()
-		s.GradAllreduce([]float64{1})
-		if r.Rank() == 0 {
-			elapsed = r.Proc().Now().Sub(start)
-		}
-	})
-	env.Run()
-	if elapsed < 5*sim.Millisecond {
-		t.Errorf("elapsed = %v, want >= 5ms cycle time", elapsed)
-	}
-}
-
-func TestEmptyCallReturnsNil(t *testing.T) {
-	runWorkers(t, 2, Config{}, func(s *Session) {
-		if out := s.GradAllreduce(); out != nil {
-			t.Errorf("empty call = %v", out)
-		}
-	})
-}
 
 func TestNegativeFusionThresholdPanics(t *testing.T) {
 	env := sim.NewEnv()

@@ -7,8 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// --- Numeric mode ---
-
 func TestAtomsFormula(t *testing.T) {
 	// Table I: box 20 = 32k, 80 = 2048k, 100 = 4000k, 120 = 6912k.
 	cases := map[int]int{20: 32000, 80: 2048000, 100: 4000000, 120: 6912000}
@@ -25,136 +23,25 @@ func TestAtomsFormula(t *testing.T) {
 	Atoms(0)
 }
 
-func TestFccLatticeCount(t *testing.T) {
-	s := NewSystem(3, 1)
-	if s.N != 108 || len(s.Pos) != 108 {
-		t.Fatalf("N = %d, want 108 (4·3³)", s.N)
-	}
-	// Density check: N / L³ == ρ*.
-	rho := float64(s.N) / (s.L * s.L * s.L)
-	if math.Abs(rho-Density) > 1e-9 {
-		t.Errorf("density = %v, want %v", rho, Density)
-	}
-}
-
-func TestInitialTemperatureAndMomentum(t *testing.T) {
-	s := NewSystem(4, 42)
-	if got := s.Temperature(); math.Abs(got-InitialTemp) > 1e-9 {
-		t.Errorf("T0 = %v, want %v", got, InitialTemp)
-	}
-	m := s.Momentum()
-	if math.Abs(m.X)+math.Abs(m.Y)+math.Abs(m.Z) > 1e-9 {
-		t.Errorf("net momentum = %+v, want 0", m)
+// TestNeighborsHalfMatchesTheory pins the literal NeighborsHalf to the
+// physics it stands for: half of ρ·(4/3)πr_c³ neighbors inside the cutoff
+// at the benchmark density.
+func TestNeighborsHalfMatchesTheory(t *testing.T) {
+	full := Density * 4 / 3 * math.Pi * Cutoff * Cutoff * Cutoff
+	want := int(full / 2)
+	if NeighborsHalf != want {
+		t.Errorf("NeighborsHalf = %d, want %d", NeighborsHalf, want)
 	}
 }
-
-func TestMomentumConserved(t *testing.T) {
-	s := NewSystem(4, 7)
-	s.Run(50)
-	m := s.Momentum()
-	if math.Abs(m.X)+math.Abs(m.Y)+math.Abs(m.Z) > 1e-7 {
-		t.Errorf("momentum after 50 steps = %+v", m)
-	}
-}
-
-func TestEnergyConserved(t *testing.T) {
-	s := NewSystem(5, 3)
-	e0 := s.TotalEnergy()
-	s.Run(200)
-	e1 := s.TotalEnergy()
-	drift := math.Abs(e1-e0) / math.Abs(e0)
-	if drift > 0.005 {
-		t.Errorf("energy drift over 200 steps = %.4f%% (E %v → %v)", drift*100, e0, e1)
-	}
-	if s.StepsRun != 200 {
-		t.Errorf("StepsRun = %d", s.StepsRun)
-	}
-}
-
-func TestCellListMatchesDirectSum(t *testing.T) {
-	// Forces from the cell-list path must equal the O(N²) reference.
-	s := NewSystem(5, 11) // nCells ≥ 3 → cell path
-	if s.nCells < 3 {
-		t.Skip("box too small to exercise cell path")
-	}
-	peCells := s.ComputeForces()
-	fCells := append([]Vec3(nil), s.Force...)
-	for i := range s.Force {
-		s.Force[i] = Vec3{}
-	}
-	peDirect := s.forcesDirect()
-	if math.Abs(peCells-peDirect) > 1e-9*math.Abs(peDirect) {
-		t.Fatalf("PE cells %v != direct %v", peCells, peDirect)
-	}
-	for i := range fCells {
-		d := fCells[i].Sub(s.Force[i])
-		if math.Abs(d.X)+math.Abs(d.Y)+math.Abs(d.Z) > 1e-9 {
-			t.Fatalf("force %d differs: %+v vs %+v", i, fCells[i], s.Force[i])
-		}
-	}
-}
-
-func TestForcesSumToZero(t *testing.T) {
-	s := NewSystem(5, 5)
-	s.ComputeForces()
-	var sum Vec3
-	for _, f := range s.Force {
-		sum = sum.Add(f)
-	}
-	if math.Abs(sum.X)+math.Abs(sum.Y)+math.Abs(sum.Z) > 1e-8 {
-		t.Errorf("net force = %+v, want 0 (Newton's third law)", sum)
-	}
-}
-
-func TestAverageNeighborsNearTheory(t *testing.T) {
-	// ρ·(4/3)πr³ ≈ 55.3 at the benchmark density and 2.5σ cutoff.
-	s := NewSystem(4, 9)
-	got := s.AverageNeighbors()
-	want := Density * 4 / 3 * math.Pi * Cutoff * Cutoff * Cutoff
-	if math.Abs(got-want)/want > 0.15 {
-		t.Errorf("average neighbors = %v, want ≈ %v", got, want)
-	}
-}
-
-func TestNumericDeterminism(t *testing.T) {
-	a := NewSystem(4, 123)
-	b := NewSystem(4, 123)
-	a.Run(20)
-	b.Run(20)
-	for i := range a.Pos {
-		if a.Pos[i] != b.Pos[i] {
-			t.Fatalf("positions diverged at atom %d", i)
-		}
-	}
-	if a.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestVec3Ops(t *testing.T) {
-	v := Vec3{1, 2, 3}
-	if got := v.Add(Vec3{1, 1, 1}); got != (Vec3{2, 3, 4}) {
-		t.Errorf("Add = %+v", got)
-	}
-	if got := v.Sub(Vec3{1, 1, 1}); got != (Vec3{0, 1, 2}) {
-		t.Errorf("Sub = %+v", got)
-	}
-	if got := v.Scale(2); got != (Vec3{2, 4, 6}) {
-		t.Errorf("Scale = %+v", got)
-	}
-	if got := v.Dot(v); got != 14 {
-		t.Errorf("Dot = %v", got)
-	}
-}
-
-// --- Performance mode ---
 
 func TestPerfValidation(t *testing.T) {
 	if _, err := RunPerf(PerfConfig{BoxSize: 0}); err == nil {
 		t.Error("zero box accepted")
 	}
-	if _, err := RunPerf(PerfConfig{BoxSize: 20, Slack: -1}); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := RunPerf(PerfConfig{BoxSize: 20, Slack: slack}); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 }
 
@@ -354,76 +241,5 @@ func TestPerfGPUUtilizationSane(t *testing.T) {
 	}
 	if r.GPUUtilization <= 0 || r.GPUUtilization >= 1 {
 		t.Errorf("GPU utilization = %v, want in (0,1)", r.GPUUtilization)
-	}
-}
-
-// --- Hybrid mode ---
-
-func TestHybridPhysicsMatchesNumeric(t *testing.T) {
-	// The hybrid run must produce exactly the numeric engine's
-	// trajectory: offload plumbing cannot touch the physics.
-	hybrid, err := RunHybrid(HybridConfig{BoxSize: 4, Steps: 20, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewSystem(4, 42)
-	ref.Run(20)
-	for i := range ref.Pos {
-		if ref.Pos[i] != hybrid.System.Pos[i] {
-			t.Fatalf("trajectory diverged at atom %d: %+v vs %+v", i, ref.Pos[i], hybrid.System.Pos[i])
-		}
-	}
-}
-
-func TestHybridSlackChangesClockNotTrajectory(t *testing.T) {
-	base, err := RunHybrid(HybridConfig{BoxSize: 4, Steps: 15, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slacked, err := RunHybrid(HybridConfig{BoxSize: 4, Steps: 15, Seed: 7, Slack: 1 * sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slacked.Runtime <= base.Runtime {
-		t.Errorf("slack did not slow the clock: %v vs %v", slacked.Runtime, base.Runtime)
-	}
-	if slacked.Energy != base.Energy {
-		t.Errorf("slack changed the physics: energy %v vs %v", slacked.Energy, base.Energy)
-	}
-	for i := range base.System.Pos {
-		if base.System.Pos[i] != slacked.System.Pos[i] {
-			t.Fatalf("slack changed the trajectory at atom %d", i)
-		}
-	}
-	// 3 link-crossing calls per step (2 memcpy + launch).
-	if want := int64(15 * 3); slacked.DelayedCalls != want {
-		t.Errorf("delayed calls = %d, want %d", slacked.DelayedCalls, want)
-	}
-}
-
-func TestHybridEnergyConserved(t *testing.T) {
-	r, err := RunHybrid(HybridConfig{BoxSize: 5, Steps: 100, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewSystem(5, 3)
-	e0 := ref.TotalEnergy()
-	drift := math.Abs(r.Energy-e0) / math.Abs(e0)
-	if drift > 0.005 {
-		t.Errorf("hybrid energy drift = %.4f%%", drift*100)
-	}
-}
-
-func TestHybridValidation(t *testing.T) {
-	if _, err := RunHybrid(HybridConfig{BoxSize: 0, Steps: 1}); err == nil {
-		t.Error("zero box accepted")
-	}
-	if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 0}); err == nil {
-		t.Error("zero steps accepted")
-	}
-	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
-		if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 1, Slack: slack}); err == nil {
-			t.Errorf("slack %v accepted", slack)
-		}
 	}
 }

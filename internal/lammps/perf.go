@@ -1,3 +1,11 @@
+// Package lammps is the performance model of the LAMMPS Lennard-Jones (LJ)
+// benchmark the paper profiles: the melt/LJ liquid in reduced units (fcc
+// lattice at ρ*=0.8442, r_c=2.5σ — the bench/in.lj defaults). Each MD step
+// is driven through the simulated CUDA/GPU/MPI substrates with
+// operation-count cost models, reproducing the paper's strong-scaling and
+// trace experiments at production box sizes (millions of atoms) in virtual
+// time. No particle is ever moved: the paper's method reads only kernel
+// durations, memcpy sizes and runtime fractions.
 package lammps
 
 import (
@@ -12,6 +20,27 @@ import (
 	"repro/internal/slack"
 	"repro/internal/trace"
 )
+
+// Reduced-unit benchmark constants (LAMMPS bench/in.lj).
+const (
+	// Density is the reduced number density ρ*.
+	Density = 0.8442
+	// Cutoff is the LJ interaction cutoff in σ.
+	Cutoff = 2.5
+	// AtomsPerCell is the fcc basis size: 4 atoms per cubic lattice cell.
+	AtomsPerCell = 4
+)
+
+// Atoms returns the atom count for a given box size in the paper's units:
+// box size b is b³ fcc lattice cells of 4 atoms (box 20 = 32 000 atoms,
+// box 120 = 6 912 000; the paper's Table I agrees except for a typo at
+// box 60, printed as 288k where 4·60³ = 864k).
+func Atoms(boxSize int) int {
+	if boxSize <= 0 {
+		panic("lammps: box size must be positive")
+	}
+	return AtomsPerCell * boxSize * boxSize * boxSize
+}
 
 // Cost-model constants, calibrated so that single-process runs reproduce
 // the paper's Table I baselines (box 20..120 between 1.09 and 108 ms/step)
@@ -38,7 +67,7 @@ const (
 	// HaloBytesPerAtom is the wire size of one exchanged ghost atom.
 	HaloBytesPerAtom = 32
 	// NeighborsHalf is the average half-neighbor-list length at the
-	// benchmark density (full count ≈ 55).
+	// benchmark density: half of ρ·(4/3)πr_c³ ≈ 55.3, truncated.
 	NeighborsHalf = 27
 	// DefaultRebuildEvery is the neighbor-list rebuild period in steps.
 	DefaultRebuildEvery = 10
@@ -221,8 +250,8 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 				for dim := 0; dim < 3; dim++ {
 					up := (r.Rank() + 1) % r.Size()
 					down := (r.Rank() - 1 + r.Size()) % r.Size()
-					r.Sendrecv(up, 100+dim, per, nil, down, 100+dim)
-					r.Sendrecv(down, 200+dim, per, nil, up, 200+dim)
+					r.Sendrecv(up, 100+dim, per, down, 100+dim)
+					r.Sendrecv(down, 200+dim, per, up, 200+dim)
 				}
 			}
 

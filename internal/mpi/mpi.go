@@ -1,11 +1,14 @@
 // Package mpi provides a miniature message-passing runtime over the
 // discrete-event simulator: ranks as simulated processes, point-to-point
-// send/receive with a latency/bandwidth cost model, and the collectives the
-// workloads need (Barrier, Bcast, Allreduce, Gather).
+// send/receive with a latency/bandwidth cost model, and the two collectives
+// the workloads need (Barrier and AllreduceBytes). Messages carry a wire
+// size, not data: the mini-apps are performance models, so only the cost
+// of moving bytes matters.
 //
 // The LAMMPS mini-app uses it for domain-decomposition halo exchange; the
-// Horovod layer builds gradient averaging on Allreduce. Costs follow the
-// classic alpha-beta model with ring algorithms for the dense collectives.
+// Horovod layer charges gradient synchronization through AllreduceBytes.
+// Costs follow the classic alpha-beta model with a ring algorithm for the
+// allreduce.
 package mpi
 
 import (
@@ -55,11 +58,10 @@ func (c CostModel) transferTime(n int64) sim.Duration {
 	return t
 }
 
-// message is one in-flight point-to-point payload.
+// message is one in-flight point-to-point transfer.
 type message struct {
 	src, tag int
 	bytes    int64
-	payload  any
 }
 
 // World is a communicator: a fixed set of ranks over one environment.
@@ -79,12 +81,10 @@ type World struct {
 
 // collective is the rendezvous state for one collective call site.
 type collective struct {
-	arrived  int
-	picked   int
-	payloads []any
-	result   any
-	done     *sim.Signal
-	kind     string
+	arrived int
+	picked  int
+	done    *sim.Signal
+	kind    string
 }
 
 // NewWorld creates a communicator of the given size on env. Spawn rank
@@ -110,9 +110,6 @@ func NewWorld(env *sim.Env, size int, cost CostModel) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// Cost returns the communicator's cost model.
-func (w *World) Cost() CostModel { return w.cost }
 
 // MessagesSent returns the number of point-to-point messages delivered.
 func (w *World) MessagesSent() int64 { return w.msgsP2P }
@@ -154,30 +151,30 @@ func (r *Rank) Size() int { return r.w.size }
 // Proc returns the simulated process executing this rank.
 func (r *Rank) Proc() *sim.Proc { return r.p }
 
-// Send transmits payload (with an explicit wire size in bytes) to rank dst
+// Send transmits a message of the given wire size in bytes to rank dst
 // with the given tag. The sender blocks for the transfer cost; the message
 // becomes receivable when Send returns (a rendezvous-free eager model whose
 // cost lands on the sender, the pessimistic accounting).
-func (r *Rank) Send(dst, tag int, bytes int64, payload any) {
+func (r *Rank) Send(dst, tag int, bytes int64) {
 	if dst < 0 || dst >= r.w.size {
 		panic(fmt.Sprintf("mpi: send to rank %d of %d", dst, r.w.size))
 	}
 	r.p.Sleep(r.w.cost.transferTime(bytes))
-	r.w.inbox[dst] = append(r.w.inbox[dst], &message{src: r.rank, tag: tag, bytes: bytes, payload: payload})
+	r.w.inbox[dst] = append(r.w.inbox[dst], &message{src: r.rank, tag: tag, bytes: bytes})
 	r.w.msgsP2P++
 	r.w.bytesP2P += bytes
 	r.w.avail[dst].Fire()
 }
 
 // Recv blocks until a message from src with the given tag arrives and
-// returns its payload and size.
-func (r *Rank) Recv(src, tag int) (any, int64) {
+// returns its size in bytes.
+func (r *Rank) Recv(src, tag int) int64 {
 	for {
 		box := r.w.inbox[r.rank]
 		for i, m := range box {
 			if m.src == src && m.tag == tag {
 				r.w.inbox[r.rank] = append(box[:i], box[i+1:]...)
-				return m.payload, m.bytes
+				return m.bytes
 			}
 		}
 		r.w.avail[r.rank].Wait(r.p)
@@ -185,106 +182,45 @@ func (r *Rank) Recv(src, tag int) (any, int64) {
 }
 
 // Sendrecv exchanges messages with a partner rank without deadlocking:
-// both sides' sends complete before either receive is required.
-func (r *Rank) Sendrecv(dst, sendTag int, bytes int64, payload any, src, recvTag int) (any, int64) {
-	r.Send(dst, sendTag, bytes, payload)
+// both sides' sends complete before either receive is required. It
+// returns the size of the received message.
+func (r *Rank) Sendrecv(dst, sendTag int, bytes int64, src, recvTag int) int64 {
+	r.Send(dst, sendTag, bytes)
 	return r.Recv(src, recvTag)
 }
 
-// enterCollective synchronizes all ranks at one collective call site. The
-// reduce function runs once, on the last-arriving rank, over all payloads
-// in rank order. Every rank then pays cost before proceeding.
-func (r *Rank) enterCollective(kind string, payload any, cost sim.Duration, reduce func(payloads []any) any) any {
+// enterCollective synchronizes all ranks at one collective call site.
+// Every rank then pays cost before proceeding.
+func (r *Rank) enterCollective(kind string, cost sim.Duration) {
 	w := r.w
 	seq := w.collSeq[r.rank]
 	w.collSeq[r.rank]++
 	st, ok := w.colls[seq]
 	if !ok {
-		st = &collective{
-			payloads: make([]any, w.size),
-			done:     sim.NewSignal(w.env),
-			kind:     kind,
-		}
+		st = &collective{done: sim.NewSignal(w.env), kind: kind}
 		w.colls[seq] = st
 	}
 	if st.kind != kind {
 		panic(fmt.Sprintf("mpi: collective mismatch at sequence %d: %s vs %s (ranks diverged)", seq, st.kind, kind))
 	}
-	st.payloads[r.rank] = payload
 	st.arrived++
 	if st.arrived == w.size {
-		if reduce != nil {
-			st.result = reduce(st.payloads)
-		}
 		st.done.Fire()
 	} else {
 		st.done.Wait(r.p)
 	}
-	res := st.result
 	st.picked++
 	if st.picked == w.size {
 		delete(w.colls, seq)
 	}
 	r.p.Sleep(cost)
-	return res
 }
 
 // Barrier blocks until every rank reaches it; cost is a log-depth
 // latency tree.
 func (r *Rank) Barrier() {
 	cost := r.w.cost.Alpha * sim.Duration(log2ceil(r.w.size))
-	r.enterCollective("barrier", nil, cost, nil)
-}
-
-// Op is a reduction operator for Allreduce.
-type Op int
-
-const (
-	// OpSum element-wise adds.
-	OpSum Op = iota
-	// OpMax takes the element-wise maximum.
-	OpMax
-	// OpMin takes the element-wise minimum.
-	OpMin
-)
-
-// Allreduce combines each rank's vector element-wise with op and returns
-// the combined vector to every rank. The cost follows the ring algorithm:
-// 2(P-1) steps, each moving bytes/P.
-func (r *Rank) Allreduce(values []float64, op Op) []float64 {
-	bytes := int64(len(values) * 8)
-	cost := r.ringCost(bytes)
-	res := r.enterCollective("allreduce", values, cost, func(payloads []any) any {
-		if len(payloads) == 0 {
-			return []float64(nil)
-		}
-		first := payloads[0].([]float64)
-		out := append([]float64(nil), first...)
-		for _, pl := range payloads[1:] {
-			vec := pl.([]float64)
-			if len(vec) != len(out) {
-				panic(fmt.Sprintf("mpi: allreduce length mismatch: %d vs %d", len(vec), len(out)))
-			}
-			for i, v := range vec {
-				switch op {
-				case OpSum:
-					out[i] += v
-				case OpMax:
-					if v > out[i] {
-						out[i] = v
-					}
-				case OpMin:
-					if v < out[i] {
-						out[i] = v
-					}
-				default:
-					panic(fmt.Sprintf("mpi: unknown op %d", op))
-				}
-			}
-		}
-		return out
-	})
-	return res.([]float64)
+	r.enterCollective("barrier", cost)
 }
 
 // ringCost is the ring-allreduce critical path for n payload bytes.
@@ -302,64 +238,13 @@ func (r *Rank) ringCost(n int64) sim.Duration {
 	return steps * per
 }
 
-// Bcast distributes root's vector to every rank (binomial-tree cost).
-func (r *Rank) Bcast(values []float64, root int) []float64 {
-	if root < 0 || root >= r.w.size {
-		panic(fmt.Sprintf("mpi: bcast root %d of %d", root, r.w.size))
-	}
-	bytes := int64(len(values) * 8)
-	cost := sim.Duration(log2ceil(r.w.size)) * r.w.cost.transferTime(bytes)
-	var payload any
-	if r.rank == root {
-		payload = values
-	}
-	res := r.enterCollective("bcast", payload, cost, func(payloads []any) any {
-		return payloads[root]
-	})
-	if res == nil {
-		return nil
-	}
-	return append([]float64(nil), res.([]float64)...)
-}
-
-// Gather collects every rank's vector at root (returned in rank order);
-// non-root ranks receive nil.
-func (r *Rank) Gather(values []float64, root int) [][]float64 {
-	if root < 0 || root >= r.w.size {
-		panic(fmt.Sprintf("mpi: gather root %d of %d", root, r.w.size))
-	}
-	bytes := int64(len(values) * 8)
-	// Root receives P-1 messages serialized at its NIC.
-	cost := sim.Duration(r.w.size-1) * r.w.cost.transferTime(bytes)
-	res := r.enterCollective("gather", values, cost, func(payloads []any) any {
-		out := make([][]float64, len(payloads))
-		for i, pl := range payloads {
-			if pl != nil {
-				out[i] = pl.([]float64)
-			}
-		}
-		return out
-	})
-	if r.rank != root {
-		return nil
-	}
-	return res.([][]float64)
-}
-
 // AllreduceBytes synchronizes all ranks and charges the ring-allreduce
-// cost for n payload bytes without moving data — the cost-model path used
-// by performance-mode workloads whose gradient buffers would be wasteful
-// to materialize.
+// cost for n payload bytes: 2(P-1) steps, each moving n/P bytes.
 func (r *Rank) AllreduceBytes(n int64) {
 	if n < 0 {
 		panic("mpi: negative allreduce size")
 	}
-	r.enterCollective("allreduce-bytes", nil, r.ringCost(n), nil)
-}
-
-// AllreduceScalar is Allreduce for a single value.
-func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
-	return r.Allreduce([]float64{v}, op)[0]
+	r.enterCollective("allreduce-bytes", r.ringCost(n))
 }
 
 // log2ceil returns ceil(log2(n)) for n >= 1.

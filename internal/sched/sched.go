@@ -246,6 +246,9 @@ func WorkloadMix(n int, coresPerNode int, seed int64) ([]Job, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sched: non-positive job count %d", n)
 	}
+	if coresPerNode <= 0 {
+		return nil, fmt.Errorf("sched: non-positive cores per node %d", coresPerNode)
+	}
 	rng := rand.New(rand.NewPCG(uint64(seed), workloadSalt))
 	var jobs []Job
 	var t sim.Time

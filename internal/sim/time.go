@@ -38,9 +38,6 @@ const (
 	Minute      Duration = 60
 )
 
-// Micros returns d expressed in microseconds.
-func (d Duration) Micros() float64 { return float64(d) / 1e-6 }
-
 // Millis returns d expressed in milliseconds.
 func (d Duration) Millis() float64 { return float64(d) / 1e-3 }
 
