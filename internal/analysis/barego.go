@@ -10,9 +10,10 @@ import (
 // The engine's determinism rests on single-owner handoff: exactly one
 // process runs at a time, and only the sim scheduler may create goroutines
 // (sim.Env.SpawnAt) because only it sequences their wake-ups through the
-// event heap. A bare goroutine anywhere else in the model reintroduces real
-// concurrency — and with it scheduling nondeterminism — behind the
-// engine's back. Package main and test files may use goroutines; they sit
+// event heap. Work that never blocks needs no goroutine at all:
+// sim.Env.After sequences a callback through the same heap. A bare
+// goroutine anywhere else in the model reintroduces real concurrency — and
+// with it scheduling nondeterminism — behind the engine's back. Package main and test files may use goroutines; they sit
 // outside the simulated world.
 //
 // One shape is exempt: a structured sync.WaitGroup worker pool. A

@@ -491,8 +491,10 @@ func (st *funcState) inMapRange(pos token.Pos) bool {
 
 // orderSink names a call that makes map iteration order observable when it
 // runs inside a map-range body, whatever its arguments: output (print,
-// write, encode) or simulator events (spawn, fire, launch, schedule). It
-// matches by method name, so any receiver's Write or Fire counts.
+// write, encode) or simulator events (spawn, callback, fire, launch,
+// schedule). It matches by method name, so any receiver's Write or Fire
+// counts. After must take two arguments, the shape of sim.Env.After, so
+// time.After and time.Time.After comparisons stay clean.
 func orderSink(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -502,7 +504,8 @@ func orderSink(call *ast.CallExpr) string {
 	case strings.HasPrefix(name, "Print"), strings.HasPrefix(name, "Fprint"),
 		strings.HasPrefix(name, "Write"), strings.HasPrefix(name, "Encode"):
 		return name + " (output)"
-	case name == "Spawn", name == "SpawnAt", name == "Fire", name == "Launch", name == "schedule":
+	case name == "Spawn", name == "SpawnAt", name == "Fire", name == "Launch", name == "schedule",
+		name == "After" && len(call.Args) == 2:
 		return name + " (simulator event)"
 	}
 	return ""
@@ -532,7 +535,7 @@ func sinkOf(g *callGraph, info *types.Info, call *ast.CallExpr) (string, func(in
 				}
 				if pkg := fn.Pkg(); pkg != nil && strings.HasSuffix(pkg.Path(), "/internal/sim") {
 					switch name {
-					case "Spawn", "SpawnAt", "Sleep":
+					case "Spawn", "SpawnAt", "After", "Sleep":
 						return "sim event scheduling (" + name + ")", nil
 					}
 				}

@@ -59,6 +59,33 @@ func firesPerKey(m map[string]signal) {
 	}
 }
 
+type clock struct{}
+
+func (clock) After(d float64, fn func()) {}
+
+// schedulesPerKey queues one callback per key, in map order.
+func schedulesPerKey(m map[string]func(), c clock) {
+	for _, fn := range m {
+		c.After(0, fn) // want
+	}
+}
+
+type instant float64
+
+func (a instant) After(b instant) bool { return a > b }
+
+// countsLaterPerKey compares instants in map order; a one-argument After
+// is a comparison, not a callback, and the count commutes.
+func countsLaterPerKey(m map[string]instant, t instant) int {
+	n := 0
+	for _, v := range m {
+		if v.After(t) {
+			n++
+		}
+	}
+	return n
+}
+
 func suppressedPerKey(m map[string]int) {
 	for range m {
 		//cdivet:allow taint corpus: demonstrates a justified suppression

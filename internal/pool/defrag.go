@@ -35,7 +35,7 @@ type move struct {
 // sweep picks a victim server, plans best-fit single-server targets for
 // its allocations against a scratch free list, and — if the plan
 // strictly reduces stranded capacity or unblocks a queued gang — commits
-// the capacity swap and spawns the copy processes. Reports whether a
+// the capacity swap and schedules the copy callbacks. Reports whether a
 // sweep ran.
 func (s *Scheduler) sweep(now sim.Time) bool {
 	v := s.pickVictim()
@@ -138,7 +138,7 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 // executeMove commits one migration: the capacity swap is atomic at copy
 // start (pre-copy live migration — the source keeps running until the
 // replay lands, so goodput sees no gap), the handle-table bytes are
-// charged at the crossed tier, and a copy process reports back when the
+// charged at the crossed tier, and a copy callback reports back when the
 // replay completes.
 func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	a := &s.allocs[mv.id]
@@ -155,7 +155,5 @@ func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	s.stats.MigrationBytes += int64(j.Gang) * j.Shape.BytesPerGPU()
 	s.sweepOutstanding++
 	id := mv.id
-	s.env.SpawnAt(cost, "pool-migrate", func(mp *sim.Proc) {
-		s.post(msgMigrated, id)
-	})
+	s.env.After(cost, func() { s.post(msgMigrated, id) })
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -138,15 +139,21 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
+// validate rejects a workload the generator cannot size. The negated
+// comparisons also catch NaN, which would otherwise size the schedule from
+// a NaN count and panic.
 func (w Workload) validate() error {
-	if w.Window <= 0 {
-		return fmt.Errorf("pool: workload window %v <= 0", w.Window)
+	if !w.Window.Valid() || w.Window == 0 {
+		return fmt.Errorf("pool: workload window %v not finite and positive", w.Window)
 	}
-	if w.Load <= 0 || w.Load > 1 {
+	if !(w.Load > 0 && w.Load <= 1) {
 		return fmt.Errorf("pool: workload load %g outside (0, 1]", w.Load)
 	}
-	if w.Intensity < 0 {
-		return fmt.Errorf("pool: negative churn intensity %g", w.Intensity)
+	if !(w.Intensity >= 0) || math.IsInf(w.Intensity, 1) {
+		return fmt.Errorf("pool: churn intensity %g not finite and non-negative", w.Intensity)
+	}
+	if !w.BaseLifetime.Valid() || w.BaseLifetime == 0 {
+		return fmt.Errorf("pool: base lifetime %v not finite and positive", w.BaseLifetime)
 	}
 	return nil
 }

@@ -122,6 +122,13 @@ func testTopo() Topology {
 
 func runPool(t *testing.T, cfg Config) Stats {
 	t.Helper()
+	st, _ := runPoolCounted(t, cfg)
+	return st
+}
+
+// runPoolCounted is runPool that also returns the engine's counters.
+func runPoolCounted(t *testing.T, cfg Config) (Stats, sim.Stats) {
+	t.Helper()
 	env := sim.NewEnv()
 	defer env.Close()
 	s, err := Start(env, cfg)
@@ -129,40 +136,111 @@ func runPool(t *testing.T, cfg Config) Stats {
 		t.Fatal(err)
 	}
 	env.Run()
-	return s.Stats()
+	return s.Stats(), env.Stats()
 }
 
-// TestSchedulerSmoke runs a churning pool to completion and checks the
-// accounting invariants: every job resolves, goodput lands in (0, 1],
-// metrics stay finite.
+// TestSchedulerSmoke runs a churning pool to completion, with the
+// defragmenter off and on, and checks the accounting invariants: every job
+// resolves, goodput lands in (0, 1], metrics stay finite. The scheduler is
+// the run's only process: job ends and migration copies are callback
+// events, one per placement and one per migration.
 func TestSchedulerSmoke(t *testing.T) {
 	for pol := FirstFit; pol <= TierAware; pol++ {
-		st := runPool(t, Config{
-			Topo:   testTopo(),
-			Policy: pol,
-			Workload: Workload{
-				Seed: 7, Window: 50 * sim.Millisecond, Load: 0.7, Intensity: 1,
-			},
-			Defrag: true,
+		for _, defrag := range []bool{false, true} {
+			st, es := runPoolCounted(t, Config{
+				Topo:   testTopo(),
+				Policy: pol,
+				Workload: Workload{
+					Seed: 7, Window: 50 * sim.Millisecond, Load: 0.7, Intensity: 1,
+				},
+				Defrag: defrag,
+			})
+			if st.Jobs == 0 || st.Placed == 0 {
+				t.Fatalf("%v defrag=%v: no jobs ran: %+v", pol, defrag, st)
+			}
+			if st.Placed+st.Killed < st.Jobs {
+				t.Fatalf("%v defrag=%v: %d jobs, only %d placed + %d killed", pol, defrag, st.Jobs, st.Placed, st.Killed)
+			}
+			if st.Goodput <= 0 || st.Goodput > 1 {
+				t.Fatalf("%v defrag=%v: goodput %g outside (0, 1]", pol, defrag, st.Goodput)
+			}
+			if math.IsNaN(st.FragAvg) || st.FragAvg < 0 || st.FragAvg > 1 {
+				t.Fatalf("%v defrag=%v: frag average %g", pol, defrag, st.FragAvg)
+			}
+			if st.StrandedAvg < 0 {
+				t.Fatalf("%v defrag=%v: stranded average %g", pol, defrag, st.StrandedAvg)
+			}
+			if st.PeakConcurrent <= 0 {
+				t.Fatalf("%v defrag=%v: peak concurrency %d", pol, defrag, st.PeakConcurrent)
+			}
+			if defrag && pol == TierAware && st.Migrations == 0 {
+				t.Fatalf("%v defrag=%v: no migrations, the copy callbacks went unexercised", pol, defrag)
+			}
+			if es.Spawns != 1 {
+				t.Fatalf("%v defrag=%v: %d processes spawned, want 1 (the scheduler)", pol, defrag, es.Spawns)
+			}
+			if want := uint64(st.Placed) + uint64(st.Migrations); es.Callbacks != want {
+				t.Fatalf("%v defrag=%v: %d callbacks, want %d placed + %d migrations", pol, defrag, es.Callbacks, st.Placed, st.Migrations)
+			}
+		}
+	}
+}
+
+// TestBadInputsRejected: every unusable workload or config field is an
+// error from Start, never a panic, after defaults are applied.
+func TestBadInputsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	good := func() Config {
+		return Config{
+			Topo:     testTopo(),
+			Policy:   TierAware,
+			Workload: Workload{Seed: 3, Window: 20 * sim.Millisecond, Load: 0.5, Intensity: 1},
+			Defrag:   true,
+		}
+	}
+	cases := []struct {
+		name string
+		mut  func(c *Config)
+	}{
+		{"window NaN", func(c *Config) { c.Workload.Window = sim.Duration(nan) }},
+		{"window +Inf", func(c *Config) { c.Workload.Window = sim.Duration(inf) }},
+		{"load NaN", func(c *Config) { c.Workload.Load = nan }},
+		{"intensity +Inf", func(c *Config) { c.Workload.Intensity = inf }},
+		{"base lifetime -1ms", func(c *Config) { c.Workload.BaseLifetime = -sim.Millisecond }},
+		{"base lifetime NaN", func(c *Config) { c.Workload.BaseLifetime = sim.Duration(nan) }},
+		{"migrate penalty NaN", func(c *Config) { c.MigratePenalty = sim.Duration(nan) }},
+		{"migrate penalty negative", func(c *Config) { c.MigratePenalty = -sim.Millisecond }},
+		{"migrate penalty +Inf", func(c *Config) { c.MigratePenalty = sim.Duration(inf) }},
+		{"defrag cadence negative", func(c *Config) { c.DefragEvery = -sim.Millisecond }},
+		{"defrag cadence NaN", func(c *Config) { c.DefragEvery = sim.Duration(nan) }},
+		{"ref gang -4", func(c *Config) { c.RefGang = -4 }},
+		{"ref gang above server", func(c *Config) { c.RefGang = 64 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := good()
+			c.mut(&cfg)
+			env := sim.NewEnv()
+			defer env.Close()
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Start panicked: %v", r)
+					}
+				}()
+				_, err = Start(env, cfg)
+			}()
+			if err == nil {
+				t.Fatalf("Start accepted %+v", cfg)
+			}
 		})
-		if st.Jobs == 0 || st.Placed == 0 {
-			t.Fatalf("%v: no jobs ran: %+v", pol, st)
-		}
-		if st.Placed+st.Killed < st.Jobs {
-			t.Fatalf("%v: %d jobs, only %d placed + %d killed", pol, st.Jobs, st.Placed, st.Killed)
-		}
-		if st.Goodput <= 0 || st.Goodput > 1 {
-			t.Fatalf("%v: goodput %g outside (0, 1]", pol, st.Goodput)
-		}
-		if math.IsNaN(st.FragAvg) || st.FragAvg < 0 || st.FragAvg > 1 {
-			t.Fatalf("%v: frag average %g", pol, st.FragAvg)
-		}
-		if st.StrandedAvg < 0 {
-			t.Fatalf("%v: stranded average %g", pol, st.StrandedAvg)
-		}
-		if st.PeakConcurrent <= 0 {
-			t.Fatalf("%v: peak concurrency %d", pol, st.PeakConcurrent)
-		}
+	}
+	// The good base config itself runs.
+	env := sim.NewEnv()
+	defer env.Close()
+	if _, err := Start(env, good()); err != nil {
+		t.Fatalf("base config rejected: %v", err)
 	}
 }
 

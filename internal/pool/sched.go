@@ -55,6 +55,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects what withDefaults leaves unusable. It runs after the
+// topology check, since RefGang is bounded by the server size.
+func (c Config) validate() error {
+	if !c.DefragEvery.Valid() {
+		return fmt.Errorf("pool: defrag cadence %v not finite and non-negative", c.DefragEvery)
+	}
+	if !c.MigratePenalty.Valid() {
+		return fmt.Errorf("pool: migrate penalty %v not finite and non-negative", c.MigratePenalty)
+	}
+	if c.RefGang < 1 || c.RefGang > c.Topo.GPUsPerServer {
+		return fmt.Errorf("pool: reference gang %d outside [1, %d]", c.RefGang, c.Topo.GPUsPerServer)
+	}
+	return nil
+}
+
 // Stats is what a finished run reports.
 type Stats struct {
 	// Jobs is the generated batch job count; Placed ran, Blocked queued
@@ -137,10 +152,10 @@ type alloc struct {
 }
 
 // Scheduler is the pool control loop: a single process owns every
-// placement decision; job-lifetime and migration-copy processes talk back
-// to it through the mailbox. It
-// implements health.Pool, so the heartbeat control plane can drain and
-// readmit pool servers like any other.
+// placement decision; job-end and migration-copy callback events talk
+// back to it through the mailbox. It implements health.Pool, so the
+// heartbeat control plane can drain and readmit pool servers like any
+// other.
 type Scheduler struct {
 	env    *sim.Env
 	cfg    Config
@@ -206,6 +221,9 @@ type Scheduler struct {
 func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Topo.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Policy < FirstFit || cfg.Policy > TierAware {
@@ -313,8 +331,8 @@ func (s *Scheduler) reserveServing() error {
 // drained.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
-// post delivers a mailbox message to the scheduler from another process
-// (a job-lifetime or migration-copy process, or the health plane) and
+// post delivers a mailbox message to the scheduler from outside its
+// process (a job-end or migration-copy callback, or the health plane) and
 // wakes it.
 func (s *Scheduler) post(k msgKind, arg int) {
 	s.mail = append(s.mail, msg{kind: k, arg: arg})
@@ -487,9 +505,7 @@ func (s *Scheduler) doPlace(now sim.Time, id int, sl []slice, scale fabric.Scale
 	if lat > s.stats.PlaceLatencyMax {
 		s.stats.PlaceLatencyMax = lat
 	}
-	s.env.SpawnAt(j.Lifetime, "pool-job-end", func(jp *sim.Proc) {
-		s.post(msgDone, id)
-	})
+	s.env.After(j.Lifetime, func() { s.post(msgDone, id) })
 }
 
 // clipSpan returns the seconds of [from, to] inside the window.

@@ -182,7 +182,7 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 
 	for _, j := range pending {
 		j := j
-		env.SpawnAt(sim.Duration(j.Arrival), "arrival:"+j.Name, func(p *sim.Proc) {
+		env.After(sim.Duration(j.Arrival), func() {
 			js := &JobStats{Job: j}
 			stats[j.Name] = js
 			arrivalsLeft--

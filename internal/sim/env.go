@@ -7,11 +7,13 @@ import (
 )
 
 // event is a scheduled wake-up for a parked process (or a start for a
-// freshly spawned one).
+// freshly spawned one), or a callback: an event with no process whose fn
+// runs inline on whichever goroutine pops it.
 type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for simultaneous events
 	proc *Proc
+	fn   func() // the callback; nil for process wake-ups
 	// cancelled events stay queued but are skipped when they surface; this
 	// is how racing wake-ups (timeout vs signal) resolve without queue
 	// surgery.
@@ -49,6 +51,9 @@ const (
 // The driver goroutine that called Run only regains control when the run
 // segment ends. Step and Close fall back to the central-handoff path, which
 // delivers exactly one wake-up per exchange.
+//
+// Callback events (After) need no goroutine at all: whoever holds the
+// baton runs the callback inline when it surfaces and keeps popping.
 type Env struct {
 	now Time
 	seq uint64
@@ -65,9 +70,13 @@ type Env struct {
 	nprocs int           // live (started, not finished) processes
 	closed bool
 
-	// parked tracks every process currently blocked on a Signal (not a
+	// parked lists every process currently blocked on a Signal (not a
 	// timer), so deadlocks can be reported and Close can unwind goroutines.
-	parked map[*Proc]struct{}
+	// It is intrusive: each parked process stores its own index (parkIdx),
+	// so parking appends and unparking swap-removes, with no hashing.
+	parked []*Proc
+
+	stats Stats
 
 	// free recycles consumed events, and slab batch-allocates fresh ones in
 	// 64-event chunks. The hot loop of every simulation is
@@ -147,13 +156,49 @@ func (h *eventHeap) pop() *event {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{park: make(chan struct{}), parked: make(map[*Proc]struct{})}
+	e := &Env{park: make(chan struct{})}
 	e.horizon = Time(math.Inf(1))
 	return e
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
+
+// Stats counts what the engine has done since NewEnv.
+type Stats struct {
+	// Scheduled counts events pushed onto the queue: process starts,
+	// wake-ups and callbacks. Delivered counts those consumed: a process
+	// woke (Close's unwinding of sleeping and unstarted processes
+	// included) or a callback ran. Cancelled counts those discarded:
+	// losers of a timer-versus-signal race as they surface, and callbacks
+	// Close drops. Scheduled minus both is the queue length.
+	Scheduled, Delivered, Cancelled uint64
+	// Callbacks counts delivered callback events (After).
+	Callbacks uint64
+	// Spawns counts processes created, each its own goroutine.
+	Spawns uint64
+	// SelfWakes counts wake-ups a yielding process popped for itself and
+	// continued inline; Switches counts wake-ups handed to a process on
+	// another goroutine, one channel send each. Every delivered event is
+	// exactly one of a callback, a self-wake or a switch.
+	SelfWakes, Switches uint64
+	// PeakPending is the largest queue length seen, cancelled events
+	// still queued included.
+	PeakPending uint64
+}
+
+// Stats returns the engine's counters.
+func (e *Env) Stats() Stats {
+	// Scheduled, Delivered and SelfWakes are derived, so the self-wake
+	// fast path does no bookkeeping: every scheduled event took one seq
+	// and is now queued, cancelled or delivered, and a delivered one is a
+	// callback, a switch, or else a self-wake.
+	st := e.stats
+	st.Scheduled = e.seq
+	st.Delivered = st.Scheduled - st.Cancelled - uint64(len(e.queue))
+	st.SelfWakes = st.Delivered - st.Callbacks - st.Switches
+	return st
+}
 
 // newEvent returns a zeroed event from the freelist or the slab.
 func (e *Env) newEvent() *event {
@@ -178,13 +223,49 @@ func (e *Env) schedule(at Time, p *Proc, kind wakeKind) *event {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	ev := e.newEvent()
-	ev.at, ev.seq, ev.proc, ev.kind = at, e.seq, p, kind
-	ev.cancelled = false
-	e.queue.push(ev)
+	ev := e.push(at)
+	ev.proc, ev.kind = p, kind
 	p.waits = append(p.waits, ev)
 	return ev
+}
+
+// push enqueues a fresh event at at, taking the next schedule sequence.
+// The caller fills in the process or the callback.
+func (e *Env) push(at Time) *event {
+	e.seq++
+	ev := e.newEvent()
+	ev.at, ev.seq = at, e.seq
+	ev.cancelled = false
+	e.queue.push(ev)
+	if n := uint64(len(e.queue)); n > e.stats.PeakPending {
+		e.stats.PeakPending = n
+	}
+	return ev
+}
+
+// After schedules fn to run once d from now. The callback takes its
+// (time, seq) slot when After is called, exactly as a SpawnAt start
+// event would, but it has no process: the goroutine that pops it runs fn
+// inline and carries on, so fn must not block. fn may schedule events,
+// fire signals and spawn processes. Close drops pending callbacks without
+// running them. A negative or NaN delay panics.
+func (e *Env) After(d Duration, fn func()) {
+	e.checkDelay("After", d)
+	e.push(e.now.Add(d)).fn = fn
+}
+
+// checkDelay panics if the environment is closed or delay is negative or
+// NaN; op names the caller in the message.
+func (e *Env) checkDelay(op string, delay Duration) {
+	if e.closed {
+		panic("sim: " + op + " on closed Env")
+	}
+	if delay < 0 {
+		panic("sim: negative " + op + " delay")
+	}
+	if math.IsNaN(float64(delay)) {
+		panic("sim: NaN " + op + " delay")
+	}
 }
 
 // recycle returns a consumed event to the freelist. The caller must hold
@@ -192,6 +273,7 @@ func (e *Env) schedule(at Time, p *Proc, kind wakeKind) *event {
 // waits list contains it.
 func (e *Env) recycle(ev *event) {
 	ev.proc = nil
+	ev.fn = nil
 	e.free = append(e.free, ev)
 }
 
@@ -206,6 +288,7 @@ func (e *Env) next() *event {
 		if ev.cancelled {
 			e.queue.pop()
 			e.recycle(ev)
+			e.stats.Cancelled++
 			continue
 		}
 		if ev.at > e.horizon {
@@ -219,6 +302,29 @@ func (e *Env) next() *event {
 	return nil
 }
 
+// nextProc is next for the goroutine holding the baton: callback events
+// run inline as they surface, and the first process wake-up (or nil, at
+// the end of the segment) is returned.
+func (e *Env) nextProc() *event {
+	for {
+		ev := e.next()
+		if ev == nil || ev.fn == nil {
+			return ev
+		}
+		e.runCallback(ev)
+	}
+}
+
+// runCallback consumes a callback event: it advances the clock and runs
+// fn on the calling goroutine.
+func (e *Env) runCallback(ev *event) {
+	fn := ev.fn
+	e.now = ev.at
+	e.recycle(ev)
+	e.stats.Callbacks++
+	fn()
+}
+
 // wake consumes ev: it cancels the process's rival wake-ups, clears its
 // parked registration, advances the clock, and records the wake kind. The
 // caller transfers control to the returned process (or is it).
@@ -230,9 +336,8 @@ func (e *Env) wake(ev *event) *Proc {
 		}
 	}
 	p.waits = p.waits[:0]
-	if p.sigParked {
-		delete(e.parked, p)
-		p.sigParked = false
+	if p.parkIdx >= 0 {
+		e.unpark(p)
 	}
 	e.now = ev.at
 	p.wake = ev.kind
@@ -240,14 +345,33 @@ func (e *Env) wake(ev *event) *Proc {
 	return p
 }
 
+// parkOn registers p as blocked on a Signal.
+func (e *Env) parkOn(p *Proc) {
+	p.parkIdx = len(e.parked)
+	e.parked = append(e.parked, p)
+}
+
+// unpark removes p from the parked list by moving the last entry into its
+// slot.
+func (e *Env) unpark(p *Proc) {
+	i, last := p.parkIdx, len(e.parked)-1
+	q := e.parked[last]
+	e.parked[i] = q
+	q.parkIdx = i
+	e.parked[last] = nil
+	e.parked = e.parked[:last]
+	p.parkIdx = -1
+}
+
 // dispatch advances the simulation from a yielding process's goroutine: it
-// pops the next event and either continues inline (the event is self's own
-// wake-up — the zero-handoff fast path), resumes the winning process
-// directly, or hands the baton back to the driver when the segment is over.
-// It reports whether self was woken inline; otherwise self must block on
-// its resume channel.
+// pops the next process wake-up, running any callbacks that surface first,
+// and either continues inline (the event is self's own wake-up — the
+// zero-handoff fast path), resumes the winning process directly, or hands
+// the baton back to the driver when the segment is over. It reports
+// whether self was woken inline; otherwise self must block on its resume
+// channel.
 func (e *Env) dispatch(self *Proc) bool {
-	ev := e.next()
+	ev := e.nextProc()
 	if ev == nil {
 		e.park <- struct{}{}
 		return false
@@ -256,8 +380,14 @@ func (e *Env) dispatch(self *Proc) bool {
 	if q == self {
 		return true
 	}
-	q.resume <- struct{}{}
+	e.handoff(q)
 	return false
+}
+
+// handoff resumes q, a process on another goroutine, and counts the switch.
+func (e *Env) handoff(q *Proc) {
+	e.stats.Switches++
+	q.resume <- struct{}{}
 }
 
 // Spawn creates a process running fn and schedules it to start at the
@@ -271,18 +401,11 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is Spawn with a start delay. A negative or NaN delay panics.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
-	if e.closed {
-		panic("sim: Spawn on closed Env")
-	}
-	if delay < 0 {
-		panic("sim: negative spawn delay")
-	}
-	if math.IsNaN(float64(delay)) {
-		panic("sim: NaN spawn delay")
-	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	e.checkDelay("Spawn", delay)
+	p := &Proc{env: e, name: name, resume: make(chan struct{}), parkIdx: -1}
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
+	e.stats.Spawns++
 	go func() {
 		defer func() {
 			r := recover()
@@ -300,12 +423,12 @@ func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
 			// Baton mode: the dying goroutine keeps the scheduler loop
 			// going. A finished process has no pending wake-ups, so the
 			// next event always belongs to someone else (or ends the run).
-			ev := e.next()
+			ev := e.nextProc()
 			if ev == nil {
 				e.park <- struct{}{}
 				return
 			}
-			e.wake(ev).resume <- struct{}{}
+			e.handoff(e.wake(ev))
 		}()
 		<-p.resume
 		if p.aborted {
@@ -335,20 +458,21 @@ func (e *Env) RunUntil(horizon Time) Time {
 	}
 	e.horizon = horizon
 	e.direct = true
-	ev := e.next()
+	ev := e.nextProc()
 	if ev == nil {
 		e.direct = false
 		return e.now
 	}
-	e.wake(ev).resume <- struct{}{}
+	e.handoff(e.wake(ev))
 	<-e.park
 	e.direct = false
 	return e.now
 }
 
-// Step runs a single event and reports whether one was available. Unlike
-// RunUntil, the woken process hands control straight back after one
-// wake-up, so Step always pays the full driver round-trip.
+// Step runs a single event and reports whether one was available. A
+// callback runs on the calling goroutine. Unlike RunUntil, a woken
+// process hands control straight back after one wake-up, so Step always
+// pays the full driver round-trip.
 func (e *Env) Step() bool {
 	e.horizon = Time(math.Inf(1))
 	e.direct = false
@@ -356,7 +480,11 @@ func (e *Env) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.wake(ev).resume <- struct{}{}
+	if ev.fn != nil {
+		e.runCallback(ev)
+		return true
+	}
+	e.handoff(e.wake(ev))
 	<-e.park
 	return true
 }
@@ -366,7 +494,7 @@ func (e *Env) Step() bool {
 // result is sorted for stable test output.
 func (e *Env) Blocked() []string {
 	names := make([]string, 0, len(e.parked))
-	for p := range e.parked {
+	for _, p := range e.parked {
 		names = append(names, p.name)
 	}
 	sort.Strings(names)
@@ -376,10 +504,11 @@ func (e *Env) Blocked() []string {
 // Live returns the number of processes that have started but not finished.
 func (e *Env) Live() int { return e.nprocs }
 
-// Close unwinds every parked process goroutine and marks the environment
-// unusable. It must not be called from inside a process. Close is safe to
-// call after Run; environments that ran to completion with no blocked
-// processes have nothing to unwind.
+// Close unwinds every parked process goroutine, drops pending callbacks
+// without running them, and marks the environment unusable. It must not
+// be called from inside a process. Close is safe to call after Run;
+// environments that ran to completion with no blocked processes have
+// nothing to unwind.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -387,27 +516,33 @@ func (e *Env) Close() {
 	e.closed = true
 	e.direct = false
 	e.horizon = Time(math.Inf(1))
-	// Unwind processes parked on signals.
-	for p := range e.parked {
+	// Unwind processes parked on signals, last parked first.
+	for len(e.parked) > 0 {
+		p := e.parked[len(e.parked)-1]
+		e.unpark(p)
 		for _, o := range p.waits {
 			o.cancelled = true
 		}
 		p.waits = nil
 		p.aborted = true
-		//cdivet:allow taint teardown after results are final: aborted processes run no model code, so unwind order is unobservable
 		p.resume <- struct{}{}
 		<-e.park
 	}
-	e.parked = map[*Proc]struct{}{}
-	// Unwind processes parked on timers (or not yet started).
+	// Drop pending callbacks and unwind processes parked on timers (or
+	// not yet started).
 	for {
 		ev := e.next()
 		if ev == nil {
 			return
 		}
+		if ev.fn != nil {
+			e.recycle(ev)
+			e.stats.Cancelled++
+			continue
+		}
 		p := e.wake(ev)
 		p.aborted = true
-		p.resume <- struct{}{}
+		e.handoff(p)
 		<-e.park
 	}
 }

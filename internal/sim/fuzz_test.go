@@ -16,10 +16,11 @@ import (
 // heap, so FuzzEventHeap checks the heap itself against an independent
 // sorted-slice reference.
 
-// progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait, or
-// wait-with-timeout over a small set of shared signals.
+// progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait,
+// wait-with-timeout over a small set of shared signals, or after: schedule
+// a callback that fires a signal and logs.
 type progOp struct {
-	kind int // 0 sleep, 1 yield, 2 fire, 3 wait, 4 wait-timeout
+	kind int // 0 sleep, 1 yield, 2 fire, 3 wait, 4 wait-timeout, 5 after
 	arg  int
 }
 
@@ -48,7 +49,7 @@ func decodeProgram(data []byte) (procs [][]progOp) {
 			if !ok {
 				break
 			}
-			ops = append(ops, progOp{kind: b % 5, arg: b / 5})
+			ops = append(ops, progOp{kind: b % 6, arg: b / 6})
 		}
 		procs = append(procs, ops)
 	}
@@ -56,10 +57,12 @@ func decodeProgram(data []byte) (procs [][]progOp) {
 }
 
 // progEvent records one completed op: which proc, which op, and the
-// simulated instant it finished at.
+// simulated instant it finished at. An after op logs twice: once when it
+// schedules its callback and once, with cb set, when the callback runs.
 type progEvent struct {
 	proc, op int
 	at       Time
+	cb       bool
 }
 
 // runProgram executes the program, driving the engine with Run or, when
@@ -89,6 +92,12 @@ func runProgram(procs [][]progOp, step bool) []progEvent {
 					sigs[op.arg%4].Wait(p)
 				case 4:
 					_ = sigs[op.arg%4].WaitTimeout(p, Duration(1+op.arg%20)*Microsecond)
+				case 5:
+					sig := sigs[op.arg%4]
+					env.After(Duration(op.arg%8)*Microsecond, func() {
+						sig.Fire()
+						log = append(log, progEvent{proc: pi, op: oi, at: env.Now(), cb: true})
+					})
 				}
 				log = append(log, progEvent{proc: pi, op: oi, at: p.Now()})
 			}
@@ -105,12 +114,14 @@ func runProgram(procs [][]progOp, step bool) []progEvent {
 
 func FuzzRunStepOrder(f *testing.F) {
 	// Seeds: a sleeper/firer mix, a wait-heavy program, a same-instant
-	// pileup, and one proc that sleeps and times out alone, so every
-	// wake-up is a self-wake on the fast path.
+	// pileup, one proc that sleeps and times out alone, so every wake-up
+	// is a self-wake on the fast path, and waiters released only by
+	// callbacks, some due at the instant they are scheduled.
 	f.Add([]byte{7, 4, 0, 12, 10, 17, 3, 5, 22, 9, 8, 15, 4, 2, 60, 61, 62})
 	f.Add([]byte{15, 8, 3, 3, 3, 3, 2, 2, 2, 2})
 	f.Add([]byte{4, 2, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 8, 5, 1, 24, 4, 19, 10, 6, 9})
+	f.Add([]byte{5, 3, 3, 9, 15, 2, 5, 11, 4, 17, 53, 3, 0, 5, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		procs := decodeProgram(data)
 		got := runProgram(procs, false)
@@ -120,8 +131,7 @@ func FuzzRunStepOrder(f *testing.F) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("delivery order diverges at step %d: Run ran proc %d op %d at %v, Step ran proc %d op %d at %v",
-					i, got[i].proc, got[i].op, got[i].at, want[i].proc, want[i].op, want[i].at)
+				t.Fatalf("delivery order diverges at step %d: Run logged %+v, Step logged %+v", i, got[i], want[i])
 			}
 		}
 	})
@@ -155,7 +165,7 @@ func FuzzEventHeap(f *testing.F) {
 			data = data[:512]
 		}
 		env := NewEnv()
-		p := &Proc{env: env}
+		p := &Proc{env: env, parkIdx: -1}
 		type entry struct {
 			at  Time
 			seq uint64

@@ -24,10 +24,9 @@ type Proc struct {
 	waits    []*event // outstanding wake-ups while parked
 	finished bool
 	aborted  bool
-	// sigParked mirrors membership in env.parked, so the wake path can skip
-	// the map delete — a measurable cost per event — for the overwhelmingly
-	// common timer wake-ups that were never in the map.
-	sigParked bool
+	// parkIdx is the process's index in env.parked while it is blocked on
+	// a Signal, and -1 otherwise.
+	parkIdx int
 
 	// waitsBuf backs waits inline: a process has at most two outstanding
 	// wake-ups in every blocking primitive the package offers (a timer
@@ -132,8 +131,7 @@ func (s *Signal) remove(p *Proc) {
 // Wait parks the process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.env.parked[p] = struct{}{}
-	p.sigParked = true
+	p.env.parkOn(p)
 	p.yield()
 }
 
@@ -146,8 +144,7 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) error {
 		panic("sim: NaN wait timeout")
 	}
 	s.waiters = append(s.waiters, p)
-	p.env.parked[p] = struct{}{}
-	p.sigParked = true
+	p.env.parkOn(p)
 	p.env.schedule(p.env.now.Add(d), p, wakeTimer)
 	if p.yield() == wakeTimer {
 		// The deadline won; we are no longer a live waiter. (If Fire ran in
@@ -169,9 +166,8 @@ func (s *Signal) Fire() {
 	waiters := s.waiters
 	s.waiters = s.waiters[:0]
 	for _, p := range waiters {
-		if p.sigParked {
-			delete(s.env.parked, p)
-			p.sigParked = false
+		if p.parkIdx >= 0 {
+			s.env.unpark(p)
 		}
 		s.env.schedule(s.env.now, p, wakeSignal)
 	}
@@ -186,9 +182,8 @@ func (s *Signal) FireOne() bool {
 	p := s.waiters[0]
 	copy(s.waiters, s.waiters[1:])
 	s.waiters = s.waiters[:len(s.waiters)-1]
-	if p.sigParked {
-		delete(s.env.parked, p)
-		p.sigParked = false
+	if p.parkIdx >= 0 {
+		s.env.unpark(p)
 	}
 	s.env.schedule(s.env.now, p, wakeSignal)
 	return true

@@ -48,17 +48,26 @@ func TestSleepNegativeTreatedAsZero(t *testing.T) {
 // TestNaNDurationsPanic: NaN compares false both ways, so a NaN event time
 // would break the queue's time order. Every entry point that turns a
 // caller's duration into an event rejects it, and the environment stays
-// usable: a process due at t = 1 still runs at t = 1.
+// usable: a process due at t = 1 still runs at t = 1. The entry points
+// that take a start delay also reject a negative one, and scheduling on a
+// closed environment panics.
 func TestNaNDurationsPanic(t *testing.T) {
 	nan := Duration(math.NaN())
 	cases := []struct {
 		name   string
 		inProc bool // the call needs a running process
+		closed bool // the call runs on a closed environment
 		call   func(env *Env, p *Proc)
 	}{
-		{"SpawnAt", false, func(env *Env, _ *Proc) { env.SpawnAt(nan, "late", func(*Proc) {}) }},
-		{"Sleep", true, func(_ *Env, p *Proc) { p.Sleep(nan) }},
-		{"WaitTimeout", true, func(env *Env, p *Proc) { _ = NewSignal(env).WaitTimeout(p, nan) }},
+		{"SpawnAt", false, false, func(env *Env, _ *Proc) { env.SpawnAt(nan, "late", func(*Proc) {}) }},
+		{"Sleep", true, false, func(_ *Env, p *Proc) { p.Sleep(nan) }},
+		{"WaitTimeout", true, false, func(env *Env, p *Proc) { _ = NewSignal(env).WaitTimeout(p, nan) }},
+		{"After", false, false, func(env *Env, _ *Proc) { env.After(nan, func() {}) }},
+		{"After negative", false, false, func(env *Env, _ *Proc) { env.After(-1, func() {}) }},
+		{"After in process", true, false, func(env *Env, _ *Proc) { env.After(nan, func() {}) }},
+		{"SpawnAt negative", false, false, func(env *Env, _ *Proc) { env.SpawnAt(-1, "early", func(*Proc) {}) }},
+		{"After closed", false, true, func(env *Env, _ *Proc) { env.After(0, func() {}) }},
+		{"SpawnAt closed", false, true, func(env *Env, _ *Proc) { env.SpawnAt(0, "late", func(*Proc) {}) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -66,6 +75,9 @@ func TestNaNDurationsPanic(t *testing.T) {
 			defer env.Close()
 			var got any
 			catch := func() { got = recover() }
+			if c.closed {
+				env.Close()
+			}
 			if c.inProc {
 				env.Spawn("p", func(p *Proc) {
 					defer catch()
@@ -77,14 +89,21 @@ func TestNaNDurationsPanic(t *testing.T) {
 					c.call(env, nil)
 				}()
 			}
+			if c.closed {
+				if got == nil {
+					t.Fatalf("%s did not panic", c.name)
+				}
+				return
+			}
 			at := Time(-1)
 			env.SpawnAt(1, "due", func(p *Proc) { at = p.Now() })
 			env.Run()
 			if got == nil {
-				t.Fatalf("%s(NaN) did not panic", c.name)
+				t.Fatalf("%s did not panic", c.name)
 			}
-			if at != 1 || env.Now() != 1 || len(env.Blocked()) != 0 {
-				t.Errorf("after the panic: due process ran at %v, clock %v, blocked %v; want 1, 1, none", at, env.Now(), env.Blocked())
+			if at != 1 || env.Now() != 1 || len(env.Blocked()) != 0 || len(env.queue) != 0 {
+				t.Errorf("after the panic: due process ran at %v, clock %v, blocked %v, %d queued; want 1, 1, none, 0",
+					at, env.Now(), env.Blocked(), len(env.queue))
 			}
 		})
 	}
