@@ -666,10 +666,23 @@ func benchPoolConfig(defrag bool) pool.Config {
 // churning window of gang arrivals, completions, and queue scans with the
 // defragmenter off.
 func BenchmarkPoolPlacement(b *testing.B) {
+	benchPoolPlacement(b, benchPoolConfig(false))
+}
+
+// BenchmarkPoolPlacement8K is the same window on the default 8,192-GPU
+// pool (512 servers, eight bitset words), where a placement query that
+// scanned every server would dominate.
+func BenchmarkPoolPlacement8K(b *testing.B) {
+	cfg := benchPoolConfig(false)
+	cfg.Topo = pool.DefaultTopology()
+	benchPoolPlacement(b, cfg)
+}
+
+func benchPoolPlacement(b *testing.B, cfg pool.Config) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
-		s, err := pool.Start(env, benchPoolConfig(false))
+		s, err := pool.Start(env, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

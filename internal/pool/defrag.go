@@ -1,6 +1,10 @@
 package pool
 
-import "repro/internal/sim"
+import (
+	"math/bits"
+
+	"repro/internal/sim"
+)
 
 // The defragmenter. Churn shatters whole-server free blocks into
 // sub-gang fragments; the sweep picks the emptiest migratable server and
@@ -57,29 +61,37 @@ func (s *Scheduler) sweep(now sim.Time) bool {
 
 // pickVictim returns the live, unpinned server with the smallest nonzero
 // batch occupancy whose every allocation is single-server (multi-server
-// gangs and serving replicas do not migrate), or -1.
+// gangs and serving replicas do not migrate), or -1. It walks the
+// free-count buckets from one short of a whole server down, so the first
+// hit has the lowest occupancy, lowest index on ties.
 func (s *Scheduler) pickVictim() int {
-	best, bestOcc := -1, 0
-	for sv := range s.free {
-		if !s.live[sv] || s.pinned[sv] > 0 {
+	for f := s.topo.GPUsPerServer - 1; f >= 0; f-- {
+		if s.freeHist[f] == 0 {
 			continue
 		}
-		occ := s.topo.GPUsPerServer - s.free[sv]
-		if occ <= 0 || (best >= 0 && occ >= bestOcc) {
-			continue
-		}
-		movable := true
-		for _, id := range s.jobsOn[sv] {
-			if len(s.allocs[id].slices) != 1 {
-				movable = false
-				break
+		for w, word := range s.byFree[f] {
+			for ; word != 0; word &= word - 1 {
+				if sv := w<<6 | bits.TrailingZeros64(word); s.movable(sv) {
+					return sv
+				}
 			}
 		}
-		if movable {
-			best, bestOcc = sv, occ
+	}
+	return -1
+}
+
+// movable reports whether a server can be emptied by migration: no pinned
+// serving replica and no multi-server gang on it.
+func (s *Scheduler) movable(sv int) bool {
+	if s.pinned[sv] > 0 {
+		return false
+	}
+	for _, id := range s.jobsOn[sv] {
+		if len(s.allocs[id].slices) != 1 {
+			return false
 		}
 	}
-	return best
+	return true
 }
 
 // planSweep assigns each of the victim's jobs a best-fit target against a

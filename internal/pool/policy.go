@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/fabric"
@@ -61,28 +62,24 @@ func (s *Scheduler) placeJob(j Job) ([]slice, fabric.Scale, bool) {
 }
 
 // firstFit takes free GPUs in global server order until the gang is
-// covered.
+// covered, visiting only the servers in the avail set.
 func (s *Scheduler) firstFit(gang int) []slice {
 	if s.totalFree < gang {
 		return nil
 	}
 	s.scratchSl = s.scratchSl[:0]
 	need := gang
-	for sv := 0; sv < len(s.free) && need > 0; sv++ {
-		if !s.live[sv] || s.free[sv] == 0 {
-			continue
+	for w, word := range s.avail {
+		for ; word != 0; word &= word - 1 {
+			sv := w<<6 | bits.TrailingZeros64(word)
+			take := min(s.free[sv], need)
+			s.scratchSl = append(s.scratchSl, slice{sv, take})
+			if need -= take; need == 0 {
+				return s.finishSlices()
+			}
 		}
-		take := s.free[sv]
-		if take > need {
-			take = need
-		}
-		s.scratchSl = append(s.scratchSl, slice{sv, take})
-		need -= take
 	}
-	if need > 0 {
-		return nil
-	}
-	return s.finishSlices()
+	return nil
 }
 
 // tieredFit walks the boundary ladder tightest-first. With gate set
@@ -125,18 +122,15 @@ func (s *Scheduler) allowScale(sh Shape, sc fabric.Scale, gate bool) bool {
 }
 
 // bestServer returns the live server with the smallest free block that
-// still fits the gang, lowest index on ties, or -1.
+// still fits the gang, lowest index on ties, or -1: the lowest member of
+// the first nonempty free-count bucket at or above the gang.
 func (s *Scheduler) bestServer(gang int) int {
-	best, bestFree := -1, 0
-	for sv, f := range s.free {
-		if !s.live[sv] || f < gang {
-			continue
-		}
-		if best < 0 || f < bestFree {
-			best, bestFree = sv, f
+	for f := gang; f < len(s.freeHist); f++ {
+		if s.freeHist[f] > 0 {
+			return s.byFree[f].first()
 		}
 	}
-	return best
+	return -1
 }
 
 // bestGroup returns the index of the tightest group (rack or row, by its

@@ -1,7 +1,10 @@
 package pool
 
 import (
+	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -143,8 +146,10 @@ func runPoolCounted(t *testing.T, cfg Config) (Stats, sim.Stats) {
 // defragmenter off and on, and checks the accounting invariants: every job
 // resolves, goodput lands in (0, 1], metrics stay finite. The scheduler is
 // the run's only process: job ends and migration copies are callback
-// events, one per placement and one per migration.
+// events, one per placement and one per migration. The incremental books
+// are recomputed from scratch after every scheduler wake-up.
 func TestSchedulerSmoke(t *testing.T) {
+	checkEveryWake(t)
 	for pol := FirstFit; pol <= TierAware; pol++ {
 		for _, defrag := range []bool{false, true} {
 			st, es := runPoolCounted(t, Config{
@@ -198,23 +203,29 @@ func TestBadInputsRejected(t *testing.T) {
 			Defrag:   true,
 		}
 	}
+	// want, when set, is a substring the error must carry, for inputs a
+	// later check would otherwise reject for the wrong reason.
 	cases := []struct {
 		name string
 		mut  func(c *Config)
+		want string
 	}{
-		{"window NaN", func(c *Config) { c.Workload.Window = sim.Duration(nan) }},
-		{"window +Inf", func(c *Config) { c.Workload.Window = sim.Duration(inf) }},
-		{"load NaN", func(c *Config) { c.Workload.Load = nan }},
-		{"intensity +Inf", func(c *Config) { c.Workload.Intensity = inf }},
-		{"base lifetime -1ms", func(c *Config) { c.Workload.BaseLifetime = -sim.Millisecond }},
-		{"base lifetime NaN", func(c *Config) { c.Workload.BaseLifetime = sim.Duration(nan) }},
-		{"migrate penalty NaN", func(c *Config) { c.MigratePenalty = sim.Duration(nan) }},
-		{"migrate penalty negative", func(c *Config) { c.MigratePenalty = -sim.Millisecond }},
-		{"migrate penalty +Inf", func(c *Config) { c.MigratePenalty = sim.Duration(inf) }},
-		{"defrag cadence negative", func(c *Config) { c.DefragEvery = -sim.Millisecond }},
-		{"defrag cadence NaN", func(c *Config) { c.DefragEvery = sim.Duration(nan) }},
-		{"ref gang -4", func(c *Config) { c.RefGang = -4 }},
-		{"ref gang above server", func(c *Config) { c.RefGang = 64 }},
+		{"window NaN", func(c *Config) { c.Workload.Window = sim.Duration(nan) }, ""},
+		{"window +Inf", func(c *Config) { c.Workload.Window = sim.Duration(inf) }, ""},
+		{"load NaN", func(c *Config) { c.Workload.Load = nan }, ""},
+		{"intensity +Inf", func(c *Config) { c.Workload.Intensity = inf }, ""},
+		{"base lifetime -1ms", func(c *Config) { c.Workload.BaseLifetime = -sim.Millisecond }, ""},
+		{"base lifetime NaN", func(c *Config) { c.Workload.BaseLifetime = sim.Duration(nan) }, ""},
+		{"migrate penalty NaN", func(c *Config) { c.MigratePenalty = sim.Duration(nan) }, ""},
+		{"migrate penalty negative", func(c *Config) { c.MigratePenalty = -sim.Millisecond }, ""},
+		{"migrate penalty +Inf", func(c *Config) { c.MigratePenalty = sim.Duration(inf) }, ""},
+		{"defrag cadence negative", func(c *Config) { c.DefragEvery = -sim.Millisecond }, ""},
+		{"defrag cadence NaN", func(c *Config) { c.DefragEvery = sim.Duration(nan) }, ""},
+		{"ref gang -4", func(c *Config) { c.RefGang = -4 }, ""},
+		{"ref gang above server", func(c *Config) { c.RefGang = 64 }, ""},
+		{"stranded trigger negative", func(c *Config) { c.StrandedTrigger = -1 }, ""},
+		{"topology 2^48 GPUs", func(c *Config) { c.Topo = Topology{1 << 16, 1 << 16, 1 << 16, 1} }, "topology"},
+		{"topology GPU count overflows int", func(c *Config) { c.Topo = Topology{1 << 31, 1 << 31, 2, 1} }, "topology"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -234,6 +245,9 @@ func TestBadInputsRejected(t *testing.T) {
 			if err == nil {
 				t.Fatalf("Start accepted %+v", cfg)
 			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Start rejected %+v with %q, want an error about %q", cfg, err, c.want)
+			}
 		})
 	}
 	// The good base config itself runs.
@@ -245,8 +259,9 @@ func TestBadInputsRejected(t *testing.T) {
 }
 
 // TestSchedulerDeterminism: same config, two private envs, identical
-// stats.
+// stats, with the books checked after every wake-up.
 func TestSchedulerDeterminism(t *testing.T) {
+	checkEveryWake(t)
 	cfg := Config{
 		Topo:   testTopo(),
 		Policy: TierAware,
@@ -394,4 +409,259 @@ func TestTopology(t *testing.T) {
 			t.Errorf("CrossingScale(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// TestDrainReadmit drives the health.Pool surface from a process: drain a
+// pinned server and a batch server mid-run, readmit both (one twice, the
+// second a no-op), and post an out-of-range drain the scheduler ignores.
+// The books are recomputed from scratch after every scheduler wake-up.
+func TestDrainReadmit(t *testing.T) {
+	checkEveryWake(t)
+	env := sim.NewEnv()
+	defer env.Close()
+	s, err := Start(env, Config{
+		Topo:   testTopo(),
+		Policy: TierAware,
+		Workload: Workload{
+			Seed: 7, Window: 50 * sim.Millisecond, Load: 0.7, Intensity: 1,
+		},
+		Defrag: true,
+		Serving: []serve.Tenant{
+			{Name: "chat", Rate: 100, MeanPromptTokens: 32, MeanOutputTokens: 8,
+				SLO: 25 * sim.Millisecond},
+		},
+		ServingGPUs: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, batch := -1, -1
+	for sv, n := range s.pinned {
+		if n > 0 && pinned < 0 {
+			pinned = sv
+		}
+		if n == 0 && batch < 0 {
+			batch = sv
+		}
+	}
+	if pinned < 0 || batch < 0 {
+		t.Fatalf("want a pinned and an unpinned server, pinned counts %v", s.pinned)
+	}
+	env.Spawn("ctl", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Millisecond)
+		for _, sv := range []int{pinned, batch, s.Servers()} {
+			if err := s.Drain(p, sv); err != nil {
+				t.Errorf("drain %d: %v", sv, err)
+			}
+		}
+		p.Sleep(10 * sim.Millisecond)
+		for _, sv := range []int{batch, batch, pinned} {
+			if err := s.Readmit(sv); err != nil {
+				t.Errorf("readmit %d: %v", sv, err)
+			}
+		}
+	})
+	env.Run()
+	st := s.Stats()
+	if st.Drains != 2 || st.Readmissions != 2 {
+		t.Fatalf("%d drains and %d readmissions applied, want 2 and 2", st.Drains, st.Readmissions)
+	}
+	if st.DrainMigrations == 0 {
+		t.Fatal("no job re-placed off a drained server")
+	}
+	if st.Placed+st.Killed < st.Jobs {
+		t.Fatalf("%d jobs, only %d placed + %d killed", st.Jobs, st.Placed, st.Killed)
+	}
+	for sv := range s.live {
+		if !s.Live(sv) {
+			t.Fatalf("server %d still out of rotation after its readmission", sv)
+		}
+	}
+}
+
+// The linear scans the indexed queries replaced, kept as FuzzPoolOps's
+// reference.
+
+// refFirstFit takes free GPUs in global server order until the gang is
+// covered.
+func (s *Scheduler) refFirstFit(gang int) []slice {
+	if s.totalFree < gang {
+		return nil
+	}
+	s.scratchSl = s.scratchSl[:0]
+	need := gang
+	for sv := 0; sv < len(s.free) && need > 0; sv++ {
+		if !s.live[sv] || s.free[sv] == 0 {
+			continue
+		}
+		take := s.free[sv]
+		if take > need {
+			take = need
+		}
+		s.scratchSl = append(s.scratchSl, slice{sv, take})
+		need -= take
+	}
+	if need > 0 {
+		return nil
+	}
+	return s.finishSlices()
+}
+
+// refBestServer returns the live server with the smallest free block that
+// still fits the gang, lowest index on ties, or -1.
+func (s *Scheduler) refBestServer(gang int) int {
+	best, bestFree := -1, 0
+	for sv, f := range s.free {
+		if !s.live[sv] || f < gang {
+			continue
+		}
+		if best < 0 || f < bestFree {
+			best, bestFree = sv, f
+		}
+	}
+	return best
+}
+
+// refPickVictim returns the live, unpinned server with the smallest
+// nonzero batch occupancy whose every allocation is single-server
+// (multi-server gangs and serving replicas do not migrate), or -1.
+func (s *Scheduler) refPickVictim() int {
+	best, bestOcc := -1, 0
+	for sv := range s.free {
+		if !s.live[sv] || s.pinned[sv] > 0 {
+			continue
+		}
+		occ := s.topo.GPUsPerServer - s.free[sv]
+		if occ <= 0 || (best >= 0 && occ >= bestOcc) {
+			continue
+		}
+		movable := true
+		for _, id := range s.jobsOn[sv] {
+			if len(s.allocs[id].slices) != 1 {
+				movable = false
+				break
+			}
+		}
+		if movable {
+			best, bestOcc = sv, occ
+		}
+	}
+	return best
+}
+
+// fuzzTopo has 80 servers, so every server bitset spans two words: 2 rows
+// × 4 racks × 10 servers × 8 GPUs.
+func fuzzTopo() Topology {
+	return Topology{Rows: 2, RacksPerRow: 4, ServersPerRack: 10, GPUsPerServer: 8}
+}
+
+// FuzzPoolOps applies random operation programs to a scheduler directly,
+// without running its process, and after every operation recomputes the
+// books from scratch and checks each indexed query against its linear
+// scan. The first byte picks the policy; after it, each byte is one
+// operation. Its low three bits pick place (0-2), complete (3), drain
+// (4), readmit (5), sweep (6) or retry the queue (7). For a placement
+// the high bits pick the gang (1-16) and shape; for a completion they
+// pick where to start looking for a placed job; drain and readmit take
+// the next byte as the server. Jobs that do not fit queue, so sweeps see
+// a waiting queue too. Four serving replicas pin servers 0, 20, 40 and 60.
+func FuzzPoolOps(f *testing.F) {
+	place := func(gang int) byte { return byte(gang-1) << 3 }
+	rep := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	// Seeds: drain a pinned server with jobs on it and readmit it; drain
+	// a server in the second bitset word and readmit it twice; fill the
+	// pinned servers' 7-free bucket and then the whole-server bucket to
+	// empty, complete and sweep; and a mixed program of multi-server
+	// gangs, drains, completions and sweeps under each policy.
+	f.Add([]byte{1, place(7), place(1), 4, 0, 3, 5, 0, 6, place(8)})
+	f.Add(slices.Concat([]byte{0}, rep(70, place(8)), []byte{4, 70, 5, 70, 5, 70, 6}))
+	f.Add(slices.Concat([]byte{2}, rep(4, place(7)), rep(76, place(8)),
+		[]byte{place(8), 3, 11, 19, 6, 7, 6}))
+	for pol := byte(0); pol < 3; pol++ {
+		f.Add([]byte{pol, place(12), place(3), place(16), place(5), 4, 3,
+			place(2), 3, 6, 4, 66, place(9), 11, 6, 5, 3, 7, 5, 66, 6})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reference scans and the checker are linear in servers and
+		// jobs per step; cap the program so inputs stay fast to minimize.
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		if len(data) == 0 {
+			return
+		}
+		env := sim.NewEnv()
+		defer env.Close()
+		s, err := Start(env, Config{
+			Topo:     fuzzTopo(),
+			Policy:   Policy(data[0] % 3),
+			Workload: Workload{Seed: 1, Window: 10 * sim.Millisecond, Load: 0.5},
+			Defrag:   true,
+			Serving: []serve.Tenant{
+				{Name: "chat", Rate: 100, MeanPromptTokens: 32, MeanOutputTokens: 8,
+					SLO: 25 * sim.Millisecond},
+			},
+			ServingGPUs: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The program brings its own jobs.
+		s.jobs, s.allocs = s.jobs[:0], s.allocs[:0]
+		servers := len(s.free)
+		for step := 1; step < len(data); step++ {
+			b := data[step]
+			arg := int(b >> 3)
+			now := sim.Time(0).Add(sim.Duration(step) * sim.Microsecond)
+			server := func() int {
+				if step+1 < len(data) {
+					step++
+					return int(data[step]) % servers
+				}
+				return arg
+			}
+			switch op := b & 7; op {
+			case 0, 1, 2:
+				id := len(s.jobs)
+				j := Job{ID: id, Shape: Shape(arg >> 4), Gang: arg&15 + 1, Arrival: now, Lifetime: sim.Millisecond}
+				s.jobs = append(s.jobs, j)
+				s.allocs = append(s.allocs, alloc{})
+				if sl, scale, ok := s.placeJob(j); ok {
+					s.doPlace(now, id, sl, scale, true)
+				} else {
+					s.allocs[id].state = allocQueued
+					s.queue = append(s.queue, id)
+				}
+			case 3:
+				for k := range s.allocs {
+					if id := (arg + k) % len(s.allocs); s.allocs[id].state == allocPlaced {
+						s.complete(id, now)
+						break
+					}
+				}
+			case 4:
+				s.drainServer(server(), now)
+			case 5:
+				s.readmitServer(server())
+			case 6:
+				s.sweep(now)
+			case 7:
+				s.tryQueue(now)
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("step %d (byte %d): %v", step, b, err)
+			}
+			for g := 1; g <= 2*s.topo.GPUsPerServer; g++ {
+				if got, want := s.bestServer(g), s.refBestServer(g); got != want {
+					t.Fatalf("step %d: bestServer(%d) = %d, linear scan %d", step, g, got, want)
+				}
+				if got, want := s.firstFit(g), s.refFirstFit(g); !slices.Equal(got, want) {
+					t.Fatalf("step %d: firstFit(%d) = %v, linear scan %v", step, g, got, want)
+				}
+			}
+			if got, want := s.pickVictim(), s.refPickVictim(); got != want {
+				t.Fatalf("step %d: pickVictim() = %d, linear scan %d", step, got, want)
+			}
+		}
+	})
 }

@@ -64,6 +64,9 @@ func (c Config) validate() error {
 	if !c.MigratePenalty.Valid() {
 		return fmt.Errorf("pool: migrate penalty %v not finite and non-negative", c.MigratePenalty)
 	}
+	if c.StrandedTrigger < 0 {
+		return fmt.Errorf("pool: stranded trigger %d negative", c.StrandedTrigger)
+	}
 	if c.RefGang < 1 || c.RefGang > c.Topo.GPUsPerServer {
 		return fmt.Errorf("pool: reference gang %d outside [1, %d]", c.RefGang, c.Topo.GPUsPerServer)
 	}
@@ -176,11 +179,16 @@ type Scheduler struct {
 	wake *sim.Signal
 
 	// Free-list state and run bookkeeping, owned by the scheduler
-	// process.
+	// process. freeHist[f] counts the live servers with exactly f free
+	// GPUs and byFree[f] is the bitset of them; avail is the bitset of
+	// live servers with any free GPU. The placement and victim queries
+	// read these instead of scanning every server.
 	free             []int
 	freeRack         []int
 	freeRow          []int
 	freeHist         []int
+	byFree           []bitset
+	avail            bitset
 	totalFree        int
 	stranded         int
 	pinned           []int
@@ -249,11 +257,12 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 		jobsOn:    make([][]int, servers),
 		live:      make([]bool, servers),
 	}
+	s.byFree, s.avail = newBitsets(topo.GPUsPerServer+1, servers)
 	for sv := range s.free {
 		s.free[sv] = topo.GPUsPerServer
 		s.live[sv] = true
+		s.index(sv)
 	}
-	s.freeHist[topo.GPUsPerServer] = servers
 	s.totalFree = gpus
 	for r := range s.freeRack {
 		s.freeRack[r] = topo.ServersPerRack * topo.GPUsPerServer
@@ -339,6 +348,11 @@ func (s *Scheduler) post(k msgKind, arg int) {
 	s.wake.Fire()
 }
 
+// afterWake, when set, runs at the end of every scheduler wake-up, with
+// the books settled. Tests hang the from-scratch invariant check on it;
+// it is nil otherwise.
+var afterWake func(*Scheduler)
+
 // run is the scheduler process: admit arrivals, drain the mailbox, place
 // the queue, consolidate, sleep until the next arrival or wake-up.
 func (s *Scheduler) run(p *sim.Proc) {
@@ -349,6 +363,9 @@ func (s *Scheduler) run(p *sim.Proc) {
 		s.drainMail(now)
 		s.tryQueue(now)
 		s.maybeDefrag(now)
+		if afterWake != nil {
+			afterWake(s)
+		}
 		if s.finished(now) {
 			return
 		}
@@ -426,14 +443,31 @@ func (s *Scheduler) largest() int {
 	return 0
 }
 
+// index files a live server under its free count; unindex takes it out.
+func (s *Scheduler) index(sv int) {
+	f := s.free[sv]
+	s.freeHist[f]++
+	s.byFree[f].set(sv)
+	if f > 0 {
+		s.avail.set(sv)
+	}
+}
+
+func (s *Scheduler) unindex(sv int) {
+	f := s.free[sv]
+	s.freeHist[f]--
+	s.byFree[f].clear(sv)
+	s.avail.clear(sv)
+}
+
 // claim takes n GPUs from a live server, maintaining every aggregate in
 // O(1); unclaim returns them.
 func (s *Scheduler) claim(sv, n int) {
 	f, capEff := s.free[sv], s.capEff(sv)
-	s.freeHist[f]--
-	s.freeHist[f-n]++
 	s.stranded += strandedContrib(f-n, capEff, s.refGang) - strandedContrib(f, capEff, s.refGang)
+	s.unindex(sv)
 	s.free[sv] = f - n
+	s.index(sv)
 	s.totalFree -= n
 	s.freeRack[s.topo.RackOf(sv)] -= n
 	s.freeRow[s.topo.RowOf(sv)] -= n
@@ -590,7 +624,7 @@ func (s *Scheduler) drainServer(v int, now sim.Time) {
 	s.stats.Drains++
 	s.live[v] = false
 	f := s.free[v]
-	s.freeHist[f]--
+	s.unindex(v)
 	s.stranded -= strandedContrib(f, s.capEff(v), s.refGang)
 	s.totalFree -= f
 	s.freeRack[s.topo.RackOf(v)] -= f
@@ -640,7 +674,7 @@ func (s *Scheduler) readmitServer(v int) {
 	s.live[v] = true
 	f := s.capEff(v)
 	s.free[v] = f
-	s.freeHist[f]++
+	s.index(v)
 	s.stranded += strandedContrib(f, f, s.refGang)
 	s.totalFree += f
 	s.freeRack[s.topo.RackOf(v)] += f

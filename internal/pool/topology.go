@@ -31,10 +31,24 @@ func DefaultTopology() Topology {
 	return Topology{Rows: 8, RacksPerRow: 8, ServersPerRack: 8, GPUsPerServer: 16}
 }
 
-// Validate reports the first invalid dimension.
+// maxGPUs caps a topology's device count at 2,048× the default pool: far
+// past any run here, and small enough that the count and every index
+// product fit an int.
+const maxGPUs = 1 << 24
+
+// Validate reports the first invalid dimension, or a device count above
+// maxGPUs. The count is multiplied up one dimension at a time against
+// the cap, so an oversized topology cannot overflow on the way.
 func (t Topology) Validate() error {
 	if t.Rows <= 0 || t.RacksPerRow <= 0 || t.ServersPerRack <= 0 || t.GPUsPerServer <= 0 {
 		return fmt.Errorf("pool: invalid topology %+v", t)
+	}
+	n := 1
+	for _, d := range []int{t.Rows, t.RacksPerRow, t.ServersPerRack, t.GPUsPerServer} {
+		if d > maxGPUs/n {
+			return fmt.Errorf("pool: topology %+v exceeds %d GPUs", t, maxGPUs)
+		}
+		n *= d
 	}
 	return nil
 }
