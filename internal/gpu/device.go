@@ -2,7 +2,7 @@ package gpu
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -99,11 +99,12 @@ type Device struct {
 	spec Spec
 	mem  *allocator
 
-	compute *sim.Resource // kernel execution serializes on the device
-	dma     *sim.Resource
+	// compute serializes kernel execution; dma holds the copy engines.
+	compute engine
+	dma     engine
 
-	// Execution-history state, written only by the device's own stream
-	// runners (execKernel/execCopy).
+	// Execution-history state, written only by the streams' kernel
+	// callbacks.
 	lastComputeEnd sim.Time
 	lastStream     int
 	everComputed   bool
@@ -122,6 +123,40 @@ type Device struct {
 	opSlab []Op
 
 	lost bool // the physical device disappeared (server crash, failover)
+}
+
+// engine is a set of identical device units (the compute engine, the DMA
+// engines) granted to streams first come, first served. A release does
+// not hand the unit over: it gives the longest waiter a retry callback at
+// the current instant. A stream that asks before the retry runs takes
+// the unit, and the waiter rejoins the tail.
+type engine struct {
+	free    int
+	waiters []*Stream
+}
+
+// acquire claims a unit for s, or queues s and reports false when none is
+// free; s then runs its begin callback again after a release.
+func (e *engine) acquire(s *Stream) bool {
+	if e.free == 0 {
+		e.waiters = append(e.waiters, s)
+		return false
+	}
+	e.free--
+	return true
+}
+
+// release returns a unit and schedules the longest waiter's retry.
+func (e *engine) release(env *sim.Env) {
+	e.free++
+	if len(e.waiters) == 0 {
+		return
+	}
+	s := e.waiters[0]
+	copy(e.waiters, e.waiters[1:])
+	e.waiters[len(e.waiters)-1] = nil
+	e.waiters = e.waiters[:len(e.waiters)-1]
+	env.After(0, s.cb.begin)
 }
 
 // newOp returns a zeroed Op from the device's slab.
@@ -143,8 +178,8 @@ func NewDevice(env *sim.Env, spec Spec) (*Device, error) {
 		env:     env,
 		spec:    spec,
 		mem:     newAllocator(spec.MemoryBytes),
-		compute: sim.NewResource(env, 1),
-		dma:     sim.NewResource(env, spec.DMAEngines),
+		compute: engine{free: 1},
+		dma:     engine{free: spec.DMAEngines},
 		allIdle: sim.NewWaitGroup(env),
 	}, nil
 }
@@ -206,13 +241,18 @@ const (
 // Op is one enqueued stream operation; callers wait on it for fine-grained
 // synchronization (cudaEventSynchronize-style).
 type Op struct {
-	kind    opKind
-	kernel  Kernel
+	kind opKind
+	name string // kernel name
+	// dur is a kernel's base duration before warm-up, or a copy's
+	// duration. Both are fixed at enqueue, so a bad one panics on the
+	// caller's stack instead of inside the engine.
+	dur     sim.Duration
 	dir     Direction
 	bytes   int64
 	enqueue sim.Time
-	// done flips exactly once, in the stream runner, just before doneSig
-	// fires — host-side Op.Wait re-checks it in the guard loop.
+	// done flips exactly once, in the stream's completion callback, just
+	// before doneSig fires — host-side Op.Wait re-checks it in the guard
+	// loop.
 	done bool
 	// doneSig is this op's private completion signal, embedded so the slab
 	// allocation covers it. A per-op signal (rather than one broadcast
@@ -236,46 +276,76 @@ func (o *Op) Wait(p *sim.Proc) {
 
 // Stream is an in-order execution queue on a device, the unit of
 // concurrency a host thread submits work through.
+//
+// A stream has no process of its own: it waits only for work, for an
+// engine and for time, never for the host, so it executes as a chain of
+// callback events (sim.Env.After). Each callback takes the (time, seq)
+// slot that a process per stream, parked on the same three waits, would
+// be woken in, so events are delivered in that process's order. Only the
+// host side (Op.Wait, Sync) parks processes.
 type Stream struct {
 	id  int
 	dev *Device
-	// The host-side enqueue path appends to the queue and fires arrive;
-	// the stream runner consumes it.
+	// The host-side enqueue path appends to the queue; run consumes it.
 	queue []*Op
 	// head: queue[:head] is consumed; the array is reused once drained.
 	head int
 	// pending counts queued + executing ops.
 	pending int
-	arrive  *sim.Signal
 	drained *sim.Signal
 	closed  bool
+	// idle is set while the queue is empty and no callback is pending:
+	// the next enqueue, or Destroy, schedules run. It is clear from
+	// NewStream until the start callback runs, so work enqueued before
+	// then schedules nothing.
+	idle bool
+
+	// cur is the executing op, or the one waiting for an engine.
+	cur *Op
+	// When cur started, and for a kernel its idle gap, warm-up and
+	// context switch, kept between its callbacks.
+	start                  sim.Time
+	gap, warmup, ctxSwitch sim.Duration
+
+	// cb holds the stream's callbacks, bound once so that scheduling one
+	// allocates nothing.
+	cb struct{ run, begin, switched, kernelDone, copyDone func() }
 }
 
-// NewStream creates a stream and starts its runner process.
+// NewStream creates a stream and schedules its start at the current
+// instant.
 func (d *Device) NewStream() *Stream {
 	s := &Stream{
 		id:      d.nextStreamID,
 		dev:     d,
-		arrive:  sim.NewSignal(d.env),
 		drained: sim.NewSignal(d.env),
 	}
+	s.cb.run, s.cb.begin, s.cb.switched = s.run, s.begin, s.switched
+	s.cb.kernelDone, s.cb.copyDone = s.kernelDone, s.copyDone
 	d.nextStreamID++
 	d.streams = append(d.streams, s)
-	d.env.Spawn(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.run)
+	d.env.After(0, s.cb.run)
 	return s
 }
 
 // ID returns the stream's identifier on its device.
 func (s *Stream) ID() int { return s.id }
 
-// Destroy stops the stream's runner once its queue drains; further
-// enqueues panic.
+// Destroy stops the stream once its queue drains; further enqueues panic.
 func (s *Stream) Destroy() {
 	s.closed = true
-	s.arrive.Fire()
+	s.wake()
 }
 
-// enqueue adds an op and wakes the runner.
+// wake schedules run on an idle stream.
+func (s *Stream) wake() {
+	if s.idle {
+		s.idle = false
+		s.dev.env.After(0, s.cb.run)
+	}
+}
+
+// enqueue adds an op and wakes the stream.
 func (s *Stream) enqueue(o *Op) *Op {
 	if s.closed {
 		panic("gpu: enqueue on destroyed stream")
@@ -285,15 +355,20 @@ func (s *Stream) enqueue(o *Op) *Op {
 	s.queue = append(s.queue, o)
 	s.pending++
 	s.dev.allIdle.Add(1)
-	s.arrive.Fire()
+	s.wake()
 	return o
 }
 
 // EnqueueKernel submits a kernel launch and returns immediately (the
 // asynchronous CUDA semantics; the cuda layer adds host-side launch cost).
+// A kernel whose duration on the device is not finite panics.
 func (s *Stream) EnqueueKernel(k Kernel) *Op {
+	base := k.baseDuration(s.dev.spec)
+	if math.IsNaN(float64(base)) || math.IsInf(float64(base), 0) {
+		panic(fmt.Sprintf("gpu: kernel %q has non-finite duration %v", k.Name, base))
+	}
 	o := s.dev.newOp()
-	o.kind, o.kernel = opKernel, k
+	o.kind, o.name, o.dur = opKernel, k.Name, base
 	return s.enqueue(o)
 }
 
@@ -302,8 +377,22 @@ func (s *Stream) EnqueueCopy(dir Direction, n int64) *Op {
 	if n < 0 {
 		panic("gpu: negative copy size")
 	}
+	spec := &s.dev.spec
+	var bw float64
+	switch dir {
+	case H2D:
+		bw = spec.H2DBandwidth
+	case D2H:
+		bw = spec.D2HBandwidth
+	case D2D:
+		// On-package copy: both a read and a write against HBM.
+		bw = spec.MemoryBandwidth / 2
+	default:
+		panic(fmt.Sprintf("gpu: unknown copy direction %v", dir))
+	}
 	o := s.dev.newOp()
 	o.kind, o.dir, o.bytes = opCopy, dir, n
+	o.dur = spec.CopyLatency + sim.Duration(float64(n)/bw)
 	return s.enqueue(o)
 }
 
@@ -330,118 +419,123 @@ func (d *Device) Sync(p *sim.Proc) {
 	d.allIdle.Wait(p)
 }
 
-// run is the stream's device-side execution loop.
-func (s *Stream) run(p *sim.Proc) {
-	d := s.dev
+// run takes ops off the queue in order until one has to wait for an
+// engine or for time; that op's callbacks call run again when it is done.
+// Markers complete inline.
+func (s *Stream) run() {
 	for {
-		for s.head == len(s.queue) {
+		if s.head == len(s.queue) {
 			// Drained: rewind onto the same backing array so steady-state
 			// enqueue traffic stops growing it.
 			s.queue = s.queue[:0]
 			s.head = 0
-			if s.closed {
-				return
-			}
-			s.arrive.Wait(p)
+			s.idle = !s.closed
+			return
 		}
 		o := s.queue[s.head]
 		s.queue[s.head] = nil
 		s.head++
-		switch o.kind {
-		case opKernel:
-			s.execKernel(p, o)
-		case opCopy:
-			s.execCopy(p, o)
-		case opMark:
+		if o.kind == opMark {
 			// Zero-cost ordering marker (CUDA event record).
+			s.finish(o)
+			continue
 		}
-		o.done = true
-		s.pending--
-		d.allIdle.Done()
-		o.doneSig.Fire()
-		if s.pending == 0 {
-			s.drained.Fire()
-		}
+		s.cur = o
+		s.begin()
+		return
 	}
 }
 
-// execKernel runs a kernel on the (exclusive) compute engine, charging the
-// starvation warm-up when the engine had gone idle.
-func (s *Stream) execKernel(p *sim.Proc, o *Op) {
+// begin starts the current op on its engine, or leaves the stream queued
+// for the engine, which calls begin again after a release.
+func (s *Stream) begin() {
 	d := s.dev
-	d.compute.Acquire(p)
-	var ctxSwitch sim.Duration
-	if d.everComputed && d.lastStream != s.id && d.spec.ContextSwitch > 0 {
-		ctxSwitch = d.spec.ContextSwitch
-		p.Sleep(ctxSwitch)
-		d.counters.CtxSwitches++
-		d.counters.CtxTotal += ctxSwitch
+	if s.cur.kind == opCopy {
+		if d.dma.acquire(s) {
+			s.start = d.env.Now()
+			d.env.After(s.cur.dur, s.cb.copyDone)
+		}
+		return
 	}
-	start := p.Now()
-	var gap sim.Duration
+	if !d.compute.acquire(s) {
+		return
+	}
+	s.ctxSwitch = 0
+	if d.everComputed && d.lastStream != s.id && d.spec.ContextSwitch > 0 {
+		s.ctxSwitch = d.spec.ContextSwitch
+		d.env.After(s.ctxSwitch, s.cb.switched)
+		return
+	}
+	s.startKernel()
+}
+
+// switched charges the context switch that preceded the current kernel.
+func (s *Stream) switched() {
+	d := s.dev
+	d.counters.CtxSwitches++
+	d.counters.CtxTotal += s.ctxSwitch
+	s.startKernel()
+}
+
+// startKernel runs the current kernel on the held compute engine,
+// charging the starvation warm-up when the engine had gone idle.
+func (s *Stream) startKernel() {
+	d := s.dev
+	s.start = d.env.Now()
+	s.gap = 0
 	if d.everComputed {
-		gap = start.Sub(d.lastComputeEnd)
-		if gap < 0 {
-			gap = 0
+		s.gap = s.start.Sub(d.lastComputeEnd)
+		if s.gap < 0 {
+			s.gap = 0
 		}
 	}
-	base := o.kernel.baseDuration(d.spec)
-	var warmup sim.Duration
-	if gap > 0 {
-		g := gap
+	s.warmup = 0
+	if s.gap > 0 {
+		g := s.gap
 		if g > d.spec.WarmupSaturation {
 			g = d.spec.WarmupSaturation
 		}
-		warmup = sim.Duration(d.spec.WarmupRate) * g
+		s.warmup = sim.Duration(d.spec.WarmupRate) * g
 		d.counters.IdleEvents++
 	}
-	dur := base + warmup
-	p.Sleep(dur)
-	end := p.Now()
+	d.env.After(s.cur.dur+s.warmup, s.cb.kernelDone)
+}
+
+// kernelDone retires the current kernel and moves on to the next op.
+func (s *Stream) kernelDone() {
+	d := s.dev
+	o := s.cur
+	end := d.env.Now()
 	d.lastComputeEnd = end
 	d.lastStream = s.id
 	d.everComputed = true
 	d.counters.Kernels++
-	d.counters.ComputeBusy += dur
-	d.counters.WarmupTotal += warmup
-	d.compute.Release()
+	d.counters.ComputeBusy += o.dur + s.warmup
+	d.counters.WarmupTotal += s.warmup
+	d.compute.release(d.env)
 
 	ev := KernelEvent{
 		Device:    d.spec.Name,
 		Stream:    s.id,
-		Name:      o.kernel.Name,
+		Name:      o.name,
 		Enqueue:   o.enqueue,
-		Start:     start,
+		Start:     s.start,
 		End:       end,
-		Warmup:    warmup,
-		IdleGap:   gap,
-		CtxSwitch: ctxSwitch,
+		Warmup:    s.warmup,
+		IdleGap:   s.gap,
+		CtxSwitch: s.ctxSwitch,
 	}
 	for _, l := range d.listeners {
 		l.OnKernel(ev)
 	}
+	s.finish(o)
+	s.run()
 }
 
-// execCopy runs a transfer on a DMA engine.
-func (s *Stream) execCopy(p *sim.Proc, o *Op) {
+// copyDone retires the current transfer and moves on to the next op.
+func (s *Stream) copyDone() {
 	d := s.dev
-	d.dma.Acquire(p)
-	start := p.Now()
-	var bw float64
-	switch o.dir {
-	case H2D:
-		bw = d.spec.H2DBandwidth
-	case D2H:
-		bw = d.spec.D2HBandwidth
-	case D2D:
-		// On-package copy: both a read and a write against HBM.
-		bw = d.spec.MemoryBandwidth / 2
-	default:
-		panic(fmt.Sprintf("gpu: unknown copy direction %v", o.dir))
-	}
-	dur := d.spec.CopyLatency + sim.Duration(float64(o.bytes)/bw)
-	p.Sleep(dur)
-	end := p.Now()
+	o := s.cur
 	switch o.dir {
 	case H2D:
 		d.counters.CopiesH2D++
@@ -453,8 +547,8 @@ func (s *Stream) execCopy(p *sim.Proc, o *Op) {
 		d.counters.CopiesD2D++
 		d.counters.BytesD2D += o.bytes
 	}
-	d.counters.CopyBusy += dur
-	d.dma.Release()
+	d.counters.CopyBusy += o.dur
+	d.dma.release(d.env)
 
 	ev := CopyEvent{
 		Device:  d.spec.Name,
@@ -462,10 +556,25 @@ func (s *Stream) execCopy(p *sim.Proc, o *Op) {
 		Dir:     o.dir,
 		Bytes:   o.bytes,
 		Enqueue: o.enqueue,
-		Start:   start,
-		End:     end,
+		Start:   s.start,
+		End:     d.env.Now(),
 	}
 	for _, l := range d.listeners {
 		l.OnCopy(ev)
+	}
+	s.finish(o)
+	s.run()
+}
+
+// finish marks o done and releases whoever waits on it, the stream or
+// the device.
+func (s *Stream) finish(o *Op) {
+	s.cur = nil
+	o.done = true
+	s.pending--
+	s.dev.allIdle.Done()
+	o.doneSig.Fire()
+	if s.pending == 0 {
+		s.drained.Fire()
 	}
 }

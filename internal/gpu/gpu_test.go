@@ -2,8 +2,10 @@ package gpu
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +49,35 @@ func TestSpecValidate(t *testing.T) {
 	bad.WarmupRate = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative warmup accepted")
+	}
+}
+
+// TestSpecValidateRejectsNonFinite: a NaN or infinite rate, bandwidth or
+// latency is rejected up front. Each would otherwise reach the event
+// engine as a delay (or a NaN one via a division), where a NaN panics.
+func TestSpecValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*Spec)
+	}{
+		{"MemoryBandwidth=+Inf", func(s *Spec) { s.MemoryBandwidth = inf }},
+		{"PeakFLOPS=+Inf", func(s *Spec) { s.PeakFLOPS = inf }},
+		{"PeakFLOPS=NaN", func(s *Spec) { s.PeakFLOPS = nan }},
+		{"H2DBandwidth=NaN", func(s *Spec) { s.H2DBandwidth = nan }},
+		{"D2HBandwidth=+Inf", func(s *Spec) { s.D2HBandwidth = inf }},
+		{"CopyLatency=NaN", func(s *Spec) { s.CopyLatency = sim.Duration(nan) }},
+		{"LaunchOverhead=+Inf", func(s *Spec) { s.LaunchOverhead = sim.Duration(inf) }},
+		{"MinKernelTime=+Inf", func(s *Spec) { s.MinKernelTime = sim.Duration(inf) }},
+		{"WarmupRate=NaN", func(s *Spec) { s.WarmupRate = nan }},
+		{"WarmupSaturation=NaN", func(s *Spec) { s.WarmupSaturation = sim.Duration(nan) }},
+		{"ContextSwitch=+Inf", func(s *Spec) { s.ContextSwitch = sim.Duration(inf) }},
+	} {
+		spec := A100()
+		tc.set(&spec)
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -139,6 +170,35 @@ func TestKernelInvalidEfficiencyTreatedAsFull(t *testing.T) {
 	k := Kernel{Name: "k", FLOPs: 1e9, Efficiency: 0} // treated as 1.0
 	if got := k.baseDuration(spec); math.Abs(float64(got-1*sim.Millisecond)) > 1e-12 {
 		t.Errorf("duration = %v, want 1ms", got)
+	}
+}
+
+// TestBadKernelInputs: a NaN efficiency counts as full efficiency, like
+// any other out-of-range one, and a kernel whose duration is still not
+// finite panics in EnqueueKernel, on the caller's stack and naming the
+// kernel, before the engine sees the delay.
+func TestBadKernelInputs(t *testing.T) {
+	spec := fastSpec()
+	k := Kernel{Name: "k", FLOPs: 1e9, Efficiency: math.NaN()}
+	if got := k.baseDuration(spec); !(math.Abs(float64(got-1*sim.Millisecond)) <= 1e-12) {
+		t.Errorf("NaN efficiency: duration = %v, want 1ms", got)
+	}
+	for _, k := range []Kernel{
+		{Name: "nan_flops", FLOPs: math.NaN(), Efficiency: 1},
+		{Name: "inf_bytes", FLOPs: 1, Efficiency: 1, MemBytes: math.Inf(1)},
+	} {
+		env := sim.NewEnv()
+		d, _ := NewDevice(env, spec)
+		s := d.NewStream()
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), k.Name) {
+					t.Errorf("EnqueueKernel(%s): panic %v, want one naming the kernel", k.Name, r)
+				}
+			}()
+			s.EnqueueKernel(k)
+		}()
+		env.Close()
 	}
 }
 
@@ -658,6 +718,50 @@ func TestNoContextSwitchWhenDisabled(t *testing.T) {
 	}
 	if d.Counters().CtxSwitches != 0 {
 		t.Errorf("CtxSwitches = %d", d.Counters().CtxSwitches)
+	}
+}
+
+// TestStreamsSpawnNoProcess pins the callback design: one host driving
+// kernels and copies on two streams is the only process the engine ever
+// spawns, the device work costs no goroutine switch (its callbacks run on
+// the host's goroutine while the host is parked), and once the stream is
+// warm an enqueue and wait allocates nothing; the op slab's chunk every
+// 64 ops rounds to zero per round.
+func TestStreamsSpawnNoProcess(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	spec := fastSpec()
+	spec.ContextSwitch = 10 * sim.Microsecond
+	d, _ := NewDevice(env, spec)
+	s1, s2 := d.NewStream(), d.NewStream()
+	k := Fixed("k", 10*sim.Microsecond)
+	var switches uint64
+	var allocs float64
+	env.Spawn("host", func(p *sim.Proc) {
+		before := env.Stats().Switches
+		for range 20 {
+			s1.EnqueueCopy(H2D, 4096)
+			s1.EnqueueKernel(k)
+			s2.EnqueueKernel(k)
+			s2.EnqueueCopy(D2H, 4096).Wait(p)
+		}
+		d.Sync(p)
+		switches = env.Stats().Switches - before
+		allocs = testing.AllocsPerRun(200, func() { s1.EnqueueKernel(k).Wait(p) })
+	})
+	env.Run()
+	if st := env.Stats(); st.Spawns != 1 {
+		t.Errorf("%d processes spawned, want 1 (the host)", st.Spawns)
+	}
+	if switches != 0 {
+		t.Errorf("device work cost %d goroutine switches, want 0", switches)
+	}
+	if allocs != 0 {
+		t.Errorf("enqueue and wait allocates %v times per round, want 0", allocs)
+	}
+	// AllocsPerRun calls its function once more to warm up.
+	if c := d.Counters(); c.Kernels != 40+201 || c.CopiesH2D != 20 || c.CopiesD2H != 20 {
+		t.Errorf("counters = %+v", c)
 	}
 }
 

@@ -32,7 +32,7 @@ func (k Kernel) baseDuration(spec Spec) sim.Duration {
 		return k.FixedTime
 	}
 	eff := k.Efficiency
-	if eff <= 0 || eff > 1 {
+	if !(eff > 0 && eff <= 1) {
 		eff = 1
 	}
 	compute := sim.Duration(k.FLOPs / (spec.PeakFLOPS * eff))

@@ -10,7 +10,11 @@
 // cannot feed the device) are modelled directly.
 package gpu
 
-import "repro/internal/sim"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 // Spec describes the performance envelope of a simulated GPU.
 type Spec struct {
@@ -89,8 +93,19 @@ func A100() Spec {
 	}
 }
 
-// Validate reports whether the spec is internally consistent.
+// Validate reports whether the spec is internally consistent. Every
+// float field must be finite: the device schedules its delays on the
+// event engine, which panics on a NaN one.
 func (s Spec) Validate() error {
+	for _, v := range [...]float64{
+		s.MemoryBandwidth, s.PeakFLOPS, s.H2DBandwidth, s.D2HBandwidth,
+		float64(s.CopyLatency), float64(s.LaunchOverhead), float64(s.MinKernelTime),
+		s.WarmupRate, float64(s.WarmupSaturation), float64(s.ContextSwitch),
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return specErr("every rate, bandwidth and latency must be finite")
+		}
+	}
 	switch {
 	case s.MemoryBytes <= 0:
 		return specErr("MemoryBytes must be positive")

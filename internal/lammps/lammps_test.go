@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/sim"
 )
 
@@ -42,6 +43,13 @@ func TestPerfValidation(t *testing.T) {
 		if _, err := RunPerf(PerfConfig{BoxSize: 20, Slack: slack}); err == nil {
 			t.Errorf("slack %v accepted", slack)
 		}
+	}
+	// A device delay the engine cannot schedule is an error from RunPerf,
+	// not a panic inside the run.
+	spec := gpu.A100()
+	spec.CopyLatency = sim.Duration(math.NaN())
+	if _, err := RunPerf(PerfConfig{BoxSize: 20, Spec: spec}); err == nil {
+		t.Error("NaN CopyLatency accepted")
 	}
 }
 
