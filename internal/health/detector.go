@@ -3,7 +3,7 @@
 // state registry, and a controller that drains suspected servers onto
 // healthy peers over the remoting DMA-replay path and readmits them when
 // their heartbeats resume. Everything runs inside the deterministic
-// simulation — heartbeats are sim processes, suspicion thresholds are
+// simulation — heartbeats are sim callback events, suspicion thresholds are
 // evaluated at sim time, and all randomness (beat jitter, beat loss)
 // comes from seeded substreams — so a churn run is byte-identical across
 // repetitions and worker counts, and a zero-fault run with the control

@@ -2,8 +2,8 @@ package health
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
-	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -70,7 +70,7 @@ type Transition struct {
 }
 
 // Registry tracks the control plane's view of every server. Only the
-// controller's processes write the states and the transition log; the
+// evaluator process writes the states and the transition log; the
 // degraded count is a plain published scalar the serving admission gate
 // samples read-only, and the global event order makes the sample
 // deterministic.
@@ -138,7 +138,8 @@ type Config struct {
 	Interval sim.Duration
 	// JitterFrac widens each beat period by a uniform ±fraction, drawn
 	// per server from a seeded stream, so beats from different servers do
-	// not stay phase-locked. Default 0.1; negative disables jitter.
+	// not stay phase-locked. Default 0.1; negative disables jitter. Must
+	// be below 1, so every period stays positive.
 	JitterFrac float64
 	// Window is the detector's inter-arrival sample window. Default 16.
 	Window int
@@ -152,8 +153,9 @@ type Config struct {
 	// RecoverBeats is how many consecutive clean evaluator ticks a
 	// recovered server must survive before readmission. Default 3.
 	RecoverBeats int
-	// Horizon stops the monitor: heartbeat and evaluator processes exit
-	// at this sim time, letting Env.Run drain. Required.
+	// Horizon stops the monitor: no heartbeat is scheduled past it and
+	// the evaluator exits at it, letting Env.Run drain. Required, and
+	// finite.
 	Horizon sim.Duration
 	// Path is the fabric path heartbeats traverse; its latency and
 	// serialization delay beat arrival. The zero Path is a valid
@@ -197,21 +199,31 @@ func (c Config) withDefaults(inj *faults.Injector) Config {
 	return c
 }
 
+// validate rejects a config the callback chain could not run: every
+// delay it schedules must be finite and non-negative, and the horizon
+// must be finite so the beats stop. NaN fails every comparison, so each
+// check is written to reject it.
 func (c Config) validate() error {
-	if c.Interval <= 0 {
-		return fmt.Errorf("health: non-positive heartbeat interval %v", c.Interval)
+	if !(c.Interval > 0) || math.IsInf(float64(c.Interval), 1) {
+		return fmt.Errorf("health: heartbeat interval %v is not positive and finite", c.Interval)
 	}
-	if c.Horizon <= 0 {
+	if c.Horizon == 0 {
 		return fmt.Errorf("health: monitoring horizon is required")
 	}
-	if c.SuspectPhi <= 0 || c.DeadPhi <= c.SuspectPhi {
+	if !(c.Horizon > 0) || math.IsInf(float64(c.Horizon), 1) {
+		return fmt.Errorf("health: monitoring horizon %v is not positive and finite", c.Horizon)
+	}
+	if !(c.JitterFrac < 1) {
+		return fmt.Errorf("health: jitter fraction %g not below 1", c.JitterFrac)
+	}
+	if !(c.SuspectPhi > 0 && c.DeadPhi > c.SuspectPhi) {
 		return fmt.Errorf("health: need 0 < SuspectPhi (%g) < DeadPhi (%g)", c.SuspectPhi, c.DeadPhi)
 	}
 	if c.RecoverBeats < 1 {
 		return fmt.Errorf("health: RecoverBeats %d < 1", c.RecoverBeats)
 	}
-	if c.DropProbability >= 1 {
-		return fmt.Errorf("health: heartbeat drop probability %g >= 1", c.DropProbability)
+	if !(c.DropProbability < 1) {
+		return fmt.Errorf("health: heartbeat drop probability %g not below 1", c.DropProbability)
 	}
 	if err := c.Path.Validate(); err != nil {
 		return fmt.Errorf("health: %w", err)
@@ -253,12 +265,13 @@ func (s Stats) MeanDetection() sim.Duration {
 	return s.DetectionTotal / sim.Duration(s.DetectionCount)
 }
 
-// Controller runs the control plane: one heartbeat process per server
-// plus one evaluator. Heartbeats consult the
-// fault injector read-only (link state, server state) and draw loss and
-// jitter from health-owned substreams; the evaluator walks the registry
-// state machine and calls Drain/Readmit on the pool.
+// Controller runs the control plane: one heartbeat callback chain per
+// server plus one evaluator process. Heartbeats consult the fault
+// injector read-only (link state, server state) and draw loss and jitter
+// from health-owned substreams; the evaluator walks the registry state
+// machine and calls Drain/Readmit on the pool.
 type Controller struct {
+	env  *sim.Env
 	pool Pool
 	inj  *faults.Injector
 	cfg  Config
@@ -274,10 +287,34 @@ type Controller struct {
 
 // Start launches the control plane against pool, reading fault state
 // from inj (which may be nil for a fault-free pool). Monitoring stops at
-// cfg.Horizon. The controller's processes touch no workload state, so a
-// run in which they never act is event-for-event identical, from the
-// workload's point of view, to a run without them.
+// cfg.Horizon. The heartbeats and the evaluator touch no workload state,
+// so a run in which they never act is event-for-event identical, from
+// the workload's point of view, to a run without them.
+//
+// Each server's heartbeat is a chain of callback events, since a beat
+// only ever waits for time; the chains start in server order, ahead of
+// the evaluator. The evaluator is a process, because Pool.Drain may
+// block while it migrates a handle table.
 func Start(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controller, error) {
+	c, err := newController(env, pool, inj, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := range c.det {
+		b := &beat{c: c, i: i, jitter: faults.Substream(c.cfg.Seed, saltBeatJitter+uint64(i))}
+		if c.cfg.DropProbability > 0 {
+			b.drop = faults.Substream(c.cfg.Seed, saltBeatDrop+uint64(i))
+		}
+		b.arriveFn, b.sendFn, b.deliverFn = b.arrive, b.send, b.deliver
+		env.After(0, b.next)
+	}
+	env.Spawn("health-eval", c.evaluate)
+	return c, nil
+}
+
+// newController validates cfg and builds the controller's books without
+// scheduling anything.
+func newController(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults(inj)
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -287,6 +324,7 @@ func Start(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controll
 		return nil, fmt.Errorf("health: pool has no servers")
 	}
 	c := &Controller{
+		env:         env,
 		pool:        pool,
 		inj:         inj,
 		cfg:         cfg,
@@ -299,10 +337,6 @@ func Start(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controll
 	for i := range c.det {
 		c.det[i] = NewDetector(cfg.Window, cfg.Interval)
 	}
-	for i := 0; i < n; i++ {
-		env.Spawn("health-beat-"+strconv.Itoa(i), func(p *sim.Proc) { c.heartbeat(p, i) })
-	}
-	env.Spawn("health-eval", c.evaluate)
 	return c, nil
 }
 
@@ -321,53 +355,84 @@ func (c *Controller) horizonLeft(now sim.Time) sim.Duration {
 	return c.start.Add(c.cfg.Horizon).Sub(now)
 }
 
-// heartbeat emits server i's beat stream until the horizon. A beat is
-// lost when the fabric link is down, when the server is crashed, or when
-// the loss coin says so; a stalled server delivers late (the beat waits
-// out the stall). Delivered beats feed the detector after the path's
-// transfer time.
-func (c *Controller) heartbeat(p *sim.Proc, i int) {
-	jitter := faults.Substream(c.cfg.Seed, saltBeatJitter+uint64(i))
-	var drop *rand.Rand
-	if c.cfg.DropProbability > 0 {
-		drop = faults.Substream(c.cfg.Seed, saltBeatDrop+uint64(i))
+// beat is server i's heartbeat stream until the horizon. A beat is lost
+// when the fabric link is down, when the server is crashed, or when the
+// loss coin says so; a stalled server delivers late (the beat waits out
+// the stall). Delivered beats feed the detector after the path's
+// transfer time. Each wait is an Env.After delay, and the callbacks are
+// bound once as method values, so a beat allocates nothing.
+type beat struct {
+	c      *Controller
+	i      int
+	jitter *rand.Rand
+	drop   *rand.Rand // nil when heartbeat loss is off
+
+	arriveFn, sendFn, deliverFn func()
+}
+
+// next draws the next period and schedules the beat's arrival at the
+// server's send point, unless that lies past the horizon.
+func (b *beat) next() {
+	c := b.c
+	period := c.cfg.Interval
+	if c.cfg.JitterFrac > 0 {
+		period = sim.Duration(float64(period) * (1 + c.cfg.JitterFrac*(2*b.jitter.Float64()-1)))
 	}
-	for {
-		period := c.cfg.Interval
-		if c.cfg.JitterFrac > 0 {
-			period = sim.Duration(float64(period) * (1 + c.cfg.JitterFrac*(2*jitter.Float64()-1)))
-		}
-		if period > c.horizonLeft(p.Now()) {
+	if period > c.horizonLeft(c.env.Now()) {
+		return
+	}
+	c.env.After(period, b.arriveFn)
+}
+
+// arrive is the beat's send point: a down link or a crashed server loses
+// it, and a stalled server holds it until the stall ends.
+func (b *beat) arrive() {
+	c := b.c
+	if c.inj != nil {
+		now := c.env.Now()
+		if down, _ := c.inj.LinkDown(now); down {
+			c.stats.DroppedBeats++
+			b.next()
 			return
 		}
-		p.Sleep(period)
-		now := p.Now()
-		if c.inj != nil {
-			if down, _ := c.inj.LinkDown(now); down {
-				c.stats.DroppedBeats++
-				continue
-			}
-			state, until := c.inj.Server(i).StateAt(now)
-			switch state {
-			case faults.Crashed:
-				c.stats.DroppedBeats++
-				continue
-			case faults.Stalled:
-				if wait := until.Sub(now); wait > 0 {
-					p.Sleep(wait)
-				}
-			}
-		}
-		if drop != nil && drop.Float64() < c.cfg.DropProbability {
+		state, until := c.inj.Server(b.i).StateAt(now)
+		switch state {
+		case faults.Crashed:
 			c.stats.DroppedBeats++
-			continue
+			b.next()
+			return
+		case faults.Stalled:
+			if wait := until.Sub(now); wait > 0 {
+				c.env.After(wait, b.sendFn)
+				return
+			}
 		}
-		if d := c.cfg.Path.TransferTime(heartbeatBytes); d > 0 {
-			p.Sleep(d)
-		}
-		c.stats.Beats++
-		c.det[i].Observe(p.Now())
 	}
+	b.send()
+}
+
+// send flips the loss coin and puts a surviving beat on the path.
+func (b *beat) send() {
+	c := b.c
+	if b.drop != nil && b.drop.Float64() < c.cfg.DropProbability {
+		c.stats.DroppedBeats++
+		b.next()
+		return
+	}
+	if d := c.cfg.Path.TransferTime(heartbeatBytes); d > 0 {
+		c.env.After(d, b.deliverFn)
+		return
+	}
+	b.deliver()
+}
+
+// deliver feeds the beat to the server's detector and starts the next
+// period.
+func (b *beat) deliver() {
+	c := b.c
+	c.stats.Beats++
+	c.det[b.i].Observe(c.env.Now())
+	b.next()
 }
 
 // evaluate ticks the registry state machine once per heartbeat interval
@@ -382,8 +447,15 @@ func (c *Controller) evaluate(p *sim.Proc) {
 		for i := range c.det {
 			c.step(p, i, now)
 		}
+		if afterTick != nil {
+			afterTick(c)
+		}
 	}
 }
+
+// afterTick, when set, runs at the end of every evaluator tick. Tests
+// hang the registry invariant check on it; it is nil otherwise.
+var afterTick func(*Controller)
 
 // step advances server i's state machine at time now.
 //

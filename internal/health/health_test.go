@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,16 +126,90 @@ func TestConfigValidate(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	pool := testPool(t, env, faults.Config{Seed: 1}, 1)
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{},                                   // no horizon
 		{Horizon: sim.Second, Interval: -1},  // negative interval survives defaults
 		{Horizon: sim.Second, SuspectPhi: 5}, // suspect above default dead
 		{Horizon: sim.Second, RecoverBeats: -1},
 		{Horizon: sim.Second, DropProbability: 1},
+		{Horizon: sim.Second, Interval: sim.Duration(nan)},
+		{Horizon: sim.Second, Interval: sim.Duration(inf)},
+		{Horizon: sim.Duration(nan)},
+		{Horizon: sim.Duration(inf)},           // the beats would never stop
+		{Horizon: sim.Second, JitterFrac: 1.5}, // a period could go negative
+		{Horizon: sim.Second, JitterFrac: 1},   // a period could be zero
+		{Horizon: sim.Second, JitterFrac: nan},
+		{Horizon: sim.Second, SuspectPhi: nan},
+		{Horizon: sim.Second, DeadPhi: nan},
+		{Horizon: sim.Second, DropProbability: nan},
 	}
 	for i, cfg := range bad {
 		if _, err := Start(env, pool, pool.Injector(), cfg); err == nil {
-			t.Errorf("config %d: invalid config accepted", i)
+			t.Errorf("config %d (%+v): invalid config accepted", i, cfg)
+		}
+	}
+}
+
+// TestStartSpawnsOnlyEvaluator: the heartbeats are callback chains, so
+// the control plane adds one process, the evaluator, whatever the pool
+// size.
+func TestStartSpawnsOnlyEvaluator(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	before := env.Stats().Spawns
+	if _, err := Start(env, newFakePool(env, 4, 0), nil, Config{Horizon: 10 * sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if n := env.Stats().Spawns - before; n != 1 {
+		t.Fatalf("Start over 4 servers spawned %d processes, want 1", n)
+	}
+	env.Run()
+}
+
+// TestBeatsCostNoGoroutineSwitch: in a fault-free run the evaluator is
+// the only process, so the spawn, self-wake and switch counts do not
+// depend on the pool size; only the callback count grows with it.
+func TestBeatsCostNoGoroutineSwitch(t *testing.T) {
+	var first sim.Stats
+	var lastCallbacks uint64
+	for k, n := range []int{1, 4, 16} {
+		env := sim.NewEnv()
+		if _, err := Start(env, newFakePool(env, n, 0), nil, Config{Seed: 5, Horizon: 20 * sim.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		env.Run()
+		st := env.Stats()
+		env.Close()
+		if k == 0 {
+			first = st
+		} else if st.Spawns != first.Spawns || st.SelfWakes != first.SelfWakes || st.Switches != first.Switches {
+			t.Errorf("%d servers: spawns/self-wakes/switches %d/%d/%d, 1 server %d/%d/%d",
+				n, st.Spawns, st.SelfWakes, st.Switches, first.Spawns, first.SelfWakes, first.Switches)
+		}
+		if st.Callbacks <= lastCallbacks {
+			t.Errorf("%d servers: %d callbacks, not above %d", n, st.Callbacks, lastCallbacks)
+		}
+		lastCallbacks = st.Callbacks
+	}
+}
+
+// TestHeartbeatsAllocFree: once warmed, a millisecond of fault-free
+// monitoring — beats, detector updates and evaluator ticks — allocates
+// nothing.
+func TestHeartbeatsAllocFree(t *testing.T) {
+	for _, n := range []int{1, 4, 16} {
+		env := sim.NewEnv()
+		if _, err := Start(env, newFakePool(env, n, 0), nil, Config{Seed: 5, Horizon: sim.Second}); err != nil {
+			t.Fatal(err)
+		}
+		now := env.RunUntil(sim.Time(0).Add(10 * sim.Millisecond))
+		allocs := testing.AllocsPerRun(100, func() {
+			now = env.RunUntil(now.Add(sim.Millisecond))
+		})
+		env.Close()
+		if allocs > 0 {
+			t.Errorf("%d servers: 1 ms of monitoring allocates %.1f objects, want 0", n, allocs)
 		}
 	}
 }
@@ -178,6 +253,7 @@ func churnConfig(seed int64) faults.Config {
 }
 
 func TestDetectsDrainsAndReadmits(t *testing.T) {
+	checkEveryTick(t)
 	env := sim.NewEnv()
 	defer env.Close()
 	pool := testPool(t, env, churnConfig(11), 1)
@@ -248,6 +324,7 @@ func TestHeartbeatLossTolerance(t *testing.T) {
 }
 
 func TestControllerDeterminism(t *testing.T) {
+	checkEveryTick(t)
 	run := func() (Stats, []Transition) {
 		env := sim.NewEnv()
 		defer env.Close()
@@ -275,4 +352,58 @@ func TestControllerDeterminism(t *testing.T) {
 	if len(l1) == 0 {
 		t.Error("churn run produced no transitions at all")
 	}
+}
+
+// checkInvariants recomputes the registry's derived books from scratch:
+// the degraded count from the states, and the transition log as a chain
+// per server that starts Healthy, where each From is the previous To, no
+// transition leaves a state for itself, time never runs backwards, and
+// the last To is the current state.
+func (r *Registry) checkInvariants() error {
+	degraded := 0
+	for _, s := range r.states {
+		if s != Healthy {
+			degraded++
+		}
+	}
+	if degraded != r.degraded {
+		return fmt.Errorf("degraded count %d, states say %d", r.degraded, degraded)
+	}
+	cur := make([]State, len(r.states))
+	var at sim.Time
+	for k, tr := range r.log {
+		if tr.From != cur[tr.Server] {
+			return fmt.Errorf("transition %d %+v: server %d was %v", k, tr, tr.Server, cur[tr.Server])
+		}
+		if tr.From == tr.To {
+			return fmt.Errorf("transition %d %+v is a self-loop", k, tr)
+		}
+		if tr.At < at {
+			return fmt.Errorf("transition %d %+v before the previous one at %v", k, tr, at)
+		}
+		cur[tr.Server], at = tr.To, tr.At
+	}
+	for i, s := range r.states {
+		if cur[i] != s {
+			return fmt.Errorf("server %d is %v, its log ends at %v", i, s, cur[i])
+		}
+	}
+	return nil
+}
+
+// checkEveryTick runs checkInvariants at the end of every evaluator tick
+// for the rest of the test, failing it on the first violation.
+func checkEveryTick(t *testing.T) {
+	t.Helper()
+	failed := false
+	afterTick = func(c *Controller) {
+		if failed {
+			return
+		}
+		if err := c.reg.checkInvariants(); err != nil {
+			failed = true
+			t.Errorf("at %v: %v", c.env.Now(), err)
+		}
+	}
+	t.Cleanup(func() { afterTick = nil })
 }

@@ -102,6 +102,10 @@ func (p Policy) String() string {
 	}
 }
 
+// afterRun, when set, sees Run's environment once it has drained. Tests
+// read the engine's counts through it; it is nil otherwise.
+var afterRun func(*sim.Env)
+
 // Run schedules jobs on the system under the policy and returns the
 // outcome. The system must be freshly built (no live allocations). A
 // policy other than FCFS or Backfill is an error.
@@ -167,15 +171,19 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 			queue = append(queue[:i], queue[i+1:]...)
 			running++
 			job := js
-			env.Spawn("job:"+job.Name, func(jp *sim.Proc) {
-				jp.Sleep(job.Duration)
-				accrue(jp.Now())
-				if err := system.Release(job.Name); err != nil {
-					panic(err)
-				}
-				job.Finished = jp.Now()
-				running--
-				poke.Fire()
+			// The job timer is two callbacks, a start at now and then the
+			// duration, so its end event keeps its (time, seq) slot among
+			// events scheduled for the same instant.
+			env.After(0, func() {
+				env.After(job.Duration, func() {
+					accrue(env.Now())
+					if err := system.Release(job.Name); err != nil {
+						panic(err)
+					}
+					job.Finished = env.Now()
+					running--
+					poke.Fire()
+				})
 			})
 		}
 	}
@@ -209,6 +217,9 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 	end := env.Run()
 	if blocked := env.Blocked(); len(blocked) > 0 {
 		return Result{}, fmt.Errorf("sched: deadlock, blocked: %v", blocked)
+	}
+	if afterRun != nil {
+		afterRun(env)
 	}
 	accrueFinal := system.GPUPowerDraw(pm) * float64(end.Sub(lastPowerAt))
 	energyWs += accrueFinal

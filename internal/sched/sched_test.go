@@ -250,6 +250,24 @@ func TestRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestRunSpawnsOnlyScheduler: arrivals and job timers are callback
+// events, so a run of any size spawns one process, the scheduler.
+func TestRunSpawnsOnlyScheduler(t *testing.T) {
+	var st sim.Stats
+	afterRun = func(env *sim.Env) { st = env.Stats() }
+	t.Cleanup(func() { afterRun = nil })
+	res, err := Run(mustTraditional(t, 6, 24, 2), mustMix(t, 25, 24, 11), Backfill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected == len(res.Jobs) {
+		t.Fatal("no job ran")
+	}
+	if st.Spawns != 1 {
+		t.Errorf("Run spawned %d processes, want 1 (the scheduler)", st.Spawns)
+	}
+}
+
 func TestDeterministicSchedule(t *testing.T) {
 	jobs := mustMix(t, 25, 24, 11)
 	run := func() Result {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/gpu"
@@ -110,18 +111,24 @@ type pending struct {
 	shed      bool // shed by backpressure while queued; pop discards it
 }
 
-// Engine serves one replica's request stream: an arrival process feeds the
-// admission queue on the sim clock and a batcher process drains it through
-// the Transport according to the configured policy. Both run as sim procs;
-// results are valid after env.Run() returns.
+// Engine serves one replica's request stream: a chain of arrival
+// callbacks feeds the admission queue on the sim clock and a batcher
+// process drains it through the Transport according to the configured
+// policy. Results are valid after env.Run() returns.
 type Engine struct {
 	env   *sim.Env
 	tr    Transport
 	cfg   Config
 	total int
 
-	// The admission queue and completion count: only the arrivals and
-	// batcher procs touch them.
+	// reqs is the arrival schedule; reqs[:next] have arrived. arriveFn
+	// is the bound arrive callback, so a wait allocates no closure.
+	reqs     []Request
+	next     int
+	arriveFn func()
+
+	// The admission queue and completion count: only the arrival
+	// callbacks and the batcher touch them.
 	queue []*pending
 	// qhead: queue[:qhead] is served; the array is reused once drained.
 	qhead int
@@ -148,9 +155,10 @@ type Engine struct {
 	workspace gpu.Ptr
 }
 
-// Start validates the configuration and spawns the engine's arrival and
-// batcher processes on env. The caller runs the simulation (env.Run) and
-// then reads Err, Metrics and Spans.
+// Start validates the configuration and the requests, schedules the
+// engine's first arrival callback and spawns its batcher process on env.
+// The caller runs the simulation (env.Run) and then reads Err, Metrics
+// and Spans.
 func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -162,12 +170,16 @@ func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, err
 		if r.PromptTokens < 1 || r.OutputTokens < 1 {
 			return nil, fmt.Errorf("serve: request %d has empty prompt or output", r.ID)
 		}
+		if !(r.Arrival >= 0) || math.IsInf(float64(r.Arrival), 1) {
+			return nil, fmt.Errorf("serve: request %d arrival %v is not finite and non-negative", r.ID, r.Arrival)
+		}
 	}
 	e := &Engine{
 		env:   env,
 		tr:    tr,
 		cfg:   cfg,
 		total: len(reqs),
+		reqs:  reqs,
 		more:  sim.NewSignal(env),
 		m:     newMetrics(),
 	}
@@ -175,7 +187,10 @@ func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, err
 	if cfg.Admission.enabled() {
 		e.m.ShedByTenant = make([]int, len(cfg.Tenants))
 	}
-	env.Spawn("serve-arrivals", func(p *sim.Proc) { e.arrivals(p, reqs) })
+	// The first arrival step is an event, not run inline here, so the
+	// batcher's start keeps its place after it.
+	e.arriveFn = e.arrive
+	env.After(0, e.arrivals)
 	env.Spawn("serve-batcher", e.batcher)
 	return e, nil
 }
@@ -192,17 +207,34 @@ func (e *Engine) Spans() []trace.AppSpan { return e.spans }
 // Completed returns how many requests have finished.
 func (e *Engine) Completed() int { return e.completed }
 
-// arrivals delivers the pre-generated schedule into the admission queue.
-// Every arrival fires the signal — even one shed at the door — so the
-// batcher re-checks its completion condition.
-func (e *Engine) arrivals(p *sim.Proc, reqs []Request) {
-	for _, r := range reqs {
-		if d := r.Arrival.Sub(p.Now()); d > 0 {
-			p.Sleep(d)
+// arrivals delivers the pre-generated schedule into the admission queue:
+// every request whose arrival time has come is enqueued inline, and the
+// chain waits for the next one with an After delay. Every arrival fires
+// the signal — even one shed at the door — so the batcher re-checks its
+// completion condition.
+func (e *Engine) arrivals() {
+	for ; e.next < len(e.reqs); e.next++ {
+		if d := e.reqs[e.next].Arrival.Sub(e.env.Now()); d > 0 {
+			e.env.After(d, e.arriveFn)
+			return
 		}
-		e.enqueue(e.newPending(r))
-		e.more.Fire()
+		e.enqueueNext()
 	}
+}
+
+// arrive ends the wait for reqs[next]: that request is due now, without
+// re-reading the clock (now+(arrival−now) need not round back to the
+// arrival time), and the chain carries on.
+func (e *Engine) arrive() {
+	e.enqueueNext()
+	e.next++
+	e.arrivals()
+}
+
+// enqueueNext enqueues reqs[next] and wakes the batcher.
+func (e *Engine) enqueueNext() {
+	e.enqueue(e.newPending(e.reqs[e.next]))
+	e.more.Fire()
 }
 
 // enqueue admits one request, applying queue-cap backpressure while the

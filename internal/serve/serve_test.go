@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cuda"
@@ -60,6 +61,57 @@ func runLocal(t *testing.T, policy Policy, inj *slack.Injector, reqs []Request) 
 		t.Fatalf("completed %d of %d requests", e.Completed(), len(reqs))
 	}
 	return e
+}
+
+// TestStartRejectsBadArrivals: an arrival must be a finite, non-negative
+// sim time, or the arrival chain could not schedule it.
+func TestStartRejectsBadArrivals(t *testing.T) {
+	cases := []struct {
+		name string
+		at   sim.Time
+	}{
+		{"NaN", sim.Time(math.NaN())},
+		{"+Inf", sim.Time(math.Inf(1))},
+		{"-Inf", sim.Time(math.Inf(-1))},
+		{"negative", sim.Time(-1e-6)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			reqs := []Request{
+				{ID: 0, Arrival: 0, PromptTokens: 8, OutputTokens: 1},
+				{ID: 1, Arrival: c.at, PromptTokens: 8, OutputTokens: 1},
+			}
+			if _, err := Start(env, nil, Config{Tenants: testTenants()}, reqs); err == nil {
+				t.Fatalf("arrival %v accepted", c.at)
+			}
+		})
+	}
+}
+
+// TestStartSpawnsOnlyBatcher: arrivals are a callback chain, so an
+// engine adds one process, the batcher.
+func TestStartSpawnsOnlyBatcher(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev, err := gpu.NewDevice(env, gpu.A100())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := testSchedule(t, 1)
+	before := env.Stats().Spawns
+	e, err := Start(env, NewLocal(cuda.NewContext(dev, cuda.Config{})), Config{Policy: Continuous, Tenants: testTenants()}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := env.Stats().Spawns - before; n != 1 {
+		t.Fatalf("Start spawned %d processes, want 1", n)
+	}
+	env.Run()
+	if e.Err() != nil || e.Completed() != len(reqs) {
+		t.Fatalf("completed %d of %d requests, err %v", e.Completed(), len(reqs), e.Err())
+	}
 }
 
 func TestGenerateDeterministicAndTenantIndependent(t *testing.T) {
