@@ -250,7 +250,9 @@ func (r *Resilient) deadline(reqBytes, respBytes int64) sim.Duration {
 
 // callSpec describes one API call to the retry machinery.
 type callSpec struct {
-	name                string
+	// srv names the per-attempt server process. It is a constant per call
+	// kind, so an attempt formats no string; names only feed Env.Blocked.
+	srv                 string
 	reqBytes, respBytes int64
 	// dedup marks calls that must not execute twice (malloc/free): a
 	// retry replays the recorded result instead of re-running exec.
@@ -335,7 +337,7 @@ func (r *Resilient) attempt(p *sim.Proc, ep *endpoint, reqID uint64, cs callSpec
 	var res execResult
 	if !lost {
 		reqTransfer := r.transfer(cs.reqBytes, r.inj.BandwidthFactor(now))
-		r.env.Spawn(fmt.Sprintf("rsrv-%s-%d", cs.name, reqID), func(sp *sim.Proc) {
+		r.env.Spawn(cs.srv, func(sp *sim.Proc) {
 			sp.Sleep(reqTransfer)
 			if ep.srv != nil {
 				switch state, until := ep.srv.StateAt(sp.Now()); state {
@@ -520,7 +522,7 @@ func (r *Resilient) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) {
 	r.nextHandle++
 	h := r.nextHandle
 	res, err := r.call(p, callSpec{
-		name: "malloc", reqBytes: 64, respBytes: 64, dedup: true,
+		srv: "rsrv-malloc", reqBytes: 64, respBytes: 64, dedup: true,
 		exec: func(sp *sim.Proc, ep *endpoint) execResult {
 			ptr, err := ep.ctx.Malloc(sp, n)
 			if err == nil {
@@ -543,7 +545,7 @@ func (r *Resilient) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) {
 // is treated as success (idempotent by request-id dedup).
 func (r *Resilient) Free(p *sim.Proc, h gpu.Ptr) error {
 	res, err := r.call(p, callSpec{
-		name: "free", reqBytes: 64, respBytes: 64, dedup: true,
+		srv: "rsrv-free", reqBytes: 64, respBytes: 64, dedup: true,
 		exec: func(sp *sim.Proc, ep *endpoint) execResult {
 			ptr, ok := ep.phys[h]
 			if !ok {
@@ -567,7 +569,7 @@ func (r *Resilient) Free(p *sim.Proc, h gpu.Ptr) error {
 // request. Copies are idempotent and simply re-execute on retry.
 func (r *Resilient) MemcpyH2D(p *sim.Proc, h gpu.Ptr, n int64) error {
 	res, err := r.call(p, callSpec{
-		name: "h2d", reqBytes: 64 + n, respBytes: 64,
+		srv: "rsrv-h2d", reqBytes: 64 + n, respBytes: 64,
 		exec: func(sp *sim.Proc, ep *endpoint) execResult {
 			return execResult{err: ep.ctx.MemcpyH2D(sp, ep.phys[h], n)}
 		},
@@ -582,7 +584,7 @@ func (r *Resilient) MemcpyH2D(p *sim.Proc, h gpu.Ptr, n int64) error {
 // response.
 func (r *Resilient) MemcpyD2H(p *sim.Proc, h gpu.Ptr, n int64) error {
 	res, err := r.call(p, callSpec{
-		name: "d2h", reqBytes: 64, respBytes: 64 + n,
+		srv: "rsrv-d2h", reqBytes: 64, respBytes: 64 + n,
 		exec: func(sp *sim.Proc, ep *endpoint) execResult {
 			return execResult{err: ep.ctx.MemcpyD2H(sp, ep.phys[h], n)}
 		},
@@ -597,7 +599,7 @@ func (r *Resilient) MemcpyD2H(p *sim.Proc, h gpu.Ptr, n int64) error {
 // on retry).
 func (r *Resilient) LaunchSync(p *sim.Proc, k gpu.Kernel) error {
 	_, err := r.call(p, callSpec{
-		name: "launch", reqBytes: 256, respBytes: 64,
+		srv: "rsrv-launch", reqBytes: 256, respBytes: 64,
 		exec: func(sp *sim.Proc, ep *endpoint) execResult {
 			ep.ctx.LaunchSync(sp, k, nil)
 			return execResult{}
@@ -609,7 +611,7 @@ func (r *Resilient) LaunchSync(p *sim.Proc, k gpu.Kernel) error {
 // DeviceSynchronize forwards cudaDeviceSynchronize.
 func (r *Resilient) DeviceSynchronize(p *sim.Proc) error {
 	_, err := r.call(p, callSpec{
-		name: "sync", reqBytes: 64, respBytes: 64,
+		srv: "rsrv-sync", reqBytes: 64, respBytes: 64,
 		exec: func(sp *sim.Proc, ep *endpoint) execResult {
 			ep.ctx.DeviceSynchronize(sp)
 			return execResult{}

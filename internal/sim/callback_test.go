@@ -115,13 +115,13 @@ func TestStatsAccounting(t *testing.T) {
 			p.Sleep(1 * Microsecond)
 		}
 	})
-	if st := env.Stats(); st != (Stats{Scheduled: 1, Spawns: 1, PeakPending: 1}) {
+	if st := env.Stats(); st != (Stats{Scheduled: 1, Spawns: 1, Goroutines: 1, PeakPending: 1}) {
 		t.Fatalf("after one Spawn: %+v", st)
 	}
 	env.Run()
 	// The start event is the driver's one handoff; every sleep after it
 	// is the sleeper's own next event.
-	want := Stats{Scheduled: 11, Delivered: 11, Spawns: 1, SelfWakes: 10, Switches: 1, PeakPending: 1}
+	want := Stats{Scheduled: 11, Delivered: 11, Spawns: 1, Goroutines: 1, SelfWakes: 10, Switches: 1, PeakPending: 1}
 	if st := env.Stats(); st != want {
 		t.Fatalf("lone sleeper: %+v, want %+v", st, want)
 	}
@@ -139,7 +139,7 @@ func TestStatsAccounting(t *testing.T) {
 	env.After(2*Microsecond, sig.Fire)
 	env.After(1*Second, func() {})
 	env.RunUntil(env.Now().Add(5 * Microsecond))
-	want = Stats{Scheduled: 24, Delivered: 20, Cancelled: 3, Callbacks: 1, Spawns: 5, SelfWakes: 10, Switches: 9, PeakPending: 8}
+	want = Stats{Scheduled: 24, Delivered: 20, Cancelled: 3, Callbacks: 1, Spawns: 5, Goroutines: 5, SelfWakes: 10, Switches: 9, PeakPending: 8}
 	if st := env.Stats(); st != want {
 		t.Fatalf("mixed program: %+v, want %+v", st, want)
 	}
@@ -191,7 +191,7 @@ func checkParked(t *testing.T, env *Env, sigs []*Signal) int {
 		t.Fatalf("at %v: Blocked() = %v, recount from the waiter lists = %v", env.Now(), got, want)
 	}
 	for i, p := range env.parked {
-		if p.parkIdx != i {
+		if int(p.parkIdx) != i {
 			t.Fatalf("at %v: parked[%d] = %s holds parkIdx %d", env.Now(), i, p.name, p.parkIdx)
 		}
 	}

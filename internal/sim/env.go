@@ -52,6 +52,11 @@ const (
 // segment ends. Step and Close fall back to the central-handoff path, which
 // delivers exactly one wake-up per exchange.
 //
+// A goroutine whose process finishes inside a run segment is not thrown
+// away: it passes the baton on and waits on the idle list, and the next
+// SpawnAt runs its process there, on a stack that has already grown.
+// RunUntil releases the idle goroutines when the segment ends.
+//
 // Callback events (After) need no goroutine at all: whoever holds the
 // baton runs the callback inline when it surfaces and keeps popping.
 type Env struct {
@@ -69,6 +74,12 @@ type Env struct {
 	park   chan struct{} // a yielding process hands the run back to the driver
 	nprocs int           // live (started, not finished) processes
 	closed bool
+
+	// idle lists, through Proc.nextIdle, the processes that finished in
+	// the current run segment and left their goroutine waiting on its
+	// resume channel; SpawnAt takes the head's goroutine. It is nil
+	// whenever direct is false.
+	idle *Proc
 
 	// parked lists every process currently blocked on a Signal (not a
 	// timer), so deadlocks can be reported and Close can unwind goroutines.
@@ -175,8 +186,11 @@ type Stats struct {
 	Scheduled, Delivered, Cancelled uint64
 	// Callbacks counts delivered callback events (After).
 	Callbacks uint64
-	// Spawns counts processes created, each its own goroutine.
-	Spawns uint64
+	// Spawns counts processes created. Goroutines counts the goroutines
+	// started to run them; Spawns minus Goroutines processes ran on a
+	// goroutine that a process finished earlier in the same run segment
+	// left idle.
+	Spawns, Goroutines uint64
 	// SelfWakes counts wake-ups a yielding process popped for itself and
 	// continued inline; Switches counts wake-ups handed to a process on
 	// another goroutine, one channel send each. Every delivered event is
@@ -347,14 +361,14 @@ func (e *Env) wake(ev *event) *Proc {
 
 // parkOn registers p as blocked on a Signal.
 func (e *Env) parkOn(p *Proc) {
-	p.parkIdx = len(e.parked)
+	p.parkIdx = int32(len(e.parked))
 	e.parked = append(e.parked, p)
 }
 
 // unpark removes p from the parked list by moving the last entry into its
 // slot.
 func (e *Env) unpark(p *Proc) {
-	i, last := p.parkIdx, len(e.parked)-1
+	i, last := p.parkIdx, int32(len(e.parked)-1)
 	q := e.parked[last]
 	e.parked[i] = q
 	q.parkIdx = i
@@ -387,7 +401,7 @@ func (e *Env) dispatch(self *Proc) bool {
 // handoff resumes q, a process on another goroutine, and counts the switch.
 func (e *Env) handoff(q *Proc) {
 	e.stats.Switches++
-	q.resume <- struct{}{}
+	q.resume <- q
 }
 
 // Spawn creates a process running fn and schedules it to start at the
@@ -402,42 +416,72 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with a start delay. A negative or NaN delay panics.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
 	e.checkDelay("Spawn", delay)
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), parkIdx: -1}
+	p := &Proc{env: e, name: name, fn: fn, parkIdx: -1}
 	p.waits = p.waitsBuf[:0]
+	if q := e.idle; q != nil {
+		e.idle, q.nextIdle = q.nextIdle, nil
+		p.resume = q.resume
+	} else {
+		p.resume = make(chan *Proc)
+		e.stats.Goroutines++
+		go e.procLoop(p.resume)
+	}
 	e.nprocs++
 	e.stats.Spawns++
-	go func() {
-		defer func() {
-			r := recover()
-			if r != nil && r != errAborted {
-				// Re-panicking application errors on the scheduler's stack
-				// would be nicer, but surfacing them here keeps the trace.
-				panic(r)
-			}
-			p.finished = true
-			e.nprocs--
-			if !e.direct {
-				e.park <- struct{}{}
-				return
-			}
-			// Baton mode: the dying goroutine keeps the scheduler loop
-			// going. A finished process has no pending wake-ups, so the
-			// next event always belongs to someone else (or ends the run).
-			ev := e.nextProc()
-			if ev == nil {
-				e.park <- struct{}{}
-				return
-			}
-			e.handoff(e.wake(ev))
-		}()
-		<-p.resume
-		if p.aborted {
-			return
-		}
-		fn(p)
-	}()
 	e.schedule(e.now.Add(delay), p, wakeStart)
 	return p
+}
+
+// procLoop is the body of every process goroutine: it runs each process
+// handed to it on ch, the first at its start event and later ones spawned
+// onto it while it sat idle. It returns when a process finishes outside
+// the baton path, or when RunUntil closes ch at the end of a segment.
+func (e *Env) procLoop(ch chan *Proc) {
+	for p := <-ch; p != nil; p = <-ch {
+		if !e.runProc(p) {
+			return
+		}
+	}
+}
+
+// runProc runs p to completion (or to Close's abort) and passes control
+// on. In baton mode the dying goroutine keeps the scheduler loop going:
+// it pops the next process wake-up, joins the idle list and hands the
+// baton over, and runProc reports true. Otherwise the run goes back to the
+// driver and the goroutine exits.
+func (e *Env) runProc(p *Proc) bool {
+	if !p.aborted {
+		runBody(p)
+	}
+	p.fn = nil
+	e.nprocs--
+	if e.direct {
+		// A finished process has no pending wake-ups, so the next event
+		// always belongs to someone else (or ends the run). The goroutine
+		// goes idle only after nextProc: a callback run there may spawn at
+		// delay 0, and a spawn that took this goroutine would be handed
+		// its start by the goroutine itself.
+		if ev := e.nextProc(); ev != nil {
+			q := e.wake(ev)
+			p.nextIdle, e.idle = e.idle, p
+			e.handoff(q)
+			return true
+		}
+	}
+	e.park <- struct{}{}
+	return false
+}
+
+// runBody calls p's body, absorbing the panic Close unwinds it with.
+func runBody(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil && r != errAborted {
+			// Re-panicking application errors on the scheduler's stack
+			// would be nicer, but surfacing them here keeps the trace.
+			panic(r)
+		}
+	}()
+	p.fn(p)
 }
 
 // Run drives the simulation until no runnable events remain, then returns
@@ -466,6 +510,11 @@ func (e *Env) RunUntil(horizon Time) Time {
 	e.handoff(e.wake(ev))
 	<-e.park
 	e.direct = false
+	// Release the goroutines left idle: a closed channel hands them nil.
+	for q := e.idle; q != nil; q = e.idle {
+		e.idle, q.nextIdle = q.nextIdle, nil
+		close(q.resume)
+	}
 	return e.now
 }
 
@@ -525,7 +574,7 @@ func (e *Env) Close() {
 		}
 		p.waits = nil
 		p.aborted = true
-		p.resume <- struct{}{}
+		p.resume <- p
 		<-e.park
 	}
 	// Drop pending callbacks and unwind processes parked on timers (or

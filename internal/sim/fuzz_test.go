@@ -17,10 +17,13 @@ import (
 // sorted-slice reference.
 
 // progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait,
-// wait-with-timeout over a small set of shared signals, or after: schedule
-// a callback that fires a signal and logs.
+// wait-with-timeout over a small set of shared signals; after: schedule a
+// callback that fires a signal and logs; or spawn: start a short child,
+// from the proc itself or from a callback, that sleeps, fires a signal and
+// logs. Under Run the children land on goroutines that finished procs left
+// idle; under Step each gets a fresh one.
 type progOp struct {
-	kind int // 0 sleep, 1 yield, 2 fire, 3 wait, 4 wait-timeout, 5 after
+	kind int // 0 sleep, 1 yield, 2 fire, 3 wait, 4 wait-timeout, 5 after, 6 spawn
 	arg  int
 }
 
@@ -49,7 +52,7 @@ func decodeProgram(data []byte) (procs [][]progOp) {
 			if !ok {
 				break
 			}
-			ops = append(ops, progOp{kind: b % 6, arg: b / 6})
+			ops = append(ops, progOp{kind: b % 7, arg: b / 7})
 		}
 		procs = append(procs, ops)
 	}
@@ -58,11 +61,13 @@ func decodeProgram(data []byte) (procs [][]progOp) {
 
 // progEvent records one completed op: which proc, which op, and the
 // simulated instant it finished at. An after op logs twice: once when it
-// schedules its callback and once, with cb set, when the callback runs.
+// schedules its callback and once, with cb set, when the callback runs. A
+// spawn op logs once when it returns and once, with child set, when the
+// child finishes.
 type progEvent struct {
-	proc, op int
-	at       Time
-	cb       bool
+	proc, op  int
+	at        Time
+	cb, child bool
 }
 
 // runProgram executes the program, driving the engine with Run or, when
@@ -98,6 +103,21 @@ func runProgram(procs [][]progOp, step bool) []progEvent {
 						sig.Fire()
 						log = append(log, progEvent{proc: pi, op: oi, at: env.Now(), cb: true})
 					})
+				case 6:
+					sig := sigs[(op.arg/2)%4]
+					d := Duration(op.arg%3) * Microsecond
+					spawn := func() {
+						env.Spawn("child", func(c *Proc) {
+							c.Sleep(d)
+							sig.Fire()
+							log = append(log, progEvent{proc: pi, op: oi, at: c.Now(), child: true})
+						})
+					}
+					if op.arg%2 == 0 {
+						spawn()
+					} else {
+						env.After(d, spawn)
+					}
 				}
 				log = append(log, progEvent{proc: pi, op: oi, at: p.Now()})
 			}
@@ -115,13 +135,16 @@ func runProgram(procs [][]progOp, step bool) []progEvent {
 func FuzzRunStepOrder(f *testing.F) {
 	// Seeds: a sleeper/firer mix, a wait-heavy program, a same-instant
 	// pileup, one proc that sleeps and times out alone, so every wake-up
-	// is a self-wake on the fast path, and waiters released only by
-	// callbacks, some due at the instant they are scheduled.
-	f.Add([]byte{7, 4, 0, 12, 10, 17, 3, 5, 22, 9, 8, 15, 4, 2, 60, 61, 62})
+	// is a self-wake on the fast path, waiters released only by
+	// callbacks, some due at the instant they are scheduled, and children
+	// spawned from procs and from callbacks, some onto the goroutine of a
+	// proc that has just finished.
+	f.Add([]byte{7, 4, 0, 14, 11, 19, 3, 5, 25, 10, 8, 17, 4, 2, 70, 71, 72})
 	f.Add([]byte{15, 8, 3, 3, 3, 3, 2, 2, 2, 2})
 	f.Add([]byte{4, 2, 0, 0, 2, 0, 0})
-	f.Add([]byte{0, 8, 5, 1, 24, 4, 19, 10, 6, 9})
-	f.Add([]byte{5, 3, 3, 9, 15, 2, 5, 11, 4, 17, 53, 3, 0, 5, 6})
+	f.Add([]byte{0, 8, 5, 1, 28, 4, 22, 11, 7, 10})
+	f.Add([]byte{5, 3, 3, 10, 17, 2, 5, 12, 4, 19, 61, 3, 0, 5, 7})
+	f.Add([]byte{3, 4, 6, 13, 0, 20, 3, 27, 6, 3, 3, 34, 0, 1, 13})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		procs := decodeProgram(data)
 		got := runProgram(procs, false)

@@ -17,16 +17,24 @@ var ErrTimeout = errors.New("sim: wait timed out")
 // time. A Proc is only valid inside the function passed to Env.Spawn and
 // must not be shared between process functions.
 type Proc struct {
-	env      *Env
-	name     string
-	resume   chan struct{}
-	wake     wakeKind // why the last resume happened, set before the handoff
-	waits    []*event // outstanding wake-ups while parked
-	finished bool
-	aborted  bool
+	env  *Env
+	name string
+	fn   func(p *Proc) // the process body; nil once it has returned
+	// resume is the channel of the goroutine running the process. The
+	// goroutine is shared across a run: when a process finishes, the next
+	// spawn may take it over (Env.idle), and the handoff that starts or
+	// wakes a process sends the process itself.
+	resume chan *Proc
+	waits  []*event // outstanding wake-ups while parked
+	// nextIdle links a finished process whose goroutine is idle to the
+	// next one on Env.idle.
+	nextIdle *Proc
 	// parkIdx is the process's index in env.parked while it is blocked on
-	// a Signal, and -1 otherwise.
-	parkIdx int
+	// a Signal, and -1 otherwise. It and the one-byte fields share a word,
+	// so a Proc fits the 96-byte allocation size class.
+	parkIdx int32
+	wake    wakeKind // why the last resume happened, set before the handoff
+	aborted bool
 
 	// waitsBuf backs waits inline: a process has at most two outstanding
 	// wake-ups in every blocking primitive the package offers (a timer

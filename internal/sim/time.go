@@ -1,7 +1,8 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine drives "processes" — ordinary Go functions running in their own
-// goroutines — through virtual time. At most one process executes at any
+// The engine drives "processes" — ordinary Go functions, each on a goroutine
+// of its own while it lives (a finished process's goroutine runs the next
+// spawn) — through virtual time. At most one process executes at any
 // instant: the scheduler hands control to a process, and the process hands
 // control back when it blocks on a virtual-time primitive (Sleep, a Signal,
 // a Resource, ...). This SimPy-style handoff keeps simulations fully
