@@ -286,9 +286,9 @@ func BenchmarkAblationThreads(b *testing.B) {
 // BenchmarkSimEngineEvents measures the engine's per-event dispatch cost on
 // the path every experiment actually runs: one RunUntil spanning b.N timer
 // events. A ticker that re-sleeps inside the run exercises the full
-// schedule→queue→pop→deliver cycle per event, including the baton handoff's
-// self-wake fast path (the Step loop it replaced forced two goroutine
-// switches per event, measuring the driver round-trip instead of dispatch).
+// schedule→queue→pop→deliver cycle per event, including the scheduling
+// loop's self-wake fast path (a Step loop would resume the ticker once per
+// event, measuring the switch instead of dispatch).
 func BenchmarkSimEngineEvents(b *testing.B) {
 	env := sim.NewEnv()
 	defer env.Close()

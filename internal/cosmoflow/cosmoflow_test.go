@@ -1,8 +1,10 @@
 package cosmoflow
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -31,6 +33,30 @@ func TestPerfValidation(t *testing.T) {
 	bad.GPUs = 2
 	if _, err := RunPerf(bad); err == nil {
 		t.Error("insufficient samples accepted")
+	}
+}
+
+// A NaN, infinite or negative interconnect term is rejected before the
+// run; NaN alpha used to reach a rank's collective as a NaN sleep and
+// panic there.
+func TestPerfRejectsBadInterconnect(t *testing.T) {
+	inf := math.Inf(1)
+	for _, ic := range []mpi.CostModel{
+		{Alpha: sim.Duration(math.NaN()), Beta: 40e9},
+		{Alpha: sim.Duration(inf), Beta: 40e9},
+		{Alpha: sim.Duration(-inf), Beta: 40e9},
+		{Alpha: -sim.Microsecond, Beta: 40e9},
+		{Alpha: sim.Microsecond, Beta: math.NaN()},
+		{Alpha: sim.Microsecond, Beta: inf},
+		{Alpha: sim.Microsecond, Beta: -inf},
+		{Alpha: sim.Microsecond, Beta: -1},
+	} {
+		cfg := fastPerf()
+		cfg.GPUs = 4
+		cfg.Interconnect = ic
+		if _, err := RunPerf(cfg); err == nil {
+			t.Errorf("interconnect %+v accepted", ic)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package cosmoflow
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cuda"
 	"repro/internal/faults"
@@ -129,6 +130,10 @@ func (c PerfConfig) validate() error {
 	}
 	if !c.Slack.Valid() {
 		return fmt.Errorf("cosmoflow: slack %g s, want finite and non-negative", float64(c.Slack))
+	}
+	if ic := c.Interconnect; !ic.Alpha.Valid() || !(ic.Beta >= 0) || math.IsInf(ic.Beta, 1) {
+		return fmt.Errorf("cosmoflow: interconnect alpha %g s, beta %g B/s, want finite and non-negative",
+			float64(ic.Alpha), ic.Beta)
 	}
 	return nil
 }

@@ -723,8 +723,8 @@ func TestNoContextSwitchWhenDisabled(t *testing.T) {
 
 // TestStreamsSpawnNoProcess pins the callback design: one host driving
 // kernels and copies on two streams is the only process the engine ever
-// spawns, the device work costs no goroutine switch (its callbacks run on
-// the host's goroutine while the host is parked), and once the stream is
+// spawns, the device work costs no process switch (its callbacks run
+// inline on the parked host's coroutine), and once the stream is
 // warm an enqueue and wait allocates nothing; the op slab's chunk every
 // 64 ops rounds to zero per round.
 func TestStreamsSpawnNoProcess(t *testing.T) {
@@ -754,7 +754,7 @@ func TestStreamsSpawnNoProcess(t *testing.T) {
 		t.Errorf("%d processes spawned, want 1 (the host)", st.Spawns)
 	}
 	if switches != 0 {
-		t.Errorf("device work cost %d goroutine switches, want 0", switches)
+		t.Errorf("device work cost %d process switches, want 0", switches)
 	}
 	if allocs != 0 {
 		t.Errorf("enqueue and wait allocates %v times per round, want 0", allocs)

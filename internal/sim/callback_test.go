@@ -119,8 +119,8 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("after one Spawn: %+v", st)
 	}
 	env.Run()
-	// The start event is the driver's one handoff; every sleep after it
-	// is the sleeper's own next event.
+	// The start event is the loop's one switch; every sleep after it is
+	// the sleeper's own next event.
 	want := Stats{Scheduled: 11, Delivered: 11, Spawns: 1, Goroutines: 1, SelfWakes: 10, Switches: 1, PeakPending: 1}
 	if st := env.Stats(); st != want {
 		t.Fatalf("lone sleeper: %+v, want %+v", st, want)
@@ -148,10 +148,25 @@ func TestStatsAccounting(t *testing.T) {
 	if st := env.Stats(); st != want {
 		t.Fatalf("after Close: %+v, want %+v", st, want)
 	}
+
+	// Close delivers the sleeper's timer and the unstarted start as two
+	// more switches, but unwinding the signal-parked process delivers no
+	// event, so it is not a switch: counting it would push Switches past
+	// Delivered and wrap the derived SelfWakes.
+	env = NewEnv()
+	env.Spawn("blocked", func(p *Proc) { NewSignal(p.Env()).Wait(p) })
+	env.Spawn("sleeper", func(p *Proc) { p.Sleep(10 * Microsecond) })
+	env.SpawnAt(10*Microsecond, "unstarted", func(*Proc) {})
+	env.RunUntil(Time(0).Add(5 * Microsecond))
+	env.Close()
+	want = Stats{Scheduled: 4, Delivered: 4, Spawns: 3, Goroutines: 3, Switches: 4, PeakPending: 3}
+	if st := env.Stats(); st != want {
+		t.Fatalf("Close unwinding parked, sleeping and unstarted processes: %+v, want %+v", st, want)
+	}
 }
 
 // Sleep and After with a prebuilt func run allocation-free once the
-// freelist is warm, on the baton path every experiment runs.
+// freelist is warm, on the RunUntil path every experiment runs.
 func TestSleepAndAfterDoNotAllocate(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()

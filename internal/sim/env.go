@@ -1,14 +1,17 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
 
 // event is a scheduled wake-up for a parked process (or a start for a
 // freshly spawned one), or a callback: an event with no process whose fn
-// runs inline on whichever goroutine pops it.
+// runs inline in whichever process or loop pops it.
 type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for simultaneous events
@@ -42,23 +45,23 @@ const (
 // # Scheduling core
 //
 // Pending events live in one min-heap ordered by (time, seq), where seq is
-// the global schedule counter. Control transfer uses a baton scheme: the
-// scheduler loop runs on whichever goroutine is yielding. When a process
-// parks, it pops the next event itself — if that event is its own wake-up
-// it simply continues (no handoff at all); if it belongs to another process
-// it resumes that process directly (one channel operation instead of the
-// classic resume/park round-trip through a central scheduler goroutine).
-// The driver goroutine that called Run only regains control when the run
-// segment ends. Step and Close fall back to the central-handoff path, which
-// delivers exactly one wake-up per exchange.
+// the global schedule counter. Each process runs as a coroutine (iter.Pull)
+// under one scheduling loop in RunUntil, on the goroutine that called it.
+// When a process parks, it pops the next event itself: if that event is its
+// own wake-up it simply continues (no switch at all); otherwise it leaves
+// the woken process for the loop and suspends, and the loop resumes that
+// process. A switch is two coroutine switches (process to loop to process)
+// and never passes through the Go scheduler. Step and Close deliver exactly
+// one wake-up per resume: a process they resume pops nothing.
 //
-// A goroutine whose process finishes inside a run segment is not thrown
-// away: it passes the baton on and waits on the idle list, and the next
-// SpawnAt runs its process there, on a stack that has already grown.
-// RunUntil releases the idle goroutines when the segment ends.
+// A coroutine whose process finishes inside a run segment is not thrown
+// away: it pops the next wake-up for the loop and waits on the idle list,
+// and the next SpawnAt runs its process there, on a stack that has already
+// grown. RunUntil stops the idle coroutines when the segment ends, also
+// when a process panic ends it; the panic reaches RunUntil's caller.
 //
-// Callback events (After) need no goroutine at all: whoever holds the
-// baton runs the callback inline when it surfaces and keeps popping.
+// Callback events (After) need no coroutine at all: whoever pops one, a
+// parking process or the loop, runs the callback inline and keeps popping.
 type Env struct {
 	now Time
 	seq uint64
@@ -68,21 +71,23 @@ type Env struct {
 	queue eventHeap
 
 	horizon Time // current run's clock bound (+Inf outside RunUntil)
-	// direct enables the baton fast path; Step and Close clear it so every
-	// wake-up is delivered from the driver goroutine.
+	// direct is set inside RunUntil: a parking or finishing process pops
+	// the next event itself. Step and Close leave it clear.
 	direct bool
-	park   chan struct{} // a yielding process hands the run back to the driver
-	nprocs int           // live (started, not finished) processes
+	// handed is the process a coroutine suspending inside RunUntil popped
+	// and woke for the loop to resume next; every such suspend sets it, and
+	// nil ends the run segment.
+	handed *Proc
+	nprocs int // live (started, not finished) processes
 	closed bool
 
-	// idle lists, through Proc.nextIdle, the processes that finished in
-	// the current run segment and left their goroutine waiting on its
-	// resume channel; SpawnAt takes the head's goroutine. It is nil
-	// whenever direct is false.
-	idle *Proc
+	// idle lists, through coro.nextIdle, the coroutines whose process
+	// finished in the current run segment; SpawnAt takes the head. It is
+	// nil whenever direct is false.
+	idle *coro
 
 	// parked lists every process currently blocked on a Signal (not a
-	// timer), so deadlocks can be reported and Close can unwind goroutines.
+	// timer), so deadlocks can be reported and Close can unwind them.
 	// It is intrusive: each parked process stores its own index (parkIdx),
 	// so parking appends and unparking swap-removes, with no hashing.
 	parked []*Proc
@@ -167,7 +172,7 @@ func (h *eventHeap) pop() *event {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{park: make(chan struct{})}
+	e := &Env{}
 	e.horizon = Time(math.Inf(1))
 	return e
 }
@@ -186,15 +191,16 @@ type Stats struct {
 	Scheduled, Delivered, Cancelled uint64
 	// Callbacks counts delivered callback events (After).
 	Callbacks uint64
-	// Spawns counts processes created. Goroutines counts the goroutines
-	// started to run them; Spawns minus Goroutines processes ran on a
-	// goroutine that a process finished earlier in the same run segment
-	// left idle.
+	// Spawns counts processes created. Goroutines counts the coroutines
+	// (each on a goroutine of its own) created to run them; Spawns minus
+	// Goroutines processes ran on a coroutine that a process finished
+	// earlier in the same run segment left idle.
 	Spawns, Goroutines uint64
 	// SelfWakes counts wake-ups a yielding process popped for itself and
-	// continued inline; Switches counts wake-ups handed to a process on
-	// another goroutine, one channel send each. Every delivered event is
-	// exactly one of a callback, a self-wake or a switch.
+	// continued inline; Switches counts wake-ups delivered by resuming a
+	// suspended process's coroutine from the scheduling loop, Step or
+	// Close. Every delivered event is exactly one of a callback, a
+	// self-wake or a switch.
 	SelfWakes, Switches uint64
 	// PeakPending is the largest queue length seen, cancelled events
 	// still queued included.
@@ -259,10 +265,10 @@ func (e *Env) push(at Time) *event {
 
 // After schedules fn to run once d from now. The callback takes its
 // (time, seq) slot when After is called, exactly as a SpawnAt start
-// event would, but it has no process: the goroutine that pops it runs fn
-// inline and carries on, so fn must not block. fn may schedule events,
-// fire signals and spawn processes. Close drops pending callbacks without
-// running them. A negative or NaN delay panics.
+// event would, but it has no process: the process or loop that pops it
+// runs fn inline and carries on, so fn must not block. fn may schedule
+// events, fire signals and spawn processes. Close drops pending callbacks
+// without running them. A negative or NaN delay panics.
 func (e *Env) After(d Duration, fn func()) {
 	e.checkDelay("After", d)
 	e.push(e.now.Add(d)).fn = fn
@@ -316,14 +322,17 @@ func (e *Env) next() *event {
 	return nil
 }
 
-// nextProc is next for the goroutine holding the baton: callback events
-// run inline as they surface, and the first process wake-up (or nil, at
-// the end of the segment) is returned.
-func (e *Env) nextProc() *event {
+// nextWake is next for a scheduling loop: callback events run inline as
+// they surface, and the first process wake-up is consumed and its process
+// returned (nil at the end of the segment).
+func (e *Env) nextWake() *Proc {
 	for {
 		ev := e.next()
-		if ev == nil || ev.fn == nil {
-			return ev
+		if ev == nil {
+			return nil
+		}
+		if ev.fn == nil {
+			return e.wake(ev)
 		}
 		e.runCallback(ev)
 	}
@@ -377,31 +386,14 @@ func (e *Env) unpark(p *Proc) {
 	p.parkIdx = -1
 }
 
-// dispatch advances the simulation from a yielding process's goroutine: it
-// pops the next process wake-up, running any callbacks that surface first,
-// and either continues inline (the event is self's own wake-up — the
-// zero-handoff fast path), resumes the winning process directly, or hands
-// the baton back to the driver when the segment is over. It reports
-// whether self was woken inline; otherwise self must block on its resume
-// channel.
-func (e *Env) dispatch(self *Proc) bool {
-	ev := e.nextProc()
-	if ev == nil {
-		e.park <- struct{}{}
-		return false
-	}
-	q := e.wake(ev)
-	if q == self {
-		return true
-	}
-	e.handoff(q)
-	return false
-}
-
-// handoff resumes q, a process on another goroutine, and counts the switch.
-func (e *Env) handoff(q *Proc) {
+// resume delivers p's wake-up by running its coroutine until the process
+// parks, finishes or panics, and counts the switch. It returns the process
+// the coroutine popped for the loop to run next, which only RunUntil's
+// loop reads.
+func (e *Env) resume(p *Proc) *Proc {
 	e.stats.Switches++
-	q.resume <- q
+	p.co.resume()
+	return e.handed
 }
 
 // Spawn creates a process running fn and schedules it to start at the
@@ -418,66 +410,67 @@ func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
 	e.checkDelay("Spawn", delay)
 	p := &Proc{env: e, name: name, fn: fn, parkIdx: -1}
 	p.waits = p.waitsBuf[:0]
-	if q := e.idle; q != nil {
-		e.idle, q.nextIdle = q.nextIdle, nil
-		p.resume = q.resume
+	if c := e.idle; c != nil {
+		e.idle, c.nextIdle = c.nextIdle, nil
+		p.co = c
 	} else {
-		p.resume = make(chan *Proc)
+		p.co = e.newCoro()
 		e.stats.Goroutines++
-		go e.procLoop(p.resume)
 	}
+	p.co.proc = p
 	e.nprocs++
 	e.stats.Spawns++
 	e.schedule(e.now.Add(delay), p, wakeStart)
 	return p
 }
 
-// procLoop is the body of every process goroutine: it runs each process
-// handed to it on ch, the first at its start event and later ones spawned
-// onto it while it sat idle. It returns when a process finishes outside
-// the baton path, or when RunUntil closes ch at the end of a segment.
-func (e *Env) procLoop(ch chan *Proc) {
-	for p := <-ch; p != nil; p = <-ch {
-		if !e.runProc(p) {
-			return
-		}
-	}
+// coro is a process coroutine. It runs the process SpawnAt assigned to it
+// and, while its process finishes inside a run segment, the next one
+// spawned onto it from the idle list.
+type coro struct {
+	resume   func() (struct{}, bool) // run until the process suspends
+	stop     func()                  // end an idle coroutine
+	suspend  func(struct{}) bool     // hand control back to the resumer
+	proc     *Proc                   // the process to run, set by SpawnAt
+	nextIdle *coro                   // the next coroutine on Env.idle
 }
 
-// runProc runs p to completion (or to Close's abort) and passes control
-// on. In baton mode the dying goroutine keeps the scheduler loop going:
-// it pops the next process wake-up, joins the idle list and hands the
-// baton over, and runProc reports true. Otherwise the run goes back to the
-// driver and the goroutine exits.
-func (e *Env) runProc(p *Proc) bool {
-	if !p.aborted {
-		runBody(p)
-	}
-	p.fn = nil
-	e.nprocs--
-	if e.direct {
-		// A finished process has no pending wake-ups, so the next event
-		// always belongs to someone else (or ends the run). The goroutine
-		// goes idle only after nextProc: a callback run there may spawn at
-		// delay 0, and a spawn that took this goroutine would be handed
-		// its start by the goroutine itself.
-		if ev := e.nextProc(); ev != nil {
-			q := e.wake(ev)
-			p.nextIdle, e.idle = e.idle, p
-			e.handoff(q)
-			return true
+// newCoro creates an unstarted process coroutine. Its body runs each
+// assigned process to completion (or to Close's abort). In RunUntil a
+// finished process's coroutine then pops the next wake-up for the loop and
+// only then goes idle: a callback run by the pop may spawn, and that spawn
+// must not take the coroutine still running it. Outside RunUntil, or when
+// stopped while idle, the coroutine ends.
+func (e *Env) newCoro() *coro {
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		c.suspend = suspend
+		for {
+			p := c.proc
+			if !p.aborted {
+				runBody(p)
+			}
+			p.fn = nil
+			e.nprocs--
+			if !e.direct {
+				return
+			}
+			e.handed = e.nextWake()
+			c.nextIdle, e.idle = e.idle, c
+			if !suspend(struct{}{}) {
+				return
+			}
 		}
-	}
-	e.park <- struct{}{}
-	return false
+	})
+	return c
 }
 
-// runBody calls p's body, absorbing the panic Close unwinds it with.
+// runBody calls p's body, absorbing the panic Close unwinds it with. Any
+// other panic ends the coroutine and resurfaces in the caller of RunUntil,
+// Step or Close.
 func runBody(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil && r != errAborted {
-			// Re-panicking application errors on the scheduler's stack
-			// would be nicer, but surfacing them here keeps the trace.
 			panic(r)
 		}
 	}()
@@ -493,38 +486,35 @@ func (e *Env) Run() Time {
 
 // RunUntil drives the simulation until the event queue is exhausted or
 // the next event lies beyond horizon. The clock never advances past
-// horizon. Within the run, wake-ups are delivered via the baton fast path:
-// control flows process-to-process without bouncing through this
-// goroutine, which only resumes when the segment ends.
+// horizon. A process that panics ends the segment, and RunUntil re-panics
+// with the same value.
 func (e *Env) RunUntil(horizon Time) Time {
 	if e.closed {
 		panic("sim: RunUntil on closed Env")
 	}
 	e.horizon = horizon
 	e.direct = true
-	ev := e.nextProc()
-	if ev == nil {
-		e.direct = false
-		return e.now
-	}
-	e.handoff(e.wake(ev))
-	<-e.park
-	e.direct = false
-	// Release the goroutines left idle: a closed channel hands them nil.
-	for q := e.idle; q != nil; q = e.idle {
-		e.idle, q.nextIdle = q.nextIdle, nil
-		close(q.resume)
+	defer e.endSegment()
+	for p := e.nextWake(); p != nil; p = e.resume(p) {
 	}
 	return e.now
 }
 
+// endSegment leaves RunUntil's direct mode and stops the idle coroutines.
+func (e *Env) endSegment() {
+	e.direct = false
+	for c := e.idle; c != nil; c = e.idle {
+		e.idle, c.nextIdle = c.nextIdle, nil
+		c.stop()
+	}
+}
+
 // Step runs a single event and reports whether one was available. A
 // callback runs on the calling goroutine. Unlike RunUntil, a woken
-// process hands control straight back after one wake-up, so Step always
-// pays the full driver round-trip.
+// process suspends straight back to Step after one wake-up, so every
+// wake-up Step delivers is a switch.
 func (e *Env) Step() bool {
 	e.horizon = Time(math.Inf(1))
-	e.direct = false
 	ev := e.next()
 	if ev == nil {
 		return false
@@ -533,8 +523,7 @@ func (e *Env) Step() bool {
 		e.runCallback(ev)
 		return true
 	}
-	e.handoff(e.wake(ev))
-	<-e.park
+	e.resume(e.wake(ev))
 	return true
 }
 
@@ -553,19 +542,18 @@ func (e *Env) Blocked() []string {
 // Live returns the number of processes that have started but not finished.
 func (e *Env) Live() int { return e.nprocs }
 
-// Close unwinds every parked process goroutine, drops pending callbacks
-// without running them, and marks the environment unusable. It must not
-// be called from inside a process. Close is safe to call after Run;
-// environments that ran to completion with no blocked processes have
-// nothing to unwind.
+// Close unwinds every parked process, drops pending callbacks without
+// running them, and marks the environment unusable. It must not be called
+// from inside a process. Close is safe to call after Run; environments
+// that ran to completion with no blocked processes have nothing to unwind.
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.direct = false
 	e.horizon = Time(math.Inf(1))
-	// Unwind processes parked on signals, last parked first.
+	// Unwind processes parked on signals, last parked first. No event is
+	// delivered, so the resume is not a switch.
 	for len(e.parked) > 0 {
 		p := e.parked[len(e.parked)-1]
 		e.unpark(p)
@@ -574,8 +562,7 @@ func (e *Env) Close() {
 		}
 		p.waits = nil
 		p.aborted = true
-		p.resume <- p
-		<-e.park
+		p.co.resume()
 	}
 	// Drop pending callbacks and unwind processes parked on timers (or
 	// not yet started).
@@ -591,8 +578,7 @@ func (e *Env) Close() {
 		}
 		p := e.wake(ev)
 		p.aborted = true
-		e.handoff(p)
-		<-e.park
+		e.resume(p)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// Two fuzzers guard the engine. FuzzRunStepOrder pins that the baton fast
-// path delivers the same wake-ups as the central handoff: it runs a random
-// little concurrent program once under Run, where a yielding process
-// dispatches the next event itself and continues inline on a self-wake,
-// and once under a Step loop, where the goroutine calling Step delivers
-// every wake-up, and demands identical completion logs. Both paths pop one
+// Two fuzzers guard the engine. FuzzRunStepOrder pins that RunUntil's
+// scheduling loop delivers the same wake-ups as one-event Steps: it runs a
+// random little concurrent program once under Run, where a parking process
+// pops the next event itself and continues inline on a self-wake, and once
+// under a Step loop, where Step delivers every wake-up, and demands
+// identical completion logs. Both paths pop one
 // heap, so FuzzEventHeap checks the heap itself against an independent
 // sorted-slice reference.
 
@@ -20,7 +20,7 @@ import (
 // wait-with-timeout over a small set of shared signals; after: schedule a
 // callback that fires a signal and logs; or spawn: start a short child,
 // from the proc itself or from a callback, that sleeps, fires a signal and
-// logs. Under Run the children land on goroutines that finished procs left
+// logs. Under Run the children land on coroutines that finished procs left
 // idle; under Step each gets a fresh one.
 type progOp struct {
 	kind int // 0 sleep, 1 yield, 2 fire, 3 wait, 4 wait-timeout, 5 after, 6 spawn
@@ -137,7 +137,7 @@ func FuzzRunStepOrder(f *testing.F) {
 	// pileup, one proc that sleeps and times out alone, so every wake-up
 	// is a self-wake on the fast path, waiters released only by
 	// callbacks, some due at the instant they are scheduled, and children
-	// spawned from procs and from callbacks, some onto the goroutine of a
+	// spawned from procs and from callbacks, some onto the coroutine of a
 	// proc that has just finished.
 	f.Add([]byte{7, 4, 0, 14, 11, 19, 3, 5, 25, 10, 8, 17, 4, 2, 70, 71, 72})
 	f.Add([]byte{15, 8, 3, 3, 3, 3, 2, 2, 2, 2})

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// errAborted is the panic value used to unwind process goroutines when the
+// errAborted is the panic value used to unwind process coroutines when the
 // environment is closed. It never escapes the package.
 var errAborted = errors.New("sim: process aborted by Env.Close")
 
@@ -20,20 +20,15 @@ type Proc struct {
 	env  *Env
 	name string
 	fn   func(p *Proc) // the process body; nil once it has returned
-	// resume is the channel of the goroutine running the process. The
-	// goroutine is shared across a run: when a process finishes, the next
-	// spawn may take it over (Env.idle), and the handoff that starts or
-	// wakes a process sends the process itself.
-	resume chan *Proc
-	waits  []*event // outstanding wake-ups while parked
-	// nextIdle links a finished process whose goroutine is idle to the
-	// next one on Env.idle.
-	nextIdle *Proc
+	// co is the coroutine running the process. It is shared across a run:
+	// when a process finishes, the next spawn may take it over (Env.idle).
+	co    *coro
+	waits []*event // outstanding wake-ups while parked
 	// parkIdx is the process's index in env.parked while it is blocked on
 	// a Signal, and -1 otherwise. It and the one-byte fields share a word,
 	// so a Proc fits the 96-byte allocation size class.
 	parkIdx int32
-	wake    wakeKind // why the last resume happened, set before the handoff
+	wake    wakeKind // why the last resume happened, set before the resume
 	aborted bool
 
 	// waitsBuf backs waits inline: a process has at most two outstanding
@@ -53,21 +48,21 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // yield parks the process until its next wake-up and returns the wake kind.
-// Inside Run/RunUntil this is the baton handoff: the yielding goroutine
-// dispatches the next event itself, so a process whose own wake-up is next
-// continues with no channel operation at all, and a switch to another
-// process costs a single send. Outside the direct path (Step, Close) the
-// baton goes back to the driver goroutine, which delivers the next wake-up.
+// Inside Run/RunUntil the process pops the next event itself: if it is its
+// own wake-up it continues with no switch at all; otherwise it leaves the
+// woken process for the scheduling loop and suspends. Outside RunUntil
+// (Step, Close) it suspends straight back to the caller, which delivers
+// the next wake-up.
 func (p *Proc) yield() wakeKind {
 	e := p.env
 	if e.direct {
-		if e.dispatch(p) {
+		q := e.nextWake()
+		if q == p {
 			return p.wake
 		}
-	} else {
-		e.park <- struct{}{}
+		e.handed = q
 	}
-	<-p.resume
+	p.co.suspend(struct{}{})
 	if p.aborted {
 		panic(errAborted)
 	}

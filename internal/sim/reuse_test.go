@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -8,8 +9,7 @@ import (
 )
 
 // runWithin runs env to completion, failing the test if Run does not
-// return within a few seconds: a goroutine handed its own start would
-// block on itself forever.
+// return within a few seconds.
 func runWithin(t *testing.T, env *Env) {
 	t.Helper()
 	done := make(chan struct{})
@@ -20,7 +20,7 @@ func runWithin(t *testing.T, env *Env) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: a process goroutine is blocked on itself")
+		t.Fatal("Run did not return")
 	}
 }
 
@@ -40,8 +40,8 @@ func quietGoroutines() int {
 }
 
 // settleGoroutines waits for exiting goroutines to finish and fails if
-// the count does not come back to base. A released goroutine exits just
-// after its last channel operation, so the count can lag for a moment.
+// the count does not come back to base. Each coroutine is a goroutine to
+// the runtime, and a stopped one can take a moment to be counted out.
 func settleGoroutines(t *testing.T, base int, when string) {
 	t.Helper()
 	for i := 0; i < 500 && runtime.NumGoroutine() > base; i++ {
@@ -52,10 +52,10 @@ func settleGoroutines(t *testing.T, base int, when string) {
 	}
 }
 
-// A dying goroutine pops the next wake-up before it goes idle. Here that
-// pop runs a callback that spawns at delay 0; had the goroutine gone idle
-// first, the spawn would take it and its start would be handed from the
-// goroutine to itself.
+// A finished process's coroutine pops the next wake-up before it goes
+// idle. Here that pop runs a callback that spawns at delay 0; had the
+// coroutine gone idle first, the spawn would take the coroutine still
+// running the pop.
 func TestCallbackSpawnWhileDyingGoroutineHoldsBaton(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
@@ -79,10 +79,9 @@ func TestCallbackSpawnWhileDyingGoroutineHoldsBaton(t *testing.T) {
 	}
 }
 
-// A process that spawns a child and returns leaves its goroutine idle, and
-// the child's own spawn runs there. Step hands every wake-up back to the
-// driver, so it starts a goroutine per process as before, but delivers the
-// same events.
+// A process that spawns a child and returns leaves its coroutine idle, and
+// the child's own spawn runs there. Step delivers every wake-up itself and
+// creates a coroutine per process, but delivers the same events.
 func TestSpawnThenReturnReusesGoroutine(t *testing.T) {
 	for _, step := range []bool{false, true} {
 		env := NewEnv()
@@ -104,9 +103,10 @@ func TestSpawnThenReturnReusesGoroutine(t *testing.T) {
 		if len(ran) != 3 || ran[0] != "parent" || ran[1] != "child" || ran[2] != "grandchild" {
 			t.Fatalf("step=%v: ran %v, want [parent child grandchild]", step, ran)
 		}
-		// Run: the driver starts the parent, the dying parent starts the
-		// child, and the dying child starts the grandchild on the parent's
-		// goroutine. Step delivers all four events from the driver.
+		// Run: the loop starts the parent, the finished parent pops the
+		// child's start, and the finished child pops the grandchild's,
+		// which runs on the parent's coroutine. Step delivers all four
+		// events itself.
 		want := Stats{Scheduled: 4, Delivered: 4, Spawns: 3, Goroutines: 2, SelfWakes: 1, Switches: 3, PeakPending: 1}
 		if step {
 			want.Goroutines, want.SelfWakes, want.Switches = 3, 0, 4
@@ -118,7 +118,7 @@ func TestSpawnThenReturnReusesGoroutine(t *testing.T) {
 	}
 }
 
-// Idle goroutines do not outlive their run segment, and Close unwinds
+// Idle coroutines do not outlive their run segment, and Close unwinds
 // the parked ones: the goroutine count returns to where it started.
 func TestProcGoroutinesReleased(t *testing.T) {
 	base := quietGoroutines()
@@ -140,7 +140,7 @@ func TestProcGoroutinesReleased(t *testing.T) {
 	runWithin(t, env)
 	st := env.Stats()
 	if st.Spawns != 3+9+27+81+243 || st.Goroutines >= st.Spawns {
-		t.Fatalf("spawns %d, goroutines %d: want 363 spawns, most on reused goroutines", st.Spawns, st.Goroutines)
+		t.Fatalf("spawns %d, goroutines %d: want 363 spawns, most on reused coroutines", st.Spawns, st.Goroutines)
 	}
 	settleGoroutines(t, base, "after Run")
 	env.Close()
@@ -165,8 +165,48 @@ func TestProcGoroutinesReleased(t *testing.T) {
 	settleGoroutines(t, base, "after Close")
 }
 
+// A process panic resurfaces, with its own value, in the caller of Run or
+// Step. At the panic one process is parked on a signal, one sleeps, one
+// is not yet started and, under Run, a finished one has left its
+// coroutine idle; the idle coroutine is stopped as Run unwinds, and Close
+// unwinds the rest, so the goroutine count returns to where it started.
+func TestProcessPanicReachesCaller(t *testing.T) {
+	base := quietGoroutines()
+	type boom struct{ at Time }
+	for _, step := range []bool{false, true} {
+		env := NewEnv()
+		sig := NewSignal(env)
+		env.Spawn("done", func(*Proc) {})
+		env.Spawn("blocked", func(p *Proc) { sig.Wait(p) })
+		env.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+		env.SpawnAt(Second, "unstarted", func(*Proc) {})
+		env.Spawn("panicker", func(p *Proc) {
+			p.Sleep(Microsecond)
+			panic(boom{p.Now()})
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			if step {
+				for env.Step() {
+				}
+			} else {
+				env.Run()
+			}
+			return nil
+		}()
+		if want := (boom{Time(0).Add(Microsecond)}); got != want {
+			t.Fatalf("step=%v: recovered %v, want the process's own panic value %v", step, got, want)
+		}
+		if !step && env.idle != nil {
+			t.Fatal("Run left idle coroutines behind after a process panic")
+		}
+		env.Close()
+		settleGoroutines(t, base, fmt.Sprintf("step=%v: after Close", step))
+	}
+}
+
 // In the middle of a run, spawning a process that finishes allocates the
-// Proc and nothing else: the child runs on the goroutine the previous
+// Proc and nothing else: the child runs on the coroutine the previous
 // child left idle, and the start event comes from the freelist.
 func TestSpawnOnIdleGoroutineAllocatesOnlyProc(t *testing.T) {
 	env := NewEnv()
@@ -178,7 +218,7 @@ func TestSpawnOnIdleGoroutineAllocatesOnlyProc(t *testing.T) {
 			p.Env().Spawn("child", child)
 			p.Sleep(Microsecond)
 		}
-		for i := 0; i < 10; i++ { // warm-up: the idle goroutine, the freelist
+		for i := 0; i < 10; i++ { // warm-up: the idle coroutine, the freelist
 			spawn()
 		}
 		allocs = testing.AllocsPerRun(100, spawn)
@@ -188,7 +228,7 @@ func TestSpawnOnIdleGoroutineAllocatesOnlyProc(t *testing.T) {
 		t.Fatalf("spawn-and-finish allocates %.1f objects, want 1 (the Proc)", allocs)
 	}
 	if st := env.Stats(); st.Spawns != 1+10+101 || st.Goroutines != 2 {
-		t.Fatalf("spawns %d, goroutines %d: want 112 spawns on 2 goroutines", st.Spawns, st.Goroutines)
+		t.Fatalf("spawns %d, goroutines %d: want 112 spawns on 2 coroutines", st.Spawns, st.Goroutines)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine drives "processes" — ordinary Go functions, each on a goroutine
-// of its own while it lives (a finished process's goroutine runs the next
-// spawn) — through virtual time. At most one process executes at any
-// instant: the scheduler hands control to a process, and the process hands
-// control back when it blocks on a virtual-time primitive (Sleep, a Signal,
-// a Resource, ...). This SimPy-style handoff keeps simulations fully
+// The engine drives "processes" — ordinary Go functions, each run as a
+// coroutine (a finished process's coroutine runs the next spawn) — through
+// virtual time. At most one process executes at any instant: the
+// scheduling loop resumes a process, and the process suspends when it
+// blocks on a virtual-time primitive (Sleep, a Signal, a Resource, ...).
+// This SimPy-style handoff keeps simulations fully
 // deterministic regardless of GOMAXPROCS while letting model code read as
 // straight-line imperative Go.
 //
