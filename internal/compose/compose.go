@@ -141,9 +141,6 @@ func NewCDI(cpuNodes, coresPerNode, chassis, gpusPerChassis int, path fabric.Pat
 	}, nil
 }
 
-// Architecture returns the system style.
-func (s *System) Architecture() Architecture { return s.arch }
-
 // TotalCores returns the system's core count.
 func (s *System) TotalCores() int { return s.nodes * s.coresPerNode }
 
@@ -258,29 +255,6 @@ func (s *System) Trapped() (cores, gpus int) {
 		gpus += a.TrappedGPUs
 	}
 	return cores, gpus
-}
-
-// GPUUtilization returns used GPUs over powered GPUs. Under Traditional,
-// trapped and free GPUs still draw power; under CDI, unallocated GPUs are
-// powered down and leave the denominator.
-func (s *System) GPUUtilization() float64 {
-	used := 0
-	for _, a := range s.allocs {
-		used += a.GPUs
-	}
-	var powered int
-	if s.arch == Traditional {
-		powered = s.TotalGPUs()
-	} else {
-		powered = used // composable: only composed GPUs are on
-		for _, a := range s.allocs {
-			powered += a.TrappedGPUs // always zero, kept for symmetry
-		}
-	}
-	if powered == 0 {
-		return 0
-	}
-	return float64(used) / float64(powered)
 }
 
 // PowerModel holds the wattage constants for IdleGPUWatts accounting.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -33,6 +34,12 @@ func TestPerfValidation(t *testing.T) {
 	bad.GPUs = 2
 	if _, err := RunPerf(bad); err == nil {
 		t.Error("insufficient samples accepted")
+	}
+	// A partly set spec is validated as given, not replaced by the default.
+	bad = fastPerf()
+	bad.Spec = gpu.Spec{PeakFLOPS: 1e13}
+	if _, err := RunPerf(bad); err == nil {
+		t.Error("PeakFLOPS-only spec accepted")
 	}
 }
 

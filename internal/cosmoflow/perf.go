@@ -111,7 +111,7 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	if c.Channels == 0 {
 		c.Channels = DefaultChannels
 	}
-	if c.Spec.Name == "" {
+	if c.Spec == (gpu.Spec{}) {
 		c.Spec = gpu.A100()
 	}
 	return c

@@ -168,9 +168,6 @@ func NewContext(dev *gpu.Device, cfg Config) *Context {
 	}
 }
 
-// Device returns the underlying device.
-func (c *Context) Device() *gpu.Device { return c.dev }
-
 // Interpose registers an interposer; registration order is Before order
 // (After runs in reverse, like deferred unwinding).
 func (c *Context) Interpose(i Interposer) { c.interposers = append(c.interposers, i) }
@@ -268,24 +265,6 @@ func (c *Context) MemcpyD2H(p *sim.Proc, src gpu.Ptr, n int64) error {
 	return c.memcpy(p, "cudaMemcpy(DtoH)", ClassMemcpyD2H, gpu.D2H, src, n)
 }
 
-// MemcpyD2D synchronously copies n bytes between device allocations (src
-// governs the bounds check; the study only tracks sizes).
-func (c *Context) MemcpyD2D(p *sim.Proc, src gpu.Ptr, n int64) error {
-	return c.memcpy(p, "cudaMemcpy(DtoD)", ClassMemcpyD2D, gpu.D2D, src, n)
-}
-
-// MemcpyH2DAsync enqueues a host-to-device copy on stream s (nil selects
-// the default stream) and returns the in-flight operation.
-func (c *Context) MemcpyH2DAsync(p *sim.Proc, dst gpu.Ptr, n int64, s *gpu.Stream) (*gpu.Op, error) {
-	return c.memcpyAsync(p, "cudaMemcpyAsync(HtoD)", ClassMemcpyH2D, gpu.H2D, dst, n, s)
-}
-
-// MemcpyD2HAsync enqueues a device-to-host copy on stream s (nil selects
-// the default stream) and returns the in-flight operation.
-func (c *Context) MemcpyD2HAsync(p *sim.Proc, src gpu.Ptr, n int64, s *gpu.Stream) (*gpu.Op, error) {
-	return c.memcpyAsync(p, "cudaMemcpyAsync(DtoH)", ClassMemcpyD2H, gpu.D2H, src, n, s)
-}
-
 // memcpy implements the synchronous path: validate, enqueue on the default
 // stream, wait for the operation (which, in stream order, also waits for
 // all previously enqueued default-stream work — the legacy-stream
@@ -299,21 +278,6 @@ func (c *Context) memcpy(p *sim.Proc, name string, class CallClass, dir gpu.Dire
 		op.Wait(p)
 	})
 	return nil
-}
-
-// memcpyAsync implements the asynchronous path.
-func (c *Context) memcpyAsync(p *sim.Proc, name string, class CallClass, dir gpu.Direction, ptr gpu.Ptr, n int64, s *gpu.Stream) (*gpu.Op, error) {
-	if err := c.checkCopy(ptr, n); err != nil {
-		return nil, err
-	}
-	var op *gpu.Op
-	c.call(p, CallInfo{Name: name, Class: class, Bytes: n}, func() {
-		if s == nil {
-			s = c.defaultStream()
-		}
-		op = s.EnqueueCopy(dir, n)
-	})
-	return op, nil
 }
 
 // Launch asynchronously submits kernel k on stream s (nil selects the

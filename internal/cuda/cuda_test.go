@@ -82,29 +82,6 @@ func TestMemcpyValidation(t *testing.T) {
 		if err := ctx.MemcpyH2D(p, ptr, -1); !errors.Is(err, ErrInvalidValue) {
 			t.Errorf("negative size error = %v", err)
 		}
-		if _, err := ctx.MemcpyH2DAsync(p, ptr, 200, nil); !errors.Is(err, ErrInvalidValue) {
-			t.Errorf("oversize async copy error = %v", err)
-		}
-	})
-	env.Run()
-}
-
-func TestAsyncMemcpyReturnsImmediately(t *testing.T) {
-	env, ctx := newCtx(t)
-	env.Spawn("host", func(p *sim.Proc) {
-		ptr, _ := ctx.Malloc(p, 10_000_000)
-		start := p.Now()
-		op, err := ctx.MemcpyH2DAsync(p, ptr, 1_000_000, nil)
-		if err != nil {
-			t.Fatalf("async: %v", err)
-		}
-		if p.Now() != start {
-			t.Errorf("async memcpy blocked the host for %v", p.Now().Sub(start))
-		}
-		op.Wait(p)
-		if got := p.Now().Sub(start); math.Abs(float64(got-1*sim.Millisecond)) > 1e-12 {
-			t.Errorf("transfer completed after %v, want 1ms", got)
-		}
 	})
 	env.Run()
 }
@@ -317,45 +294,6 @@ type interposerFunc struct {
 
 func (f interposerFunc) Before(p *sim.Proc, i CallInfo) { f.before(p, i) }
 func (f interposerFunc) After(p *sim.Proc, i CallInfo)  { f.after(p, i) }
-
-func TestMemcpyD2DUsesDeviceBandwidth(t *testing.T) {
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	spec := testSpec() // HBM 1e12 B/s → D2D effective 5e11
-	dev, _ := gpu.NewDevice(env, spec)
-	ctx := NewContext(dev, Config{CallOverhead: -1})
-	var elapsed sim.Duration
-	env.Spawn("host", func(p *sim.Proc) {
-		ptr, _ := ctx.Malloc(p, 1_000_000_000)
-		start := p.Now()
-		if err := ctx.MemcpyD2D(p, ptr, 1_000_000_000); err != nil { // 2ms at 5e11
-			t.Errorf("MemcpyD2D: %v", err)
-		}
-		elapsed = p.Now().Sub(start)
-	})
-	env.Run()
-	if math.Abs(float64(elapsed-2*sim.Millisecond)) > 1e-12 {
-		t.Errorf("D2D copy took %v, want 2ms (half HBM bandwidth)", elapsed)
-	}
-}
-
-func TestMemcpyD2HAsyncOverlapsHostWork(t *testing.T) {
-	env, ctx := newCtx(t)
-	env.Spawn("host", func(p *sim.Proc) {
-		ptr, _ := ctx.Malloc(p, 2_000_000)
-		op, err := ctx.MemcpyD2HAsync(p, ptr, 2_000_000, nil) // 2ms at 1GB/s
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Sleep(2 * sim.Millisecond) // host work overlapping the copy
-		start := p.Now()
-		op.Wait(p)
-		if waited := p.Now().Sub(start); waited > sim.Nanosecond {
-			t.Errorf("copy did not overlap host work; waited %v more", waited)
-		}
-	})
-	env.Run()
-}
 
 func TestLaunchSyncBlocksForKernel(t *testing.T) {
 	env, ctx := newCtx(t)

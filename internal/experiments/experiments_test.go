@@ -339,19 +339,6 @@ func TestReachShape(t *testing.T) {
 	}
 }
 
-func TestProxyKernelMeans(t *testing.T) {
-	means, err := ProxyKernelMeans(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(means) != 3 {
-		t.Fatalf("means = %v", means)
-	}
-	if means[2048] <= means[512] {
-		t.Error("kernel means not increasing with size")
-	}
-}
-
 func TestThroughputExperiment(t *testing.T) {
 	rows, err := Throughput(tiny())
 	if err != nil {

@@ -162,7 +162,7 @@ func RenderAppValidation(rows []AppValidationRow) string {
 
 // Congestion sweeps host count on a shared chassis uplink.
 func Congestion(o Options) ([]fabric.CongestionPoint, error) {
-	return fabric.CongestionSweepParallel(
+	return fabric.CongestionSweep(
 		[]int{1, 2, 4, 8, 16, 32},
 		10<<20,            // 10 MiB position/force-sized transfers
 		2*sim.Millisecond, // per-step think time
@@ -329,32 +329,6 @@ func RenderReach(rows []ReachRow) string {
 			r.App, r.Km, r.Slack, r.Upper, r.Within1)
 	}
 	return b.String()
-}
-
-// ProxyKernelMeans exposes per-size in-loop kernel durations for docs and
-// debugging of the binning tolerance.
-func ProxyKernelMeans(o Options) (map[int]sim.Duration, error) {
-	sizes := proxy.PaperSizes()[:3]
-	means, err := runner.Map(o.Jobs, len(sizes), func(i int) (sim.Duration, error) {
-		r, err := proxy.Run(proxy.Config{MatrixSize: sizes[i], Iters: o.ProxyIters, Record: true})
-		if err != nil {
-			return 0, err
-		}
-		durs := r.Trace.KernelDurations()
-		var sum float64
-		for _, d := range durs {
-			sum += d
-		}
-		return sim.Duration(sum / float64(len(durs))), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[int]sim.Duration{}
-	for i, n := range sizes {
-		out[n] = means[i]
-	}
-	return out, nil
 }
 
 // ThroughputRow aggregates one architecture's batch-scheduling outcome.

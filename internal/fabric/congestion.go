@@ -18,31 +18,34 @@ type SharedLink struct {
 	env       *sim.Env
 	latency   sim.Duration
 	bandwidth float64
-	lanes     *sim.Resource
+	// held is set while a transfer occupies the link; free wakes one
+	// queued transfer per release, which then re-checks held.
+	held bool
+	free *sim.Signal
 
 	transfers int64
 	busy      sim.Duration
 	queued    sim.Duration
 }
 
-// NewSharedLink builds a link with the given one-way latency, bandwidth in
-// bytes/second, and number of parallel lanes (concurrent transfers). It is
-// part of the package's validated constructor path: invalid parameters are
-// an error, not a panic, so sweeps can reject one point and carry on.
-func NewSharedLink(env *sim.Env, latency sim.Duration, bandwidth float64, lanes int) (*SharedLink, error) {
-	if latency < 0 || bandwidth <= 0 || lanes <= 0 {
-		return nil, fmt.Errorf("fabric: invalid shared link (%v, %g B/s, %d lanes)", latency, bandwidth, lanes)
+// NewSharedLink builds a link with the given one-way latency and bandwidth
+// in bytes/second; it carries one transfer at a time. It is part of the
+// package's validated constructor path: invalid parameters are an error,
+// not a panic, so sweeps can reject one point and carry on.
+func NewSharedLink(env *sim.Env, latency sim.Duration, bandwidth float64) (*SharedLink, error) {
+	if latency < 0 || bandwidth <= 0 {
+		return nil, fmt.Errorf("fabric: invalid shared link (%v, %g B/s)", latency, bandwidth)
 	}
 	return &SharedLink{
 		env:       env,
 		latency:   latency,
 		bandwidth: bandwidth,
-		lanes:     sim.NewResource(env, lanes),
+		free:      sim.NewSignal(env),
 	}, nil
 }
 
 // Transfer moves n bytes across the link from the calling process,
-// queueing behind other transfers when all lanes are busy. It returns the
+// queueing behind other transfers while the link is busy. It returns the
 // total time experienced (queueing + latency + serialization). Negative
 // sizes clamp to zero, as in Path.TransferTime.
 func (l *SharedLink) Transfer(p *sim.Proc, n int64) sim.Duration {
@@ -50,11 +53,15 @@ func (l *SharedLink) Transfer(p *sim.Proc, n int64) sim.Duration {
 		n = 0
 	}
 	start := p.Now()
-	l.lanes.Acquire(p)
+	for l.held {
+		l.free.Wait(p)
+	}
+	l.held = true
 	waited := p.Now().Sub(start)
 	dur := l.latency + sim.Duration(float64(n)/l.bandwidth)
 	p.Sleep(dur)
-	l.lanes.Release()
+	l.held = false
+	l.free.FireOne()
 	l.transfers++
 	l.busy += dur
 	l.queued += waited
@@ -64,8 +71,8 @@ func (l *SharedLink) Transfer(p *sim.Proc, n int64) sim.Duration {
 // Transfers returns the completed transfer count.
 func (l *SharedLink) Transfers() int64 { return l.transfers }
 
-// MeanQueueing returns the average time transfers spent waiting for a
-// lane — the congestion-induced slack the single-host method ignores.
+// MeanQueueing returns the average time transfers spent waiting for the
+// link — the congestion-induced slack the single-host method ignores.
 func (l *SharedLink) MeanQueueing() sim.Duration {
 	if l.transfers == 0 {
 		return 0
@@ -73,13 +80,13 @@ func (l *SharedLink) MeanQueueing() sim.Duration {
 	return l.queued / sim.Duration(l.transfers)
 }
 
-// Utilization returns link busy time over elapsed time (per lane).
+// Utilization returns link busy time over elapsed time.
 func (l *SharedLink) Utilization() float64 {
 	now := l.env.Now()
 	if now <= 0 {
 		return 0
 	}
-	return float64(l.busy) / (float64(now) * float64(l.lanes.Capacity()))
+	return float64(l.busy) / float64(now)
 }
 
 // CongestionPoint is one measurement of a congestion sweep.
@@ -95,15 +102,10 @@ type CongestionPoint struct {
 // CongestionSweep drives the shared link with an increasing number of
 // hosts, each issuing transfers of msgBytes with thinkTime between them,
 // and reports how queueing inflates the nominal slack at each population.
-func CongestionSweep(hosts []int, msgBytes int64, thinkTime sim.Duration, latency sim.Duration, bandwidth float64, perHost int) ([]CongestionPoint, error) {
-	return CongestionSweepParallel(hosts, msgBytes, thinkTime, latency, bandwidth, perHost, 0)
-}
-
-// CongestionSweepParallel is CongestionSweep with an explicit worker bound
-// (non-positive = GOMAXPROCS, 1 = serial). Each host population runs in a
-// private simulation with its own seeded jitter stream, so results are
-// byte-identical for every jobs value.
-func CongestionSweepParallel(hosts []int, msgBytes int64, thinkTime sim.Duration, latency sim.Duration, bandwidth float64, perHost, jobs int) ([]CongestionPoint, error) {
+// jobs bounds the workers (non-positive = GOMAXPROCS, 1 = serial). Each
+// host population runs in a private simulation with its own seeded jitter
+// stream, so results are byte-identical for every jobs value.
+func CongestionSweep(hosts []int, msgBytes int64, thinkTime sim.Duration, latency sim.Duration, bandwidth float64, perHost, jobs int) ([]CongestionPoint, error) {
 	if msgBytes <= 0 || perHost <= 0 {
 		return nil, fmt.Errorf("fabric: invalid congestion sweep (%d bytes × %d)", msgBytes, perHost)
 	}
@@ -114,7 +116,7 @@ func CongestionSweepParallel(hosts []int, msgBytes int64, thinkTime sim.Duration
 		}
 		env := sim.NewEnv()
 		defer env.Close()
-		link, err := NewSharedLink(env, latency, bandwidth, 1)
+		link, err := NewSharedLink(env, latency, bandwidth)
 		if err != nil {
 			return CongestionPoint{}, err
 		}

@@ -10,7 +10,7 @@ import (
 func TestSharedLinkUncontendedMatchesNominal(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	link, err := NewSharedLink(env, 10*sim.Microsecond, 1e9, 1)
+	link, err := NewSharedLink(env, 10*sim.Microsecond, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSharedLinkUncontendedMatchesNominal(t *testing.T) {
 func TestSharedLinkSerializesContenders(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	link, err := NewSharedLink(env, 0, 1e9, 1)
+	link, err := NewSharedLink(env, 0, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,32 +55,12 @@ func TestSharedLinkSerializesContenders(t *testing.T) {
 	}
 }
 
-func TestSharedLinkLanesAllowOverlap(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	link, err := NewSharedLink(env, 0, 1e9, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		env.Spawn("host", func(p *sim.Proc) {
-			link.Transfer(p, 1_000_000)
-		})
-	}
-	if end := env.Run(); math.Abs(float64(end)-1e-3) > 1e-12 {
-		t.Errorf("2 transfers on 2 lanes finished at %v, want 1ms", end)
-	}
-}
-
 func TestSharedLinkValidation(t *testing.T) {
-	if _, err := NewSharedLink(sim.NewEnv(), 0, 0, 1); err == nil {
+	if _, err := NewSharedLink(sim.NewEnv(), 0, 0); err == nil {
 		t.Fatal("invalid link accepted")
 	}
-	if _, err := NewSharedLink(sim.NewEnv(), -sim.Microsecond, 1e9, 1); err == nil {
+	if _, err := NewSharedLink(sim.NewEnv(), -sim.Microsecond, 1e9); err == nil {
 		t.Fatal("negative latency accepted")
-	}
-	if _, err := NewSharedLink(sim.NewEnv(), 0, 1e9, 0); err == nil {
-		t.Fatal("zero lanes accepted")
 	}
 }
 
@@ -92,6 +72,7 @@ func TestCongestionSweepInflatesWithLoad(t *testing.T) {
 		1*sim.Microsecond, // latency
 		23e9,              // HDR-class bandwidth
 		30,                // transfers per host
+		0,                 // jobs
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -120,10 +101,10 @@ func TestCongestionSweepInflatesWithLoad(t *testing.T) {
 }
 
 func TestCongestionSweepValidation(t *testing.T) {
-	if _, err := CongestionSweep([]int{1}, 0, 0, 0, 1e9, 1); err == nil {
+	if _, err := CongestionSweep([]int{1}, 0, 0, 0, 1e9, 1, 0); err == nil {
 		t.Error("zero message size accepted")
 	}
-	if _, err := CongestionSweep([]int{0}, 1, 0, 0, 1e9, 1); err == nil {
+	if _, err := CongestionSweep([]int{0}, 1, 0, 0, 1e9, 1, 0); err == nil {
 		t.Error("zero hosts accepted")
 	}
 }

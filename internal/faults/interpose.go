@@ -178,9 +178,6 @@ const saltJitter uint64 = 0x04
 // Stats returns a snapshot of the policy actions so far.
 func (f *CallInjector) Stats() CallStats { return f.stats }
 
-// Injector exposes the underlying fault injector (for counters).
-func (f *CallInjector) Injector() *Injector { return f.inj }
-
 // Before implements cuda.Interposer.
 func (f *CallInjector) Before(p *sim.Proc, info cuda.CallInfo) {}
 

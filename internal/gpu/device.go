@@ -328,9 +328,6 @@ func (d *Device) NewStream() *Stream {
 	return s
 }
 
-// ID returns the stream's identifier on its device.
-func (s *Stream) ID() int { return s.id }
-
 // Destroy stops the stream once its queue drains; further enqueues panic.
 func (s *Stream) Destroy() {
 	s.closed = true

@@ -12,10 +12,44 @@ import (
 // The reference stream implementation for FuzzStreamOps: the
 // process-based runner the callback chain in device.go replaced. Each
 // stream is a process that parks on an arrival signal when its queue is
-// empty, and the device's engines are sim.Resources. The methods below
-// are the replaced code with only the type names changed, so the fuzzer
-// checks the callback chain against the runner itself, not against a
-// restatement of it.
+// empty, and the device's engines are refResources, a copy of the
+// counting semaphore sim once exported. The methods below are the replaced
+// code with only the type names changed, so the fuzzer checks the callback
+// chain against the runner itself, not against a restatement of it.
+
+// refResource is a counting semaphore in virtual time with FIFO granting.
+type refResource struct {
+	env      *sim.Env
+	capacity int
+	inUse    int
+	queue    *sim.Signal
+}
+
+// newRefResource returns a refResource with the given capacity (> 0).
+func newRefResource(env *sim.Env, capacity int) *refResource {
+	if capacity <= 0 {
+		panic("sim: Resource capacity must be positive")
+	}
+	return &refResource{env: env, capacity: capacity, queue: sim.NewSignal(env)}
+}
+
+// Acquire blocks the process until a unit of capacity is available, then
+// claims it.
+func (r *refResource) Acquire(p *sim.Proc) {
+	for r.inUse >= r.capacity {
+		r.queue.Wait(p)
+	}
+	r.inUse++
+}
+
+// Release returns a unit of capacity and wakes one waiter.
+func (r *refResource) Release() {
+	if r.inUse <= 0 {
+		panic("sim: Release of un-acquired Resource")
+	}
+	r.inUse--
+	r.queue.FireOne()
+}
 
 // refOp is an Op of the reference runner.
 type refOp struct {
@@ -33,8 +67,8 @@ type refDevice struct {
 	env  *sim.Env
 	spec Spec
 
-	compute *sim.Resource // kernel execution serializes on the device
-	dma     *sim.Resource
+	compute *refResource // kernel execution serializes on the device
+	dma     *refResource
 
 	lastComputeEnd sim.Time
 	lastStream     int
@@ -54,8 +88,8 @@ func newRefDevice(env *sim.Env, spec Spec) *refDevice {
 	return &refDevice{
 		env:     env,
 		spec:    spec,
-		compute: sim.NewResource(env, 1),
-		dma:     sim.NewResource(env, spec.DMAEngines),
+		compute: newRefResource(env, 1),
+		dma:     newRefResource(env, spec.DMAEngines),
 		allIdle: sim.NewWaitGroup(env),
 	}
 }

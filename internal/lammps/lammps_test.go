@@ -51,6 +51,10 @@ func TestPerfValidation(t *testing.T) {
 	if _, err := RunPerf(PerfConfig{BoxSize: 20, Spec: spec}); err == nil {
 		t.Error("NaN CopyLatency accepted")
 	}
+	// A partly set spec is validated as given, not replaced by the default.
+	if _, err := RunPerf(PerfConfig{BoxSize: 20, Spec: gpu.Spec{PeakFLOPS: 1e13}}); err == nil {
+		t.Error("PeakFLOPS-only spec accepted")
+	}
 }
 
 func TestPerfTableIBaselines(t *testing.T) {

@@ -117,7 +117,7 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	if c.RebuildEvery == 0 {
 		c.RebuildEvery = DefaultRebuildEvery
 	}
-	if c.Spec.Name == "" {
+	if c.Spec == (gpu.Spec{}) {
 		c.Spec = gpu.A100()
 		c.Spec.ContextSwitch = CtxSwitch
 	}

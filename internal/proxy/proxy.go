@@ -57,7 +57,8 @@ type Config struct {
 	Threads int
 	// Slack is the per-CUDA-call delay to inject (0 = baseline).
 	Slack sim.Duration
-	// Iters overrides the 30-second sizing when positive (tests).
+	// Iters overrides the 30-second sizing when positive (tests); zero
+	// selects the sizing and a negative count is an error.
 	Iters int
 	// Spec selects the device; zero value selects gpu.A100().
 	Spec gpu.Spec
@@ -74,7 +75,7 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Spec.Name == "" {
+	if c.Spec == (gpu.Spec{}) {
 		c.Spec = gpu.A100()
 	}
 	if c.Threads == 0 {
@@ -89,6 +90,12 @@ func (c Config) validate() error {
 	}
 	if c.Threads < 1 {
 		return fmt.Errorf("proxy: thread count %d", c.Threads)
+	}
+	if c.Iters < 0 {
+		return fmt.Errorf("proxy: iteration count %d", c.Iters)
+	}
+	if err := c.Spec.Validate(); err != nil {
+		return err
 	}
 	if !c.Slack.Valid() {
 		return fmt.Errorf("proxy: slack %g s, want finite and non-negative", float64(c.Slack))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/sim"
 )
 
@@ -30,6 +31,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{MatrixSize: 512, Slack: -1}); err == nil {
 		t.Error("negative slack accepted")
+	}
+	if _, err := Run(Config{MatrixSize: 512, Iters: -1}); err == nil {
+		t.Error("negative iteration count accepted")
+	}
+	// A partly set spec is validated as given, not replaced by the A100
+	// default, and fails as a spec before the memory-fit check.
+	_, err := Run(Config{MatrixSize: 512, Iters: 1, Spec: gpu.Spec{PeakFLOPS: 1e13}})
+	if err == nil || errors.Is(err, ErrDoesNotFit) {
+		t.Errorf("PeakFLOPS-only spec err = %v, want a spec error", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cuda"
-	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 )
@@ -160,70 +159,8 @@ func TestShedEverythingStillTerminates(t *testing.T) {
 }
 
 func TestAdmissionMergeAndPriorityValidation(t *testing.T) {
-	a := newMetrics()
-	b := newMetrics()
-	a.shed(0)
-	b.shed(2)
-	b.shed(2)
-	a.Merge(b)
-	if a.Shed != 3 {
-		t.Errorf("merged shed = %d, want 3", a.Shed)
-	}
-	want := []int{1, 0, 2}
-	for i, n := range want {
-		if a.ShedByTenant[i] != n {
-			t.Errorf("merged ShedByTenant = %v, want %v", a.ShedByTenant, want)
-			break
-		}
-	}
 	bad := Tenant{Name: "x", Rate: 1, MeanPromptTokens: 1, MeanOutputTokens: 1, SLO: sim.Second, Priority: -1}
 	if err := bad.validate(); err == nil {
 		t.Error("negative tenant priority accepted")
-	}
-}
-
-func TestRebalanceRedealsAndRestores(t *testing.T) {
-	tenants := testTenants()
-	tiers := []Tier{{Scale: fabric.RackScale, GPUs: 2}, {Scale: fabric.RowScale, GPUs: 1}}
-	replicas, err := Place(tenants, tiers)
-	if err != nil {
-		t.Fatalf("Place: %v", err)
-	}
-	original := make([][]int, len(replicas))
-	for i, r := range replicas {
-		original[i] = append([]int(nil), r.Tenants...)
-	}
-	// Replica 0 (lowest slack) drains: its tenants must re-deal onto the
-	// survivors, preserving the slack/SLO discipline.
-	if err := Rebalance(replicas, tenants, func(i int) bool { return i != 0 }); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if len(replicas[0].Tenants) != 0 {
-		t.Errorf("drained replica still owns tenants %v", replicas[0].Tenants)
-	}
-	seen := 0
-	for _, r := range replicas[1:] {
-		seen += len(r.Tenants)
-	}
-	if seen != len(tenants) {
-		t.Errorf("%d of %d tenants placed on survivors", seen, len(tenants))
-	}
-	// Nothing up is an error.
-	if err := Rebalance(replicas, tenants, func(int) bool { return false }); err == nil {
-		t.Error("rebalance with no live replicas succeeded")
-	}
-	// Everything back up restores the original placement exactly.
-	if err := Rebalance(replicas, tenants, func(int) bool { return true }); err != nil {
-		t.Fatalf("Rebalance (restore): %v", err)
-	}
-	for i, r := range replicas {
-		if len(r.Tenants) != len(original[i]) {
-			t.Fatalf("replica %d: restored %v, want %v", i, r.Tenants, original[i])
-		}
-		for k := range r.Tenants {
-			if r.Tenants[k] != original[i][k] {
-				t.Fatalf("replica %d: restored %v, want %v", i, r.Tenants, original[i])
-			}
-		}
 	}
 }

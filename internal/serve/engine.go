@@ -181,7 +181,7 @@ func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, err
 		total: len(reqs),
 		reqs:  reqs,
 		more:  sim.NewSignal(env),
-		m:     newMetrics(),
+		m:     &Metrics{},
 	}
 	e.m.Requests = len(reqs)
 	if cfg.Admission.enabled() {

@@ -5,8 +5,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Metrics is the raw measurement record of one (or several merged)
-// serving engines. Slices are in completion order, which is deterministic.
+// Metrics is the raw measurement record of one serving engine. Slices
+// are in completion order, which is deterministic.
 type Metrics struct {
 	// Requests is the offered load; Completed counts requests served.
 	Requests  int
@@ -28,22 +28,12 @@ type Metrics struct {
 	// the start of each iteration.
 	BatchSizes  []float64
 	QueueDepths []float64
-	// Hist accumulates the same latencies into an HDR-style fixed-edge
-	// log histogram (1 µs – 1000 s, 8 bins/decade) for constant-space
-	// aggregation across engines and windows.
-	Hist *stats.LatencyHist
-}
-
-// newMetrics returns an empty record.
-func newMetrics() *Metrics {
-	return &Metrics{Hist: stats.NewLatencyHist(1e-6, 1e3, 8)}
 }
 
 // record registers one completed request.
 func (m *Metrics) record(latency sim.Duration, slo sim.Duration) {
 	m.Completed++
 	m.Latencies = append(m.Latencies, latency.Seconds())
-	m.Hist.Add(latency.Seconds())
 	if latency <= slo {
 		m.SLOMet++
 	}
@@ -56,30 +46,6 @@ func (m *Metrics) shed(tenant int) {
 		m.ShedByTenant = append(m.ShedByTenant, 0)
 	}
 	m.ShedByTenant[tenant]++
-}
-
-// Merge folds other engines' metrics into m (for multi-replica pools).
-// Slices concatenate in argument order, so merging is deterministic as
-// long as the caller passes replicas in a fixed order.
-func (m *Metrics) Merge(others ...*Metrics) {
-	for _, o := range others {
-		m.Requests += o.Requests
-		m.Completed += o.Completed
-		m.SLOMet += o.SLOMet
-		m.Shed += o.Shed
-		for ti, n := range o.ShedByTenant {
-			for len(m.ShedByTenant) <= ti {
-				m.ShedByTenant = append(m.ShedByTenant, 0)
-			}
-			m.ShedByTenant[ti] += n
-		}
-		m.Latencies = append(m.Latencies, o.Latencies...)
-		m.BatchSizes = append(m.BatchSizes, o.BatchSizes...)
-		m.QueueDepths = append(m.QueueDepths, o.QueueDepths...)
-		for _, l := range o.Latencies {
-			m.Hist.Add(l)
-		}
-	}
 }
 
 // Report is the SLO-grade summary of a serving window.

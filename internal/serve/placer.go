@@ -102,56 +102,3 @@ func Place(tenants []Tenant, tiers []Tier) ([]Replica, error) {
 	}
 	return replicas, nil
 }
-
-// Rebalance re-deals tenants over the replicas the predicate reports up,
-// in place, preserving Place's discipline: surviving replicas keep their
-// slack order, tenants re-sort by ascending SLO, and the tightest SLOs
-// land on the lowest-slack survivors first, wrapping round-robin. Down
-// replicas keep their identity but lose their tenants, so a later
-// Rebalance with every replica back up restores the original placement
-// exactly. The control plane calls it when the pool registry drains or
-// readmits a server.
-func Rebalance(replicas []Replica, tenants []Tenant, up func(i int) bool) error {
-	live := make([]int, 0, len(replicas))
-	for i := range replicas {
-		replicas[i].Tenants = replicas[i].Tenants[:0]
-		if up(i) {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return fmt.Errorf("serve: rebalance with no live replicas")
-	}
-	// live is in slice order; Place already sorted the slice by slack, so
-	// slack order survives the filter. Tenants re-sort by SLO as in Place.
-	order := make([]int, len(tenants))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return tenants[order[i]].SLO < tenants[order[j]].SLO
-	})
-	for k, ti := range order {
-		r := &replicas[live[k%len(live)]]
-		r.Tenants = append(r.Tenants, ti)
-	}
-	return nil
-}
-
-// SplitRequests partitions a generated schedule by replica, preserving
-// arrival order within each partition. Requests for tenants a replica does
-// not serve go to the replica that does.
-func SplitRequests(reqs []Request, replicas []Replica) [][]Request {
-	owner := map[int]int{}
-	for ri, r := range replicas {
-		for _, ti := range r.Tenants {
-			owner[ti] = ri
-		}
-	}
-	out := make([][]Request, len(replicas))
-	for _, q := range reqs {
-		ri := owner[q.Tenant]
-		out[ri] = append(out[ri], q)
-	}
-	return out
-}

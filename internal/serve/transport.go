@@ -34,9 +34,6 @@ type Local struct {
 // call that needs a sim proc).
 func NewLocal(ctx *cuda.Context) *Local { return &Local{ctx: ctx} }
 
-// Context exposes the underlying context (for interposer registration).
-func (l *Local) Context() *cuda.Context { return l.ctx }
-
 func (l *Local) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) { return l.ctx.Malloc(p, n) }
 func (l *Local) Free(p *sim.Proc, h gpu.Ptr) error            { return l.ctx.Free(p, h) }
 func (l *Local) MemcpyH2D(p *sim.Proc, h gpu.Ptr, n int64) error {
@@ -67,9 +64,6 @@ type Remote struct {
 
 // NewRemote wraps a resilient transport.
 func NewRemote(r *remoting.Resilient) *Remote { return &Remote{r: r} }
-
-// Resilient exposes the underlying transport (for stats).
-func (r *Remote) Resilient() *remoting.Resilient { return r.r }
 
 func (r *Remote) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) { return r.r.Malloc(p, n) }
 func (r *Remote) Free(p *sim.Proc, h gpu.Ptr) error            { return r.r.Free(p, h) }

@@ -90,7 +90,7 @@ func runProgram(procs [][]progOp, step bool) []progEvent {
 				case 0:
 					p.Sleep(Duration(op.arg%50) * Microsecond)
 				case 1:
-					p.Yield()
+					p.Sleep(0)
 				case 2:
 					sigs[op.arg%4].Fire()
 				case 3:

@@ -83,10 +83,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.yield()
 }
 
-// Yield gives other processes scheduled at the current instant a chance to
-// run, without advancing the clock relative to them.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Signal is a broadcast condition in virtual time: processes Wait on it and
 // are all released by Fire. Signals are reusable — Fire releases the current
 // waiters and leaves the signal ready for new ones.
@@ -194,58 +190,6 @@ func (s *Signal) FireOne() bool {
 
 // Waiters returns the number of processes currently waiting.
 func (s *Signal) Waiters() int { return len(s.waiters) }
-
-// Resource is a counting semaphore in virtual time with FIFO granting, the
-// building block for modelling exclusive or capacity-limited hardware
-// (DMA engines, PCIe lanes, CPU cores).
-type Resource struct {
-	env      *Env
-	capacity int
-	inUse    int
-	queue    *Signal
-}
-
-// NewResource returns a Resource with the given capacity (> 0).
-func NewResource(env *Env, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: Resource capacity must be positive")
-	}
-	return &Resource{env: env, capacity: capacity, queue: NewSignal(env)}
-}
-
-// Acquire blocks the process until a unit of capacity is available, then
-// claims it.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.queue.Wait(p)
-	}
-	r.inUse++
-}
-
-// TryAcquire claims a unit if one is free, without blocking; it reports
-// whether the claim succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.inUse++
-	return true
-}
-
-// Release returns a unit of capacity and wakes one waiter.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: Release of un-acquired Resource")
-	}
-	r.inUse--
-	r.queue.FireOne()
-}
-
-// InUse returns the number of claimed units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.capacity }
 
 // WaitGroup counts outstanding work in virtual time; Wait parks until the
 // count returns to zero.

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -357,84 +356,6 @@ func TestWaitTimeoutSimultaneousFireAndTimer(t *testing.T) {
 	}
 }
 
-func TestResourceSerializesExclusiveUse(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, 1)
-	var spans [][2]Time
-	for i := 0; i < 3; i++ {
-		env.Spawn("worker", func(p *Proc) {
-			res.Acquire(p)
-			start := p.Now()
-			p.Sleep(1 * Millisecond)
-			spans = append(spans, [2]Time{start, p.Now()})
-			res.Release()
-		})
-	}
-	end := env.Run()
-	if end != Time(3e-3) {
-		t.Fatalf("end = %v, want 3ms (serialized)", end)
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
-	for i := 1; i < len(spans); i++ {
-		if spans[i][0] < spans[i-1][1] {
-			t.Fatalf("overlapping exclusive spans: %v", spans)
-		}
-	}
-}
-
-func TestResourceCapacityTwoOverlaps(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, 2)
-	for i := 0; i < 4; i++ {
-		env.Spawn("worker", func(p *Proc) {
-			res.Acquire(p)
-			p.Sleep(1 * Millisecond)
-			res.Release()
-		})
-	}
-	if end := env.Run(); end != Time(2e-3) {
-		t.Fatalf("end = %v, want 2ms (two at a time)", end)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, 1)
-	if !res.TryAcquire() {
-		t.Fatal("TryAcquire on free resource = false")
-	}
-	if res.TryAcquire() {
-		t.Fatal("TryAcquire on full resource = true")
-	}
-	if res.InUse() != 1 || res.Capacity() != 1 {
-		t.Fatalf("InUse=%d Capacity=%d", res.InUse(), res.Capacity())
-	}
-	res.Release()
-	if res.InUse() != 0 {
-		t.Fatalf("InUse after release = %d", res.InUse())
-	}
-}
-
-func TestResourceReleasePanicsWhenFree(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release of free resource did not panic")
-		}
-	}()
-	res.Release()
-}
-
-func TestNewResourceRejectsNonPositiveCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewResource(env, 0) did not panic")
-		}
-	}()
-	NewResource(NewEnv(), 0)
-}
-
 func TestWaitGroup(t *testing.T) {
 	env := NewEnv()
 	wg := NewWaitGroup(env)
@@ -519,15 +440,22 @@ func TestDeterministicReplay(t *testing.T) {
 		env := NewEnv()
 		defer env.Close()
 		rng := rand.New(rand.NewSource(seed))
-		res := NewResource(env, 2)
+		// Two slots handed out through a Signal: contention makes the
+		// finish order depend on the wake order.
+		free := NewSignal(env)
+		inUse := 0
 		var finishes []Time
 		for i := 0; i < 50; i++ {
 			d := Duration(rng.Intn(1000)+1) * Microsecond
 			start := Duration(rng.Intn(1000)) * Microsecond
 			env.SpawnAt(start, "w", func(p *Proc) {
-				res.Acquire(p)
+				for inUse >= 2 {
+					free.Wait(p)
+				}
+				inUse++
 				p.Sleep(d)
-				res.Release()
+				inUse--
+				free.FireOne()
 				finishes = append(finishes, p.Now())
 			})
 		}
@@ -603,32 +531,6 @@ func TestPropertySleepDurationsIndependent(t *testing.T) {
 		return ok && end == Time(0).Add(maxD)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a capacity-c resource with n unit-time jobs completes in
-// ceil(n/c) time units.
-func TestPropertyResourceMakespan(t *testing.T) {
-	f := func(n, c uint8) bool {
-		jobs := int(n%50) + 1
-		cap := int(c%8) + 1
-		env := NewEnv()
-		defer env.Close()
-		res := NewResource(env, cap)
-		for i := 0; i < jobs; i++ {
-			env.Spawn("w", func(p *Proc) {
-				res.Acquire(p)
-				p.Sleep(1 * Millisecond)
-				res.Release()
-			})
-		}
-		end := env.Run()
-		want := Time(float64((jobs+cap-1)/cap) * 1e-3)
-		diff := float64(end - want)
-		return diff < 1e-12 && diff > -1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,7 @@
 // coroutine (a finished process's coroutine runs the next spawn) — through
 // virtual time. At most one process executes at any instant: the
 // scheduling loop resumes a process, and the process suspends when it
-// blocks on a virtual-time primitive (Sleep, a Signal, a Resource, ...).
+// blocks on a virtual-time primitive (Sleep, a Signal, a WaitGroup, ...).
 // This SimPy-style handoff keeps simulations fully
 // deterministic regardless of GOMAXPROCS while letting model code read as
 // straight-line imperative Go.

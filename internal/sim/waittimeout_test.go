@@ -93,7 +93,7 @@ func TestWaitTimeoutInterleavedRemovalKeepsListConsistent(t *testing.T) {
 	env.Spawn("b", func(p *Proc) { sig.Wait(p); bWokeAt = p.Now() })
 	env.Spawn("c", func(p *Proc) { errC = sig.WaitTimeout(p, 5*Microsecond) })
 	env.Spawn("observer", func(p *Proc) {
-		p.Yield() // let all three enqueue
+		p.Sleep(0) // let all three enqueue
 		if n := sig.Waiters(); n != 3 {
 			t.Errorf("waiters after enqueue = %d, want 3", n)
 		}

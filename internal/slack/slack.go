@@ -8,7 +8,7 @@
 // on statically linked binaries) — before settling on controlled injection
 // inside a proxy application. This package provides the equivalent seam for
 // the simulated stack: an Interposer registered on a cuda.Context delays
-// the configured call classes, with optional jitter and an optional
+// every link-crossing call, with optional jitter and an optional
 // per-symbol filter that mimics the LD_PRELOAD comparison experiment.
 package slack
 
@@ -34,9 +34,6 @@ type Injector struct {
 	jitterFrac float64
 	rng        *rand.Rand
 
-	// classes restricts injection to specific call classes; nil selects
-	// every link-crossing class (the paper's method).
-	classes map[cuda.CallClass]bool
 	// symbols, when non-nil, restricts injection to exact API symbol names
 	// (the LD_PRELOAD-style filter; incomplete coverage is precisely the
 	// weakness the paper notes for that approach).
@@ -71,16 +68,6 @@ func WithJitter(f float64, seed int64) Option {
 // slack spans.
 func WithObserver(fn func(name string, start, end sim.Time)) Option {
 	return func(in *Injector) { in.observer = fn }
-}
-
-// WithClasses restricts injection to the listed call classes.
-func WithClasses(classes ...cuda.CallClass) Option {
-	return func(in *Injector) {
-		in.classes = make(map[cuda.CallClass]bool, len(classes))
-		for _, c := range classes {
-			in.classes[c] = true
-		}
-	}
 }
 
 // WithSymbols restricts injection to calls whose API name is listed,
@@ -147,9 +134,6 @@ func (in *Injector) applies(info cuda.CallInfo) bool {
 	}
 	if in.symbols != nil && !in.symbols[info.Name] {
 		return false
-	}
-	if in.classes != nil {
-		return in.classes[info.Class]
 	}
 	return info.Class.CrossesLink()
 }

@@ -103,14 +103,6 @@ func TestMemoryCallsNotDelayed(t *testing.T) {
 	}
 }
 
-func TestWithClassesRestriction(t *testing.T) {
-	in := New(1*sim.Millisecond, WithClasses(cuda.ClassLaunch))
-	runProxyIteration(t, in)
-	if in.DelayedCalls() != 1 {
-		t.Errorf("DelayedCalls = %d, want 1 (launch only)", in.DelayedCalls())
-	}
-}
-
 func TestWithSymbolsLDPreloadStyle(t *testing.T) {
 	// A shim that only wraps the synchronous memcpy symbols misses the
 	// launch and sync calls — the coverage gap the paper warns about.

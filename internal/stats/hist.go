@@ -1,39 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
-
-// Histogram is a set of counts over contiguous bins defined by Edges:
-// bin i covers [Edges[i], Edges[i+1]), with the final bin closed on the
-// right so the maximum lands inside it.
-type Histogram struct {
-	Edges  []float64
-	Counts []int
-	// Under and Over count samples falling outside the edge range.
-	Under, Over int
-}
-
-// NewHistogram builds a histogram of xs over the given edges, which must be
-// strictly increasing and contain at least two values.
-func NewHistogram(xs []float64, edges []float64) *Histogram {
-	if len(edges) < 2 {
-		panic("stats: histogram needs at least two edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			panic("stats: histogram edges must be strictly increasing")
-		}
-	}
-	h := &Histogram{Edges: edges, Counts: make([]int, len(edges)-1)}
-	for _, x := range xs {
-		h.Add(x)
-	}
-	return h
-}
-
 // LinearEdges returns n+1 evenly spaced edges covering [lo, hi].
 func LinearEdges(lo, hi float64, n int) []float64 {
 	if n < 1 || hi <= lo {
@@ -44,73 +10,6 @@ func LinearEdges(lo, hi float64, n int) []float64 {
 		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
 	}
 	return edges
-}
-
-// LogEdges returns n+1 logarithmically spaced edges covering [lo, hi];
-// lo must be positive.
-func LogEdges(lo, hi float64, n int) []float64 {
-	if n < 1 || lo <= 0 || hi <= lo {
-		panic("stats: invalid LogEdges parameters")
-	}
-	ll, lh := math.Log(lo), math.Log(hi)
-	edges := make([]float64, n+1)
-	for i := range edges {
-		edges[i] = math.Exp(ll + (lh-ll)*float64(i)/float64(n))
-	}
-	return edges
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	switch {
-	case x < h.Edges[0]:
-		h.Under++
-	case x > h.Edges[n]:
-		h.Over++
-	case x == h.Edges[n]:
-		h.Counts[n-1]++
-	default:
-		// Binary search for the bin with Edges[i] <= x < Edges[i+1].
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if x >= h.Edges[mid+1] {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		h.Counts[lo]++
-	}
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// String renders a compact ASCII bar chart, useful in example output.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, c := range h.Counts {
-		bar := ""
-		if maxC > 0 {
-			bar = strings.Repeat("#", c*40/maxC)
-		}
-		fmt.Fprintf(&b, "[%10.4g, %10.4g) %6d %s\n", h.Edges[i], h.Edges[i+1], c, bar)
-	}
-	return b.String()
 }
 
 // BinByThresholds assigns each sample to the first threshold bin that can

@@ -77,18 +77,3 @@ func (in *Interpolator) At(x float64) float64 {
 	f := (x - x0) / (x1 - x0)
 	return y0 + f*(y1-y0)
 }
-
-// Knots returns copies of the knot slices in ascending-x order, with x in
-// original (non-log) units.
-func (in *Interpolator) Knots() (xs, ys []float64) {
-	xs = make([]float64, len(in.xs))
-	ys = append([]float64(nil), in.ys...)
-	for i, x := range in.xs {
-		if in.logX {
-			xs[i] = math.Exp(x)
-		} else {
-			xs[i] = x
-		}
-	}
-	return xs, ys
-}

@@ -42,137 +42,3 @@ func Quantiles(xs []float64, qs []float64) []float64 {
 	}
 	return out
 }
-
-// LatencyHist is an HDR-histogram-style latency recorder: values are
-// counted into bins with fixed logarithmically spaced edges, so recording
-// is O(log bins) with no retained samples, and quantiles are read back as
-// the upper edge of the bin where the cumulative count crosses the rank —
-// a conservative (never-underestimating) estimate whose relative error is
-// bounded by the bin width. Because the edges are fixed at construction
-// rather than derived from the data, two histograms built from the same
-// stream are bit-identical regardless of merge or arrival order.
-//
-// Samples below the lowest edge are clamped into the first bin and samples
-// above the highest edge into the last (HDR convention: saturate, don't
-// drop), while Min/Max track the exact extremes seen.
-type LatencyHist struct {
-	edges  []float64
-	counts []int64
-	n      int64
-	min    float64
-	max    float64
-}
-
-// NewLatencyHist builds an empty histogram with bins-per-decade fixed log
-// edges covering [lo, hi]; lo must be positive and hi > lo. The total bin
-// count is perDecade × the (fractional) number of decades, rounded up.
-func NewLatencyHist(lo, hi float64, perDecade int) *LatencyHist {
-	if lo <= 0 || hi <= lo || perDecade < 1 {
-		panic("stats: invalid NewLatencyHist parameters")
-	}
-	decades := math.Log10(hi / lo)
-	n := int(math.Ceil(decades * float64(perDecade)))
-	if n < 1 {
-		n = 1
-	}
-	return &LatencyHist{
-		edges:  LogEdges(lo, hi, n),
-		counts: make([]int64, n),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
-}
-
-// Add records one sample.
-func (h *LatencyHist) Add(x float64) {
-	h.n++
-	if x < h.min {
-		h.min = x
-	}
-	if x > h.max {
-		h.max = x
-	}
-	n := len(h.counts)
-	switch {
-	case x < h.edges[0]:
-		h.counts[0]++
-	case x >= h.edges[n]:
-		h.counts[n-1]++
-	default:
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if x >= h.edges[mid+1] {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		h.counts[lo]++
-	}
-}
-
-// Count returns the number of recorded samples.
-func (h *LatencyHist) Count() int64 { return h.n }
-
-// Min returns the exact smallest recorded sample (NaN when empty).
-func (h *LatencyHist) Min() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return h.min
-}
-
-// Max returns the exact largest recorded sample (NaN when empty).
-func (h *LatencyHist) Max() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return h.max
-}
-
-// Quantile returns an upper bound on the q-th quantile (q in [0, 1]): the
-// upper edge of the first bin at which the cumulative count reaches
-// ceil(q·n), capped at the exact observed maximum so the estimate never
-// exceeds a value that was actually recorded. NaN when empty.
-func (h *LatencyHist) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
-	}
-	if h.n == 0 {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(h.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			return math.Min(h.edges[i+1], h.max)
-		}
-	}
-	return h.max
-}
-
-// CountAtOrBelow returns how many recorded samples fell in bins whose
-// upper edge is <= limit — the histogram's estimate of "requests that met
-// a deadline of limit". Because in-bin positions are unknown, a bin is
-// counted only when all of it is at or below the limit, so the result
-// never overstates compliance.
-func (h *LatencyHist) CountAtOrBelow(limit float64) int64 {
-	var cum int64
-	for i, c := range h.counts {
-		if h.edges[i+1] <= limit {
-			cum += c
-		}
-	}
-	return cum
-}
-
-// Edges returns the histogram's bin edges (shared slice; do not modify).
-func (h *LatencyHist) Edges() []float64 { return h.edges }
-
-// Counts returns the per-bin counts (shared slice; do not modify).
-func (h *LatencyHist) Counts() []int64 { return h.counts }

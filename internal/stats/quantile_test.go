@@ -57,91 +57,3 @@ func TestQuantilesEdgeCases(t *testing.T) {
 	}()
 	Quantiles([]float64{1, 2}, []float64{1.5})
 }
-
-func TestLatencyHistHandComputed(t *testing.T) {
-	// One bin per decade over [1µs, 1ms] in seconds: 3 bins with edges at
-	// (approximately) 1e-6, 1e-5, 1e-4, 1e-3.
-	h := NewLatencyHist(1e-6, 1e-3, 1)
-	if len(h.Counts()) != 3 {
-		t.Fatalf("bins = %d, want 3", len(h.Counts()))
-	}
-	for _, x := range []float64{2e-6, 5e-6, 3e-5, 2e-4, 5e-7, 5e-3} {
-		h.Add(x)
-	}
-	// 5e-7 clamps into the first bin, 5e-3 into the last.
-	wantCounts := []int64{3, 1, 2}
-	for i, c := range h.Counts() {
-		if c != wantCounts[i] {
-			t.Errorf("bin %d count = %d, want %d", i, c, wantCounts[i])
-		}
-	}
-	if h.Count() != 6 {
-		t.Errorf("Count = %d, want 6", h.Count())
-	}
-	if h.Min() != 5e-7 || h.Max() != 5e-3 {
-		t.Errorf("Min/Max = %v/%v, want 5e-7/5e-3", h.Min(), h.Max())
-	}
-
-	// rank(0.5) = ceil(0.5*6) = 3, reached in bin 0 → upper edge ≈ 1e-5.
-	if got := h.Quantile(0.5); !almostEqual(got, 1e-5, 1e-18) {
-		t.Errorf("Quantile(0.5) = %v, want ~1e-5", got)
-	}
-	// rank(0.6) = ceil(3.6) = 4, reached in bin 1 → upper edge ≈ 1e-4.
-	if got := h.Quantile(0.6); !almostEqual(got, 1e-4, 1e-17) {
-		t.Errorf("Quantile(0.6) = %v, want ~1e-4", got)
-	}
-	// rank(1) = 6, reached in the saturated last bin → capped at its upper
-	// edge (the true max 5e-3 lies above the histogram's range).
-	if got := h.Quantile(1); !almostEqual(got, 1e-3, 1e-16) {
-		t.Errorf("Quantile(1) = %v, want ~1e-3", got)
-	}
-
-	// Bins wholly at or below 2e-4: bins 0 and 1 → 3+1 samples.
-	if got := h.CountAtOrBelow(2e-4); got != 4 {
-		t.Errorf("CountAtOrBelow(2e-4) = %d, want 4", got)
-	}
-}
-
-func TestLatencyHistQuantileNeverExceedsMax(t *testing.T) {
-	// When the population maximum sits inside the crossing bin, the
-	// estimate is capped at the exact max rather than the bin edge.
-	h := NewLatencyHist(1e-6, 1, 4)
-	h.Add(3e-3)
-	h.Add(4e-3)
-	if got := h.Quantile(0.99); got > 4e-3 {
-		t.Errorf("Quantile(0.99) = %v exceeds max 4e-3", got)
-	}
-	if got := h.Quantile(0); got <= 0 || got > 4e-3 {
-		t.Errorf("Quantile(0) = %v out of (0, max]", got)
-	}
-}
-
-func TestLatencyHistEmpty(t *testing.T) {
-	h := NewLatencyHist(1e-6, 1, 8)
-	if !math.IsNaN(h.Quantile(0.5)) || !math.IsNaN(h.Min()) || !math.IsNaN(h.Max()) {
-		t.Error("empty histogram should report NaN quantile/min/max")
-	}
-	if h.Count() != 0 || h.CountAtOrBelow(1) != 0 {
-		t.Error("empty histogram should count zero")
-	}
-}
-
-func TestLatencyHistDeterministicAcrossOrder(t *testing.T) {
-	xs := []float64{2e-6, 5e-4, 3e-5, 2e-4, 7e-6, 9e-5}
-	a := NewLatencyHist(1e-6, 1e-3, 4)
-	b := NewLatencyHist(1e-6, 1e-3, 4)
-	for _, x := range xs {
-		a.Add(x)
-	}
-	for i := len(xs) - 1; i >= 0; i-- {
-		b.Add(xs[i])
-	}
-	for i := range a.Counts() {
-		if a.Counts()[i] != b.Counts()[i] {
-			t.Fatalf("bin %d differs across insertion order: %d vs %d", i, a.Counts()[i], b.Counts()[i])
-		}
-	}
-	if a.Quantile(0.99) != b.Quantile(0.99) {
-		t.Error("quantile differs across insertion order")
-	}
-}

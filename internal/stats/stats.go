@@ -139,28 +139,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Stddev, s.Min, s.Q1, s.Median, s.Q3, s.Max)
 }
 
-// Normalize returns xs scaled so that ref maps to 1. It panics if ref is
-// zero.
-func Normalize(xs []float64, ref float64) []float64 {
-	if ref == 0 {
-		panic("stats: Normalize by zero reference")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / ref
-	}
-	return out
-}
-
-// RelativeChange returns (now-base)/base, the signed fractional change the
-// paper reports as percentage runtime decreases/increases.
-func RelativeChange(base, now float64) float64 {
-	if base == 0 {
-		return math.NaN()
-	}
-	return (now - base) / base
-}
-
 // ApproxEqual reports whether a and b agree to within tol, measured
 // relative to the larger magnitude once that exceeds 1 (so tol acts as an
 // absolute tolerance near zero and a relative one for large values). It is

@@ -66,51 +66,3 @@ func (t *Trace) ComputeGaps() []Span {
 	}
 	return gaps
 }
-
-// GapDurations returns the idle-gap lengths in seconds, ready for the
-// stats package.
-func (t *Trace) GapDurations() []float64 {
-	gaps := t.ComputeGaps()
-	out := make([]float64, len(gaps))
-	for i, g := range gaps {
-		out[i] = float64(g.Duration())
-	}
-	return out
-}
-
-// ComputeUtilization returns busy time over the recorded runtime for the
-// compute engine (exact: overlapping kernels cannot exist, and spans are
-// merged anyway).
-func (t *Trace) ComputeUtilization() float64 {
-	rt := t.Runtime()
-	if rt <= 0 {
-		return 0
-	}
-	var busy sim.Duration
-	for _, s := range t.ComputeSpans() {
-		busy += s.Duration()
-	}
-	return float64(busy) / float64(rt)
-}
-
-// WarmupTotal sums the starvation penalty recorded across all kernels —
-// the device-side cost the slack model predicts.
-func (t *Trace) WarmupTotal() sim.Duration {
-	var total sim.Duration
-	for _, k := range t.Kernels {
-		total += k.Warmup
-	}
-	return total
-}
-
-// LongestGap returns the largest compute idle gap (zero Span when the
-// trace has no gaps).
-func (t *Trace) LongestGap() Span {
-	var best Span
-	for _, g := range t.ComputeGaps() {
-		if g.Duration() > best.Duration() {
-			best = g
-		}
-	}
-	return best
-}

@@ -53,65 +53,19 @@ func TestComputeGapsBetweenKernels(t *testing.T) {
 	if math.Abs(float64(gaps[0].Duration()-2*sim.Millisecond)) > 1e-12 {
 		t.Errorf("gap = %v, want 2ms", gaps[0].Duration())
 	}
-	durs := tr.GapDurations()
-	if len(durs) != 1 || math.Abs(durs[0]-2e-3) > 1e-12 {
-		t.Errorf("GapDurations = %v", durs)
-	}
-	if lg := tr.LongestGap(); math.Abs(float64(lg.Duration()-2*sim.Millisecond)) > 1e-12 {
-		t.Errorf("LongestGap = %v", lg)
-	}
-}
-
-func TestComputeUtilization(t *testing.T) {
-	tr := traceWithPattern(t)
-	// 2ms busy over 4ms runtime.
-	if got := tr.ComputeUtilization(); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("utilization = %v, want 0.5", got)
-	}
 }
 
 func TestUtilizationEmptyTrace(t *testing.T) {
 	tr := &Trace{}
-	if tr.ComputeUtilization() != 0 {
-		t.Error("nonzero utilization on empty trace")
-	}
 	if len(tr.ComputeGaps()) != 0 {
 		t.Error("gaps on empty trace")
-	}
-	if tr.LongestGap().Duration() != 0 {
-		t.Error("longest gap on empty trace")
-	}
-}
-
-func TestWarmupTotalAggregates(t *testing.T) {
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	spec := testSpec()
-	spec.WarmupRate = 0.5
-	spec.WarmupSaturation = 1 * sim.Second
-	dev, _ := gpu.NewDevice(env, spec)
-	ctx := cuda.NewContext(dev, cuda.Config{CallOverhead: -1})
-	rec := NewRecorder("warm")
-	dev.Listen(rec)
-	rec.Start(env)
-	env.Spawn("host", func(p *sim.Proc) {
-		ctx.LaunchSync(p, gpu.Fixed("k1", 1*sim.Millisecond), nil)
-		p.Sleep(10 * sim.Millisecond)
-		ctx.LaunchSync(p, gpu.Fixed("k2", 1*sim.Millisecond), nil)
-	})
-	env.Run()
-	rec.Stop(env)
-	tr := rec.Trace()
-	want := 5 * sim.Millisecond // 0.5 × 10ms gap, charged to k2
-	if got := tr.WarmupTotal(); math.Abs(float64(got-want)) > 1e-12 {
-		t.Errorf("WarmupTotal = %v, want %v", got, want)
 	}
 }
 
 func TestGapsGrowUnderSlackInTraces(t *testing.T) {
 	// End-to-end: the mechanism the model reads off traces — injected
 	// slack widens compute gaps.
-	run := func(slack sim.Duration) float64 {
+	run := func(slack sim.Duration) sim.Duration {
 		env := sim.NewEnv()
 		defer env.Close()
 		dev, _ := gpu.NewDevice(env, testSpec())
@@ -127,9 +81,9 @@ func TestGapsGrowUnderSlackInTraces(t *testing.T) {
 		})
 		env.Run()
 		rec.Stop(env)
-		var total float64
-		for _, g := range rec.Trace().GapDurations() {
-			total += g
+		var total sim.Duration
+		for _, g := range rec.Trace().ComputeGaps() {
+			total += g.Duration()
 		}
 		return total
 	}

@@ -253,25 +253,6 @@ func (t *Trace) MemcpyFraction() float64 {
 	return float64(t.MemcpyTime()) / float64(rt)
 }
 
-// CallCount returns the number of recorded API calls in the given class
-// (any class if none given).
-func (t *Trace) CallCount(classes ...cuda.CallClass) int {
-	if len(classes) == 0 {
-		return len(t.Calls)
-	}
-	want := map[cuda.CallClass]bool{}
-	for _, c := range classes {
-		want[c] = true
-	}
-	n := 0
-	for _, c := range t.Calls {
-		if want[c.Class] {
-			n++
-		}
-	}
-	return n
-}
-
 // LinkCrossingCalls returns the number of calls the slack model delays —
 // Equation 1's num_CUDAcalls for this trace.
 func (t *Trace) LinkCrossingCalls() int {

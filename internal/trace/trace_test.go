@@ -185,10 +185,7 @@ func TestCallCountsAndLinkCrossing(t *testing.T) {
 	if got := tr.LinkCrossingCalls(); got != 5 {
 		t.Errorf("LinkCrossingCalls = %d, want 5", got)
 	}
-	if got := tr.CallCount(cuda.ClassMemory); got != 3 {
-		t.Errorf("memory calls = %d, want 3", got)
-	}
-	if got := tr.CallCount(); got != 8 {
+	if got := len(tr.Calls); got != 8 {
 		t.Errorf("total calls = %d, want 8", got)
 	}
 }
