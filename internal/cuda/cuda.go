@@ -276,15 +276,18 @@ func (c *Context) memcpy(p *sim.Proc, name string, class CallClass, dir gpu.Dire
 	c.call(p, CallInfo{Name: name, Class: class, Bytes: n}, func() {
 		op := c.defaultStream().EnqueueCopy(dir, n)
 		op.Wait(p)
+		c.dev.Release(op)
 	})
 	return nil
 }
 
 // Launch asynchronously submits kernel k on stream s (nil selects the
 // default stream). The host returns after the driver dispatch cost; the
-// kernel executes in stream order.
-func (c *Context) Launch(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) *gpu.Op {
-	var op *gpu.Op
+// kernel executes in stream order. Like cudaLaunchKernel it returns no
+// handle: the op goes back to the device when the kernel completes, and
+// a caller waits for it with StreamSynchronize, DeviceSynchronize or an
+// event recorded after it.
+func (c *Context) Launch(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) {
 	c.call(p, CallInfo{Name: launchName(c.launchNames, "cudaLaunchKernel:", k.Name), Class: ClassLaunch}, func() {
 		if s == nil {
 			s = c.defaultStream()
@@ -295,9 +298,8 @@ func (c *Context) Launch(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) *gpu.Op {
 		if lo := c.dev.Spec().LaunchOverhead; lo > 0 {
 			p.Sleep(lo)
 		}
-		op = s.EnqueueKernel(k)
+		c.dev.Release(s.EnqueueKernel(k))
 	})
-	return op
 }
 
 // LaunchSync submits kernel k on stream s (nil selects the default stream)
@@ -314,6 +316,7 @@ func (c *Context) LaunchSync(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) {
 		}
 		op := s.EnqueueKernel(k)
 		op.Wait(p)
+		c.dev.Release(op)
 	})
 }
 
@@ -350,7 +353,8 @@ func (c *Context) DeviceSynchronize(p *sim.Proc) {
 	})
 }
 
-// Event is a recorded position in a stream, as cudaEvent_t.
+// Event is a recorded position in a stream, as cudaEvent_t. It holds its
+// marker op for good, so the op is never released.
 type Event struct {
 	op *gpu.Op
 	at sim.Time // completion time, valid once Done

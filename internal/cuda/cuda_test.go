@@ -90,7 +90,7 @@ func TestLaunchIsAsynchronous(t *testing.T) {
 	env, ctx := newCtx(t)
 	env.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
-		op := ctx.Launch(p, gpu.Fixed("k", 5*sim.Millisecond), nil)
+		ctx.Launch(p, gpu.Fixed("k", 5*sim.Millisecond), nil)
 		if p.Now() != start {
 			t.Errorf("launch blocked for %v (zero-overhead config)", p.Now().Sub(start))
 		}
@@ -98,8 +98,8 @@ func TestLaunchIsAsynchronous(t *testing.T) {
 		if got := p.Now().Sub(start); math.Abs(float64(got-5*sim.Millisecond)) > 1e-12 {
 			t.Errorf("kernel completed after %v, want 5ms", got)
 		}
-		if !op.Done() {
-			t.Error("op not done after device sync")
+		if n := ctx.dev.Counters().Kernels; n != 1 {
+			t.Errorf("%d kernels completed after device sync, want 1", n)
 		}
 	})
 	env.Run()
@@ -305,4 +305,47 @@ func TestLaunchSyncBlocksForKernel(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestWarmCallsAllocateNothing: with no interposers, the synchronous
+// copy and launch and an asynchronous launch hand their ops back to the
+// device, so once warm the calls allocate nothing. Each count is the total
+// of 200 calls after 200 warm-up calls, so even one op chunk shows.
+func TestWarmCallsAllocateNothing(t *testing.T) {
+	env, ctx := newCtx(t)
+	k := gpu.Fixed("k", 10*sim.Microsecond)
+	allocs := map[string]float64{}
+	env.Spawn("host", func(p *sim.Proc) {
+		ptr, err := ctx.Malloc(p, 1<<20)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		measure := func(call string, f func()) {
+			allocs[call] = testing.AllocsPerRun(1, func() {
+				for range 200 {
+					f()
+				}
+			})
+		}
+		measure("MemcpyH2D", func() {
+			if err := ctx.MemcpyH2D(p, ptr, 4096); err != nil {
+				t.Error(err)
+			}
+		})
+		measure("LaunchSync", func() { ctx.LaunchSync(p, k, nil) })
+		measure("Launch+StreamSynchronize", func() {
+			ctx.Launch(p, k, nil)
+			ctx.StreamSynchronize(p, nil)
+		})
+	})
+	env.Run()
+	for call, n := range allocs {
+		if n != 0 {
+			t.Errorf("200 warm %s calls allocate %v times, want 0", call, n)
+		}
+	}
+	if len(allocs) != 3 {
+		t.Errorf("measured %d calls, want 3", len(allocs))
+	}
 }

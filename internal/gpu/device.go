@@ -116,11 +116,16 @@ type Device struct {
 	nextStreamID int
 	allIdle      *sim.WaitGroup // counts outstanding ops device-wide
 
-	// opSlab hands out Ops in 64-op chunks: enqueue paths are the hottest
-	// allocation sites in the serving and proxy benchmarks, and callers
-	// keep op pointers for arbitrarily long (events, deferred waits), so
-	// ops are never recycled — just batch-allocated.
-	opSlab []Op
+	// freeOps lists the Ops the next enqueues hand out, linked through
+	// Op.next: ops that Release gave back, then the rest of the latest
+	// chunk. A caller may keep an op pointer for arbitrarily long (events,
+	// deferred waits), so an op returns here only through Release. Ops
+	// nobody releases come in chunks that double from opChunkMin to
+	// opChunkMax ops, so a device that recycles its ops allocates a few
+	// small chunks, and one that does not still pays one allocation per
+	// opChunkMax ops.
+	freeOps *Op
+	opChunk int // size of the next chunk
 
 	lost bool // the physical device disappeared (server crash, failover)
 }
@@ -159,14 +164,54 @@ func (e *engine) release(env *sim.Env) {
 	env.After(0, s.cb.begin)
 }
 
-// newOp returns a zeroed Op from the device's slab.
+// The first and the largest op chunk.
+const (
+	opChunkMin = 4
+	opChunkMax = 64
+)
+
+// newOp returns a zeroed Op from the free list, refilling the list with a
+// fresh chunk when it is empty.
 func (d *Device) newOp() *Op {
-	if len(d.opSlab) == 0 {
-		d.opSlab = make([]Op, 64)
+	if d.freeOps == nil {
+		n := max(d.opChunk, opChunkMin)
+		d.opChunk = min(2*n, opChunkMax)
+		chunk := make([]Op, n)
+		for i := range chunk[:n-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		d.freeOps = &chunk[0]
 	}
-	o := &d.opSlab[0]
-	d.opSlab = d.opSlab[1:]
+	o := d.freeOps
+	d.freeOps = o.next
+	*o = Op{}
 	return o
+}
+
+// Release hands o back to the device for reuse by a later enqueue. The
+// caller gives up its reference: it must not wait on, read or release o
+// again. A done op is reused at once; a queued one once it completes. An
+// op a process waits on, or one already released, panics. Ops that are
+// never released stay valid for as long as anyone holds them.
+func (d *Device) Release(o *Op) {
+	switch {
+	case o.released:
+		panic("gpu: op released twice")
+	case o.doneSig.Waiters() > 0:
+		panic("gpu: release of an op a process waits on")
+	case o.done:
+		d.recycle(o)
+	default:
+		o.released = true
+	}
+}
+
+// recycle puts a done, released op on the free list. It stays marked
+// released there, so a second Release panics until newOp hands it out.
+func (d *Device) recycle(o *Op) {
+	o.released = true
+	o.next = d.freeOps
+	d.freeOps = o
 }
 
 // NewDevice creates a device with the given spec on env.
@@ -230,7 +275,7 @@ func (d *Device) Utilization() float64 {
 }
 
 // opKind discriminates stream operations.
-type opKind int
+type opKind uint8
 
 const (
 	opKernel opKind = iota
@@ -239,9 +284,9 @@ const (
 )
 
 // Op is one enqueued stream operation; callers wait on it for fine-grained
-// synchronization (cudaEventSynchronize-style).
+// synchronization (cudaEventSynchronize-style). A caller that no longer
+// needs an op hands it back with Device.Release.
 type Op struct {
-	kind opKind
 	name string // kernel name
 	// dur is a kernel's base duration before warm-up, or a copy's
 	// duration. Both are fixed at enqueue, so a bad one panics on the
@@ -250,11 +295,17 @@ type Op struct {
 	dir     Direction
 	bytes   int64
 	enqueue sim.Time
+	// next links the op into the device's free list.
+	next *Op
+	kind opKind
 	// done flips exactly once, in the stream's completion callback, just
 	// before doneSig fires — host-side Op.Wait re-checks it in the guard
 	// loop.
 	done bool
-	// doneSig is this op's private completion signal, embedded so the slab
+	// released is set by Device.Release; the stream recycles a released op
+	// when it completes.
+	released bool
+	// doneSig is this op's private completion signal, embedded so the chunk
 	// allocation covers it. A per-op signal (rather than one broadcast
 	// signal shared by every op on the stream) means completing an op wakes
 	// only the processes synchronizing on *that* op: with a shared signal,
@@ -564,13 +615,16 @@ func (s *Stream) copyDone() {
 }
 
 // finish marks o done and releases whoever waits on it, the stream or
-// the device.
+// the device. An op its caller released goes back to the device.
 func (s *Stream) finish(o *Op) {
 	s.cur = nil
 	o.done = true
 	s.pending--
 	s.dev.allIdle.Done()
 	o.doneSig.Fire()
+	if o.released {
+		s.dev.recycle(o)
+	}
 	if s.pending == 0 {
 		s.drained.Fire()
 	}

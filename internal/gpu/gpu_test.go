@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -725,8 +726,8 @@ func TestNoContextSwitchWhenDisabled(t *testing.T) {
 // kernels and copies on two streams is the only process the engine ever
 // spawns, the device work costs no process switch (its callbacks run
 // inline on the parked host's coroutine), and once the stream is
-// warm an enqueue and wait allocates nothing; the op slab's chunk every
-// 64 ops rounds to zero per round.
+// warm an enqueue and wait allocates nothing even though no op is
+// released; the op chunk every 64 ops rounds to zero per round.
 func TestStreamsSpawnNoProcess(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -762,6 +763,100 @@ func TestStreamsSpawnNoProcess(t *testing.T) {
 	// AllocsPerRun calls its function once more to warm up.
 	if c := d.Counters(); c.Kernels != 40+201 || c.CopiesH2D != 20 || c.CopiesD2H != 20 {
 		t.Errorf("counters = %+v", c)
+	}
+}
+
+// TestReleasedOpIsReused pins op recycling: an enqueue, wait and release
+// round allocates nothing at all, and the next enqueue gets the released
+// op back, whether it was released done or while still queued.
+func TestReleasedOpIsReused(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	d, _ := NewDevice(env, fastSpec())
+	s := d.NewStream()
+	k := Fixed("k", 10*sim.Microsecond)
+	var allocs float64
+	env.Spawn("host", func(p *sim.Proc) {
+		// One measured run of 200 rounds after a warm-up run of 200: the
+		// count is the rounds' total, so even one chunk shows.
+		allocs = testing.AllocsPerRun(1, func() {
+			for range 200 {
+				o := s.EnqueueKernel(k)
+				o.Wait(p)
+				d.Release(o)
+			}
+		})
+		o := s.EnqueueCopy(H2D, 4096)
+		o.Wait(p)
+		d.Release(o)
+		if o2 := s.EnqueueKernel(k); o2 != o {
+			t.Error("enqueue after releasing a done op did not reuse it")
+		}
+		d.Release(s.EnqueueKernel(k)) // queued behind o2: recycled on completion
+		queued := s.EnqueueMarker()
+		d.Release(queued)
+		s.Sync(p)
+		if o3 := s.EnqueueMarker(); o3 != queued {
+			t.Error("enqueue after a queued release completed did not reuse the op")
+		}
+		s.Sync(p)
+	})
+	env.Run()
+	if allocs != 0 {
+		t.Errorf("200 rounds of enqueue, wait and release allocate %v times, want 0", allocs)
+	}
+	if c := d.Counters(); c.Kernels != 400+2 || c.CopiesH2D != 1 {
+		t.Errorf("counters = %+v", c)
+	}
+}
+
+// TestReleasePanics: releasing an op a process waits on, or releasing
+// one twice, is a caller bug the device reports.
+func TestReleasePanics(t *testing.T) {
+	k := Fixed("k", 10*sim.Microsecond)
+	for _, tc := range []struct {
+		name string
+		// wait parks a process on o before misuse runs.
+		wait   bool
+		misuse func(p *sim.Proc, d *Device, o *Op)
+	}{
+		{"parked waiter", true, func(p *sim.Proc, d *Device, o *Op) { d.Release(o) }},
+		{"twice while queued", false, func(p *sim.Proc, d *Device, o *Op) {
+			d.Release(o)
+			d.Release(o)
+		}},
+		{"twice after done", false, func(p *sim.Proc, d *Device, o *Op) {
+			o.Wait(p)
+			d.Release(o)
+			d.Release(o)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			d, _ := NewDevice(env, fastSpec())
+			o := d.NewStream().EnqueueKernel(k)
+			if tc.wait {
+				env.Spawn("waiter", o.Wait)
+			}
+			var panicked bool
+			env.Spawn("misuser", func(p *sim.Proc) {
+				defer func() { panicked = recover() != nil }()
+				tc.misuse(p, d, o)
+			})
+			env.Run()
+			if !panicked {
+				t.Error("misuse did not panic")
+			}
+		})
+	}
+}
+
+// Device comes in a 416-byte size class; NewDevice runs once per
+// simulated GPU, so the op free list must not push it into the next one.
+func TestDeviceFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Device{}); n > 416 {
+		t.Fatalf("Device is %d bytes, want at most 416", n)
 	}
 }
 

@@ -363,6 +363,7 @@ type fuzzStream interface {
 
 type fuzzDevice interface {
 	stream() fuzzStream
+	release(w waiter)
 	Sync(p *sim.Proc)
 	Counters() Counters
 	Listen(l Listener)
@@ -371,6 +372,7 @@ type fuzzDevice interface {
 type liveDevice struct{ *Device }
 
 func (d liveDevice) stream() fuzzStream { return liveStream{d.NewStream()} }
+func (d liveDevice) release(w waiter)   { d.Release(w.(*Op)) }
 
 type liveStream struct{ *Stream }
 
@@ -379,6 +381,9 @@ func (s liveStream) copy(dir Direction, n int64) waiter { return s.EnqueueCopy(d
 func (s liveStream) marker() waiter                     { return s.EnqueueMarker() }
 
 func (d *refDevice) stream() fuzzStream { return d.NewStream() }
+
+// release is a no-op: the runner never reuses an op.
+func (d *refDevice) release(waiter) {}
 
 func (s *refStream) kernel(k Kernel) waiter             { return s.EnqueueKernel(k) }
 func (s *refStream) copy(dir Direction, n int64) waiter { return s.EnqueueCopy(dir, n) }
@@ -415,7 +420,7 @@ const (
 	opcCopy           // enqueue a copy of (a+1)·4 KiB in direction a%3
 	opcMarker         // enqueue a marker
 	opcSleep          // sleep a µs
-	opcWait           // Op.Wait on the host's last enqueued op
+	opcWait           // Op.Wait on the host's last op; odd a: then Release it; a 2 or 6: Release it without waiting
 	opcSync           // Stream.Sync
 	opcDevSync        // Device.Sync
 	opcLife           // even a: Destroy the stream; odd a: create a stream (at most 4)
@@ -484,7 +489,17 @@ func runStreamProg(data []byte, ref bool) streamRun {
 					if last == nil {
 						continue
 					}
+					if a == 2 || a == 6 {
+						// The stream recycles the op when it completes.
+						dev.release(last)
+						last = nil
+						continue
+					}
 					last.Wait(p)
+					if a%2 == 1 {
+						dev.release(last)
+						last = nil
+					}
 				case opcSync:
 					s.Sync(p)
 				case opcDevSync:
@@ -524,7 +539,8 @@ func FuzzStreamOps(f *testing.F) {
 	// Seeds: stream 0's second kernel barges in ahead of stream 1's
 	// released waiter; work enqueued on a stream created mid-run, before
 	// its first step; Destroy on an idle stream and on a busy one; three
-	// streams sharing two DMA engines; and a mixed program of three hosts.
+	// streams sharing two DMA engines; a mixed program of three hosts; and
+	// ops released while queued and after a wait, then reused.
 	f.Add([]byte{progHeader(1, 2), k(0, 3), k(0, 1), k(1, 2), devSync})
 	f.Add([]byte{progHeader(1, 1), progOp(opcLife, 0, 1), k(1, 2), cp(1, 0),
 		progOp(opcWait, 0, 0), sync(1)})
@@ -534,6 +550,9 @@ func FuzzStreamOps(f *testing.F) {
 	f.Add([]byte{progHeader(3, 2), k(0, 2), cp(1, 1), progOp(opcSleep, 0, 3),
 		progOp(opcMarker, 1, 0), progOp(opcWait, 0, 0), k(1, 5), sync(0), devSync,
 		progOp(opcLife, 1, 3), k(2, 0), cp(2, 4), progOp(opcWait, 0, 0)})
+	f.Add([]byte{progHeader(1, 2), k(0, 3), progOp(opcWait, 0, 2), k(1, 1),
+		progOp(opcWait, 0, 1), cp(0, 2), k(0, 0), progOp(opcWait, 0, 6),
+		progOp(opcMarker, 1, 0), progOp(opcWait, 0, 3), k(1, 4), devSync})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

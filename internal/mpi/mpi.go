@@ -70,20 +70,25 @@ type World struct {
 	size int
 	cost CostModel
 	// inbox holds in-flight messages per destination rank.
-	inbox [][]*message
+	inbox [][]message
 	avail []*sim.Signal
 
+	// collSeq is each rank's count of collectives entered. Collective k
+	// meets in colls[k%2]: a rank enters collective k+2 only after every
+	// rank arrived at k+1, and every rank picks k up before it leaves for
+	// k+1, so slot k%2 is free again by then.
 	collSeq  []int
-	colls    map[int]*collective
+	colls    [2]collective
 	bytesP2P int64
 	msgsP2P  int64
 }
 
-// collective is the rendezvous state for one collective call site.
+// collective is the rendezvous state of one collective call in flight;
+// a slot is free while arrived is 0.
 type collective struct {
 	arrived int
 	picked  int
-	done    *sim.Signal
+	done    sim.Signal
 	kind    string
 }
 
@@ -97,13 +102,15 @@ func NewWorld(env *sim.Env, size int, cost CostModel) *World {
 		env:     env,
 		size:    size,
 		cost:    cost,
-		inbox:   make([][]*message, size),
+		inbox:   make([][]message, size),
 		avail:   make([]*sim.Signal, size),
 		collSeq: make([]int, size),
-		colls:   make(map[int]*collective),
 	}
 	for i := range w.avail {
 		w.avail[i] = sim.NewSignal(env)
+	}
+	for i := range w.colls {
+		w.colls[i].done.Bind(env)
 	}
 	return w
 }
@@ -160,7 +167,7 @@ func (r *Rank) Send(dst, tag int, bytes int64) {
 		panic(fmt.Sprintf("mpi: send to rank %d of %d", dst, r.w.size))
 	}
 	r.p.Sleep(r.w.cost.transferTime(bytes))
-	r.w.inbox[dst] = append(r.w.inbox[dst], &message{src: r.rank, tag: tag, bytes: bytes})
+	r.w.inbox[dst] = append(r.w.inbox[dst], message{src: r.rank, tag: tag, bytes: bytes})
 	r.w.msgsP2P++
 	r.w.bytesP2P += bytes
 	r.w.avail[dst].Fire()
@@ -195,10 +202,9 @@ func (r *Rank) enterCollective(kind string, cost sim.Duration) {
 	w := r.w
 	seq := w.collSeq[r.rank]
 	w.collSeq[r.rank]++
-	st, ok := w.colls[seq]
-	if !ok {
-		st = &collective{done: sim.NewSignal(w.env), kind: kind}
-		w.colls[seq] = st
+	st := &w.colls[seq%2]
+	if st.arrived == 0 {
+		st.kind = kind
 	}
 	if st.kind != kind {
 		panic(fmt.Sprintf("mpi: collective mismatch at sequence %d: %s vs %s (ranks diverged)", seq, st.kind, kind))
@@ -211,7 +217,7 @@ func (r *Rank) enterCollective(kind string, cost sim.Duration) {
 	}
 	st.picked++
 	if st.picked == w.size {
-		delete(w.colls, seq)
+		st.arrived, st.picked = 0, 0
 	}
 	r.p.Sleep(cost)
 }
