@@ -455,20 +455,13 @@ func BenchmarkRemotingFaultPath(b *testing.B) {
 		}
 		var runErr error
 		env.Spawn("host", func(p *sim.Proc) {
-			var bufs [3]gpu.Ptr
-			for j := range bufs {
-				h, err := r.Malloc(p, matBytes)
-				if err != nil {
-					runErr = err
-					return
-				}
-				bufs[j] = h
+			m, err := proxy.Alloc(p, r, matBytes)
+			if err != nil {
+				runErr = err
+				return
 			}
-			for j := 0; j < 20; j++ {
-				if _, err := r.RunProxyIteration(p, bufs[0], bufs[1], bufs[2], matBytes, kernel); err != nil {
-					runErr = err
-					return
-				}
+			for j := 0; j < 20 && runErr == nil; j++ {
+				runErr = m.Iterate(p, r, kernel)
 			}
 		})
 		env.Run()

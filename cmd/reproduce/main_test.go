@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/all.golden from a -j 1 run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (all.golden from a -j 1 run)")
 
 // TestReproduceAllGolden pins the rendered output of every experiment: a
 // quick `-exp all` run must match testdata/all.golden byte for byte, both
@@ -39,6 +39,31 @@ func TestReproduceAllGolden(t *testing.T) {
 		if !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("-j %s: output differs from %s at byte %d", j, golden, firstDiff(out.Bytes(), want))
 		}
+	}
+}
+
+// TestChurnFaultLogGolden pins `-exp churn -faultlog` byte for byte: the
+// churn section followed by the outage schedule faults.Config.Describe
+// draws for each nonzero churn intensity, from the same window generator
+// the injector steps.
+func TestChurnFaultLogGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "churn-faultlog.golden")
+	var out bytes.Buffer
+	if code := run([]string{"-exp", "churn", "-faultlog", "-j", "1"}, &out, os.Stderr); code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from %s at byte %d", golden, firstDiff(out.Bytes(), want))
 	}
 }
 

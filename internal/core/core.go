@@ -69,7 +69,7 @@ type Study struct {
 // NewStudy runs the proxy sweep and builds the response surface.
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	cfg = cfg.withDefaults()
-	pts, err := proxy.SweepParallel(cfg.Sizes, cfg.Threads, cfg.Slacks, cfg.Iters, cfg.Jobs)
+	pts, err := proxy.Sweep(cfg.Sizes, cfg.Threads, cfg.Slacks, cfg.Iters, cfg.Jobs)
 	if err != nil {
 		return nil, fmt.Errorf("core: proxy sweep: %w", err)
 	}

@@ -39,7 +39,7 @@ func TestTable4ByteIdentical(t *testing.T) {
 
 // renderParallelSuite renders a representative slice of the reproduction —
 // a table (runner.Map over boxes), a figure (Map over a 2-D grid), a slack
-// sweep (proxy.SweepParallel) and the congestion extension (Map inside
+// sweep (proxy.Sweep) and the congestion extension (Map inside
 // fabric) — at one worker-pool width.
 func renderParallelSuite(t *testing.T, jobs int) string {
 	t.Helper()

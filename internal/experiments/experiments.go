@@ -350,7 +350,7 @@ func Figure3(o Options, threads []int) ([]proxy.SweepPoint, error) {
 		// keep the three sizes that show every trend.
 		sizes = sizes[:3]
 	}
-	return proxy.SweepParallel(sizes, threads, slacks, o.ProxyIters, o.Jobs)
+	return proxy.Sweep(sizes, threads, slacks, o.ProxyIters, o.Jobs)
 }
 
 // RenderFigure3 formats the sweep as one grid per thread count.

@@ -486,10 +486,8 @@ func PreloadComparison(o Options) ([]PreloadRow, error) {
 // runPreloadProxy reruns the proxy loop with an LD_PRELOAD-style injector
 // that only wraps the synchronous memcpy symbols.
 func runPreloadProxy(size, iters int, sl sim.Duration) (proxy.Result, error) {
-	// The proxy package owns the loop; emulate the shim by restricting the
-	// injector's symbols via the slack package's own filter through a
-	// custom run. The proxy's injector is internal, so run the equivalent
-	// loop here through the public pieces.
+	// proxy.Run's injector covers every call, so this run builds its own
+	// node with a memcpy-only injector and drives the proxy's loop on it.
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, err := gpu.NewDevice(env, gpu.A100())
@@ -500,44 +498,11 @@ func runPreloadProxy(size, iters int, sl sim.Duration) (proxy.Result, error) {
 	inj := slack.New(sl, slack.WithSymbols("cudaMemcpy(HtoD)", "cudaMemcpy(DtoH)"))
 	ctx.Interpose(inj)
 
-	res := proxy.Result{MatrixSize: size, Threads: 1, Slack: sl, Iters: iters}
-	matBytes := gpu.MatrixBytes(size)
-	kernel := gpu.MatMul(size)
-	var runErr error
-	env.Spawn("omp0", func(p *sim.Proc) {
-		var bufs [3]gpu.Ptr
-		for i := range bufs {
-			ptr, err := ctx.Malloc(p, matBytes)
-			if err != nil {
-				runErr = err
-				return
-			}
-			bufs[i] = ptr
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if err := ctx.MemcpyH2D(p, bufs[0], matBytes); err != nil {
-				runErr = err
-				return
-			}
-			if err := ctx.MemcpyH2D(p, bufs[1], matBytes); err != nil {
-				runErr = err
-				return
-			}
-			ctx.LaunchSync(p, kernel, nil)
-			ctx.DeviceSynchronize(p)
-			if err := ctx.MemcpyD2H(p, bufs[2], matBytes); err != nil {
-				runErr = err
-				return
-			}
-		}
-		res.LoopTime = p.Now().Sub(start)
-	})
-	env.Run()
-	if runErr != nil {
-		return proxy.Result{}, runErr
+	loop, err := timeProxyLoop(env, "omp0", proxy.Local{Context: ctx}, size, iters)
+	if err != nil {
+		return proxy.Result{}, err
 	}
-	res.DelayedCalls = inj.DelayedCalls()
+	res := proxy.Result{MatrixSize: size, Threads: 1, Slack: sl, Iters: iters, LoopTime: loop, DelayedCalls: inj.DelayedCalls()}
 	// Equation 1 with the shim's actual coverage (3 calls/iteration).
 	res.CorrectedTime = res.LoopTime - sim.Duration(res.DelayedCalls)*sl
 	return res, nil

@@ -18,6 +18,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/lammps"
 	"repro/internal/model"
+	"repro/internal/proxy"
 	"repro/internal/remoting"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -190,32 +191,22 @@ func resilientProxyCell(iters int, sl sim.Duration, intensity float64, seed int6
 	if err != nil {
 		return ResilienceRow{}, err
 	}
-	const size = 1 << 11
-	matBytes := gpu.MatrixBytes(size)
-	kernel := gpu.MatMul(size)
+	matBytes := gpu.MatrixBytes(proxyCellSize)
+	kernel := gpu.MatMul(proxyCellSize)
 	var loop sim.Duration
 	var calls int64
 	var runErr error
 	env.Spawn("host", func(p *sim.Proc) {
-		var bufs [3]gpu.Ptr
-		for i := range bufs {
-			h, err := r.Malloc(p, matBytes)
-			if err != nil {
-				runErr = err
-				return
-			}
-			bufs[i] = h
+		m, err := proxy.Alloc(p, r, matBytes)
+		if err != nil {
+			runErr = err
+			return
 		}
-		before := r.Stats().Calls
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := r.RunProxyIteration(p, bufs[0], bufs[1], bufs[2], matBytes, kernel); err != nil {
-				runErr = err
-				return
-			}
+		before, start := r.Stats().Calls, p.Now()
+		for i := 0; i < iters && runErr == nil; i++ {
+			runErr = m.Iterate(p, r, kernel)
 		}
-		loop = p.Now().Sub(start)
-		calls = r.Stats().Calls - before
+		loop, calls = p.Now().Sub(start), r.Stats().Calls-before
 	})
 	env.Run()
 	if runErr != nil {
@@ -223,7 +214,7 @@ func resilientProxyCell(iters int, sl sim.Duration, intensity float64, seed int6
 	}
 	// The nominal per-call slack a remoted call pays: request + response
 	// crossing plus the server's dispatch overhead.
-	perCall := path.RoundTrip() + 2*sim.Microsecond
+	perCall := path.RoundTrip() + remoting.DefaultServerOverhead
 	st := r.Stats()
 	return ResilienceRow{
 		App: "proxy", Slack: sl, Intensity: intensity,
@@ -235,6 +226,10 @@ func resilientProxyCell(iters int, sl sim.Duration, intensity float64, seed int6
 	}, nil
 }
 
+// proxyCellSize is the matrix dimension of the resilience sweep's proxy
+// runs and of their node-local baseline.
+const proxyCellSize = 1 << 11
+
 // localProxyLoop times iters fault-free node-local proxy iterations — the
 // baseline the remoted penalties are expressed against.
 func localProxyLoop(iters int) (sim.Duration, error) {
@@ -244,38 +239,25 @@ func localProxyLoop(iters int) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	ctx := cuda.NewContext(dev, cuda.Config{})
-	const size = 1 << 11
+	return timeProxyLoop(env, "host", proxy.Local{Context: cuda.NewContext(dev, cuda.Config{})}, proxyCellSize, iters)
+}
+
+// timeProxyLoop spawns one host process, name, on env that allocates the
+// proxy's size×size matrices on rt and times iters iterations of its loop.
+func timeProxyLoop(env *sim.Env, name string, rt proxy.Runtime, size, iters int) (sim.Duration, error) {
 	matBytes := gpu.MatrixBytes(size)
 	kernel := gpu.MatMul(size)
 	var loop sim.Duration
 	var runErr error
-	env.Spawn("host", func(p *sim.Proc) {
-		var bufs [3]gpu.Ptr
-		for i := range bufs {
-			ptr, err := ctx.Malloc(p, matBytes)
-			if err != nil {
-				runErr = err
-				return
-			}
-			bufs[i] = ptr
+	env.Spawn(name, func(p *sim.Proc) {
+		m, err := proxy.Alloc(p, rt, matBytes)
+		if err != nil {
+			runErr = err
+			return
 		}
 		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if err := ctx.MemcpyH2D(p, bufs[0], matBytes); err != nil {
-				runErr = err
-				return
-			}
-			if err := ctx.MemcpyH2D(p, bufs[1], matBytes); err != nil {
-				runErr = err
-				return
-			}
-			ctx.LaunchSync(p, kernel, nil)
-			ctx.DeviceSynchronize(p)
-			if err := ctx.MemcpyD2H(p, bufs[2], matBytes); err != nil {
-				runErr = err
-				return
-			}
+		for i := 0; i < iters && runErr == nil; i++ {
+			runErr = m.Iterate(p, rt, kernel)
 		}
 		loop = p.Now().Sub(start)
 	})

@@ -45,23 +45,17 @@ func (c Config) Describe(servers int, horizon sim.Duration) string {
 	return b.String()
 }
 
-// describeSpans replays one windows sequence (same arithmetic as
-// windows.at) and prints every window starting before the horizon.
+// describeSpans steps the same window generator the injector queries and
+// prints every window starting before the horizon.
 func describeSpans(b *strings.Builder, label string, rng *rand.Rand, mean, dur, horizon sim.Duration) {
 	if mean <= 0 || dur <= 0 {
 		return
 	}
 	end := sim.Time(0).Add(horizon)
-	var cur span
 	var starts []sim.Duration
-	for {
-		gap := sim.Duration(rng.ExpFloat64() * float64(mean))
-		start := cur.end.Add(gap)
-		cur = span{start: start, end: start.Add(dur)}
-		if cur.start.Sub(end) >= 0 {
-			break
-		}
-		starts = append(starts, cur.start.Sub(sim.Time(0)))
+	w := newWindows(rng, mean, dur)
+	for w.next(); w.cur.start.Sub(end) < 0; w.next() {
+		starts = append(starts, w.cur.start.Sub(sim.Time(0)))
 	}
 	fmt.Fprintf(b, "  %s (%v each): %d window(s)", label, dur, len(starts))
 	for _, s := range starts {

@@ -38,14 +38,19 @@ func (w *windows) at(t sim.Time) (bool, sim.Time) {
 		return false, 0
 	}
 	for w.cur.end <= t {
-		gap := sim.Duration(w.rng.ExpFloat64() * float64(w.mean))
-		start := w.cur.end.Add(gap)
-		w.cur = span{start: start, end: start.Add(w.dur)}
+		w.next()
 	}
 	if t >= w.cur.start {
 		return true, w.cur.end
 	}
 	return false, 0
+}
+
+// next draws the window after the current one.
+func (w *windows) next() {
+	gap := sim.Duration(w.rng.ExpFloat64() * float64(w.mean))
+	start := w.cur.end.Add(gap)
+	w.cur = span{start: start, end: start.Add(w.dur)}
 }
 
 // window returns the full span containing t, if t is inside a window.

@@ -262,15 +262,8 @@ func Run(cfg Config) (Result, error) {
 // threadLoop is one OpenMP thread's body: allocate private matrices, run
 // the serial compute loop, free.
 func threadLoop(p *sim.Proc, ctx *cuda.Context, kernel gpu.Kernel, matBytes int64, iters int, spacing sim.Duration) error {
-	a, err := ctx.Malloc(p, matBytes)
-	if err != nil {
-		return err
-	}
-	b, err := ctx.Malloc(p, matBytes)
-	if err != nil {
-		return err
-	}
-	c, err := ctx.Malloc(p, matBytes)
+	rt := Local{ctx}
+	m, err := Alloc(p, rt, matBytes)
 	if err != nil {
 		return err
 	}
@@ -278,25 +271,82 @@ func threadLoop(p *sim.Proc, ctx *cuda.Context, kernel gpu.Kernel, matBytes int6
 		if spacing > 0 && i > 0 {
 			p.Sleep(spacing)
 		}
-		if err := ctx.MemcpyH2D(p, a, matBytes); err != nil {
-			return err
-		}
-		if err := ctx.MemcpyH2D(p, b, matBytes); err != nil {
-			return err
-		}
-		ctx.LaunchSync(p, kernel, nil)
-		ctx.DeviceSynchronize(p)
-		if err := ctx.MemcpyD2H(p, c, matBytes); err != nil {
+		if err := m.Iterate(p, rt, kernel); err != nil {
 			return err
 		}
 	}
-	if err := ctx.Free(p, a); err != nil {
+	if err := ctx.Free(p, m.A); err != nil {
 		return err
 	}
-	if err := ctx.Free(p, b); err != nil {
+	if err := ctx.Free(p, m.B); err != nil {
 		return err
 	}
-	return ctx.Free(p, c)
+	return ctx.Free(p, m.C)
+}
+
+// Runtime is the CUDA surface the main compute loop calls. A node-local
+// context satisfies it through Local; the remoting transport satisfies it
+// as it is.
+type Runtime interface {
+	Malloc(p *sim.Proc, n int64) (gpu.Ptr, error)
+	MemcpyH2D(p *sim.Proc, dst gpu.Ptr, n int64) error
+	MemcpyD2H(p *sim.Proc, src gpu.Ptr, n int64) error
+	LaunchSync(p *sim.Proc, k gpu.Kernel) error
+	DeviceSynchronize(p *sim.Proc) error
+}
+
+// Local adapts a node-local CUDA context to Runtime: its launch takes the
+// default stream, and neither call can fail.
+type Local struct{ *cuda.Context }
+
+// LaunchSync launches k on the default stream and waits for it.
+func (l Local) LaunchSync(p *sim.Proc, k gpu.Kernel) error {
+	l.Context.LaunchSync(p, k, nil)
+	return nil
+}
+
+// DeviceSynchronize waits for all device work.
+func (l Local) DeviceSynchronize(p *sim.Proc) error {
+	l.Context.DeviceSynchronize(p)
+	return nil
+}
+
+// Matrices is one thread's private device copies of A, B and C, each
+// Bytes long.
+type Matrices struct {
+	A, B, C gpu.Ptr
+	Bytes   int64
+}
+
+// Alloc allocates A, B and C on rt, in that order.
+func Alloc(p *sim.Proc, rt Runtime, bytes int64) (Matrices, error) {
+	m := Matrices{Bytes: bytes}
+	for _, ptr := range []*gpu.Ptr{&m.A, &m.B, &m.C} {
+		var err error
+		if *ptr, err = rt.Malloc(p, bytes); err != nil {
+			return Matrices{}, err
+		}
+	}
+	return m, nil
+}
+
+// Iterate runs one main-loop iteration on rt: copy A and B in, C = A×B
+// with k, synchronize, copy C out. These are the CallsPerIteration calls
+// Equation 1 counts.
+func (m Matrices) Iterate(p *sim.Proc, rt Runtime, k gpu.Kernel) error {
+	if err := rt.MemcpyH2D(p, m.A, m.Bytes); err != nil {
+		return err
+	}
+	if err := rt.MemcpyH2D(p, m.B, m.Bytes); err != nil {
+		return err
+	}
+	if err := rt.LaunchSync(p, k); err != nil {
+		return err
+	}
+	if err := rt.DeviceSynchronize(p); err != nil {
+		return err
+	}
+	return rt.MemcpyD2H(p, m.C, m.Bytes)
 }
 
 // Penalty is the normalized slack penalty of a run against its zero-slack
@@ -333,17 +383,12 @@ type SweepPoint struct {
 // zero-slack baseline plus one run per slack value. Configurations that do
 // not fit in device memory are skipped (as the paper excludes 2^15 at ≥4
 // threads). Iters, when positive, overrides the 30-second sizing to keep
-// test and bench runtimes bounded.
-func Sweep(sizes, threads []int, slacks []sim.Duration, iters int) ([]SweepPoint, error) {
-	return SweepParallel(sizes, threads, slacks, iters, 0)
-}
-
-// SweepParallel is Sweep with an explicit worker bound: the (size,
-// threads) combinations fan out across jobs workers (non-positive =
-// GOMAXPROCS, 1 = the exact serial path), each combination running its
-// baseline and slack series inside a private simulation. Results merge in
-// grid order, so output is byte-identical for every jobs value.
-func SweepParallel(sizes, threads []int, slacks []sim.Duration, iters, jobs int) ([]SweepPoint, error) {
+// test and bench runtimes bounded. The (size, threads) combinations fan
+// out across jobs workers (non-positive = GOMAXPROCS, 1 = the exact serial
+// path), each combination running its baseline and slack series inside a
+// private simulation. Results merge in grid order, so output is
+// byte-identical for every jobs value.
+func Sweep(sizes, threads []int, slacks []sim.Duration, iters, jobs int) ([]SweepPoint, error) {
 	type combo struct{ n, t int }
 	combos := make([]combo, 0, len(sizes)*len(threads))
 	for _, n := range sizes {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 )
 
@@ -150,16 +151,12 @@ func TestDrainMigratesAndReadmitRestores(t *testing.T) {
 	matBytes := gpu.MatrixBytes(64)
 	kernel := gpu.MatMul(64)
 	env.Spawn("host", func(p *sim.Proc) {
-		var bufs [3]gpu.Ptr
-		for i := range bufs {
-			h, err := r.Malloc(p, matBytes)
-			if err != nil {
-				t.Errorf("malloc: %v", err)
-				return
-			}
-			bufs[i] = h
+		m, err := proxy.Alloc(p, r, matBytes)
+		if err != nil {
+			t.Errorf("malloc: %v", err)
+			return
 		}
-		if _, err := r.RunProxyIteration(p, bufs[0], bufs[1], bufs[2], matBytes, kernel); err != nil {
+		if err := m.Iterate(p, r, kernel); err != nil {
 			t.Errorf("pre-drain iteration: %v", err)
 			return
 		}
@@ -173,7 +170,7 @@ func TestDrainMigratesAndReadmitRestores(t *testing.T) {
 		if r.Live(0) {
 			t.Error("drained server still reports live")
 		}
-		if _, err := r.RunProxyIteration(p, bufs[0], bufs[1], bufs[2], matBytes, kernel); err != nil {
+		if err := m.Iterate(p, r, kernel); err != nil {
 			t.Errorf("post-drain iteration: %v", err)
 			return
 		}
@@ -197,7 +194,7 @@ func TestDrainMigratesAndReadmitRestores(t *testing.T) {
 		if got := r.ActiveServer(); got != 0 {
 			t.Errorf("active after second drain = %d, want 0", got)
 		}
-		if _, err := r.RunProxyIteration(p, bufs[0], bufs[1], bufs[2], matBytes, kernel); err != nil {
+		if err := m.Iterate(p, r, kernel); err != nil {
 			t.Errorf("iteration on readmitted server: %v", err)
 		}
 	})

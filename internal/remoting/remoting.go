@@ -22,8 +22,10 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/slack"
+	"repro/internal/stats"
 )
 
 // Config shapes the remoting transport.
@@ -36,9 +38,13 @@ type Config struct {
 	// Seed makes the noise deterministic.
 	Seed int64
 	// ServerOverhead is the per-call processing cost on the GPU server
-	// (request decode, API dispatch).
+	// (request decode, API dispatch); zero selects DefaultServerOverhead.
 	ServerOverhead sim.Duration
 }
+
+// DefaultServerOverhead is the server's per-call cost used when Config
+// leaves ServerOverhead zero.
+const DefaultServerOverhead = 2 * sim.Microsecond
 
 // validate rejects a path with an invalid hop and a noise fraction outside
 // [0, 1): either would otherwise panic deep inside the transport.
@@ -101,9 +107,7 @@ func Compare(matrixSize, n int, cfg Config) (CompareResult, error) {
 	if err != nil {
 		return CompareResult{}, err
 	}
-	remoted, err := proxyLoop(env, n, matBytes, r.Malloc, func(p *sim.Proc, a, bm, c gpu.Ptr) (sim.Duration, error) {
-		return r.RunProxyIteration(p, a, bm, c, matBytes, kernel)
-	})
+	remoted, err := proxyLoop(env, r, n, matBytes, kernel)
 	if err != nil {
 		return CompareResult{}, err
 	}
@@ -122,65 +126,46 @@ func Compare(matrixSize, n int, cfg Config) (CompareResult, error) {
 		opts = append(opts, slack.WithJitter(cfg.NoiseFraction, faults.SubSeed(cfg.Seed, saltInjectedArm)))
 	}
 	ictx.Interpose(slack.FromPath(cfg.Path, opts...))
-	injected, err := proxyLoop(ienv, n, matBytes,
-		func(p *sim.Proc, sz int64) (gpu.Ptr, error) { return ictx.Malloc(p, sz) },
-		func(p *sim.Proc, a, bm, c gpu.Ptr) (sim.Duration, error) {
-			start := p.Now()
-			if err := ictx.MemcpyH2D(p, a, matBytes); err != nil {
-				return 0, err
-			}
-			if err := ictx.MemcpyH2D(p, bm, matBytes); err != nil {
-				return 0, err
-			}
-			ictx.LaunchSync(p, kernel, nil)
-			ictx.DeviceSynchronize(p)
-			if err := ictx.MemcpyD2H(p, c, matBytes); err != nil {
-				return 0, err
-			}
-			return p.Now().Sub(start), nil
-		})
+	injected, err := proxyLoop(ienv, proxy.Local{Context: ictx}, n, matBytes, kernel)
 	if err != nil {
 		return CompareResult{}, err
 	}
 
-	rMean, rSD := meanStddev(remoted)
-	iMean, iSD := meanStddev(injected)
+	// A single iteration has no spread (stats.Stddev would say NaN).
+	var rSD, iSD float64
+	if n > 1 {
+		rSD, iSD = stats.Stddev(remoted), stats.Stddev(injected)
+	}
 	return CompareResult{
 		MatrixSize:     matrixSize,
 		Iterations:     n,
 		NominalSlack:   cfg.Path.Latency(),
-		RemotedMean:    sim.Duration(rMean),
+		RemotedMean:    sim.Duration(stats.Mean(remoted)),
 		RemotedStddev:  sim.Duration(rSD),
-		InjectedMean:   sim.Duration(iMean),
+		InjectedMean:   sim.Duration(stats.Mean(injected)),
 		InjectedStddev: sim.Duration(iSD),
 		MeanCallDelay:  r.MeanCallDelay(),
 	}, nil
 }
 
-// proxyLoop allocates three matrices via malloc and times n iterations of
-// iter inside env, returning the per-iteration durations.
-func proxyLoop(env *sim.Env, n int, matBytes int64,
-	malloc func(*sim.Proc, int64) (gpu.Ptr, error),
-	iter func(p *sim.Proc, a, bm, c gpu.Ptr) (sim.Duration, error)) ([]float64, error) {
+// proxyLoop allocates the proxy's matrices on rt and times n iterations
+// of its loop inside env, returning the per-iteration durations.
+func proxyLoop(env *sim.Env, rt proxy.Runtime, n int, matBytes int64, kernel gpu.Kernel) ([]float64, error) {
 	var durs []float64
 	var runErr error
 	env.Spawn("host", func(p *sim.Proc) {
-		var bufs [3]gpu.Ptr
-		for i := range bufs {
-			ptr, err := malloc(p, matBytes)
-			if err != nil {
-				runErr = err
-				return
-			}
-			bufs[i] = ptr
+		m, err := proxy.Alloc(p, rt, matBytes)
+		if err != nil {
+			runErr = err
+			return
 		}
 		for i := 0; i < n; i++ {
-			d, err := iter(p, bufs[0], bufs[1], bufs[2])
-			if err != nil {
+			start := p.Now()
+			if err := m.Iterate(p, rt, kernel); err != nil {
 				runErr = err
 				return
 			}
-			durs = append(durs, float64(d))
+			durs = append(durs, float64(p.Now().Sub(start)))
 		}
 	})
 	env.Run()
@@ -188,23 +173,4 @@ func proxyLoop(env *sim.Env, n int, matBytes int64,
 		return nil, runErr
 	}
 	return durs, nil
-}
-
-func meanStddev(xs []float64) (mean, sd float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var s2 float64
-	for _, x := range xs {
-		d := x - mean
-		s2 += d * d
-	}
-	return mean, math.Sqrt(s2 / float64(len(xs)-1))
 }

@@ -143,7 +143,7 @@ func NewResilient(env *sim.Env, spec gpu.Spec, cfg ResilientConfig) (*Resilient,
 		return nil, fmt.Errorf("remoting: negative standby count %d", cfg.Standbys)
 	}
 	if cfg.ServerOverhead == 0 {
-		cfg.ServerOverhead = 2 * sim.Microsecond
+		cfg.ServerOverhead = DefaultServerOverhead
 	}
 	inj, err := faults.NewInjector(cfg.Faults)
 	if err != nil {
@@ -618,27 +618,4 @@ func (r *Resilient) DeviceSynchronize(p *sim.Proc) error {
 		},
 	})
 	return err
-}
-
-// RunProxyIteration executes one proxy-style compute iteration (copy A,
-// copy B, kernel, sync, copy C) and returns the host-observed duration —
-// the loop Compare times.
-func (r *Resilient) RunProxyIteration(p *sim.Proc, a, bm, c gpu.Ptr, matBytes int64, k gpu.Kernel) (sim.Duration, error) {
-	start := p.Now()
-	if err := r.MemcpyH2D(p, a, matBytes); err != nil {
-		return 0, err
-	}
-	if err := r.MemcpyH2D(p, bm, matBytes); err != nil {
-		return 0, err
-	}
-	if err := r.LaunchSync(p, k); err != nil {
-		return 0, err
-	}
-	if err := r.DeviceSynchronize(p); err != nil {
-		return 0, err
-	}
-	if err := r.MemcpyD2H(p, c, matBytes); err != nil {
-		return 0, err
-	}
-	return p.Now().Sub(start), nil
 }

@@ -10,38 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// runResilientLoop allocates three matrices and runs n proxy iterations
-// through r, returning the per-iteration durations and the first error.
-func runResilientLoop(env *sim.Env, r *Resilient, n, matrixSize int) ([]sim.Duration, error) {
-	matBytes := gpu.MatrixBytes(matrixSize)
-	kernel := gpu.MatMul(matrixSize)
-	var durs []sim.Duration
-	var runErr error
-	env.Spawn("host", func(p *sim.Proc) {
-		var bufs [3]gpu.Ptr
-		for i := range bufs {
-			h, err := r.Malloc(p, matBytes)
-			if err != nil {
-				runErr = err
-				return
-			}
-			bufs[i] = h
-		}
-		for i := 0; i < n; i++ {
-			d, err := r.RunProxyIteration(p, bufs[0], bufs[1], bufs[2], matBytes, kernel)
-			if err != nil {
-				runErr = err
-				return
-			}
-			durs = append(durs, d)
-		}
-	})
-	env.Run()
-	return durs, runErr
-}
-
 func TestResilientDeterministicReplay(t *testing.T) {
-	run := func() ([]sim.Duration, Stats) {
+	run := func() ([]float64, Stats) {
 		env := sim.NewEnv()
 		defer env.Close()
 		r, err := NewResilient(env, gpu.A100(), ResilientConfig{
@@ -52,7 +22,7 @@ func TestResilientDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		durs, err := runResilientLoop(env, r, 30, 64)
+		durs, err := proxyLoop(env, r, 30, gpu.MatrixBytes(64), gpu.MatMul(64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +55,7 @@ func TestResilientFailoverOnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runResilientLoop(env, r, 10, 64); err != nil {
+	if _, err := proxyLoop(env, r, 10, gpu.MatrixBytes(64), gpu.MatMul(64)); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -112,7 +82,7 @@ func TestResilientDegradesToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durs, err := runResilientLoop(env, r, 10, 64)
+	durs, err := proxyLoop(env, r, 10, gpu.MatrixBytes(64), gpu.MatMul(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +91,7 @@ func TestResilientDegradesToLocal(t *testing.T) {
 	}
 	// Degraded iterations run node-local: no network crossing, so they
 	// must be far cheaper than the remoted round trips.
-	last := durs[len(durs)-1]
+	last := sim.Duration(durs[len(durs)-1])
 	if last >= 100*sim.Microsecond {
 		t.Errorf("degraded iteration took %v, want < one round trip", last)
 	}
