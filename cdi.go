@@ -30,6 +30,7 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/slack"
 	"repro/internal/trace"
 )
 
@@ -93,7 +94,7 @@ type (
 // NoSlackTime applies the paper's Equation 1: remove the directly injected
 // delay from a measured runtime.
 func NoSlackTime(measured Duration, calls int64, perCall Duration) Duration {
-	return model.NoSlackTime(measured, calls, perCall)
+	return slack.NoSlackTime(measured, calls, perCall)
 }
 
 // PaperSlacks returns the slack values of Table IV (1 µs .. 10 ms).

@@ -101,6 +101,10 @@ func AppSlackValidation(o Options, slacks []sim.Duration) ([]AppValidationRow, e
 	// every delayed call on one serial path.
 	return runner.Map(o.Jobs, 2*len(slacks), func(i int) (AppValidationRow, error) {
 		sl := slacks[i%len(slacks)]
+		row := AppValidationRow{Slack: sl}
+		var measured, base sim.Duration
+		var calls int64
+		var app model.AppProfile
 		if i < len(slacks) {
 			runCfg := lcfg
 			runCfg.Record = false
@@ -109,41 +113,26 @@ func AppSlackValidation(o Options, slacks []sim.Duration) ([]AppValidationRow, e
 			if err != nil {
 				return AppValidationRow{}, err
 			}
-			perRank := run.DelayedCalls / int64(lcfg.Procs)
-			corrected := model.NoSlackTime(run.Runtime, perRank, sl)
-			measured := float64(corrected)/float64(lbase.Runtime) - 1
-			if measured < 0 {
-				measured = 0
-			}
-			pred, err := study.Surface.Predict(lapp, sl)
+			row.App, measured, base, app = "lammps", run.Runtime, lbase.Runtime, lapp
+			calls = run.DelayedCalls / int64(lcfg.Procs)
+		} else {
+			runCfg := ccfg
+			runCfg.Record = false
+			runCfg.Slack = sl
+			run, err := cosmoflow.RunPerf(runCfg)
 			if err != nil {
 				return AppValidationRow{}, err
 			}
-			return AppValidationRow{
-				App: "lammps", Slack: sl,
-				Measured: measured, Lower: pred.Lower, Upper: pred.Upper,
-			}, nil
+			row.App, measured, base, app = "cosmoflow", run.Runtime, cbase.Runtime, capp
+			calls = run.DelayedCalls
 		}
-		runCfg := ccfg
-		runCfg.Record = false
-		runCfg.Slack = sl
-		run, err := cosmoflow.RunPerf(runCfg)
+		pred, err := study.Surface.Predict(app, sl)
 		if err != nil {
 			return AppValidationRow{}, err
 		}
-		corrected := model.NoSlackTime(run.Runtime, run.DelayedCalls, sl)
-		measured := float64(corrected)/float64(cbase.Runtime) - 1
-		if measured < 0 {
-			measured = 0
-		}
-		pred, err := study.Surface.Predict(capp, sl)
-		if err != nil {
-			return AppValidationRow{}, err
-		}
-		return AppValidationRow{
-			App: "cosmoflow", Slack: sl,
-			Measured: measured, Lower: pred.Lower, Upper: pred.Upper,
-		}, nil
+		row.Measured = slack.ClampPenalty(slack.Penalty(measured, base, calls, sl))
+		row.Lower, row.Upper = pred.Lower, pred.Upper
+		return row, nil
 	})
 }
 
@@ -453,8 +442,8 @@ func PreloadComparison(o Options) ([]PreloadRow, error) {
 		iters = 30
 	}
 	const (
-		size  = 1 << 11
-		slack = 1 * sim.Millisecond
+		size = 1 << 11
+		sl   = 1 * sim.Millisecond
 	)
 	var base, full, partial proxy.Result
 	err := runner.Go(o.Jobs,
@@ -465,34 +454,37 @@ func PreloadComparison(o Options) ([]PreloadRow, error) {
 		},
 		func() error {
 			var err error
-			full, err = proxy.Run(proxy.Config{MatrixSize: size, Iters: iters, Slack: slack})
+			full, err = proxy.Run(proxy.Config{MatrixSize: size, Iters: iters, Slack: sl})
 			return err
 		},
 		func() error {
 			var err error
-			partial, err = runPreloadProxy(size, iters, slack)
+			partial.LoopTime, partial.DelayedCalls, err = runPreloadProxy(size, iters, sl)
 			return err
 		},
 	)
 	if err != nil {
 		return nil, err
 	}
+	// Equation 1 with the shim's actual coverage (3 calls/iteration).
+	shim := slack.ClampPenalty(slack.Penalty(partial.LoopTime, base.LoopTime, partial.DelayedCalls, sl))
 	return []PreloadRow{
 		{Coverage: "all-calls", DelayedCalls: full.DelayedCalls, Penalty: proxy.Penalty(base, full)},
-		{Coverage: "memcpy-only", DelayedCalls: partial.DelayedCalls, Penalty: proxy.Penalty(base, partial)},
+		{Coverage: "memcpy-only", DelayedCalls: partial.DelayedCalls, Penalty: shim},
 	}, nil
 }
 
 // runPreloadProxy reruns the proxy loop with an LD_PRELOAD-style injector
-// that only wraps the synchronous memcpy symbols.
-func runPreloadProxy(size, iters int, sl sim.Duration) (proxy.Result, error) {
+// that only wraps the synchronous memcpy symbols, and returns the loop time
+// and the number of calls the shim delayed.
+func runPreloadProxy(size, iters int, sl sim.Duration) (sim.Duration, int64, error) {
 	// proxy.Run's injector covers every call, so this run builds its own
 	// node with a memcpy-only injector and drives the proxy's loop on it.
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, err := gpu.NewDevice(env, gpu.A100())
 	if err != nil {
-		return proxy.Result{}, err
+		return 0, 0, err
 	}
 	ctx := cuda.NewContext(dev, cuda.Config{})
 	inj := slack.New(sl, slack.WithSymbols("cudaMemcpy(HtoD)", "cudaMemcpy(DtoH)"))
@@ -500,12 +492,9 @@ func runPreloadProxy(size, iters int, sl sim.Duration) (proxy.Result, error) {
 
 	loop, err := timeProxyLoop(env, "omp0", proxy.Local{Context: ctx}, size, iters)
 	if err != nil {
-		return proxy.Result{}, err
+		return 0, 0, err
 	}
-	res := proxy.Result{MatrixSize: size, Threads: 1, Slack: sl, Iters: iters, LoopTime: loop, DelayedCalls: inj.DelayedCalls()}
-	// Equation 1 with the shim's actual coverage (3 calls/iteration).
-	res.CorrectedTime = res.LoopTime - sim.Duration(res.DelayedCalls)*sl
-	return res, nil
+	return loop, inj.DelayedCalls(), nil
 }
 
 // RenderPreload formats the comparison.

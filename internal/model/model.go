@@ -1,7 +1,5 @@
 // Package model implements the paper's slack-penalty prediction model:
 //
-//   - Equation 1 removes the directly injected delay from a measured
-//     runtime, isolating the starvation residual;
 //   - Equation 3 maps an application's kernel durations and transfer sizes
 //     onto the proxy's tested matrix sizes ("matrix-size equivalents") and
 //     forms the element-weighted slack penalty, rounded down (lower bound)
@@ -12,6 +10,10 @@
 // The inputs are a response Surface built from proxy sweeps (§IV-B) and an
 // AppProfile extracted from an NSys-style trace (§IV-C); the output is the
 // lower/upper total slack penalty of Table IV.
+//
+// Equation 1, which removes the directly injected delay from a measured
+// runtime to isolate the starvation residual, lives in package slack;
+// AvailabilityAdjustedPenalty applies it to runs under faults.
 package model
 
 import (
@@ -22,18 +24,10 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/proxy"
 	"repro/internal/sim"
+	"repro/internal/slack"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// NoSlackTime applies Equation 1: measured time minus the delay injected
-// directly into the serial path (calls × perCall).
-func NoSlackTime(measured sim.Duration, calls int64, perCall sim.Duration) sim.Duration {
-	if calls < 0 || perCall < 0 {
-		panic("model: negative slack accounting")
-	}
-	return measured - sim.Duration(calls)*perCall
-}
 
 // AvailabilityAdjustedPenalty extends Equation 1 to faulty runs: it
 // removes only the nominal per-call slack (calls × perCall) from the
@@ -56,12 +50,7 @@ func AvailabilityAdjustedPenalty(measured sim.Duration, calls int64, perCall sim
 	if baseline <= 0 {
 		return math.Inf(1)
 	}
-	corrected := NoSlackTime(measured, calls, perCall)
-	penalty := float64(corrected)/float64(baseline) - 1
-	if penalty < 0 {
-		return 0
-	}
-	return penalty
+	return slack.ClampPenalty(slack.Penalty(measured, baseline, calls, perCall))
 }
 
 // Surface is the proxy's slack response: for every tested (matrix size,
@@ -135,7 +124,7 @@ func (s *Surface) KernelTime(size int) (sim.Duration, bool) {
 // tolerate less slack, so rounding down is the pessimistic choice); a size
 // missing at that thread count falls back to the largest tested thread
 // count below it for that size.
-func (s *Surface) Penalty(size, threads int, slack sim.Duration) (float64, error) {
+func (s *Surface) Penalty(size, threads int, sl sim.Duration) (float64, error) {
 	if _, ok := s.kernelTimes[size]; !ok {
 		return 0, fmt.Errorf("model: size %d not in surface", size)
 	}
@@ -154,11 +143,7 @@ func (s *Surface) Penalty(size, threads int, slack sim.Duration) (float64, error
 	}
 	for _, th := range candidates {
 		if in, ok := s.curves[[2]int{size, th}]; ok {
-			p := in.At(float64(slack))
-			if p < 0 {
-				p = 0
-			}
-			return p, nil
+			return slack.ClampPenalty(in.At(float64(sl))), nil
 		}
 	}
 	return 0, fmt.Errorf("model: no curve for size %d at any thread count", size)

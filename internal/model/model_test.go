@@ -9,20 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestNoSlackTimeEquationOne(t *testing.T) {
-	// Time_NoSlack = Time − num_calls × slack_per_call.
-	got := NoSlackTime(10*sim.Second, 5000, 1*sim.Millisecond)
-	if got != 5*sim.Second {
-		t.Errorf("NoSlackTime = %v, want 5s", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative accounting did not panic")
-		}
-	}()
-	NoSlackTime(1, -1, 0)
-}
-
 // syntheticSweep builds a sweep result by hand: penalty rises linearly in
 // log-slack, small sizes penalized more, more threads penalized less.
 func syntheticSweep() []proxy.SweepPoint {

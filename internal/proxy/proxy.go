@@ -254,8 +254,7 @@ func Run(cfg Config) (Result, error) {
 	// Equation 1: remove the direct injected delay from the measured
 	// runtime. Threads run concurrently, so the serial path carries
 	// CallsPerIteration×Iters delays (per thread), not the total count.
-	direct := sim.Duration(CallsPerIteration*res.Iters) * cfg.Slack
-	res.CorrectedTime = res.LoopTime - direct
+	res.CorrectedTime = slack.NoSlackTime(res.LoopTime, CallsPerIteration*int64(res.Iters), cfg.Slack)
 	return res, nil
 }
 
@@ -355,18 +354,17 @@ func (m Matrices) Iterate(p *sim.Proc, rt Runtime, k gpu.Kernel) error {
 //
 // With multiple threads a saturated device hides part of the injected
 // delay behind other threads' work, so Equation 1's per-thread subtraction
-// can overshoot and produce a small negative residual; since the study
-// reads the residual as a starvation *cost*, Penalty clamps at zero (the
-// pessimistic reading).
+// can overshoot, and by a lot: in the quick reproduction, 2^11 × 8
+// threads at 10 ms has corrected/baseline = 0.5093, a penalty of −0.49.
+// Since the study reads the residual as a starvation *cost*, Penalty
+// clamps at zero (the pessimistic reading). These clamped values are
+// model.BuildSurface's input, so the clamp also raises every prediction
+// read from the surface.
 func Penalty(baseline, run Result) float64 {
 	if baseline.LoopTime <= 0 {
 		return 0
 	}
-	p := float64(run.CorrectedTime)/float64(baseline.LoopTime) - 1
-	if p < 0 {
-		return 0
-	}
-	return p
+	return slack.ClampPenalty(slack.Penalty(run.LoopTime, baseline.LoopTime, CallsPerIteration*int64(run.Iters), run.Slack))
 }
 
 // SweepPoint is one (size, threads, slack) measurement.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/sim"
+	"repro/internal/slack"
 )
 
 func TestPaperSizes(t *testing.T) {
@@ -141,6 +142,30 @@ func TestEquationOneRemovesDirectDelay(t *testing.T) {
 	}
 	if p := Penalty(base, r); p < 0 || p > 0.01 {
 		t.Errorf("penalty at 10µs on 2^13 = %v, want ≈ 0", p)
+	}
+}
+
+func TestPenaltyClampsMultiThreadOvershoot(t *testing.T) {
+	// At 2^9 × 2 threads and 1 µs the other thread's work hides part of
+	// each thread's injected delay, so Equation 1 subtracts more than the
+	// delays cost and the signed penalty is about −0.0042. Figure 3 prints
+	// this cell as 1.0000.
+	cfg := Config{MatrixSize: 1 << 9, Threads: 2, Iters: 20}
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Slack = 1 * sim.Microsecond
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := float64(r.CorrectedTime)/float64(base.LoopTime) - 1
+	if signed >= 0 || signed < -0.01 {
+		t.Fatalf("signed penalty = %v, want about -0.0042", signed)
+	}
+	if got, want := Penalty(base, r), slack.ClampPenalty(signed); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Penalty = %v, want ClampPenalty(%v) = %v", got, signed, want)
 	}
 }
 

@@ -163,3 +163,28 @@ func (in *Injector) After(p *sim.Proc, info cuda.CallInfo) {
 }
 
 var _ cuda.Interposer = (*Injector)(nil)
+
+// NoSlackTime applies Equation 1: measured time minus the delay injected
+// directly into the serial path (calls × perCall).
+func NoSlackTime(measured sim.Duration, calls int64, perCall sim.Duration) sim.Duration {
+	if calls < 0 || perCall < 0 {
+		panic("slack: negative slack accounting")
+	}
+	return measured - sim.Duration(calls)*perCall
+}
+
+// Penalty is Equation 1 over the zero-slack baseline, with its sign:
+// NoSlackTime/baseline − 1. It is negative when work off the serial path
+// hid some of the delays, so the subtraction removed more than they cost.
+func Penalty(measured, baseline sim.Duration, calls int64, perCall sim.Duration) float64 {
+	return float64(NoSlackTime(measured, calls, perCall))/float64(baseline) - 1
+}
+
+// ClampPenalty reads a negative penalty as zero, the pessimistic reading of
+// a residual the study treats as a starvation cost. It is the only clamp.
+func ClampPenalty(p float64) float64 {
+	if p < 0 {
+		return 0
+	}
+	return p
+}

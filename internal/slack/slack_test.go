@@ -183,3 +183,42 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestNoSlackTimeEquationOne(t *testing.T) {
+	// Time_NoSlack = Time − num_calls × slack_per_call.
+	got := NoSlackTime(10*sim.Second, 5000, 1*sim.Millisecond)
+	if got != 5*sim.Second {
+		t.Errorf("NoSlackTime = %v, want 5s", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative accounting did not panic")
+		}
+	}()
+	NoSlackTime(1, -1, 0)
+}
+
+func TestPenaltyKeepsItsSign(t *testing.T) {
+	// 10 s measured, 8 s of it injected, 4 s baseline: the corrected 2 s
+	// is below the baseline, so the penalty is negative.
+	if got := Penalty(10*sim.Second, 4*sim.Second, 4, 2*sim.Second); got != -0.5 {
+		t.Errorf("Penalty = %v, want -0.5", got)
+	}
+	// With no delayed calls Penalty is the raw runtime ratio minus 1.
+	if got, want := Penalty(3*sim.Second, 2*sim.Second, 0, sim.Millisecond), 0.5; got != want {
+		t.Errorf("Penalty with zero calls = %v, want %v", got, want)
+	}
+}
+
+func TestClampPenalty(t *testing.T) {
+	for _, p := range []float64{-0.49, -1e-300, math.Inf(-1)} {
+		if got := ClampPenalty(p); got != 0 {
+			t.Errorf("ClampPenalty(%v) = %v, want 0", p, got)
+		}
+	}
+	for _, p := range []float64{0, 1e-300, 0.0042, 0.61734, math.Inf(1)} {
+		if got := ClampPenalty(p); math.Float64bits(got) != math.Float64bits(p) {
+			t.Errorf("ClampPenalty(%v) = %v, want it unchanged", p, got)
+		}
+	}
+}
