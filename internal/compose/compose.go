@@ -257,37 +257,34 @@ func (s *System) Trapped() (cores, gpus int) {
 	return cores, gpus
 }
 
-// PowerModel holds the wattage constants for IdleGPUWatts accounting.
-type PowerModel struct {
-	GPUIdle float64 // W per powered-but-unused GPU
-	GPUBusy float64 // W per busy GPU
-}
-
-// DefaultPower returns A100-class wattages.
-func DefaultPower() PowerModel { return PowerModel{GPUIdle: 55, GPUBusy: 400} }
+// A100-class wattages.
+const (
+	gpuIdleWatts = 55  // W per powered-but-unused GPU
+	gpuBusyWatts = 400 // W per busy GPU
+)
 
 // StrandedDraw returns the idle wattage burned by stranded capacity: GPUs
 // that are powered and free but unreachable for the workload that wants
 // them (fragmented pool state, not the paper's per-allocation trapping).
 // The count may be a time average, hence float64; negative counts clamp
 // to zero.
-func (pm PowerModel) StrandedDraw(gpus float64) float64 {
+func StrandedDraw(gpus float64) float64 {
 	if gpus < 0 {
 		gpus = 0
 	}
-	return gpus * pm.GPUIdle
+	return gpus * gpuIdleWatts
 }
 
 // GPUPowerDraw returns the current GPU power draw in watts. Traditional
 // systems pay idle power on trapped and free GPUs; CDI powers them off.
-func (s *System) GPUPowerDraw(pm PowerModel) float64 {
+func (s *System) GPUPowerDraw() float64 {
 	used := 0
 	for _, a := range s.allocs {
 		used += a.GPUs
 	}
-	busy := float64(used) * pm.GPUBusy
+	busy := float64(used) * gpuBusyWatts
 	if s.arch == Traditional {
-		idle := float64(s.TotalGPUs()-used) * pm.GPUIdle
+		idle := float64(s.TotalGPUs()-used) * gpuIdleWatts
 		return busy + idle
 	}
 	return busy

@@ -114,18 +114,17 @@ func TestTraditionalWithoutGPUsRejectsGPURequest(t *testing.T) {
 }
 
 func TestGPUUtilizationAndPower(t *testing.T) {
-	pm := DefaultPower()
 	trad, _ := NewTraditional(4, 12, 2) // 8 GPUs
 	trad.Alloc(Request{Name: "j", Cores: 48, GPUs: 2})
-	wantW := 2*pm.GPUBusy + 6*pm.GPUIdle
-	if got := trad.GPUPowerDraw(pm); got != wantW {
+	wantW := 2.0*gpuBusyWatts + 6*gpuIdleWatts
+	if got := trad.GPUPowerDraw(); got != wantW {
 		t.Errorf("traditional power = %v, want %v", got, wantW)
 	}
 
 	cdi, _ := NewCDI(4, 12, 1, 8, fabric.Path{})
 	cdi.Alloc(Request{Name: "j", Cores: 48, GPUs: 2})
-	if got := cdi.GPUPowerDraw(pm); got != 2*pm.GPUBusy {
-		t.Errorf("CDI power = %v, want %v", got, 2*pm.GPUBusy)
+	if got := cdi.GPUPowerDraw(); got != 2*gpuBusyWatts {
+		t.Errorf("CDI power = %v, want %v", got, 2*gpuBusyWatts)
 	}
 }
 

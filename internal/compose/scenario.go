@@ -70,9 +70,8 @@ func CompareArchitectures(jobs []Request, nodes, coresPerNode, gpusPerNode, gpus
 	cmp.CDI = run(cdi)
 	_, cmp.TraditionalTrappedGPUs = trad.Trapped()
 	_, cmp.CDITrappedGPUs = cdi.Trapped()
-	pm := DefaultPower()
-	cmp.TraditionalPowerW = trad.GPUPowerDraw(pm)
-	cmp.CDIPowerW = cdi.GPUPowerDraw(pm)
+	cmp.TraditionalPowerW = trad.GPUPowerDraw()
+	cmp.CDIPowerW = cdi.GPUPowerDraw()
 	return cmp, nil
 }
 

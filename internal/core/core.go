@@ -145,9 +145,8 @@ type CosmoFlowWorkload struct {
 // Name implements Workload.
 func (w CosmoFlowWorkload) Name() string { return "cosmoflow" }
 
-// Parallelism implements Workload: kernel launches take ~1/7 of each
-// sequence, which the paper treats as an effective parallelism of 4.
-func (w CosmoFlowWorkload) Parallelism() int { return 4 }
+// Parallelism implements Workload with cosmoflow.ProfileParallelism.
+func (w CosmoFlowWorkload) Parallelism() int { return cosmoflow.ProfileParallelism }
 
 // Trace implements Workload.
 func (w CosmoFlowWorkload) Trace() (*trace.Trace, error) {

@@ -207,8 +207,8 @@ func TestPerfDeterminism(t *testing.T) {
 func TestParamBytesScale(t *testing.T) {
 	// The 128³ model must be megabytes of parameters (CosmoFlow ≈ a few M
 	// params), and grow with depth.
-	small := paramBytes(32, 4)
-	big := paramBytes(128, 4)
+	small := paramBytes(32)
+	big := paramBytes(128)
 	if big <= small {
 		t.Errorf("paramBytes not growing: %d vs %d", big, small)
 	}

@@ -38,6 +38,10 @@ const (
 	DefaultEpochs = 5
 	// MiniSamples is the size of each split of the "mini" dataset.
 	MiniSamples = 1024
+	// ProfileParallelism is the effective number of parallel kernel
+	// submitters a profile of this workload assumes: kernel launches take
+	// ~1/7 of each sequence, which the paper treats as a parallelism of 4.
+	ProfileParallelism = 4
 
 	// LoadPerSample is the host cost to read and augment one volume.
 	LoadPerSample = 50 * sim.Millisecond
@@ -66,9 +70,9 @@ type PerfConfig struct {
 	ValSamples   int
 	// Cores is the host core count available to each worker.
 	Cores int
-	// InputSide and Channels shape the input volumes.
+	// InputSide is the voxel edge of each of a sample's DefaultChannels
+	// cubic input volumes.
 	InputSide int
-	Channels  int
 	// Spec selects the device type (zero value = gpu.A100()).
 	Spec gpu.Spec
 	// Slack is injected after every link-crossing CUDA call (0 = none).
@@ -108,9 +112,6 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	if c.InputSide == 0 {
 		c.InputSide = DefaultInputSide
 	}
-	if c.Channels == 0 {
-		c.Channels = DefaultChannels
-	}
 	if c.Spec == (gpu.Spec{}) {
 		c.Spec = gpu.A100()
 	}
@@ -146,9 +147,9 @@ type convBlock struct {
 // blocks enumerates the conv stages for an input side: conv3d+pool blocks
 // halving the volume down to 4³, with channels doubling from 16 up to 256.
 // It restates CosmoFlow's layer shapes here; nothing else defines them.
-func blocks(side, channels int) []convBlock {
+func blocks(side int) []convBlock {
 	var out []convBlock
-	cin := channels
+	cin := DefaultChannels
 	cout := 16
 	for s := side; s > 4; s /= 2 {
 		out = append(out, convBlock{cin: cin, cout: cout, out: s})
@@ -161,9 +162,9 @@ func blocks(side, channels int) []convBlock {
 }
 
 // paramBytes returns the model's parameter footprint (float32).
-func paramBytes(side, channels int) int64 {
+func paramBytes(side int) int64 {
 	var params int64
-	bs := blocks(side, channels)
+	bs := blocks(side)
 	for _, b := range bs {
 		params += int64(b.cin)*int64(b.cout)*27 + int64(b.cout)
 	}
@@ -241,9 +242,9 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 		interconnect = mpi.IntraNode()
 	}
 	world := mpi.NewWorld(env, cfg.GPUs, interconnect)
-	inputBytes := int64(cfg.BatchSize) * int64(cfg.InputSide*cfg.InputSide*cfg.InputSide) * int64(cfg.Channels) * 4
-	pBytes := paramBytes(cfg.InputSide, cfg.Channels)
-	bs := blocks(cfg.InputSide, cfg.Channels)
+	inputBytes := int64(cfg.BatchSize) * int64(cfg.InputSide*cfg.InputSide*cfg.InputSide) * int64(DefaultChannels) * 4
+	pBytes := paramBytes(cfg.InputSide)
+	bs := blocks(cfg.InputSide)
 
 	// Input pipeline: loading one batch occupies min(Cores, LoaderCores)
 	// cores; fewer cores serialize the work. Beyond LoaderCores there is
@@ -258,7 +259,7 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 	world.SpawnAll(func(r *mpi.Rank) {
 		p := r.Proc()
 		ctx := ctxs[r.Rank()]
-		hvd := horovod.New(r, horovod.Config{})
+		hvd := horovod.New(r)
 
 		dIn, err := ctx.Malloc(p, inputBytes)
 		if err != nil {

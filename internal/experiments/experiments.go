@@ -413,6 +413,13 @@ type Traces struct {
 	CosmoFlow *trace.Trace
 }
 
+// profiles returns each application's label and model profile: LAMMPS
+// at its 8 profiled ranks, CosmoFlow at cosmoflow.ProfileParallelism.
+func (t Traces) profiles() ([]string, []model.AppProfile) {
+	return []string{t.LAMMPS.Label, t.CosmoFlow.Label}, []model.AppProfile{
+		model.ProfileFromTrace(t.LAMMPS, 8), model.ProfileFromTrace(t.CosmoFlow, cosmoflow.ProfileParallelism)}
+}
+
 // CollectTraces profiles both applications, each in its own simulation.
 func CollectTraces(o Options) (Traces, error) {
 	o = o.withDefaults()
@@ -549,28 +556,30 @@ type Table4Block struct {
 	Predictions []model.Prediction
 }
 
-// Table4 regenerates the slack-penalty predictions for both applications.
-func Table4(o Options, tr Traces) ([]Table4Block, *model.Surface, error) {
-	study, err := core.NewStudy(core.StudyConfig{
+// calibrationStudy calibrates the proxy surface that Table IV, the
+// distance budget and the in-situ validation predict from.
+func calibrationStudy(o Options, jobs int) (*core.Study, error) {
+	return core.NewStudy(core.StudyConfig{
 		Sizes:   []int{1 << 9, 1 << 11, 1 << 13},
 		Threads: []int{1, 4, 8},
 		Iters:   o.ProxyIters,
-		Jobs:    o.Jobs,
+		Jobs:    jobs,
 	})
+}
+
+// Table4 regenerates the slack-penalty predictions for both applications.
+func Table4(o Options, tr Traces) ([]Table4Block, *model.Surface, error) {
+	study, err := calibrationStudy(o, o.Jobs)
 	if err != nil {
 		return nil, nil, err
 	}
-	apps := []struct {
-		tr  *trace.Trace
-		par int
-	}{{tr.LAMMPS, 8}, {tr.CosmoFlow, 4}}
+	labels, apps := tr.profiles()
 	blocks, err := runner.Map(o.Jobs, len(apps), func(i int) (Table4Block, error) {
-		app := model.ProfileFromTrace(apps[i].tr, apps[i].par)
-		preds, err := study.Predict(app)
+		preds, err := study.Predict(apps[i])
 		if err != nil {
 			return Table4Block{}, err
 		}
-		return Table4Block{App: apps[i].tr.Label, Predictions: preds}, nil
+		return Table4Block{App: labels[i], Predictions: preds}, nil
 	})
 	if err != nil {
 		return nil, nil, err

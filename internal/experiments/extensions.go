@@ -34,7 +34,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/slack"
-	"repro/internal/trace"
 )
 
 // AppValidationRow compares measured vs predicted penalty for one app at
@@ -71,12 +70,8 @@ func AppSlackValidation(o Options, slacks []sim.Duration) ([]AppValidationRow, e
 	err := runner.Go(o.Jobs,
 		func() error {
 			var err error
-			study, err = core.NewStudy(core.StudyConfig{
-				Sizes:   []int{1 << 9, 1 << 11, 1 << 13},
-				Threads: []int{1, 4, 8},
-				Iters:   o.ProxyIters,
-				Jobs:    1, // inner grid stays serial; the outer pool owns the parallelism
-			})
+			// The inner grid stays serial; the outer pool owns the parallelism.
+			study, err = calibrationStudy(o, 1)
 			return err
 		},
 		func() error {
@@ -94,7 +89,7 @@ func AppSlackValidation(o Options, slacks []sim.Duration) ([]AppValidationRow, e
 		return nil, err
 	}
 	lapp := model.ProfileFromTrace(lbase.Trace, lcfg.Procs)
-	capp := model.ProfileFromTrace(cbase.Trace, 4)
+	capp := model.ProfileFromTrace(cbase.Trace, cosmoflow.ProfileParallelism)
 
 	// One point per (app, slack): LAMMPS carries its slack share on every
 	// rank's serial path for Equation 1; CosmoFlow's single worker puts
@@ -275,34 +270,22 @@ type ReachRow struct {
 // Reach evaluates both applications' pessimistic penalty as a function of
 // fibre distance — the cluster-scale question the conclusions raise.
 func Reach(o Options, tr Traces) ([]ReachRow, error) {
-	blocks := []struct {
-		tr  *trace.Trace
-		par int
-	}{{tr.LAMMPS, 8}, {tr.CosmoFlow, 4}}
-	study, err := core.NewStudy(core.StudyConfig{
-		Sizes:   []int{1 << 9, 1 << 11, 1 << 13},
-		Threads: []int{1, 4, 8},
-		Iters:   o.ProxyIters,
-		Jobs:    o.Jobs,
-	})
+	study, err := calibrationStudy(o, o.Jobs)
 	if err != nil {
 		return nil, err
 	}
 	kms := []float64{0.05, 1, 5, 20, 100, 500, 2000}
-	apps := make([]model.AppProfile, len(blocks))
-	for i, blk := range blocks {
-		apps[i] = model.ProfileFromTrace(blk.tr, blk.par)
-	}
+	labels, apps := tr.profiles()
 	// Predictions over the (app, km) grid are independent surface reads.
-	return runner.Map(o.Jobs, len(blocks)*len(kms), func(i int) (ReachRow, error) {
-		blk, km := blocks[i/len(kms)], kms[i%len(kms)]
+	return runner.Map(o.Jobs, len(apps)*len(kms), func(i int) (ReachRow, error) {
+		a, km := i/len(kms), kms[i%len(kms)]
 		slack := fabric.PropagationDelay(km)
-		pred, err := study.Surface.Predict(apps[i/len(kms)], slack)
+		pred, err := study.Surface.Predict(apps[a], slack)
 		if err != nil {
 			return ReachRow{}, err
 		}
 		return ReachRow{
-			App: blk.tr.Label, Km: km, Slack: slack,
+			App: labels[a], Km: km, Slack: slack,
 			Upper: pred.Upper, Within1: pred.Upper < 0.01,
 		}, nil
 	})

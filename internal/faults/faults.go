@@ -23,16 +23,31 @@ import (
 	"repro/internal/sim"
 )
 
-// Stream salts. Each consumer of a seed owns one salt so substreams never
-// alias. The faults package reserves the low range and the per-server
-// blocks at 0x1000/0x2000; other packages (e.g. remoting) pick salts at
-// 0x10000 and above.
+// Stream salts: the one table of every seed-derived substream in the
+// repository. Each package declares its own salts and points here.
+//
+//	0x00001–0x00004   faults: drop coin, flaps, degrade, backoff jitter
+//	0x01000 + server  faults: per-server stall windows
+//	0x02000 + server  faults: per-server crash time or outages
+//	0x10000–0x10002   remoting: noise, injected arm, retry jitter
+//	0x10010           slack: per-call jitter
+//	0x10020           sched: WorkloadMix
+//	0x20000 + tenant  serve: arrivals
+//	0x21000 + tenant  serve: token lengths
+//	0x30000 + server  health: heartbeat period jitter
+//	0x31000 + server  health: heartbeat loss coin
+//	0x40000–0x40003   pool: arrivals, lifetimes, gangs, shapes
 const (
 	saltDrop    uint64 = 0x01
 	saltFlap    uint64 = 0x02
 	saltDegrade uint64 = 0x03
 	saltStall   uint64 = 0x1000 // + server id
 	saltCrash   uint64 = 0x2000 // + server id
+
+	// SaltBlock is the width of every per-index block above. Its owner
+	// keeps the index below it: index SaltBlock of one block would be
+	// index 0 of the next.
+	SaltBlock = 0x1000
 )
 
 // Substream returns an independent deterministic random stream derived
@@ -258,7 +273,9 @@ type Server struct {
 }
 
 // Server returns the fault state for server id (0 = primary, 1+ =
-// standbys), creating state for all ids up to it on first use.
+// standbys), creating state for all ids up to it on first use. Ids at or
+// above SaltBlock alias the streams of lower ids, so callers bound their
+// server counts by it.
 func (in *Injector) Server(id int) *Server {
 	for len(in.servers) <= id {
 		i := uint64(len(in.servers))

@@ -24,10 +24,9 @@ type Policy struct {
 	// MaxRetries bounds retries per call (after the first attempt) before
 	// failing over.
 	MaxRetries int
-	// BackoffBase and BackoffFactor shape the exponential backoff before
-	// retry k: base × factor^(k−1).
-	BackoffBase   sim.Duration
-	BackoffFactor float64
+	// BackoffBase is the pause before the first retry; retry k waits
+	// base × 2^(k−1).
+	BackoffBase sim.Duration
 	// JitterFrac widens each backoff by a uniform ±fraction drawn from a
 	// seeded stream, de-synchronizing retry storms deterministically.
 	JitterFrac float64
@@ -63,9 +62,6 @@ func (p Policy) WithDefaults() Policy {
 	if p.BackoffBase == 0 {
 		p.BackoffBase = 20 * sim.Microsecond
 	}
-	if p.BackoffFactor == 0 {
-		p.BackoffFactor = 2
-	}
 	if p.JitterFrac == 0 {
 		p.JitterFrac = 0.1
 	}
@@ -96,7 +92,7 @@ func (p Policy) WithDefaults() Policy {
 func (p Policy) Backoff(k int, jitter *rand.Rand) sim.Duration {
 	d := float64(p.BackoffBase)
 	for i := 1; i < k; i++ {
-		d *= p.BackoffFactor
+		d *= 2
 	}
 	if p.JitterFrac > 0 && jitter != nil {
 		d *= 1 + p.JitterFrac*(2*jitter.Float64()-1)
@@ -171,7 +167,7 @@ func NewCallInjector(cfg Config, pol Policy, standbys int) (*CallInjector, error
 	}, nil
 }
 
-// saltJitter seeds the backoff-jitter stream (see the salt block in
+// saltJitter seeds the backoff-jitter stream (see the salt table in
 // faults.go).
 const saltJitter uint64 = 0x04
 

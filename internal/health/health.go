@@ -10,12 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Stream salts owned by the health control plane (see the salt ownership
-// block in internal/faults/faults.go: faults holds the low range,
-// remoting 0x10000+, serve 0x20000+, health 0x30000+). Per-server
-// offsets keep every heartbeat stream independent, and none of these
-// streams is shared with the transport, so monitoring never perturbs the
-// fault schedule the workload draws.
+// Stream salts owned by the health control plane (see the salt table in
+// internal/faults/faults.go). Per-server offsets keep every heartbeat
+// stream independent, and none of these streams is shared with the
+// transport, so monitoring never perturbs the fault schedule the workload
+// draws.
 const (
 	saltBeatJitter uint64 = 0x30000 // + server id: heartbeat period jitter
 	saltBeatDrop   uint64 = 0x31000 // + server id: heartbeat loss coin
@@ -129,8 +128,8 @@ type Pool interface {
 	Readmit(server int) error
 }
 
-// Config tunes the control plane. The zero value takes defaults for
-// every knob except Horizon, which is required.
+// Config tunes the control plane. Horizon is required; a zero Interval,
+// JitterFrac or DropProbability takes the default its comment gives.
 type Config struct {
 	// Seed roots the beat-jitter and beat-loss substreams.
 	Seed int64
@@ -141,18 +140,6 @@ type Config struct {
 	// not stay phase-locked. Default 0.1; negative disables jitter. Must
 	// be below 1, so every period stays positive.
 	JitterFrac float64
-	// Window is the detector's inter-arrival sample window. Default 16.
-	Window int
-	// SuspectPhi is the φ threshold at which a server is suspected and
-	// drained. Default 1.5 (≈3% chance the silence is benign).
-	SuspectPhi float64
-	// DeadPhi is the φ threshold at which a suspected server is declared
-	// dead and its detector history discarded. Default 4. Must exceed
-	// SuspectPhi.
-	DeadPhi float64
-	// RecoverBeats is how many consecutive clean evaluator ticks a
-	// recovered server must survive before readmission. Default 3.
-	RecoverBeats int
 	// Horizon stops the monitor: no heartbeat is scheduled past it and
 	// the evaluator exits at it, letting Env.Run drain. Required, and
 	// finite.
@@ -168,6 +155,20 @@ type Config struct {
 	DropProbability float64
 }
 
+const (
+	// detectorWindow is the detector's inter-arrival sample window.
+	detectorWindow = 16
+	// suspectPhi is the φ threshold at which a server is suspected and
+	// drained (≈3% chance the silence is benign).
+	suspectPhi = 1.5
+	// deadPhi is the φ threshold at which a suspected server is declared
+	// dead and its detector history discarded.
+	deadPhi = 4
+	// recoverBeats is how many consecutive clean evaluator ticks a
+	// recovered server must survive before readmission.
+	recoverBeats = 3
+)
+
 func (c Config) withDefaults(inj *faults.Injector) Config {
 	if c.Interval == 0 {
 		c.Interval = 250 * sim.Microsecond
@@ -177,18 +178,6 @@ func (c Config) withDefaults(inj *faults.Injector) Config {
 	}
 	if c.JitterFrac < 0 {
 		c.JitterFrac = 0
-	}
-	if c.Window == 0 {
-		c.Window = 16
-	}
-	if c.SuspectPhi == 0 {
-		c.SuspectPhi = 1.5
-	}
-	if c.DeadPhi == 0 {
-		c.DeadPhi = 4
-	}
-	if c.RecoverBeats == 0 {
-		c.RecoverBeats = 3
 	}
 	if c.DropProbability == 0 && inj != nil {
 		c.DropProbability = inj.Config().DropProbability
@@ -215,12 +204,6 @@ func (c Config) validate() error {
 	}
 	if !(c.JitterFrac < 1) {
 		return fmt.Errorf("health: jitter fraction %g not below 1", c.JitterFrac)
-	}
-	if !(c.SuspectPhi > 0 && c.DeadPhi > c.SuspectPhi) {
-		return fmt.Errorf("health: need 0 < SuspectPhi (%g) < DeadPhi (%g)", c.SuspectPhi, c.DeadPhi)
-	}
-	if c.RecoverBeats < 1 {
-		return fmt.Errorf("health: RecoverBeats %d < 1", c.RecoverBeats)
 	}
 	if !(c.DropProbability < 1) {
 		return fmt.Errorf("health: heartbeat drop probability %g not below 1", c.DropProbability)
@@ -323,6 +306,9 @@ func newController(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*
 	if n < 1 {
 		return nil, fmt.Errorf("health: pool has no servers")
 	}
+	if n > faults.SaltBlock {
+		return nil, fmt.Errorf("health: pool has %d servers, above the per-server salt block (%d)", n, faults.SaltBlock)
+	}
 	c := &Controller{
 		env:         env,
 		pool:        pool,
@@ -335,7 +321,7 @@ func newController(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*
 		start:       env.Now(),
 	}
 	for i := range c.det {
-		c.det[i] = NewDetector(cfg.Window, cfg.Interval)
+		c.det[i] = NewDetector(detectorWindow, cfg.Interval)
 	}
 	return c, nil
 }
@@ -470,7 +456,7 @@ func (c *Controller) step(p *sim.Proc, i int, now sim.Time) {
 	phi := c.det[i].Phi(now)
 	switch c.reg.StateOf(i) {
 	case Healthy:
-		if phi < c.cfg.SuspectPhi {
+		if phi < suspectPhi {
 			return
 		}
 		c.suspect(i, now)
@@ -480,7 +466,7 @@ func (c *Controller) step(p *sim.Proc, i int, now sim.Time) {
 			c.recover(i, now)
 			return
 		}
-		if phi >= c.cfg.DeadPhi {
+		if phi >= deadPhi {
 			c.die(i, now)
 			return
 		}
@@ -490,7 +476,7 @@ func (c *Controller) step(p *sim.Proc, i int, now sim.Time) {
 			c.recover(i, now)
 			return
 		}
-		if phi >= c.cfg.DeadPhi {
+		if phi >= deadPhi {
 			c.die(i, now)
 		}
 	case Dead:
@@ -498,7 +484,7 @@ func (c *Controller) step(p *sim.Proc, i int, now sim.Time) {
 			c.recover(i, now)
 		}
 	case Recovered:
-		if phi >= c.cfg.SuspectPhi {
+		if phi >= suspectPhi {
 			c.stats.Deaths++
 			c.clean[i] = 0
 			c.det[i].Reset()
@@ -506,7 +492,7 @@ func (c *Controller) step(p *sim.Proc, i int, now sim.Time) {
 			return
 		}
 		c.clean[i]++
-		if c.clean[i] < c.cfg.RecoverBeats {
+		if c.clean[i] < recoverBeats {
 			return
 		}
 		if c.pool.Live(i) {

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -128,10 +129,8 @@ func TestConfigValidate(t *testing.T) {
 	pool := testPool(t, env, faults.Config{Seed: 1}, 1)
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
-		{},                                   // no horizon
-		{Horizon: sim.Second, Interval: -1},  // negative interval survives defaults
-		{Horizon: sim.Second, SuspectPhi: 5}, // suspect above default dead
-		{Horizon: sim.Second, RecoverBeats: -1},
+		{},                                  // no horizon
+		{Horizon: sim.Second, Interval: -1}, // negative interval survives defaults
 		{Horizon: sim.Second, DropProbability: 1},
 		{Horizon: sim.Second, Interval: sim.Duration(nan)},
 		{Horizon: sim.Second, Interval: sim.Duration(inf)},
@@ -140,14 +139,23 @@ func TestConfigValidate(t *testing.T) {
 		{Horizon: sim.Second, JitterFrac: 1.5}, // a period could go negative
 		{Horizon: sim.Second, JitterFrac: 1},   // a period could be zero
 		{Horizon: sim.Second, JitterFrac: nan},
-		{Horizon: sim.Second, SuspectPhi: nan},
-		{Horizon: sim.Second, DeadPhi: nan},
 		{Horizon: sim.Second, DropProbability: nan},
 	}
 	for i, cfg := range bad {
 		if _, err := Start(env, pool, pool.Injector(), cfg); err == nil {
 			t.Errorf("config %d (%+v): invalid config accepted", i, cfg)
 		}
+	}
+}
+
+// TestStartRejectsPoolPastSaltBlock: server 4,096's jitter stream would
+// be server 0's loss stream, so a pool that large is an error.
+func TestStartRejectsPoolPastSaltBlock(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	_, err := Start(env, newFakePool(env, 4097, 0), nil, Config{Horizon: 10 * sim.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "salt block") {
+		t.Fatalf("Start with 4097 servers: err = %v, want a salt-block error", err)
 	}
 }
 

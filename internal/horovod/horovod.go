@@ -12,42 +12,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the synchronization layer.
-type Config struct {
-	// FusionThresholdBytes is the fusion buffer size; tensors are packed
-	// into chunks of at most this size before each allreduce. Zero selects
-	// Horovod's 64 MiB default.
-	FusionThresholdBytes int64
-	// CycleTime is the coordination delay charged per fusion cycle
-	// (Horovod's background-thread cycle, default 1 ms in our model,
-	// mirroring HOROVOD_CYCLE_TIME's default).
-	CycleTime sim.Duration
-}
-
-// DefaultFusionThreshold is Horovod's default fusion buffer size.
-const DefaultFusionThreshold int64 = 64 << 20
+const (
+	// fusionThreshold is Horovod's default 64 MiB fusion buffer: tensors
+	// are packed into chunks of at most this size before each allreduce.
+	fusionThreshold int64 = 64 << 20
+	// cycleTime is the coordination delay charged per fusion cycle, the
+	// 1 ms default of Horovod's HOROVOD_CYCLE_TIME.
+	cycleTime = 1 * sim.Millisecond
+)
 
 // Session is one worker's handle to the synchronization layer.
 type Session struct {
 	rank *mpi.Rank
-	cfg  Config
 
 	cycles int64
 	bytes  int64
 }
 
 // New returns a session for this rank.
-func New(rank *mpi.Rank, cfg Config) *Session {
-	if cfg.FusionThresholdBytes == 0 {
-		cfg.FusionThresholdBytes = DefaultFusionThreshold
-	}
-	if cfg.FusionThresholdBytes < 0 {
-		panic("horovod: negative fusion threshold")
-	}
-	if cfg.CycleTime == 0 {
-		cfg.CycleTime = 1 * sim.Millisecond
-	}
-	return &Session{rank: rank, cfg: cfg}
+func New(rank *mpi.Rank) *Session {
+	return &Session{rank: rank}
 }
 
 // Rank returns the underlying MPI rank.
@@ -70,10 +54,10 @@ func (s *Session) SyncBytes(n int64) {
 	}
 	for n > 0 {
 		chunk := n
-		if chunk > s.cfg.FusionThresholdBytes {
-			chunk = s.cfg.FusionThresholdBytes
+		if chunk > fusionThreshold {
+			chunk = fusionThreshold
 		}
-		s.rank.Proc().Sleep(s.cfg.CycleTime)
+		s.rank.Proc().Sleep(cycleTime)
 		s.cycles++
 		s.rank.AllreduceBytes(chunk)
 		s.bytes += chunk

@@ -7,43 +7,28 @@ import (
 	"repro/internal/sim"
 )
 
-func TestNegativeFusionThresholdPanics(t *testing.T) {
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	w := mpi.NewWorld(env, 1, mpi.CostModel{})
-	w.SpawnAll(func(r *mpi.Rank) {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative threshold accepted")
-			}
-		}()
-		New(r, Config{FusionThresholdBytes: -1})
-	})
-	env.Run()
-}
-
 func TestSyncBytesChargesRingCost(t *testing.T) {
 	env := sim.NewEnv()
 	t.Cleanup(env.Close)
 	w := mpi.NewWorld(env, 4, mpi.CostModel{Alpha: 1 * sim.Microsecond, Beta: 1e9})
 	var elapsed sim.Duration
 	w.SpawnAll(func(r *mpi.Rank) {
-		s := New(r, Config{CycleTime: 1 * sim.Millisecond, FusionThresholdBytes: 1 << 20})
+		s := New(r)
 		start := r.Proc().Now()
-		s.SyncBytes(3 << 20) // three fusion chunks
+		s.SyncBytes(3 * fusionThreshold) // three fusion chunks
 		if r.Rank() == 0 {
 			elapsed = r.Proc().Now().Sub(start)
 			if s.Cycles() != 3 {
 				t.Errorf("cycles = %d, want 3", s.Cycles())
 			}
-			if s.BytesReduced() != 3<<20 {
+			if s.BytesReduced() != 3*fusionThreshold {
 				t.Errorf("bytes = %d", s.BytesReduced())
 			}
 		}
 	})
 	env.Run()
-	// 3 cycles × (1ms cycle + ring cost of 1MiB on 4 ranks).
-	ring := sim.Duration(6) * (1*sim.Microsecond + sim.Duration(float64(1<<20)/4/1e9))
+	// 3 cycles × (1ms cycle + ring cost of 64 MiB on 4 ranks).
+	ring := sim.Duration(6) * (1*sim.Microsecond + sim.Duration(float64(64<<20)/4/1e9))
 	want := 3 * (1*sim.Millisecond + ring)
 	if diff := float64(elapsed - want); diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("elapsed = %v, want %v", elapsed, want)
@@ -55,7 +40,7 @@ func TestSyncBytesZeroAndNegative(t *testing.T) {
 	t.Cleanup(env.Close)
 	w := mpi.NewWorld(env, 1, mpi.CostModel{})
 	w.SpawnAll(func(r *mpi.Rank) {
-		s := New(r, Config{})
+		s := New(r)
 		s.SyncBytes(0) // no-op
 		if s.Cycles() != 0 {
 			t.Errorf("cycles = %d after zero-byte sync", s.Cycles())
@@ -75,7 +60,7 @@ func TestSessionAccessors(t *testing.T) {
 	t.Cleanup(env.Close)
 	w := mpi.NewWorld(env, 3, mpi.CostModel{})
 	w.SpawnAll(func(r *mpi.Rank) {
-		s := New(r, Config{})
+		s := New(r)
 		if s.Size() != 3 || s.Rank() != r {
 			t.Error("accessors wrong")
 		}

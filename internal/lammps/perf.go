@@ -88,8 +88,6 @@ type PerfConfig struct {
 	Threads int
 	// Steps is the number of MD steps (0 selects DefaultSteps).
 	Steps int
-	// RebuildEvery is the neighbor rebuild period (0 selects the default).
-	RebuildEvery int
 	// Spec selects the GPU; the zero value selects gpu.A100() with the
 	// calibrated multi-process context-switch cost.
 	Spec gpu.Spec
@@ -114,9 +112,6 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	if c.Steps == 0 {
 		c.Steps = DefaultSteps
 	}
-	if c.RebuildEvery == 0 {
-		c.RebuildEvery = DefaultRebuildEvery
-	}
 	if c.Spec == (gpu.Spec{}) {
 		c.Spec = gpu.A100()
 		c.Spec.ContextSwitch = CtxSwitch
@@ -128,9 +123,9 @@ func (c PerfConfig) validate() error {
 	if c.BoxSize <= 0 {
 		return fmt.Errorf("lammps: box size %d", c.BoxSize)
 	}
-	if c.Procs < 1 || c.Threads < 1 || c.Steps < 1 || c.RebuildEvery < 1 {
-		return fmt.Errorf("lammps: invalid run shape procs=%d threads=%d steps=%d rebuild=%d",
-			c.Procs, c.Threads, c.Steps, c.RebuildEvery)
+	if c.Procs < 1 || c.Threads < 1 || c.Steps < 1 {
+		return fmt.Errorf("lammps: invalid run shape procs=%d threads=%d steps=%d",
+			c.Procs, c.Threads, c.Steps)
 	}
 	if !c.Slack.Valid() {
 		return fmt.Errorf("lammps: slack %g s, want finite and non-negative", float64(c.Slack))
@@ -260,7 +255,7 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 				rankErr = err
 				return
 			}
-			if step%cfg.RebuildEvery == 0 {
+			if step%DefaultRebuildEvery == 0 {
 				if err := ctx.MemcpyH2D(p, dNeigh, CellMetaBytes); err != nil {
 					rankErr = err
 					return

@@ -21,11 +21,11 @@ func (s *Scheduler) maybeDefrag(now sim.Time) {
 	if !s.cfg.Defrag || s.defragBusy || now.Sub(s.nextDefrag) < 0 {
 		return
 	}
-	if len(s.queue) == 0 && s.stranded < s.cfg.StrandedTrigger {
+	if len(s.queue) == 0 && s.stranded < 2*s.refGang {
 		return
 	}
 	if s.sweep(now) {
-		s.nextDefrag = now.Add(s.cfg.DefragEvery)
+		s.nextDefrag = now.Add(defragEvery)
 	}
 }
 
@@ -162,7 +162,7 @@ func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	a.slices[0] = slice{server: mv.to, gpus: j.Gang}
 
 	cross := s.topo.CrossingScale(mv.from, mv.to)
-	cost := s.cfg.MigratePenalty + s.migCost[j.Shape][gangIdx(j.Gang)][cross]
+	cost := migratePenalty + s.migCost[j.Shape][gangIdx(j.Gang)][cross]
 	s.stats.Migrations++
 	s.stats.MigrationBytes += int64(j.Gang) * j.Shape.BytesPerGPU()
 	s.sweepOutstanding++

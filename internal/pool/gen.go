@@ -9,9 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Stream salts owned by the pool scheduler (see the ownership ladder in
-// internal/faults/faults.go: faults < 0x10000, remoting 0x10000+, serve
-// 0x20000+, health 0x30000+; pool claims the 0x40000 block).
+// Stream salts owned by the pool scheduler (see the salt table in
+// internal/faults/faults.go).
 const (
 	saltArrival  uint64 = 0x40000 // open-loop arrival gaps
 	saltLifetime uint64 = 0x40001 // job lifetimes
@@ -125,19 +124,13 @@ type Workload struct {
 	Load float64
 	// Intensity scales churn at constant offered load: 0 freezes the pool
 	// after one initial placement (infinite lifetimes, no arrivals); at
-	// c > 0 mean lifetime is BaseLifetime/c and the arrival rate rises to
+	// c > 0 mean lifetime is baseLifetime/c and the arrival rate rises to
 	// match, so concurrency holds while turnover scales with c.
 	Intensity float64
-	// BaseLifetime is the mean job lifetime at intensity 1 (default 200 ms).
-	BaseLifetime sim.Duration
 }
 
-func (w Workload) withDefaults() Workload {
-	if w.BaseLifetime == 0 {
-		w.BaseLifetime = 200 * sim.Millisecond
-	}
-	return w
-}
+// baseLifetime is the mean job lifetime at churn intensity 1.
+const baseLifetime = 200 * sim.Millisecond
 
 // validate rejects a workload the generator cannot size. The negated
 // comparisons also catch NaN, which would otherwise size the schedule from
@@ -152,9 +145,6 @@ func (w Workload) validate() error {
 	if !(w.Intensity >= 0) || math.IsInf(w.Intensity, 1) {
 		return fmt.Errorf("pool: churn intensity %g not finite and non-negative", w.Intensity)
 	}
-	if !w.BaseLifetime.Valid() || w.BaseLifetime == 0 {
-		return fmt.Errorf("pool: base lifetime %v not finite and positive", w.BaseLifetime)
-	}
 	return nil
 }
 
@@ -166,7 +156,6 @@ func (w Workload) validate() error {
 // is byte-identical for every worker count and immune to consumers of
 // other streams.
 func GenerateJobs(w Workload, totalGPUs int) ([]Job, error) {
-	w = w.withDefaults()
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
@@ -196,7 +185,7 @@ func GenerateJobs(w Workload, totalGPUs int) ([]Job, error) {
 
 	meanLife := 2 * w.Window // intensity 0: outlive the window
 	if w.Intensity > 0 {
-		meanLife = sim.Duration(float64(w.BaseLifetime) / w.Intensity)
+		meanLife = sim.Duration(float64(baseLifetime) / w.Intensity)
 	}
 	drawLife := func() sim.Duration {
 		if w.Intensity <= 0 {

@@ -192,7 +192,7 @@ func TestSchedulerSmoke(t *testing.T) {
 }
 
 // TestBadInputsRejected: every unusable workload or config field is an
-// error from Start, never a panic, after defaults are applied.
+// error from Start, never a panic.
 func TestBadInputsRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	good := func() Config {
@@ -214,16 +214,9 @@ func TestBadInputsRejected(t *testing.T) {
 		{"window +Inf", func(c *Config) { c.Workload.Window = sim.Duration(inf) }, ""},
 		{"load NaN", func(c *Config) { c.Workload.Load = nan }, ""},
 		{"intensity +Inf", func(c *Config) { c.Workload.Intensity = inf }, ""},
-		{"base lifetime -1ms", func(c *Config) { c.Workload.BaseLifetime = -sim.Millisecond }, ""},
-		{"base lifetime NaN", func(c *Config) { c.Workload.BaseLifetime = sim.Duration(nan) }, ""},
-		{"migrate penalty NaN", func(c *Config) { c.MigratePenalty = sim.Duration(nan) }, ""},
-		{"migrate penalty negative", func(c *Config) { c.MigratePenalty = -sim.Millisecond }, ""},
-		{"migrate penalty +Inf", func(c *Config) { c.MigratePenalty = sim.Duration(inf) }, ""},
-		{"defrag cadence negative", func(c *Config) { c.DefragEvery = -sim.Millisecond }, ""},
-		{"defrag cadence NaN", func(c *Config) { c.DefragEvery = sim.Duration(nan) }, ""},
-		{"ref gang -4", func(c *Config) { c.RefGang = -4 }, ""},
-		{"ref gang above server", func(c *Config) { c.RefGang = 64 }, ""},
-		{"stranded trigger negative", func(c *Config) { c.StrandedTrigger = -1 }, ""},
+		{"policy 99", func(c *Config) { c.Policy = Policy(99) }, "unknown policy"},
+		{"serving GPUs -1", func(c *Config) { c.ServingGPUs = -1 }, "serving reservation -1 outside"},
+		{"serving GPUs the whole pool", func(c *Config) { c.ServingGPUs = c.Topo.GPUs() }, "serving reservation 128 outside"},
 		{"topology 2^48 GPUs", func(c *Config) { c.Topo = Topology{1 << 16, 1 << 16, 1 << 16, 1} }, "topology"},
 		{"topology GPU count overflows int", func(c *Config) { c.Topo = Topology{1 << 31, 1 << 31, 2, 1} }, "topology"},
 	}

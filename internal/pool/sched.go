@@ -16,62 +16,22 @@ type Config struct {
 	Topo     Topology
 	Policy   Policy
 	Workload Workload
-	// Defrag enables the consolidation sweeps; DefragEvery is their
-	// minimum cadence (default 10 ms).
-	Defrag      bool
-	DefragEvery sim.Duration
-	// RefGang is the reference gang size fragmentation and stranding are
-	// scored against (default min(16, GPUsPerServer)). StrandedTrigger is
-	// the stranded-GPU level that arms a consolidation sweep even with an
-	// empty queue (default 2×RefGang).
-	RefGang         int
-	StrandedTrigger int
-	// MigratePenalty is the control-plane re-attach charge per migrated
-	// allocation, on top of the handle-table replay over the fabric
-	// (default 500 µs, mirroring the transport's failover penalty).
-	MigratePenalty sim.Duration
+	// Defrag enables the consolidation sweeps.
+	Defrag bool
 	// Serving and ServingGPUs reserve a slice of the pool for serving
 	// tenants, placed through the serve placer before any batch job.
 	Serving     []serve.Tenant
 	ServingGPUs int
 }
 
-func (c Config) withDefaults() Config {
-	if c.DefragEvery == 0 {
-		c.DefragEvery = 10 * sim.Millisecond
-	}
-	if c.RefGang == 0 {
-		c.RefGang = gangSizes[len(gangSizes)-1]
-		if c.Topo.GPUsPerServer < c.RefGang {
-			c.RefGang = c.Topo.GPUsPerServer
-		}
-	}
-	if c.StrandedTrigger == 0 {
-		c.StrandedTrigger = 2 * c.RefGang
-	}
-	if c.MigratePenalty == 0 {
-		c.MigratePenalty = 500 * sim.Microsecond
-	}
-	return c
-}
-
-// validate rejects what withDefaults leaves unusable. It runs after the
-// topology check, since RefGang is bounded by the server size.
-func (c Config) validate() error {
-	if !c.DefragEvery.Valid() {
-		return fmt.Errorf("pool: defrag cadence %v not finite and non-negative", c.DefragEvery)
-	}
-	if !c.MigratePenalty.Valid() {
-		return fmt.Errorf("pool: migrate penalty %v not finite and non-negative", c.MigratePenalty)
-	}
-	if c.StrandedTrigger < 0 {
-		return fmt.Errorf("pool: stranded trigger %d negative", c.StrandedTrigger)
-	}
-	if c.RefGang < 1 || c.RefGang > c.Topo.GPUsPerServer {
-		return fmt.Errorf("pool: reference gang %d outside [1, %d]", c.RefGang, c.Topo.GPUsPerServer)
-	}
-	return nil
-}
+const (
+	// defragEvery is the minimum cadence of consolidation sweeps.
+	defragEvery = 10 * sim.Millisecond
+	// migratePenalty is the control-plane re-attach charge per migrated
+	// allocation, on top of the handle-table replay over the fabric,
+	// mirroring the transport's failover penalty.
+	migratePenalty = 500 * sim.Microsecond
+)
 
 // Stats is what a finished run reports.
 type Stats struct {
@@ -89,8 +49,8 @@ type Stats struct {
 	PlaceLatencyMean sim.Duration
 	PlaceLatencyMax  sim.Duration
 	// FragAvg and StrandedAvg are time averages over the measurement
-	// window; StrandedPowerW prices the stranded average at the compose
-	// power model's idle wattage.
+	// window; StrandedPowerW prices the stranded average at compose's
+	// idle GPU wattage.
 	FragAvg        float64
 	StrandedAvg    float64
 	StrandedPowerW float64
@@ -168,7 +128,11 @@ type Scheduler struct {
 	// batchGPUs is the capacity left for batch jobs after the serving
 	// reservation.
 	batchGPUs int
-	refGang   int
+	// refGang is the reference gang size, min(16, GPUsPerServer), that
+	// fragmentation and stranding are scored against; twice it is the
+	// stranded-GPU level that arms a consolidation sweep even with an
+	// empty queue.
+	refGang int
 
 	// eff prices each shape at each spread scale; migCost is the
 	// handle-table replay time per (shape, gang, crossing scale), built
@@ -227,11 +191,7 @@ type Scheduler struct {
 // drains: every generated job has then completed (or been killed) and
 // Stats is final.
 func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Policy < FirstFit || cfg.Policy > TierAware {
@@ -248,7 +208,7 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 		topo:      topo,
 		window:    cfg.Workload.Window,
 		batchGPUs: gpus - cfg.ServingGPUs,
-		refGang:   cfg.RefGang,
+		refGang:   min(gangSizes[len(gangSizes)-1], topo.GPUsPerServer),
 		free:      make([]int, servers),
 		freeRack:  make([]int, racks),
 		freeRow:   make([]int, topo.Rows),
@@ -408,7 +368,7 @@ func (s *Scheduler) finalize() {
 	w := s.window.Seconds()
 	s.stats.FragAvg = s.fragInt / w
 	s.stats.StrandedAvg = s.strandedInt / w
-	s.stats.StrandedPowerW = compose.DefaultPower().StrandedDraw(s.stats.StrandedAvg)
+	s.stats.StrandedPowerW = compose.StrandedDraw(s.stats.StrandedAvg)
 	s.stats.GoodputGPUs = s.effGPUSec / w
 	s.stats.Goodput = s.effGPUSec / (float64(s.batchGPUs) * w)
 	if s.stats.Placed > 0 {
@@ -657,7 +617,7 @@ func (s *Scheduler) drainServer(v int, now sim.Time) {
 		s.doPlace(now, id, sl, scale, false)
 		// The job resumes only after its state replays onto the new
 		// spread; the gap costs goodput, the payload costs the fabric.
-		cost := s.cfg.MigratePenalty + s.replayCost(j, scale)
+		cost := migratePenalty + s.replayCost(j, scale)
 		a.segStart = now.Add(cost)
 		s.stats.DrainMigrations++
 		s.stats.MigrationBytes += int64(j.Gang) * j.Shape.BytesPerGPU()

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Stream salts for seed-derived substreams (see faults.Substream; the
-// faults package reserves everything below 0x10000).
+// Stream salts for seed-derived substreams (see the salt table in
+// internal/faults/faults.go).
 const (
 	// saltNoise seeds network-traversal noise.
 	saltNoise uint64 = 0x10000
@@ -141,6 +141,9 @@ func NewResilient(env *sim.Env, spec gpu.Spec, cfg ResilientConfig) (*Resilient,
 	}
 	if cfg.Standbys < 0 {
 		return nil, fmt.Errorf("remoting: negative standby count %d", cfg.Standbys)
+	}
+	if cfg.Standbys+1 > faults.SaltBlock {
+		return nil, fmt.Errorf("remoting: %d standbys plus the primary exceed the per-server salt block (%d)", cfg.Standbys, faults.SaltBlock)
 	}
 	if cfg.ServerOverhead == 0 {
 		cfg.ServerOverhead = DefaultServerOverhead

@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -37,6 +38,21 @@ func TestResilientDeterministicReplay(t *testing.T) {
 		if d1[i] != d2[i] {
 			t.Fatalf("iteration %d differs across replays: %v vs %v", i, d1[i], d2[i])
 		}
+	}
+}
+
+// TestResilientRejectsStandbysPastSaltBlock: server 4,096's stall stream
+// would be server 0's crash stream, so a pool that large is an error
+// before any device is built.
+func TestResilientRejectsStandbysPastSaltBlock(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	_, err := NewResilient(env, gpu.A100(), ResilientConfig{
+		Config:   Config{Path: mustPathForSlack(t, 50*sim.Microsecond), Seed: 1},
+		Standbys: 4096,
+	})
+	if err == nil || !strings.Contains(err.Error(), "salt block") {
+		t.Fatalf("NewResilient with 4096 standbys: err = %v, want a salt-block error", err)
 	}
 }
 

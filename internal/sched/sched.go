@@ -9,17 +9,16 @@ package sched
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 
 	"repro/internal/compose"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
 // workloadSalt is this package's substream salt for WorkloadMix draws
-// (faults reserves everything below 0x10000; remoting holds
-// 0x10000–0x10002, slack 0x10010, serve the 0x20000 block).
+// (see the salt table in internal/faults/faults.go).
 const workloadSalt uint64 = 0x10020
 
 // composeRowPath returns the row-scale fabric path CDI machines use.
@@ -136,11 +135,10 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 	running := 0
 	arrivalsLeft := len(pending)
 
-	pm := compose.DefaultPower()
 	var energyWs float64 // watt-seconds
 	lastPowerAt := sim.Time(0)
 	accrue := func(now sim.Time) {
-		energyWs += system.GPUPowerDraw(pm) * float64(now.Sub(lastPowerAt))
+		energyWs += system.GPUPowerDraw() * float64(now.Sub(lastPowerAt))
 		lastPowerAt = now
 	}
 
@@ -221,7 +219,7 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 	if afterRun != nil {
 		afterRun(env)
 	}
-	accrueFinal := system.GPUPowerDraw(pm) * float64(end.Sub(lastPowerAt))
+	accrueFinal := system.GPUPowerDraw() * float64(end.Sub(lastPowerAt))
 	energyWs += accrueFinal
 
 	res := Result{Makespan: end.Sub(0), GPUEnergyWh: energyWs / 3600}
@@ -260,7 +258,7 @@ func WorkloadMix(n int, coresPerNode int, seed int64) ([]Job, error) {
 	if coresPerNode <= 0 {
 		return nil, fmt.Errorf("sched: non-positive cores per node %d", coresPerNode)
 	}
-	rng := rand.New(rand.NewPCG(uint64(seed), workloadSalt))
+	rng := faults.Substream(seed, workloadSalt)
 	var jobs []Job
 	var t sim.Time
 	for i := 0; i < n; i++ {

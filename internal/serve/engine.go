@@ -43,23 +43,17 @@ func (p Policy) String() string {
 	}
 }
 
-// Model describes the served model: parameter count drives the prefill and
-// decode kernel costs, BytesPerToken the host↔device traffic per token
-// (token ids in, sampled ids out — serving transfers are tiny, which is
-// exactly why per-call latency, not bandwidth, dominates its slack
-// sensitivity).
-type Model struct {
-	Name          string
-	Params        float64
-	BytesPerToken int64
-}
-
-// DefaultModel is a 100M-parameter transformer: decode steps land in the
-// hundreds of microseconds on the A100 model, the regime where row-scale
-// slack is a material fraction of every iteration.
-func DefaultModel() Model {
-	return Model{Name: "transformer-100m", Params: 1e8, BytesPerToken: 4}
-}
+// The served model is a 100M-parameter transformer: decode steps land in
+// the hundreds of microseconds on the A100 model, the regime where
+// row-scale slack is a material fraction of every iteration. Its
+// parameter count drives the prefill and decode kernel costs,
+// bytesPerToken the host↔device traffic per token (token ids in, sampled
+// ids out — serving transfers are tiny, which is exactly why per-call
+// latency, not bandwidth, dominates its slack sensitivity).
+const (
+	modelParams   = 1e8
+	bytesPerToken = 4
+)
 
 // Config shapes one serving engine (one GPU replica).
 type Config struct {
@@ -67,8 +61,6 @@ type Config struct {
 	// width for FixedBatch and Continuous (default 8).
 	Policy   Policy
 	MaxBatch int
-	// Model is the served model; a zero Model takes DefaultModel.
-	Model Model
 	// Tenants is the tenant table requests index into (for SLO lookup).
 	Tenants []Tenant
 	// Admission tunes deadline-aware load shedding under degraded
@@ -87,12 +79,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.Model.Params <= 0 {
-		c.Model = DefaultModel()
-	}
-	if c.Model.BytesPerToken <= 0 {
-		return fmt.Errorf("serve: model %q has no BytesPerToken", c.Model.Name)
 	}
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("serve: config has no tenants")
@@ -351,7 +337,7 @@ func (e *Engine) take(p *sim.Proc) *pending {
 // finish moves the request's output back to the host and records its
 // latency against the owning tenant's SLO.
 func (e *Engine) finish(p *sim.Proc, r *pending) error {
-	if err := e.tr.MemcpyD2H(p, e.workspace, int64(r.req.OutputTokens)*e.cfg.Model.BytesPerToken); err != nil {
+	if err := e.tr.MemcpyD2H(p, e.workspace, int64(r.req.OutputTokens)*bytesPerToken); err != nil {
 		return err
 	}
 	done := p.Now()
@@ -372,11 +358,11 @@ func (e *Engine) finish(p *sim.Proc, r *pending) error {
 // admit stages the request's prompt onto the device and returns its
 // prefill kernel.
 func (e *Engine) admit(p *sim.Proc, r *pending) (gpu.Kernel, error) {
-	n := int64(r.req.PromptTokens) * e.cfg.Model.BytesPerToken
+	n := int64(r.req.PromptTokens) * bytesPerToken
 	if err := e.tr.MemcpyH2D(p, e.workspace, n); err != nil {
 		return gpu.Kernel{}, err
 	}
-	return gpu.Prefill(r.req.PromptTokens, e.cfg.Model.Params), nil
+	return gpu.Prefill(r.req.PromptTokens, modelParams), nil
 }
 
 // batchSpan records one batch execution span.
@@ -410,7 +396,7 @@ func (e *Engine) stepNoBatch(p *sim.Proc) error {
 	}
 	ks := append(e.ks[:0], prefill)
 	for i := 0; i < r.remaining; i++ {
-		ks = append(ks, gpu.DecodeStep(1, e.cfg.Model.Params))
+		ks = append(ks, gpu.DecodeStep(1, modelParams))
 	}
 	e.ks = ks[:0]
 	if err := e.tr.RunKernels(p, ks); err != nil {
@@ -458,7 +444,7 @@ func (e *Engine) stepFixed(p *sim.Proc) error {
 	// Static batching pads every sequence to the longest: the batch holds
 	// the device for steps iterations at full width.
 	for i := 0; i < steps; i++ {
-		ks = append(ks, gpu.DecodeStep(len(batch), e.cfg.Model.Params))
+		ks = append(ks, gpu.DecodeStep(len(batch), modelParams))
 	}
 	e.ks = ks[:0]
 	if err := e.tr.RunKernels(p, ks); err != nil {
@@ -503,7 +489,7 @@ func (e *Engine) stepContinuous(p *sim.Proc) error {
 			return nil
 		}
 		width := len(active)
-		ks = append(ks, gpu.DecodeStep(width, e.cfg.Model.Params))
+		ks = append(ks, gpu.DecodeStep(width, modelParams))
 		e.ks = ks[:0]
 		if err := e.tr.RunKernels(p, ks); err != nil {
 			return err

@@ -22,18 +22,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Stream salts for seed-derived substreams (see faults.Substream; faults
-// reserves everything below 0x10000 and remoting uses 0x10000–0x10002).
-// serve owns the 0x20000 block: one arrival and one token-length stream
-// per tenant index.
+// Stream salts for seed-derived substreams (see the salt table in
+// internal/faults/faults.go): one arrival and one token-length stream per
+// tenant index.
 const (
 	saltArrival uint64 = 0x20000 // + tenant index
 	saltTokens  uint64 = 0x21000 // + tenant index
 )
-
-// maxTenants bounds tenant count so the per-tenant salt blocks never
-// overlap.
-const maxTenants = 0x1000
 
 // Tenant is one traffic source sharing the pool.
 type Tenant struct {
@@ -103,8 +98,8 @@ func Generate(tenants []Tenant, window sim.Duration, seed int64) ([]Request, err
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants")
 	}
-	if len(tenants) > maxTenants {
-		return nil, fmt.Errorf("serve: %d tenants exceeds the salt block (%d)", len(tenants), maxTenants)
+	if len(tenants) > faults.SaltBlock {
+		return nil, fmt.Errorf("serve: %d tenants exceeds the salt block (%d)", len(tenants), faults.SaltBlock)
 	}
 	type keyed struct {
 		req Request

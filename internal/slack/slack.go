@@ -20,9 +20,8 @@ import (
 	"repro/internal/sim"
 )
 
-// jitterSalt is this package's substream salt for jitter draws (faults
-// reserves everything below 0x10000; remoting holds 0x10000–0x10002,
-// sched 0x10020, serve the 0x20000 block).
+// jitterSalt is this package's substream salt for jitter draws (see the
+// salt table in internal/faults/faults.go).
 const jitterSalt uint64 = 0x10010
 
 // Injector delays CUDA API calls. It implements cuda.Interposer; register
