@@ -98,8 +98,9 @@ type Workload interface {
 	// Trace runs the workload under the tracer and returns the recording.
 	Trace() (*trace.Trace, error)
 	// Parallelism is the effective number of parallel kernel submitters
-	// the paper's comparison uses (8 for LAMMPS's profiled config, 4 for
-	// CosmoFlow's launch-sequence equivalence).
+	// the paper's comparison uses (lammps.ProfileProcs for LAMMPS's
+	// profiled config, cosmoflow.ProfileParallelism for CosmoFlow's
+	// launch-sequence equivalence).
 	Parallelism() int
 }
 
@@ -112,12 +113,13 @@ type LAMMPSWorkload struct {
 // Name implements Workload.
 func (w LAMMPSWorkload) Name() string { return "lammps" }
 
-// Parallelism implements Workload: the profiled run uses 8 ranks.
+// Parallelism implements Workload: the profiled run's rank count,
+// lammps.ProfileProcs unless overridden.
 func (w LAMMPSWorkload) Parallelism() int {
 	if w.Config.Procs > 0 {
 		return w.Config.Procs
 	}
-	return 8
+	return lammps.ProfileProcs
 }
 
 // Trace implements Workload.
@@ -127,7 +129,7 @@ func (w LAMMPSWorkload) Trace() (*trace.Trace, error) {
 		cfg.BoxSize = 120
 	}
 	if cfg.Procs == 0 {
-		cfg.Procs = 8
+		cfg.Procs = lammps.ProfileProcs
 	}
 	cfg.Record = true
 	res, err := lammps.RunPerf(cfg)

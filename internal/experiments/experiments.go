@@ -414,10 +414,10 @@ type Traces struct {
 }
 
 // profiles returns each application's label and model profile: LAMMPS
-// at its 8 profiled ranks, CosmoFlow at cosmoflow.ProfileParallelism.
+// at lammps.ProfileProcs, CosmoFlow at cosmoflow.ProfileParallelism.
 func (t Traces) profiles() ([]string, []model.AppProfile) {
 	return []string{t.LAMMPS.Label, t.CosmoFlow.Label}, []model.AppProfile{
-		model.ProfileFromTrace(t.LAMMPS, 8), model.ProfileFromTrace(t.CosmoFlow, cosmoflow.ProfileParallelism)}
+		model.ProfileFromTrace(t.LAMMPS, lammps.ProfileProcs), model.ProfileFromTrace(t.CosmoFlow, cosmoflow.ProfileParallelism)}
 }
 
 // CollectTraces profiles both applications, each in its own simulation.
@@ -426,7 +426,7 @@ func CollectTraces(o Options) (Traces, error) {
 	var tr Traces
 	err := runner.Go(o.Jobs,
 		func() error {
-			lr, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: 120, Procs: 8, Steps: o.LAMMPSSteps, Record: true})
+			lr, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: 120, Procs: lammps.ProfileProcs, Steps: o.LAMMPSSteps, Record: true})
 			if err != nil {
 				return err
 			}
@@ -556,11 +556,15 @@ type Table4Block struct {
 	Predictions []model.Prediction
 }
 
+// calibrationSizes returns the proxy matrix sizes every calibration
+// study in this package sweeps.
+func calibrationSizes() []int { return []int{1 << 9, 1 << 11, 1 << 13} }
+
 // calibrationStudy calibrates the proxy surface that Table IV, the
 // distance budget and the in-situ validation predict from.
 func calibrationStudy(o Options, jobs int) (*core.Study, error) {
 	return core.NewStudy(core.StudyConfig{
-		Sizes:   []int{1 << 9, 1 << 11, 1 << 13},
+		Sizes:   calibrationSizes(),
 		Threads: []int{1, 4, 8},
 		Iters:   o.ProxyIters,
 		Jobs:    jobs,
@@ -623,7 +627,7 @@ type ValidationResult struct {
 // penalty from its own trace.
 func Validate(o Options) (ValidationResult, error) {
 	study, err := core.NewStudy(core.StudyConfig{
-		Sizes:   []int{1 << 9, 1 << 11, 1 << 13},
+		Sizes:   calibrationSizes(),
 		Threads: []int{1},
 		Iters:   o.ProxyIters,
 		Jobs:    o.Jobs,

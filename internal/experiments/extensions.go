@@ -54,7 +54,7 @@ func AppSlackValidation(o Options, slacks []sim.Duration) ([]AppValidationRow, e
 	if len(slacks) == 0 {
 		slacks = []sim.Duration{100 * sim.Microsecond, 10 * sim.Millisecond}
 	}
-	lcfg := lammps.PerfConfig{BoxSize: 60, Procs: 8, Steps: o.LAMMPSSteps}
+	lcfg := lammps.PerfConfig{BoxSize: 60, Procs: lammps.ProfileProcs, Steps: o.LAMMPSSteps}
 	lcfg.Record = true
 	ccfg := cosmoflow.PerfConfig{
 		Epochs: o.CosmoEpochs, TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2,

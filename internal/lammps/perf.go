@@ -76,6 +76,10 @@ const (
 	CellMetaBytes = 512 << 10
 	// DefaultSteps is the paper's run length for all analyses.
 	DefaultSteps = 5000
+	// ProfileProcs is the rank count of the paper's profiled configuration
+	// (8 processes × 1 thread), which the slack model also takes as the
+	// profile's effective parallelism.
+	ProfileProcs = 8
 )
 
 // PerfConfig describes one performance-mode run.

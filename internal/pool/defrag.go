@@ -29,9 +29,9 @@ func (s *Scheduler) maybeDefrag(now sim.Time) {
 	}
 }
 
-// move is one planned migration.
+// move is one planned migration of the job in a slot.
 type move struct {
-	id   int
+	slot int
 	from int
 	to   int
 }
@@ -86,8 +86,8 @@ func (s *Scheduler) movable(sv int) bool {
 	if s.pinned[sv] > 0 {
 		return false
 	}
-	for _, id := range s.jobsOn[sv] {
-		if len(s.allocs[id].slices) != 1 {
+	for _, n := range s.jobsOn[sv] {
+		if len(s.slots[n].slices) != 1 {
 			return false
 		}
 	}
@@ -103,8 +103,8 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 	plan := append(s.planFree[:0], s.free...)
 	s.planFree = plan
 	moves := s.scratchMoves[:0]
-	for _, id := range s.jobsOn[v] {
-		g := s.jobs[id].Gang
+	for _, n := range s.jobsOn[v] {
+		g := s.slots[n].job.Gang
 		best, bestScore := -1, 0
 		for sv, f := range plan {
 			if sv == v || !s.live[sv] || f < g {
@@ -125,7 +125,7 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 			return nil, false
 		}
 		plan[best] -= g
-		moves = append(moves, move{id: id, from: v, to: best})
+		moves = append(moves, move{slot: n, from: v, to: best})
 	}
 	s.scratchMoves = moves
 
@@ -153,12 +153,12 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 // charged at the crossed tier, and a copy callback reports back when the
 // replay completes.
 func (s *Scheduler) executeMove(now sim.Time, mv move) {
-	a := &s.allocs[mv.id]
-	j := s.jobs[mv.id]
+	a := &s.slots[mv.slot]
+	j := a.job
 	s.unclaim(mv.from, j.Gang)
 	s.claim(mv.to, j.Gang)
-	s.removeJobFrom(mv.from, mv.id)
-	s.jobsOn[mv.to] = append(s.jobsOn[mv.to], mv.id)
+	s.removeJobFrom(mv.from, mv.slot)
+	s.jobsOn[mv.to] = append(s.jobsOn[mv.to], mv.slot)
 	a.slices[0] = slice{server: mv.to, gpus: j.Gang}
 
 	cross := s.topo.CrossingScale(mv.from, mv.to)
@@ -166,6 +166,5 @@ func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	s.stats.Migrations++
 	s.stats.MigrationBytes += int64(j.Gang) * j.Shape.BytesPerGPU()
 	s.sweepOutstanding++
-	id := mv.id
-	s.env.After(cost, func() { s.post(msgMigrated, id) })
+	s.env.After(cost, s.migrated)
 }

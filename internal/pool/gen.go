@@ -3,6 +3,7 @@ package pool
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -151,87 +152,126 @@ func (w Workload) validate() error {
 // GenerateJobs draws the deterministic job schedule for a pool of
 // totalGPUs devices: a warm-start cohort at t=0 sized to the target load,
 // then (at nonzero intensity) open-loop Poisson arrivals across the
-// window with exponential lifetimes. Arrival gaps, lifetimes, gang sizes,
-// and shapes come from independent salted PCG substreams, so the schedule
-// is byte-identical for every worker count and immune to consumers of
-// other streams.
+// window with exponential lifetimes. It collects the same stream the
+// scheduler draws from one job at a time.
 func GenerateJobs(w Workload, totalGPUs int) ([]Job, error) {
-	if err := w.validate(); err != nil {
+	js, err := newJobStream(w, totalGPUs)
+	if err != nil {
 		return nil, err
 	}
-	if totalGPUs <= 0 {
-		return nil, fmt.Errorf("pool: generating jobs for %d GPUs", totalGPUs)
-	}
-	arr := faults.Substream(w.Seed, saltArrival)
-	life := faults.Substream(w.Seed, saltLifetime)
-	gang := faults.Substream(w.Seed, saltGang)
-	shape := faults.Substream(w.Seed, saltShape)
-
-	drawGang := func() int {
-		u := gang.Float64()
-		for i, c := range gangCum {
-			if u < c {
-				return gangSizes[i]
-			}
-		}
-		return gangSizes[len(gangSizes)-1]
-	}
-	drawShape := func() Shape {
-		if shape.Float64() < 0.5 {
-			return LammpsShape
-		}
-		return CosmoFlowShape
-	}
-
-	meanLife := 2 * w.Window // intensity 0: outlive the window
-	if w.Intensity > 0 {
-		meanLife = sim.Duration(float64(baseLifetime) / w.Intensity)
-	}
-	drawLife := func() sim.Duration {
-		if w.Intensity <= 0 {
-			return meanLife
-		}
-		return sim.Duration(life.ExpFloat64() * float64(meanLife))
-	}
-
-	// Warm-start cohort: gangs at t=0 until the target load is covered.
-	// Exponential lifetimes are memoryless, so the cohort is already the
-	// steady state the arrival process sustains.
-	target := int(w.Load * float64(totalGPUs))
-	// Size the schedule up front: at most `target` warm gangs (each
-	// covers at least one GPU), plus the expected arrival count.
-	est := target
-	if w.Intensity > 0 {
-		est += int(float64(target)*w.Window.Seconds()/(meanLife.Seconds()*gangMean())) + 1
-	}
-	jobs := make([]Job, 0, est)
-	covered := 0
-	for covered < target {
-		g := drawGang()
-		jobs = append(jobs, Job{
-			ID: len(jobs), Shape: drawShape(), Gang: g,
-			Arrival: 0, Lifetime: drawLife(),
-		})
-		covered += g
-	}
-	if w.Intensity <= 0 {
-		return jobs, nil
-	}
-
-	// Open-loop arrivals: rate chosen so arrivals replace departures at
-	// the target concurrency (jobs/s = target GPUs / (mean life × mean
-	// gang)).
-	rate := float64(target) / (meanLife.Seconds() * gangMean())
-	var t sim.Time
-	for {
-		t = t.Add(sim.Duration(arr.ExpFloat64() / rate))
-		if t.Sub(0) >= w.Window {
-			break
-		}
-		jobs = append(jobs, Job{
-			ID: len(jobs), Shape: drawShape(), Gang: drawGang(),
-			Arrival: t, Lifetime: drawLife(),
-		})
+	var jobs []Job
+	for js.more {
+		jobs = append(jobs, js.pop())
 	}
 	return jobs, nil
+}
+
+// jobStream is the job schedule drawn lazily, one job of lookahead at a
+// time. Arrival gaps, lifetimes, gang sizes, and shapes come from
+// independent salted PCG substreams, so the schedule is byte-identical
+// for every worker count, immune to consumers of other streams, and the
+// same whenever each job is drawn.
+type jobStream struct {
+	arr, life, gang, shape *rand.Rand
+
+	window    sim.Duration
+	intensity float64
+	meanLife  sim.Duration
+	// target is the GPU count the warm cohort covers, covered the count
+	// its jobs drawn so far hold; rate is the open-loop arrival rate.
+	target, covered int
+	rate            float64
+	t               sim.Time
+
+	// next is the lookahead job, valid while more is set; drawn counts
+	// the jobs drawn so far, lookahead included, and numbers them.
+	next  Job
+	more  bool
+	drawn int
+}
+
+// newJobStream validates the workload and draws the first job.
+func newJobStream(w Workload, totalGPUs int) (jobStream, error) {
+	if err := w.validate(); err != nil {
+		return jobStream{}, err
+	}
+	if totalGPUs <= 0 {
+		return jobStream{}, fmt.Errorf("pool: generating jobs for %d GPUs", totalGPUs)
+	}
+	js := jobStream{
+		arr:       faults.Substream(w.Seed, saltArrival),
+		life:      faults.Substream(w.Seed, saltLifetime),
+		gang:      faults.Substream(w.Seed, saltGang),
+		shape:     faults.Substream(w.Seed, saltShape),
+		window:    w.Window,
+		intensity: w.Intensity,
+		meanLife:  2 * w.Window, // intensity 0: outlive the window
+		// Warm-start cohort: gangs at t=0 until the target load is
+		// covered. Exponential lifetimes are memoryless, so the cohort is
+		// already the steady state the arrival process sustains.
+		target: int(w.Load * float64(totalGPUs)),
+	}
+	if w.Intensity > 0 {
+		js.meanLife = sim.Duration(float64(baseLifetime) / w.Intensity)
+		// Open-loop arrivals: rate chosen so arrivals replace departures
+		// at the target concurrency (jobs/s = target GPUs / (mean life ×
+		// mean gang)).
+		js.rate = float64(js.target) / (js.meanLife.Seconds() * gangMean())
+	}
+	js.advance()
+	return js, nil
+}
+
+// pop returns the lookahead job and draws the one after it. Call it only
+// while more is set.
+func (js *jobStream) pop() Job {
+	j := js.next
+	js.advance()
+	return j
+}
+
+// advance draws the next job into the lookahead: the warm cohort first,
+// then arrivals until the window closes, after which more stays clear.
+func (js *jobStream) advance() {
+	js.more = false
+	if js.covered < js.target {
+		g := js.drawGang()
+		js.next = Job{ID: js.drawn, Shape: js.drawShape(), Gang: g, Lifetime: js.drawLife()}
+		js.covered += g
+	} else {
+		if js.intensity <= 0 {
+			return
+		}
+		js.t = js.t.Add(sim.Duration(js.arr.ExpFloat64() / js.rate))
+		if js.t.Sub(0) >= js.window {
+			return
+		}
+		js.next = Job{ID: js.drawn, Shape: js.drawShape(), Gang: js.drawGang(), Arrival: js.t, Lifetime: js.drawLife()}
+	}
+	js.drawn++
+	js.more = true
+}
+
+func (js *jobStream) drawGang() int {
+	u := js.gang.Float64()
+	for i, c := range gangCum {
+		if u < c {
+			return gangSizes[i]
+		}
+	}
+	return gangSizes[len(gangSizes)-1]
+}
+
+func (js *jobStream) drawShape() Shape {
+	if js.shape.Float64() < 0.5 {
+		return LammpsShape
+	}
+	return CosmoFlowShape
+}
+
+func (js *jobStream) drawLife() sim.Duration {
+	if js.intensity <= 0 {
+		return js.meanLife
+	}
+	return sim.Duration(js.life.ExpFloat64() * float64(js.meanLife))
 }

@@ -8,7 +8,7 @@ import (
 
 // checkInvariants recomputes the scheduler's incrementally maintained
 // state from the per-server ground truth (free, live, pinned, jobsOn and
-// the allocation records) and reports the first disagreement.
+// the slot table) and reports the first disagreement.
 func (s *Scheduler) checkInvariants() error {
 	g := s.topo.GPUsPerServer
 	servers := len(s.free)
@@ -73,45 +73,82 @@ func (s *Scheduler) checkInvariants() error {
 		}
 	}
 
-	// jobsOn against the placed allocations' slices, entry for entry, and
-	// the per-server GPU balance.
+	// The slot table: the free list names each free slot exactly once, a
+	// free slot holds no slices, and the live slots are the running,
+	// queued and tombstoned jobs.
+	onFree := make([]bool, len(s.slots))
+	for _, n := range s.freeSlots {
+		if n < 0 || n >= len(s.slots) || onFree[n] {
+			return fmt.Errorf("free list names slot %d twice or out of [0, %d)", n, len(s.slots))
+		}
+		onFree[n] = true
+	}
+	var perState [allocKilled + 1]int
+	for n := range s.slots {
+		a := &s.slots[n]
+		if onFree[n] != (a.state == allocFree) {
+			return fmt.Errorf("slot %d in state %d, on the free list %v", n, a.state, onFree[n])
+		}
+		perState[a.state]++
+	}
+	if perState[allocPlaced] != s.runningJobs {
+		return fmt.Errorf("%d placed slots, %d running jobs", perState[allocPlaced], s.runningJobs)
+	}
+	if perState[allocQueued] != len(s.queue) {
+		return fmt.Errorf("%d queued slots, %d queue entries", perState[allocQueued], len(s.queue))
+	}
+	if live := len(s.slots) - len(s.freeSlots); live != s.runningJobs+len(s.queue)+perState[allocKilled] {
+		return fmt.Errorf("%d live slots, want %d running + %d queued + %d tombstones",
+			live, s.runningJobs, len(s.queue), perState[allocKilled])
+	}
+	for _, n := range s.queue {
+		if st := s.slots[n].state; st != allocQueued {
+			return fmt.Errorf("queue names slot %d in state %d", n, st)
+		}
+	}
+
+	// jobsOn against the placed slots' slices, entry for entry, and the
+	// per-server GPU balance.
 	used := make([]int, servers)
 	entries := 0
-	for id := range s.allocs {
-		a := &s.allocs[id]
+	for n := range s.slots {
+		a := &s.slots[n]
 		if a.state != allocPlaced {
 			if len(a.slices) != 0 {
-				return fmt.Errorf("job %d in state %d still holds %d slices", id, a.state, len(a.slices))
+				return fmt.Errorf("slot %d in state %d still holds %d slices", n, a.state, len(a.slices))
 			}
 			continue
 		}
 		for _, x := range a.slices {
 			if x.gpus <= 0 || !s.live[x.server] {
-				return fmt.Errorf("job %d holds %d GPUs on server %d (live %v)", id, x.gpus, x.server, s.live[x.server])
+				return fmt.Errorf("slot %d holds %d GPUs on server %d (live %v)", n, x.gpus, x.server, s.live[x.server])
 			}
 			used[x.server] += x.gpus
 			entries++
 		}
 	}
-	for sv, ids := range s.jobsOn {
-		entries -= len(ids)
-		for _, id := range ids {
-			if st := s.allocs[id].state; st != allocPlaced {
-				return fmt.Errorf("server %d lists job %d in state %d", sv, id, st)
+	for sv, ns := range s.jobsOn {
+		if cap(ns) != g {
+			return fmt.Errorf("server %d job list has capacity %d, carved %d", sv, cap(ns), g)
+		}
+		entries -= len(ns)
+		for _, n := range ns {
+			if st := s.slots[n].state; st != allocPlaced {
+				return fmt.Errorf("server %d lists slot %d in state %d", sv, n, st)
 			}
 			listed, held := 0, 0
-			for _, x := range ids {
-				if x == id {
+			for _, x := range ns {
+				if x == n {
 					listed++
 				}
 			}
-			for _, x := range s.allocs[id].slices {
+			for _, x := range s.slots[n].slices {
 				if x.server == sv {
 					held++
 				}
 			}
 			if listed != held {
-				return fmt.Errorf("server %d lists job %d %d times, the job holds %d slices there", sv, id, listed, held)
+				return fmt.Errorf("server %d lists slot %d %d times, the job holds %d slices there", sv, n, listed, held)
 			}
 		}
 		if s.live[sv] && s.free[sv]+used[sv]+s.pinned[sv] != g {

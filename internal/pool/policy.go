@@ -44,7 +44,8 @@ func (p Policy) String() string {
 // placeJob computes a placement for j under the configured policy without
 // mutating pool state. It returns the slices, the spread scale actually
 // crossed, and whether placement succeeded; a false return means the job
-// queues.
+// queues. The slices are the scheduler's scratch buffer, valid until the
+// next placement query; doPlace copies them into the job's slot.
 func (s *Scheduler) placeJob(j Job) ([]slice, fabric.Scale, bool) {
 	var sl []slice
 	switch s.cfg.Policy {
@@ -75,7 +76,7 @@ func (s *Scheduler) firstFit(gang int) []slice {
 			take := min(s.free[sv], need)
 			s.scratchSl = append(s.scratchSl, slice{sv, take})
 			if need -= take; need == 0 {
-				return s.finishSlices()
+				return s.scratchSl
 			}
 		}
 	}
@@ -88,7 +89,7 @@ func (s *Scheduler) firstFit(gang int) []slice {
 func (s *Scheduler) tieredFit(j Job, gate bool) []slice {
 	if sv := s.bestServer(j.Gang); sv >= 0 {
 		s.scratchSl = append(s.scratchSl[:0], slice{sv, j.Gang})
-		return s.finishSlices()
+		return s.scratchSl
 	}
 	if s.allowScale(j.Shape, fabric.RackScale, gate) {
 		if r := s.bestGroup(s.freeRack, j.Gang); r >= 0 {
@@ -173,16 +174,8 @@ func (s *Scheduler) fillGroup(base, n, gang int) []slice {
 		}
 		s.scratchSl = append(s.scratchSl, slice{sv, take})
 		if need -= take; need == 0 {
-			return s.finishSlices()
+			return s.scratchSl
 		}
 	}
 	return nil
-}
-
-// finishSlices copies the scratch placement into an exact-size slice the
-// allocation record owns.
-func (s *Scheduler) finishSlices() []slice {
-	out := make([]slice, len(s.scratchSl))
-	copy(out, s.scratchSl)
-	return out
 }

@@ -191,6 +191,128 @@ func TestSchedulerSmoke(t *testing.T) {
 	}
 }
 
+// TestSlotTableSizedByLiveJobs: the slot table holds the live jobs, not
+// the schedule, so a run four times as long ends with the slot table and
+// free list it started with, every slot back on the free list.
+func TestSlotTableSizedByLiveJobs(t *testing.T) {
+	checkEveryWake(t)
+	type table struct{ jobs, slots, capSlots, capFree int }
+	run := func(window sim.Duration) table {
+		env := sim.NewEnv()
+		defer env.Close()
+		s, err := Start(env, Config{
+			Topo:     testTopo(),
+			Policy:   TierAware,
+			Workload: Workload{Seed: 7, Window: window, Load: 0.8, Intensity: 4},
+			Defrag:   true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		capSlots, capFree := cap(s.slots), cap(s.freeSlots)
+		env.Run()
+		if len(s.freeSlots) != len(s.slots) {
+			t.Fatalf("window %v: %d of %d slots free after the run", window, len(s.freeSlots), len(s.slots))
+		}
+		if cap(s.slots) != capSlots || cap(s.freeSlots) != capFree {
+			t.Fatalf("window %v: slot table grew from %d to %d, free list from %d to %d",
+				window, capSlots, cap(s.slots), capFree, cap(s.freeSlots))
+		}
+		return table{s.Stats().Jobs, len(s.slots), cap(s.slots), cap(s.freeSlots)}
+	}
+	one, four := run(100*sim.Millisecond), run(400*sim.Millisecond)
+	if four.jobs < 2*one.jobs {
+		t.Fatalf("the 4x window drew %d jobs against %d", four.jobs, one.jobs)
+	}
+	if four.capSlots != one.capSlots || four.capFree != one.capFree {
+		t.Fatalf("slot table capacity %d (free list %d) at 4x the window, %d (%d) at 1x",
+			four.capSlots, four.capFree, one.capSlots, one.capFree)
+	}
+	if four.slots >= four.jobs/2 {
+		t.Fatalf("%d slots for %d jobs: the table is not recycling", four.slots, four.jobs)
+	}
+}
+
+// warmScheduler starts a 128-GPU scheduler whose one frozen warm job
+// (its lifetime twice the 1,000 s window) keeps it waiting on its
+// mailbox, and runs its first wake-up.
+func warmScheduler(t *testing.T) (*sim.Env, *Scheduler) {
+	t.Helper()
+	env := sim.NewEnv()
+	t.Cleanup(env.Close)
+	s, err := Start(env, Config{
+		Topo:     testTopo(),
+		Policy:   BestFit,
+		Workload: Workload{Seed: 1, Window: 1000 * sim.Second, Load: 1.0 / 128},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Step()
+	if s.runningJobs != 1 {
+		t.Fatalf("%d jobs running after the first wake-up, want the one warm job", s.runningJobs)
+	}
+	return env, s
+}
+
+// TestWarmPlacementAllocatesNothing: once warm, admitting a job, placing
+// it, firing its end timer and retiring it through the mailbox reuses the
+// slot, its slice buffer, its bound callback and the engine's events.
+func TestWarmPlacementAllocatesNothing(t *testing.T) {
+	env, s := warmScheduler(t)
+	// Twice a server's GPUs, so the slot's buffer holds two slices.
+	j := Job{Shape: LammpsShape, Gang: 16, Lifetime: sim.Microsecond}
+	cycle := func() {
+		s.admit(env.Now(), j)
+		env.Step() // the end timer posts msgDone
+		env.Step() // the scheduler retires the job and frees its slot
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("a warm place-complete cycle allocates %v times", got)
+	}
+	if st := s.Stats(); st.Placed != 103 || s.runningJobs != 1 || len(s.slots) != 2 {
+		t.Fatalf("%d placed, %d running, %d slots; want 103, 1 and 2", st.Placed, s.runningJobs, len(s.slots))
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmMoveAllocatesNothing: a defrag move and its copy callback,
+// delivered through the mailbox, allocate nothing once warm.
+func TestWarmMoveAllocatesNothing(t *testing.T) {
+	env, s := warmScheduler(t)
+	s.admit(env.Now(), Job{Shape: CosmoFlowShape, Gang: 2, Lifetime: 1000 * sim.Second})
+	n := len(s.slots) - 1
+	from, to := s.slots[n].slices[0].server, -1
+	for sv, f := range s.free {
+		if sv != from && f >= 2 {
+			to = sv
+			break
+		}
+	}
+	step := func(a, b int) {
+		s.executeMove(env.Now(), move{slot: n, from: a, to: b})
+		env.Step() // the copy callback posts msgMigrated
+		env.Step() // the scheduler consumes it
+	}
+	cycle := func() {
+		step(from, to)
+		step(to, from)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("a warm defrag move allocates %v times", got)
+	}
+	if st := s.Stats(); st.Migrations != 204 || s.sweepOutstanding != 0 {
+		t.Fatalf("%d migrations, %d copies outstanding; want 204 and 0", st.Migrations, s.sweepOutstanding)
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBadInputsRejected: every unusable workload or config field is an
 // error from Start, never a panic.
 func TestBadInputsRejected(t *testing.T) {
@@ -497,7 +619,7 @@ func (s *Scheduler) refFirstFit(gang int) []slice {
 	if need > 0 {
 		return nil
 	}
-	return s.finishSlices()
+	return s.scratchSl
 }
 
 // refBestServer returns the live server with the smallest free block that
@@ -529,8 +651,8 @@ func (s *Scheduler) refPickVictim() int {
 			continue
 		}
 		movable := true
-		for _, id := range s.jobsOn[sv] {
-			if len(s.allocs[id].slices) != 1 {
+		for _, n := range s.jobsOn[sv] {
+			if len(s.slots[n].slices) != 1 {
 				movable = false
 				break
 			}
@@ -552,20 +674,29 @@ func fuzzTopo() Topology {
 // without running its process, and after every operation recomputes the
 // books from scratch and checks each indexed query against its linear
 // scan. The first byte picks the policy; after it, each byte is one
-// operation. Its low three bits pick place (0-2), complete (3), drain
-// (4), readmit (5), sweep (6) or retry the queue (7). For a placement
-// the high bits pick the gang (1-16) and shape; for a completion they
-// pick where to start looking for a placed job; drain and readmit take
+// operation. Its low three bits pick admit (0-2), end timer (3), drain
+// (4), readmit (5), sweep (6) or retry the queue (7). For an admission
+// the high bits pick the gang (1-16) and shape; for an end timer they
+// pick where to start looking for a slot whose timer is in flight, a
+// running job's below 16 and a killed job's tombstone from 16 up, and
+// its message is delivered through the mailbox; drain and readmit take
 // the next byte as the server. Jobs that do not fit queue, so sweeps see
-// a waiting queue too. Four serving replicas pin servers 0, 20, 40 and 60.
+// a waiting queue too. Four serving replicas pin servers 0, 20, 40 and
+// 60. The harness tracks every end timer in flight, as the engine would
+// deliver it, and requires its slot to still hold the job it was set
+// for: a recycled slot must never receive a stale timer.
 func FuzzPoolOps(f *testing.F) {
 	place := func(gang int) byte { return byte(gang-1) << 3 }
+	const staleTimer = 16<<3 | 3
 	rep := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 	// Seeds: drain a pinned server with jobs on it and readmit it; drain
 	// a server in the second bitset word and readmit it twice; fill the
 	// pinned servers' 7-free bucket and then the whole-server bucket to
-	// empty, complete and sweep; and a mixed program of multi-server
-	// gangs, drains, completions and sweeps under each policy.
+	// empty, complete and sweep; a mixed program of multi-server gangs,
+	// drains, completions and sweeps under each policy; and fill the pool,
+	// kill jobs by draining a server with no room left, complete one, admit
+	// new jobs into the recycled slots, then fire the killed jobs' stale
+	// end timers.
 	f.Add([]byte{1, place(7), place(1), 4, 0, 3, 5, 0, 6, place(8)})
 	f.Add(slices.Concat([]byte{0}, rep(70, place(8)), []byte{4, 70, 5, 70, 5, 70, 6}))
 	f.Add(slices.Concat([]byte{2}, rep(4, place(7)), rep(76, place(8)),
@@ -574,6 +705,8 @@ func FuzzPoolOps(f *testing.F) {
 		f.Add([]byte{pol, place(12), place(3), place(16), place(5), 4, 3,
 			place(2), 3, 6, 4, 66, place(9), 11, 6, 5, 3, 7, 5, 66, 6})
 	}
+	f.Add(slices.Concat([]byte{0}, rep(79, place(8)), []byte{place(4), 4, 70, 3,
+		place(8), place(1), staleTimer, place(2), staleTimer, 5, 70, place(8), 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The reference scans and the checker are linear in servers and
 		// jobs per step; cap the program so inputs stay fast to minimize.
@@ -599,9 +732,10 @@ func FuzzPoolOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The program brings its own jobs.
-		s.jobs, s.allocs = s.jobs[:0], s.allocs[:0]
-		servers := len(s.free)
+		// The program brings its own jobs; the workload's schedule is
+		// never drawn, since the scheduler process never runs.
+		timers := map[int]int{} // job ID → slot, per end timer in flight
+		servers, jobs := len(s.free), 0
 		for step := 1; step < len(data); step++ {
 			b := data[step]
 			arg := int(b >> 3)
@@ -615,20 +749,18 @@ func FuzzPoolOps(f *testing.F) {
 			}
 			switch op := b & 7; op {
 			case 0, 1, 2:
-				id := len(s.jobs)
-				j := Job{ID: id, Shape: Shape(arg >> 4), Gang: arg&15 + 1, Arrival: now, Lifetime: sim.Millisecond}
-				s.jobs = append(s.jobs, j)
-				s.allocs = append(s.allocs, alloc{})
-				if sl, scale, ok := s.placeJob(j); ok {
-					s.doPlace(now, id, sl, scale, true)
-				} else {
-					s.allocs[id].state = allocQueued
-					s.queue = append(s.queue, id)
-				}
+				s.admit(now, Job{ID: jobs, Shape: Shape(arg >> 4), Gang: arg&15 + 1, Arrival: now, Lifetime: sim.Millisecond})
+				jobs++
 			case 3:
-				for k := range s.allocs {
-					if id := (arg + k) % len(s.allocs); s.allocs[id].state == allocPlaced {
-						s.complete(id, now)
+				want := allocPlaced
+				if arg >= 16 {
+					want = allocKilled
+				}
+				for k := range s.slots {
+					if n := (arg + k) % len(s.slots); s.slots[n].state == want {
+						delete(timers, s.slots[n].job.ID)
+						s.post(msgDone, n)
+						s.drainMail(now)
 						break
 					}
 				}
@@ -644,11 +776,25 @@ func FuzzPoolOps(f *testing.F) {
 			if err := s.checkInvariants(); err != nil {
 				t.Fatalf("step %d (byte %d): %v", step, b, err)
 			}
+			for n := range s.slots {
+				a := &s.slots[n]
+				if _, ok := timers[a.job.ID]; !ok && a.state == allocPlaced {
+					timers[a.job.ID] = n // placed this step: its timer started
+				}
+			}
+			for id, n := range timers {
+				if a := &s.slots[n]; a.job.ID != id || (a.state != allocPlaced && a.state != allocKilled) {
+					t.Fatalf("step %d: slot %d, whose end timer for job %d is in flight, holds job %d in state %d",
+						step, n, id, a.job.ID, a.state)
+				}
+			}
 			for g := 1; g <= 2*s.topo.GPUsPerServer; g++ {
 				if got, want := s.bestServer(g), s.refBestServer(g); got != want {
 					t.Fatalf("step %d: bestServer(%d) = %d, linear scan %d", step, g, got, want)
 				}
-				if got, want := s.firstFit(g), s.refFirstFit(g); !slices.Equal(got, want) {
+				// Both return the scratch buffer, so keep a copy of the
+				// first before the second overwrites it.
+				if got, want := slices.Clone(s.firstFit(g)), s.refFirstFit(g); !slices.Equal(got, want) {
 					t.Fatalf("step %d: firstFit(%d) = %v, linear scan %v", step, g, got, want)
 				}
 			}

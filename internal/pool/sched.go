@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/compose"
 	"repro/internal/fabric"
@@ -35,9 +36,9 @@ const (
 
 // Stats is what a finished run reports.
 type Stats struct {
-	// Jobs is the generated batch job count; Placed ran, Blocked queued
-	// at least once before running, Killed could not be re-placed after
-	// their server drained.
+	// Jobs is the batch job count drawn from the schedule, final once
+	// env.Run drains; Placed ran, Blocked queued at least once before
+	// running, Killed could not be re-placed after their server drained.
 	Jobs    int
 	Placed  int
 	Blocked int
@@ -80,8 +81,8 @@ type Stats struct {
 type msgKind uint8
 
 const (
-	msgDone     msgKind = iota // arg = job id: lifetime expired
-	msgMigrated                // arg = job id: defrag copy finished
+	msgDone     msgKind = iota // arg = slot: lifetime expired
+	msgMigrated                // arg unused: a defrag copy finished
 	msgDrain                   // arg = server: control plane drains it
 	msgReadmit                 // arg = server: control plane readmits it
 )
@@ -91,18 +92,22 @@ type msg struct {
 	arg  int
 }
 
-// allocState is a job's lifecycle position.
+// allocState is a slot's lifecycle position. A killed job's slot is a
+// tombstone: it stays out of the free list until the job's end-timer
+// message is consumed, so that stale message can never complete the
+// slot's next job.
 type allocState uint8
 
 const (
-	allocPending allocState = iota
+	allocFree allocState = iota
 	allocQueued
 	allocPlaced
-	allocDone
 	allocKilled
 )
 
-// alloc is one batch job's placement record.
+// alloc is one batch job's placement record. slices is the slot's own
+// buffer: a placement copies the scratch slices into it, and a freed slot
+// keeps its capacity for the next job.
 type alloc struct {
 	state  allocState
 	slices []slice
@@ -114,6 +119,15 @@ type alloc struct {
 	effAcc   float64
 }
 
+// slot is one entry of the recycled slot table: a live job (running,
+// queued, or a killed job's tombstone) and its placement record. done is
+// the job's end-timer callback, bound once when the slot is created.
+type slot struct {
+	job Job
+	alloc
+	done func()
+}
+
 // Scheduler is the pool control loop: a single process owns every
 // placement decision; job-end and migration-copy callback events talk
 // back to it through the mailbox. It implements health.Pool, so the
@@ -123,8 +137,9 @@ type Scheduler struct {
 	env    *sim.Env
 	cfg    Config
 	topo   Topology
-	jobs   []Job
 	window sim.Duration
+	// arrivals is the batch schedule, drawn one job ahead.
+	arrivals jobStream
 	// batchGPUs is the capacity left for batch jobs after the serving
 	// reservation.
 	batchGPUs int
@@ -141,6 +156,9 @@ type Scheduler struct {
 	migCost [numShapes][5][4]sim.Duration
 
 	wake *sim.Signal
+	// migrated is the migration-copy callback, bound once: every copy
+	// posts the same argument-free message.
+	migrated func()
 
 	// Free-list state and run bookkeeping, owned by the scheduler
 	// process. freeHist[f] counts the live servers with exactly f free
@@ -156,11 +174,9 @@ type Scheduler struct {
 	totalFree        int
 	stranded         int
 	pinned           []int
-	allocs           []alloc
 	jobsOn           [][]int
 	queue            []int
 	mail             []msg
-	nextArrival      int
 	runningJobs      int
 	sweepOutstanding int
 	defragBusy       bool
@@ -178,6 +194,12 @@ type Scheduler struct {
 	// degraded counter.
 	live []bool
 
+	// slots is the slot table and freeSlots its free list. Queue
+	// entries, jobsOn lists and end-timer messages carry slot numbers,
+	// so the table grows with the live jobs, not with the schedule.
+	slots     []slot
+	freeSlots []int
+
 	// scratch buffers reused across placements and sweeps.
 	scratchSl    []slice
 	scratchKeys  []int
@@ -186,10 +208,10 @@ type Scheduler struct {
 	planFree     []int
 }
 
-// Start builds the pool, reserves the serving slice, generates the batch
-// schedule, and spawns the scheduler. The run completes when env.Run
-// drains: every generated job has then completed (or been killed) and
-// Stats is final.
+// Start builds the pool, reserves the serving slice, validates the batch
+// workload, and spawns the scheduler, which draws the schedule as it
+// runs. The run completes when env.Run drains: every job has then been
+// drawn and completed (or killed), and Stats is final.
 func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 	if err := cfg.Topo.Validate(); err != nil {
 		return nil, err
@@ -218,6 +240,13 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 		live:      make([]bool, servers),
 	}
 	s.byFree, s.avail = newBitsets(topo.GPUsPerServer+1, servers)
+	// Every job a server lists holds at least one of its GPUs, so each
+	// list is carved from one backing array at that length.
+	per := topo.GPUsPerServer
+	onBacking := make([]int, servers*per)
+	for sv := range s.jobsOn {
+		s.jobsOn[sv] = onBacking[sv*per : sv*per : (sv+1)*per]
+	}
 	for sv := range s.free {
 		s.free[sv] = topo.GPUsPerServer
 		s.live[sv] = true
@@ -247,14 +276,21 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 	if err := s.reserveServing(); err != nil {
 		return nil, err
 	}
-	jobs, err := GenerateJobs(cfg.Workload, s.batchGPUs)
+	arrivals, err := newJobStream(cfg.Workload, s.batchGPUs)
 	if err != nil {
 		return nil, err
 	}
-	s.jobs = jobs
-	s.allocs = make([]alloc, len(jobs))
+	s.arrivals = arrivals
+	// Size the slot table once for the live jobs of a full batch
+	// capacity: the running count is Poisson about batchGPUs/gangMean
+	// jobs, so four standard deviations of headroom cover its peak; only
+	// a deep queue grows the table.
+	mean := float64(s.batchGPUs) / gangMean()
+	live := int(mean+4*math.Sqrt(mean)) + 1
+	s.slots = make([]slot, 0, live)
+	s.freeSlots = make([]int, 0, live)
 	s.mail = make([]msg, 0, 256)
-	s.stats.Jobs = len(jobs)
+	s.migrated = func() { s.post(msgMigrated, 0) }
 
 	s.wake = sim.NewSignal(env)
 	env.Spawn("pool-sched", s.run)
@@ -329,8 +365,8 @@ func (s *Scheduler) run(p *sim.Proc) {
 		if s.finished(now) {
 			return
 		}
-		if s.nextArrival < len(s.jobs) {
-			if err := s.wake.WaitTimeout(p, s.jobs[s.nextArrival].Arrival.Sub(now)); err != nil {
+		if s.arrivals.more {
+			if err := s.wake.WaitTimeout(p, s.arrivals.next.Arrival.Sub(now)); err != nil {
 				continue // the arrival tick; mailbox wake-ups return nil
 			}
 		} else {
@@ -342,15 +378,16 @@ func (s *Scheduler) run(p *sim.Proc) {
 // finished reports (and finalizes) run completion: nothing left to
 // arrive, run, copy, or place.
 func (s *Scheduler) finished(now sim.Time) bool {
-	if s.nextArrival < len(s.jobs) || s.runningJobs > 0 ||
+	if s.arrivals.more || s.runningJobs > 0 ||
 		s.sweepOutstanding > 0 || len(s.mail) > 0 {
 		return false
 	}
 	if len(s.queue) > 0 {
 		// No capacity will ever free up again; the remainder is
 		// unplaceable (drained servers shrank the pool below its needs).
-		for _, id := range s.queue {
-			s.allocs[id].state = allocKilled
+		// A queued job has no end timer, so its slot frees at once.
+		for _, n := range s.queue {
+			s.freeSlot(n)
 			s.stats.Killed++
 		}
 		s.queue = s.queue[:0]
@@ -440,17 +477,46 @@ func (s *Scheduler) capEff(sv int) int { return s.topo.GPUsPerServer - s.pinned[
 
 // admitArrivals places (or queues) every job whose arrival time has come.
 func (s *Scheduler) admitArrivals(now sim.Time) {
-	for s.nextArrival < len(s.jobs) && s.jobs[s.nextArrival].Arrival.Sub(now) <= 0 {
-		id := s.nextArrival
-		s.nextArrival++
-		if sl, scale, ok := s.placeJob(s.jobs[id]); ok {
-			s.doPlace(now, id, sl, scale, true)
-			continue
-		}
-		s.allocs[id].state = allocQueued
-		s.queue = append(s.queue, id)
-		s.stats.Blocked++
+	for s.arrivals.more && s.arrivals.next.Arrival.Sub(now) <= 0 {
+		s.admit(now, s.arrivals.pop())
 	}
+}
+
+// admit gives an arriving job a slot, then places or queues it.
+func (s *Scheduler) admit(now sim.Time, j Job) {
+	n := s.newSlot(j)
+	s.stats.Jobs++
+	if sl, scale, ok := s.placeJob(j); ok {
+		s.doPlace(now, n, sl, scale, true)
+		return
+	}
+	s.slots[n].state = allocQueued
+	s.queue = append(s.queue, n)
+	s.stats.Blocked++
+}
+
+// newSlot takes a slot off the free list, or appends one with its
+// end-timer callback bound, and gives it to j.
+func (s *Scheduler) newSlot(j Job) int {
+	var n int
+	if k := len(s.freeSlots); k > 0 {
+		n = s.freeSlots[k-1]
+		s.freeSlots = s.freeSlots[:k-1]
+	} else {
+		n = len(s.slots)
+		s.slots = append(s.slots, slot{})
+		s.slots[n].done = func() { s.post(msgDone, n) }
+	}
+	s.slots[n].job = j
+	return n
+}
+
+// freeSlot returns a slot to the free list, keeping its slice buffer and
+// its callback for the next job.
+func (s *Scheduler) freeSlot(n int) {
+	sl := &s.slots[n]
+	sl.alloc = alloc{slices: sl.slices[:0]}
+	s.freeSlots = append(s.freeSlots, n)
 }
 
 // tryQueue re-attempts every queued job in arrival order, keeping the
@@ -460,29 +526,29 @@ func (s *Scheduler) tryQueue(now sim.Time) {
 		return
 	}
 	w := 0
-	for _, id := range s.queue {
-		if sl, scale, ok := s.placeJob(s.jobs[id]); ok {
-			s.doPlace(now, id, sl, scale, true)
+	for _, n := range s.queue {
+		if sl, scale, ok := s.placeJob(s.slots[n].job); ok {
+			s.doPlace(now, n, sl, scale, true)
 			continue
 		}
-		s.queue[w] = id
+		s.queue[w] = n
 		w++
 	}
 	s.queue = s.queue[:w]
 }
 
-// doPlace commits a placement. Initial placements start the job's
-// lifetime clock; re-placements (drain recovery) keep the original end
-// time.
-func (s *Scheduler) doPlace(now sim.Time, id int, sl []slice, scale fabric.Scale, initial bool) {
-	a := &s.allocs[id]
-	j := s.jobs[id]
+// doPlace commits slot n's placement, copying sl into the slot's own
+// buffer. Initial placements start the job's lifetime clock;
+// re-placements (drain recovery) keep the original end time.
+func (s *Scheduler) doPlace(now sim.Time, n int, sl []slice, scale fabric.Scale, initial bool) {
+	a := &s.slots[n]
+	j := a.job
 	for _, x := range sl {
 		s.claim(x.server, x.gpus)
-		s.jobsOn[x.server] = append(s.jobsOn[x.server], id)
+		s.jobsOn[x.server] = append(s.jobsOn[x.server], n)
 	}
 	a.state = allocPlaced
-	a.slices = sl
+	a.slices = append(a.slices[:0], sl...)
 	a.scale = scale
 	a.eff = s.eff[j.Shape][scale]
 	a.segStart = now
@@ -499,7 +565,7 @@ func (s *Scheduler) doPlace(now sim.Time, id int, sl []slice, scale fabric.Scale
 	if lat > s.stats.PlaceLatencyMax {
 		s.stats.PlaceLatencyMax = lat
 	}
-	s.env.After(j.Lifetime, func() { s.post(msgDone, id) })
+	s.env.After(j.Lifetime, a.done)
 }
 
 // clipSpan returns the seconds of [from, to] inside the window.
@@ -543,29 +609,28 @@ func (s *Scheduler) drainMail(now sim.Time) {
 	s.mail = s.mail[:0]
 }
 
-// complete retires a job whose lifetime expired.
-func (s *Scheduler) complete(id int, now sim.Time) {
-	a := &s.allocs[id]
-	if a.state != allocPlaced {
-		return // killed while its end timer was in flight
+// complete consumes slot n's end-timer message: it retires the job
+// whose lifetime expired, or frees the tombstone of one killed while the
+// timer was in flight.
+func (s *Scheduler) complete(n int, now sim.Time) {
+	a := &s.slots[n]
+	if a.state == allocPlaced {
+		s.closeSegment(&a.alloc, a.job.Gang, now)
+		for _, x := range a.slices {
+			s.removeJobFrom(x.server, n)
+			s.unclaim(x.server, x.gpus)
+		}
+		s.runningJobs--
+		s.effGPUSec += a.effAcc
 	}
-	j := s.jobs[id]
-	s.closeSegment(a, j.Gang, now)
-	for _, x := range a.slices {
-		s.removeJobFrom(x.server, id)
-		s.unclaim(x.server, x.gpus)
-	}
-	a.slices = nil
-	a.state = allocDone
-	s.runningJobs--
-	s.effGPUSec += a.effAcc
+	s.freeSlot(n)
 }
 
-// removeJobFrom drops id from a server's job list, preserving order.
-func (s *Scheduler) removeJobFrom(sv, id int) {
+// removeJobFrom drops slot n from a server's job list, preserving order.
+func (s *Scheduler) removeJobFrom(sv, n int) {
 	l := s.jobsOn[sv]
 	for i, x := range l {
-		if x == id {
+		if x == n {
 			copy(l[i:], l[i+1:])
 			s.jobsOn[sv] = l[:len(l)-1]
 			return
@@ -592,29 +657,30 @@ func (s *Scheduler) drainServer(v int, now sim.Time) {
 	s.free[v] = 0
 
 	victims := append(s.scratchJobs[:0], s.jobsOn[v]...)
-	for _, id := range victims {
-		a := &s.allocs[id]
+	for _, n := range victims {
+		a := &s.slots[n]
 		if a.state != allocPlaced {
 			continue
 		}
-		j := s.jobs[id]
-		s.closeSegment(a, j.Gang, now)
+		j := a.job
+		s.closeSegment(&a.alloc, j.Gang, now)
 		for _, x := range a.slices {
-			s.removeJobFrom(x.server, id)
+			s.removeJobFrom(x.server, n)
 			if x.server != v {
 				s.unclaim(x.server, x.gpus)
 			}
 		}
-		a.slices = nil
+		a.slices = a.slices[:0]
 		sl, scale, ok := s.placeJob(j)
 		if !ok {
+			// The slot stays a tombstone until the job's end timer fires.
 			a.state = allocKilled
 			s.runningJobs--
 			s.stats.Killed++
 			s.effGPUSec += a.effAcc
 			continue
 		}
-		s.doPlace(now, id, sl, scale, false)
+		s.doPlace(now, n, sl, scale, false)
 		// The job resumes only after its state replays onto the new
 		// spread; the gap costs goodput, the payload costs the fabric.
 		cost := migratePenalty + s.replayCost(j, scale)

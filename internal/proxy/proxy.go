@@ -119,10 +119,6 @@ type Result struct {
 	Iters int
 	// LoopTime is the measured wall time of the main compute loop.
 	LoopTime sim.Duration
-	// CorrectedTime is Equation 1 applied to LoopTime: the direct injected
-	// delay (CallsPerIteration × Iters × Slack on each thread's serial
-	// path) removed, leaving only starvation effects.
-	CorrectedTime sim.Duration
 	// DelayedCalls counts slack-delayed API calls across all threads.
 	DelayedCalls int64
 	// Trace is the recording, when Config.Record was set.
@@ -250,11 +246,6 @@ func Run(cfg Config) (Result, error) {
 		res.Trace = rec.Trace()
 	}
 	res.DelayedCalls = inj.DelayedCalls()
-
-	// Equation 1: remove the direct injected delay from the measured
-	// runtime. Threads run concurrently, so the serial path carries
-	// CallsPerIteration×Iters delays (per thread), not the total count.
-	res.CorrectedTime = slack.NoSlackTime(res.LoopTime, CallsPerIteration*int64(res.Iters), cfg.Slack)
 	return res, nil
 }
 

@@ -101,13 +101,20 @@ func TestKernelTimeGrowsWithSize(t *testing.T) {
 	}
 }
 
+// noSlackTime is Equation 1 applied to a run's loop time: the direct
+// injected delay removed. Threads run concurrently, so each thread's
+// serial path carries CallsPerIteration × Iters delays, not the total.
+func noSlackTime(r Result) sim.Duration {
+	return slack.NoSlackTime(r.LoopTime, CallsPerIteration*int64(r.Iters), r.Slack)
+}
+
 func TestZeroSlackCorrectionIsIdentity(t *testing.T) {
 	r, err := Run(Config{MatrixSize: 1 << 11, Iters: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.CorrectedTime != r.LoopTime {
-		t.Errorf("corrected %v != loop %v at zero slack", r.CorrectedTime, r.LoopTime)
+	if c := noSlackTime(r); c != r.LoopTime {
+		t.Errorf("corrected %v != loop %v at zero slack", c, r.LoopTime)
 	}
 	if r.DelayedCalls != 0 {
 		t.Errorf("delayed calls = %d at zero slack", r.DelayedCalls)
@@ -137,7 +144,7 @@ func TestEquationOneRemovesDirectDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := sim.Duration(CallsPerIteration*10) * 10 * sim.Microsecond
-	if got := r.LoopTime - r.CorrectedTime; math.Abs(float64(got-direct)) > 1e-12 {
+	if got := r.LoopTime - noSlackTime(r); math.Abs(float64(got-direct)) > 1e-12 {
 		t.Errorf("correction removed %v, want %v", got, direct)
 	}
 	if p := Penalty(base, r); p < 0 || p > 0.01 {
@@ -160,7 +167,7 @@ func TestPenaltyClampsMultiThreadOvershoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signed := float64(r.CorrectedTime)/float64(base.LoopTime) - 1
+	signed := float64(noSlackTime(r))/float64(base.LoopTime) - 1
 	if signed >= 0 || signed < -0.01 {
 		t.Fatalf("signed penalty = %v, want about -0.0042", signed)
 	}
@@ -333,7 +340,7 @@ func TestDeterministicRuns(t *testing.T) {
 		return r
 	}
 	a, b := run(), run()
-	if a.LoopTime != b.LoopTime || a.CorrectedTime != b.CorrectedTime || a.KernelTime != b.KernelTime {
+	if a.LoopTime != b.LoopTime || noSlackTime(a) != noSlackTime(b) || a.KernelTime != b.KernelTime {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
@@ -374,7 +381,7 @@ func TestIterSpacingNoCorrelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.CorrectedTime - base.LoopTime
+		return noSlackTime(r) - base.LoopTime
 	}
 	e0 := extra(0)
 	e1 := extra(2 * sim.Millisecond)
