@@ -11,6 +11,9 @@ package cuda
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/gpu"
 	"repro/internal/sim"
@@ -106,16 +109,6 @@ type Context struct {
 	interposers  []Interposer
 	defaultStrm  *gpu.Stream
 
-	// launchNames caches the "cudaLaunchKernel:<name>" /
-	// "cudaLaunchKernelSync:<name>" CallInfo strings: kernel names come
-	// from a small fixed set per workload, and rebuilding the
-	// concatenation on every launch is a per-iteration allocation on the
-	// hottest path in the module. Interposers (slack.WithSymbols) key on
-	// these exact strings, so the cached values must match what the
-	// concatenation produced.
-	launchNames     map[string]string
-	launchSyncNames map[string]string
-
 	// eventSlab batch-allocates Events: the proxy records one per timed
 	// iteration, and callers keep the pointers, so events are handed out
 	// in chunks and never recycled.
@@ -133,14 +126,44 @@ func (c *Context) newEvent(op *gpu.Op) *Event {
 	return e
 }
 
-// launchName returns prefix+kernel, cached in m.
-func launchName(m map[string]string, prefix, kernel string) string {
-	if s, ok := m[kernel]; ok {
-		return s
+// launchLabel is a kernel's pair of launch CallInfo names.
+type launchLabel struct {
+	async, sync string
+}
+
+// launchLabels caches, for the whole process, the
+// "cudaLaunchKernel:<name>" / "cudaLaunchKernelSync:<name>" CallInfo
+// names by kernel name: kernel names come from a small fixed set, and
+// building the concatenation on every launch, or once per Context, is an
+// allocation on the hottest path in the module. Interposers
+// (slack.WithSymbols) key on these exact strings. Readers load the map
+// without locking; a new name copies it under labelsMu, so contexts on
+// parallel workers share one cache safely.
+var (
+	launchLabels atomic.Pointer[map[string]launchLabel]
+	labelsMu     sync.Mutex
+)
+
+// labelsFor returns kernel's launch names.
+func labelsFor(kernel string) launchLabel {
+	if m := launchLabels.Load(); m != nil {
+		if l, ok := (*m)[kernel]; ok {
+			return l
+		}
 	}
-	s := prefix + kernel
-	m[kernel] = s
-	return s
+	labelsMu.Lock()
+	defer labelsMu.Unlock()
+	m := map[string]launchLabel{}
+	if old := launchLabels.Load(); old != nil {
+		if l, ok := (*old)[kernel]; ok {
+			return l
+		}
+		maps.Copy(m, *old)
+	}
+	l := launchLabel{async: "cudaLaunchKernel:" + kernel, sync: "cudaLaunchKernelSync:" + kernel}
+	m[kernel] = l
+	launchLabels.Store(&m)
+	return l
 }
 
 // ErrInvalidValue mirrors cudaErrorInvalidValue for size/pointer misuse.
@@ -160,12 +183,7 @@ func NewContext(dev *gpu.Device, cfg Config) *Context {
 	if ov < 0 {
 		ov = 0
 	}
-	return &Context{
-		dev:             dev,
-		callOverhead:    ov,
-		launchNames:     map[string]string{},
-		launchSyncNames: map[string]string{},
-	}
+	return &Context{dev: dev, callOverhead: ov}
 }
 
 // Interpose registers an interposer; registration order is Before order
@@ -288,7 +306,7 @@ func (c *Context) memcpy(p *sim.Proc, name string, class CallClass, dir gpu.Dire
 // a caller waits for it with StreamSynchronize, DeviceSynchronize or an
 // event recorded after it.
 func (c *Context) Launch(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) {
-	c.call(p, CallInfo{Name: launchName(c.launchNames, "cudaLaunchKernel:", k.Name), Class: ClassLaunch}, func() {
+	c.call(p, CallInfo{Name: labelsFor(k.Name).async, Class: ClassLaunch}, func() {
 		if s == nil {
 			s = c.defaultStream()
 		}
@@ -307,7 +325,7 @@ func (c *Context) Launch(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) {
 // paper's proxy uses "to capture the pessimistic case": no host/device
 // overlap hides injected slack.
 func (c *Context) LaunchSync(p *sim.Proc, k gpu.Kernel, s *gpu.Stream) {
-	c.call(p, CallInfo{Name: launchName(c.launchSyncNames, "cudaLaunchKernelSync:", k.Name), Class: ClassLaunch}, func() {
+	c.call(p, CallInfo{Name: labelsFor(k.Name).sync, Class: ClassLaunch}, func() {
 		if s == nil {
 			s = c.defaultStream()
 		}

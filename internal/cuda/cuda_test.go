@@ -3,6 +3,8 @@ package cuda
 import (
 	"errors"
 	"math"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/gpu"
@@ -347,5 +349,50 @@ func TestWarmCallsAllocateNothing(t *testing.T) {
 	}
 	if len(allocs) != 3 {
 		t.Errorf("measured %d calls, want 3", len(allocs))
+	}
+}
+
+// Contexts on parallel workers share the process-wide launch-label cache:
+// each worker launches one kernel name the others also launch and one of
+// its own, and every label is the plain concatenation. Run it with -race.
+func TestLaunchLabelsSharedAcrossWorkers(t *testing.T) {
+	const workers = 4
+	var wg sync.WaitGroup
+	logs := make([]recorder, workers)
+	for w := range logs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := sim.NewEnv()
+			defer env.Close()
+			dev, err := gpu.NewDevice(env, testSpec())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ctx := NewContext(dev, Config{CallOverhead: -1})
+			ctx.Interpose(&logs[w])
+			own := gpu.Fixed("own"+strconv.Itoa(w), sim.Microsecond)
+			shared := gpu.Fixed("shared", sim.Microsecond)
+			env.Spawn("host", func(p *sim.Proc) {
+				for i := 0; i < 50; i++ {
+					ctx.Launch(p, shared, nil)
+					ctx.LaunchSync(p, own, nil)
+				}
+			})
+			env.Run()
+		}()
+	}
+	wg.Wait()
+	for w, l := range logs {
+		want := []string{"cudaLaunchKernel:shared", "cudaLaunchKernelSync:own" + strconv.Itoa(w)}
+		if len(l.after) != 100 {
+			t.Fatalf("worker %d recorded %d calls, want 100", w, len(l.after))
+		}
+		for i, c := range l.after {
+			if c.Name != want[i%2] {
+				t.Fatalf("worker %d call %d named %q, want %q", w, i, c.Name, want[i%2])
+			}
+		}
 	}
 }

@@ -149,23 +149,6 @@ func (w Workload) validate() error {
 	return nil
 }
 
-// GenerateJobs draws the deterministic job schedule for a pool of
-// totalGPUs devices: a warm-start cohort at t=0 sized to the target load,
-// then (at nonzero intensity) open-loop Poisson arrivals across the
-// window with exponential lifetimes. It collects the same stream the
-// scheduler draws from one job at a time.
-func GenerateJobs(w Workload, totalGPUs int) ([]Job, error) {
-	js, err := newJobStream(w, totalGPUs)
-	if err != nil {
-		return nil, err
-	}
-	var jobs []Job
-	for js.more {
-		jobs = append(jobs, js.pop())
-	}
-	return jobs, nil
-}
-
 // jobStream is the job schedule drawn lazily, one job of lookahead at a
 // time. Arrival gaps, lifetimes, gang sizes, and shapes come from
 // independent salted PCG substreams, so the schedule is byte-identical

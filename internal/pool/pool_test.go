@@ -68,17 +68,31 @@ func TestFragEdgeCases(t *testing.T) {
 	}
 }
 
+// generateJobs draws the whole job schedule for a pool of totalGPUs
+// devices from the stream the scheduler pops one job at a time.
+func generateJobs(w Workload, totalGPUs int) ([]Job, error) {
+	js, err := newJobStream(w, totalGPUs)
+	if err != nil {
+		return nil, err
+	}
+	var jobs []Job
+	for js.more {
+		jobs = append(jobs, js.pop())
+	}
+	return jobs, nil
+}
+
 // TestGenerateJobs checks the schedule generator: deterministic across
 // calls, warm cohort covering the load target, arrivals inside the
 // window, and the zero-intensity arm frozen (no arrivals, lifetimes past
 // the window).
 func TestGenerateJobs(t *testing.T) {
 	w := Workload{Seed: 1, Window: 100 * sim.Millisecond, Load: 0.75, Intensity: 1}
-	a, err := GenerateJobs(w, 1024)
+	a, err := generateJobs(w, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := GenerateJobs(w, 1024)
+	b, _ := generateJobs(w, 1024)
 	if len(a) != len(b) {
 		t.Fatalf("generator not deterministic: %d vs %d jobs", len(a), len(b))
 	}
@@ -103,7 +117,7 @@ func TestGenerateJobs(t *testing.T) {
 		t.Fatalf("warm cohort covers %d GPUs, want >= 768", covered)
 	}
 
-	frozen, err := GenerateJobs(Workload{Seed: 1, Window: 100 * sim.Millisecond, Load: 0.5}, 1024)
+	frozen, err := generateJobs(Workload{Seed: 1, Window: 100 * sim.Millisecond, Load: 0.5}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,6 +130,10 @@ type Resilient struct {
 	// netTime sums every network crossing (see MeanCallDelay); it is not
 	// in Stats, whose printed form the serving goldens pin.
 	netTime sim.Duration
+
+	// attempts lists, through attemptState.next, the attempt states that
+	// no host or server process holds any more.
+	attempts *attemptState
 }
 
 // NewResilient builds the transport with a primary server, cfg.Standbys
@@ -251,6 +255,18 @@ func (r *Resilient) deadline(reqBytes, respBytes int64) sim.Duration {
 	return sim.Duration(float64(rtt)*(1+r.cfg.NoiseFraction)) + r.pol.CallTimeout
 }
 
+// callKind selects the body a call runs on its executor.
+type callKind uint8
+
+const (
+	callMalloc callKind = iota
+	callFree
+	callH2D
+	callD2H
+	callLaunch
+	callSync
+)
+
 // callSpec describes one API call to the retry machinery.
 type callSpec struct {
 	// srv names the per-attempt server process. It is a constant per call
@@ -260,7 +276,40 @@ type callSpec struct {
 	// dedup marks calls that must not execute twice (malloc/free): a
 	// retry replays the recorded result instead of re-running exec.
 	dedup bool
-	exec  func(sp *sim.Proc, ep *endpoint) execResult
+	kind  callKind
+	// h, n and k are the call's arguments, as its kind uses them: the
+	// virtual handle, the byte count and the kernel.
+	h gpu.Ptr
+	n int64
+	k gpu.Kernel
+}
+
+// exec runs the call's body on ep.
+func (cs *callSpec) exec(sp *sim.Proc, ep *endpoint) execResult {
+	switch cs.kind {
+	case callMalloc:
+		ptr, err := ep.ctx.Malloc(sp, cs.n)
+		if err == nil {
+			ep.phys[cs.h] = ptr
+		}
+		return execResult{ptr: ptr, err: err}
+	case callFree:
+		ptr, ok := ep.phys[cs.h]
+		if !ok {
+			return execResult{err: fmt.Errorf("%w: unknown handle %d", cuda.ErrInvalidValue, cs.h)}
+		}
+		delete(ep.phys, cs.h)
+		return execResult{err: ep.ctx.Free(sp, ptr)}
+	case callH2D:
+		return execResult{err: ep.ctx.MemcpyH2D(sp, ep.phys[cs.h], cs.n)}
+	case callD2H:
+		return execResult{err: ep.ctx.MemcpyD2H(sp, ep.phys[cs.h], cs.n)}
+	case callLaunch:
+		ep.ctx.LaunchSync(sp, cs.k, nil)
+	case callSync:
+		ep.ctx.DeviceSynchronize(sp)
+	}
+	return execResult{}
 }
 
 // call drives one API call through deadlines, retries, the breaker, and
@@ -323,7 +372,7 @@ func (r *Resilient) call(p *sim.Proc, cs callSpec) (execResult, error) {
 // attempt plays one request/response exchange: the request crosses the
 // fabric (unless the link is down or the packet is lost), a server
 // process executes the body after any stall, and the response crosses
-// back. The host waits on a per-attempt signal with a deadline — the
+// back. The host waits on the attempt's signal with a deadline — the
 // sim.Signal.WaitTimeout the whole transport is built on. A response that
 // arrives after the deadline fires into an abandoned signal, which is a
 // no-op; the dedup cache keeps such orphaned executions idempotent.
@@ -336,50 +385,114 @@ func (r *Resilient) attempt(p *sim.Proc, ep *endpoint, reqID uint64, cs callSpec
 	if !lost && r.inj.DropsMessage() {
 		lost = true // request lost in transit
 	}
-	done := sim.NewSignal(r.env)
-	var res execResult
+	a := r.newAttempt()
 	if !lost {
-		reqTransfer := r.transfer(cs.reqBytes, r.inj.BandwidthFactor(now))
-		r.env.Spawn(cs.srv, func(sp *sim.Proc) {
-			sp.Sleep(reqTransfer)
-			if ep.srv != nil {
-				switch state, until := ep.srv.StateAt(sp.Now()); state {
-				case faults.Crashed:
-					ep.dev.MarkLost() // device-lost error surface
-					return            // no response, ever
-				case faults.Stalled:
-					sp.Sleep(until.Sub(sp.Now()))
-				}
-			}
-			if r.cfg.ServerOverhead > 0 {
-				sp.Sleep(r.cfg.ServerOverhead)
-			}
-			out, seen := ep.done[reqID]
-			if !seen {
-				out = cs.exec(sp, ep)
-				if cs.dedup {
-					ep.done[reqID] = out
-				}
-			}
-			respLost := false
-			if down, _ := r.inj.LinkDown(sp.Now()); down {
-				respLost = true
-			}
-			if !respLost && r.inj.DropsMessage() {
-				respLost = true
-			}
-			sp.Sleep(r.transfer(cs.respBytes, r.inj.BandwidthFactor(sp.Now())))
-			if respLost {
-				return
-			}
-			res = out
-			done.Fire()
-		})
+		a.ep, a.reqID, a.cs = ep, reqID, cs
+		a.reqTransfer = r.transfer(cs.reqBytes, r.inj.BandwidthFactor(now))
+		a.refs++
+		r.env.Spawn(cs.srv, a.body)
 	}
-	if err := done.WaitTimeout(p, r.deadline(cs.reqBytes, cs.respBytes)); err != nil {
+	err := a.done.WaitTimeout(p, r.deadline(cs.reqBytes, cs.respBytes))
+	res := a.res
+	r.release(a)
+	if err != nil {
 		return execResult{}, false
 	}
 	return res, true
+}
+
+// attemptState is what one attempt's host and server process share: the
+// signal the host waits on, the response, and the request the server
+// runs. States are recycled, and each counts its holders (the host, and
+// the server process if the request left the host). A state goes back to
+// the free list only when both have let go, so a server that outlives
+// its host's deadline fires into a state no later attempt owns.
+type attemptState struct {
+	r           *Resilient
+	done        sim.Signal
+	res         execResult
+	ep          *endpoint
+	reqID       uint64
+	cs          callSpec
+	reqTransfer sim.Duration
+	body        func(*sim.Proc) // serve, bound once per state
+	refs        int
+	next        *attemptState // the next free state on Resilient.attempts
+}
+
+// newAttempt returns a state held by the calling host alone.
+func (r *Resilient) newAttempt() *attemptState {
+	a := r.attempts
+	if a != nil {
+		r.attempts = a.next
+	} else {
+		a = &attemptState{r: r}
+		a.done.Bind(r.env)
+		a.body = a.serve
+	}
+	a.refs = 1
+	return a
+}
+
+// release lets go of one holder's reference to a, and recycles a once
+// neither the host nor the server holds it.
+func (r *Resilient) release(a *attemptState) {
+	a.refs--
+	if a.refs > 0 {
+		return
+	}
+	a.res, a.ep, a.cs = execResult{}, nil, callSpec{}
+	a.next, r.attempts = r.attempts, a
+}
+
+// serve is an attempt's server process: it answers the request, wakes the
+// host if the response gets through, and lets go of the state.
+func (a *attemptState) serve(sp *sim.Proc) {
+	if a.respond(sp) {
+		a.done.Fire()
+	}
+	a.r.release(a)
+}
+
+// respond plays the server side of an attempt: the request's transfer,
+// any stall, the server overhead, the body (or its recorded result) and
+// the response's transfer. It reports whether the response reaches the
+// host, and records it in a.res if so.
+func (a *attemptState) respond(sp *sim.Proc) bool {
+	r, ep := a.r, a.ep
+	sp.Sleep(a.reqTransfer)
+	if ep.srv != nil {
+		switch state, until := ep.srv.StateAt(sp.Now()); state {
+		case faults.Crashed:
+			ep.dev.MarkLost() // device-lost error surface
+			return false      // no response, ever
+		case faults.Stalled:
+			sp.Sleep(until.Sub(sp.Now()))
+		}
+	}
+	if r.cfg.ServerOverhead > 0 {
+		sp.Sleep(r.cfg.ServerOverhead)
+	}
+	out, seen := ep.done[a.reqID]
+	if !seen {
+		out = a.cs.exec(sp, ep)
+		if a.cs.dedup {
+			ep.done[a.reqID] = out
+		}
+	}
+	respLost := false
+	if down, _ := r.inj.LinkDown(sp.Now()); down {
+		respLost = true
+	}
+	if !respLost && r.inj.DropsMessage() {
+		respLost = true
+	}
+	sp.Sleep(r.transfer(a.cs.respBytes, r.inj.BandwidthFactor(sp.Now())))
+	if respLost {
+		return false
+	}
+	a.res = out
+	return true
 }
 
 // failover abandons the active server (marking its device lost), picks
@@ -526,13 +639,7 @@ func (r *Resilient) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) {
 	h := r.nextHandle
 	res, err := r.call(p, callSpec{
 		srv: "rsrv-malloc", reqBytes: 64, respBytes: 64, dedup: true,
-		exec: func(sp *sim.Proc, ep *endpoint) execResult {
-			ptr, err := ep.ctx.Malloc(sp, n)
-			if err == nil {
-				ep.phys[h] = ptr
-			}
-			return execResult{ptr: ptr, err: err}
-		},
+		kind: callMalloc, h: h, n: n,
 	})
 	if err != nil {
 		return 0, err
@@ -549,14 +656,7 @@ func (r *Resilient) Malloc(p *sim.Proc, n int64) (gpu.Ptr, error) {
 func (r *Resilient) Free(p *sim.Proc, h gpu.Ptr) error {
 	res, err := r.call(p, callSpec{
 		srv: "rsrv-free", reqBytes: 64, respBytes: 64, dedup: true,
-		exec: func(sp *sim.Proc, ep *endpoint) execResult {
-			ptr, ok := ep.phys[h]
-			if !ok {
-				return execResult{err: fmt.Errorf("%w: unknown handle %d", cuda.ErrInvalidValue, h)}
-			}
-			delete(ep.phys, h)
-			return execResult{err: ep.ctx.Free(sp, ptr)}
-		},
+		kind: callFree, h: h,
 	})
 	if err != nil {
 		return err
@@ -573,9 +673,7 @@ func (r *Resilient) Free(p *sim.Proc, h gpu.Ptr) error {
 func (r *Resilient) MemcpyH2D(p *sim.Proc, h gpu.Ptr, n int64) error {
 	res, err := r.call(p, callSpec{
 		srv: "rsrv-h2d", reqBytes: 64 + n, respBytes: 64,
-		exec: func(sp *sim.Proc, ep *endpoint) execResult {
-			return execResult{err: ep.ctx.MemcpyH2D(sp, ep.phys[h], n)}
-		},
+		kind: callH2D, h: h, n: n,
 	})
 	if err != nil {
 		return err
@@ -588,9 +686,7 @@ func (r *Resilient) MemcpyH2D(p *sim.Proc, h gpu.Ptr, n int64) error {
 func (r *Resilient) MemcpyD2H(p *sim.Proc, h gpu.Ptr, n int64) error {
 	res, err := r.call(p, callSpec{
 		srv: "rsrv-d2h", reqBytes: 64, respBytes: 64 + n,
-		exec: func(sp *sim.Proc, ep *endpoint) execResult {
-			return execResult{err: ep.ctx.MemcpyD2H(sp, ep.phys[h], n)}
-		},
+		kind: callD2H, h: h, n: n,
 	})
 	if err != nil {
 		return err
@@ -603,10 +699,7 @@ func (r *Resilient) MemcpyD2H(p *sim.Proc, h gpu.Ptr, n int64) error {
 func (r *Resilient) LaunchSync(p *sim.Proc, k gpu.Kernel) error {
 	_, err := r.call(p, callSpec{
 		srv: "rsrv-launch", reqBytes: 256, respBytes: 64,
-		exec: func(sp *sim.Proc, ep *endpoint) execResult {
-			ep.ctx.LaunchSync(sp, k, nil)
-			return execResult{}
-		},
+		kind: callLaunch, k: k,
 	})
 	return err
 }
@@ -615,10 +708,7 @@ func (r *Resilient) LaunchSync(p *sim.Proc, k gpu.Kernel) error {
 func (r *Resilient) DeviceSynchronize(p *sim.Proc) error {
 	_, err := r.call(p, callSpec{
 		srv: "rsrv-sync", reqBytes: 64, respBytes: 64,
-		exec: func(sp *sim.Proc, ep *endpoint) execResult {
-			ep.ctx.DeviceSynchronize(sp)
-			return execResult{}
-		},
+		kind: callSync,
 	})
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"runtime"
 	"sort"
 )
 
@@ -13,8 +14,10 @@ import (
 // freshly spawned one), or a callback: an event with no process whose fn
 // runs inline in whichever process or loop pops it.
 type event struct {
-	at   Time
-	seq  uint64 // FIFO tie-break for simultaneous events
+	at Time
+	// seq is the FIFO tie-break for simultaneous events. While the event
+	// is on its Env's free list, seq holds the id of the next free event.
+	seq  uint64
 	proc *Proc
 	fn   func() // the callback; nil for process wake-ups
 	// cancelled events stay queued but are skipped when they surface; this
@@ -24,7 +27,13 @@ type event struct {
 	// kind distinguishes why the process wakes, so racing wake-ups can
 	// report which one won.
 	kind wakeKind
+	// id names the event within its Env (see Env.eventByID). It fills the
+	// padding after kind, so an event stays 40 bytes.
+	id uint32
 }
+
+// eventChunk is how many events Env.newEvent allocates at once.
+const eventChunk = 64
 
 type wakeKind uint8
 
@@ -58,7 +67,10 @@ const (
 // away: it pops the next wake-up for the loop and waits on the idle list,
 // and the next SpawnAt runs its process there, on a stack that has already
 // grown. RunUntil stops the idle coroutines when the segment ends, also
-// when a process panic ends it; the panic reaches RunUntil's caller.
+// when a process panic ends it; the panic reaches RunUntil's caller. The
+// Proc of a process that returned is reused by a later SpawnAt, in any
+// segment, and consumed events are reused by later schedules, so a warm
+// Env spawns, schedules and delivers without allocating.
 //
 // Callback events (After) need no coroutine at all: whoever pops one, a
 // parking process or the loop, runs the callback inline and keeps popping.
@@ -94,14 +106,23 @@ type Env struct {
 
 	stats Stats
 
-	// free recycles consumed events, and slab batch-allocates fresh ones in
-	// 64-event chunks. The hot loop of every simulation is
-	// schedule→pop→deliver; without reuse each cycle would allocate one
-	// event, which dominated the engine's allocation profile
-	// (BenchmarkSimEngineEvents). An event is recycled only once it has
-	// left both its queue and its process's waits list.
-	free []*event
-	slab []event
+	// free heads the list of consumed events by id (0 when empty); each
+	// free event's seq holds the next id. chunks holds every event the Env
+	// has made, eventChunk at a time, so an id finds its event. The hot
+	// loop of every simulation is schedule→pop→deliver; without reuse each
+	// cycle would allocate one event, which dominated the engine's
+	// allocation profile (BenchmarkSimEngineEvents), and a list linked
+	// through the events themselves never grows. An event is recycled only
+	// once it has left both its queue and its process's waits list.
+	free   uint32
+	made   uint32 // events made so far; the newest has id made
+	chunks []*[eventChunk]event
+
+	// procs lists, through Proc.nextFree, the Procs of processes that
+	// returned; SpawnAt reuses them before allocating.
+	procs *Proc
+
+	sinceYield int // nextWake calls since the last yield (see yieldEvery)
 }
 
 // evLess is the engine's total event order: time first, then the global
@@ -220,20 +241,28 @@ func (e *Env) Stats() Stats {
 	return st
 }
 
-// newEvent returns a zeroed event from the freelist or the slab.
+// newEvent returns an event with no process or callback: the head of the
+// free list, or else a fresh one, numbered and taken from the last chunk.
+// A fresh event's seq is zero, which leaves the free list empty. The
+// function stays small enough to inline into push.
 func (e *Env) newEvent() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	id := e.free
+	if id == 0 {
+		if e.made%eventChunk == 0 {
+			e.chunks = append(e.chunks, new([eventChunk]event))
+		}
+		e.made++
+		id = e.made
 	}
-	if len(e.slab) == 0 {
-		e.slab = make([]event, 64)
-	}
-	ev := &e.slab[0]
-	e.slab = e.slab[1:]
+	ev := e.eventByID(id)
+	ev.id = id
+	e.free = uint32(ev.seq)
 	return ev
+}
+
+// eventByID returns the event newEvent numbered id (counting from 1).
+func (e *Env) eventByID(id uint32) *event {
+	return &e.chunks[(id-1)/eventChunk][(id-1)%eventChunk]
 }
 
 // schedule enqueues a wake-up event for p and registers it with the
@@ -288,13 +317,14 @@ func (e *Env) checkDelay(op string, delay Duration) {
 	}
 }
 
-// recycle returns a consumed event to the freelist. The caller must hold
+// recycle returns a consumed event to the free list. The caller must hold
 // the only remaining reference: the event is off its queue and no process
 // waits list contains it.
 func (e *Env) recycle(ev *event) {
 	ev.proc = nil
 	ev.fn = nil
-	e.free = append(e.free, ev)
+	ev.seq = uint64(e.free)
+	e.free = ev.id
 }
 
 // next pops the earliest live event at or before the horizon, dropping
@@ -322,10 +352,23 @@ func (e *Env) next() *event {
 	return nil
 }
 
+// yieldEvery is how many nextWake calls pass between yields to the Go
+// scheduler. Coroutine switches bypass the scheduler, so an engine that
+// neither allocates nor blocks holds its P until the runtime preempts it
+// (about 10 ms). Under GOMAXPROCS=1 a GC cycle that starts meanwhile
+// keeps its write barriers on, taxing every pointer the event heap
+// moves, until its mark worker gets the P; a yield lets it finish.
+const yieldEvery = 1024
+
 // nextWake is next for a scheduling loop: callback events run inline as
 // they surface, and the first process wake-up is consumed and its process
 // returned (nil at the end of the segment).
 func (e *Env) nextWake() *Proc {
+	e.sinceYield++
+	if e.sinceYield == yieldEvery {
+		e.sinceYield = 0
+		runtime.Gosched()
+	}
 	for {
 		ev := e.next()
 		if ev == nil {
@@ -400,7 +443,8 @@ func (e *Env) resume(p *Proc) *Proc {
 // current virtual time. fn receives the process handle, through which all
 // blocking primitives are reached. Spawn may be called before Run or from
 // inside a running process; a process that needs to spawn reaches the
-// environment through Proc.Env.
+// environment through Proc.Env. The returned *Proc is valid only until fn
+// returns: a later Spawn on the same Env may reuse it.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(0, name, fn)
 }
@@ -408,7 +452,13 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with a start delay. A negative or NaN delay panics.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
 	e.checkDelay("Spawn", delay)
-	p := &Proc{env: e, name: name, fn: fn, parkIdx: -1}
+	p := e.procs
+	if p != nil {
+		e.procs = p.nextFree
+	} else {
+		p = new(Proc)
+	}
+	*p = Proc{env: e, name: name, fn: fn, parkIdx: -1}
 	p.waits = p.waitsBuf[:0]
 	if c := e.idle; c != nil {
 		e.idle, c.nextIdle = c.nextIdle, nil
@@ -436,11 +486,14 @@ type coro struct {
 }
 
 // newCoro creates an unstarted process coroutine. Its body runs each
-// assigned process to completion (or to Close's abort). In RunUntil a
-// finished process's coroutine then pops the next wake-up for the loop and
-// only then goes idle: a callback run by the pop may spawn, and that spawn
-// must not take the coroutine still running it. Outside RunUntil, or when
-// stopped while idle, the coroutine ends.
+// assigned process to completion (or to Close's abort). A process that
+// returned is in no waiter list or parked list and has no live event
+// (cancelled ones that still name it are dropped unread), so its Proc
+// goes on the free list at once. In RunUntil a finished process's
+// coroutine then pops the next wake-up for the loop and only then goes
+// idle: a callback run by the pop may spawn, and that spawn must not take
+// the coroutine still running it. Outside RunUntil, or when stopped while
+// idle, the coroutine ends.
 func (e *Env) newCoro() *coro {
 	c := &coro{}
 	c.resume, c.stop = iter.Pull(func(suspend func(struct{}) bool) {
@@ -452,6 +505,9 @@ func (e *Env) newCoro() *coro {
 			}
 			p.fn = nil
 			e.nprocs--
+			if !p.aborted {
+				p.nextFree, e.procs = e.procs, p
+			}
 			if !e.direct {
 				return
 			}

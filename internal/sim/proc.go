@@ -14,8 +14,9 @@ var errAborted = errors.New("sim: process aborted by Env.Close")
 var ErrTimeout = errors.New("sim: wait timed out")
 
 // Proc is the handle a simulated process uses to interact with virtual
-// time. A Proc is only valid inside the function passed to Env.Spawn and
-// must not be shared between process functions.
+// time. A Proc is only valid inside the function passed to Env.Spawn, and
+// only until that function returns: the Env then reuses it for a later
+// spawn. It must not be shared between process functions.
 type Proc struct {
 	env  *Env
 	name string
@@ -36,6 +37,8 @@ type Proc struct {
 	// racing a signal in WaitTimeout), so the common case never allocates
 	// a separate waits array.
 	waitsBuf [2]*event
+
+	nextFree *Proc // the next Proc on Env.procs, while this one is free
 }
 
 // Name returns the name the process was spawned with.

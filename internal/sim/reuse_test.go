@@ -205,10 +205,11 @@ func TestProcessPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// In the middle of a run, spawning a process that finishes allocates the
-// Proc and nothing else: the child runs on the coroutine the previous
-// child left idle, and the start event comes from the freelist.
-func TestSpawnOnIdleGoroutineAllocatesOnlyProc(t *testing.T) {
+// In the middle of a run, spawning a process that finishes allocates
+// nothing: the child takes the Proc the previous child returned, runs on
+// the coroutine it left idle, and its start event comes from the free
+// list.
+func TestSpawnOnIdleGoroutineAllocatesNothing(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
 	var allocs float64
@@ -224,18 +225,26 @@ func TestSpawnOnIdleGoroutineAllocatesOnlyProc(t *testing.T) {
 		allocs = testing.AllocsPerRun(100, spawn)
 	})
 	runWithin(t, env)
-	if allocs != 1 {
-		t.Fatalf("spawn-and-finish allocates %.1f objects, want 1 (the Proc)", allocs)
+	if allocs != 0 {
+		t.Fatalf("spawn-and-finish allocates %.1f objects, want 0", allocs)
 	}
 	if st := env.Stats(); st.Spawns != 1+10+101 || st.Goroutines != 2 {
 		t.Fatalf("spawns %d, goroutines %d: want 112 spawns on 2 coroutines", st.Spawns, st.Goroutines)
 	}
 }
 
-// The Proc is a spawn's one allocation. It carries the body and the idle
+// A cold spawn allocates one Proc. It carries the body and the free-list
 // link now, but must stay in the 96-byte size class it had before.
 func TestProcFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Proc{}); n > 96 {
 		t.Fatalf("Proc is %d bytes, want at most 96", n)
+	}
+}
+
+// The free-list link and the id live in an event's seq and padding, so an
+// event stays 40 bytes.
+func TestEventFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 40 {
+		t.Fatalf("event is %d bytes, want at most 40", n)
 	}
 }

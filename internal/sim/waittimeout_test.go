@@ -145,3 +145,40 @@ func TestWaitTimeoutSignalWinsCancelsTimer(t *testing.T) {
 		t.Errorf("finished at %v, want 105µs (stale timer must not cut the sleep short)", doneAt)
 	}
 }
+
+// A WaitTimeout that Fire ends before its deadline allocates nothing once
+// warm: the signal's wake-up and the timer come from the free list, and
+// the cancelled timer goes back to it when it surfaces.
+func TestWaitTimeoutFiredAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	sig := NewSignal(env)
+	fired, timedOut := 0, 0
+	env.Spawn("waiter", func(p *Proc) {
+		for {
+			if sig.WaitTimeout(p, Millisecond) == nil {
+				fired++
+			} else {
+				timedOut++
+			}
+		}
+	})
+	env.Spawn("firer", func(p *Proc) {
+		for {
+			p.Sleep(Microsecond)
+			sig.Fire()
+		}
+	})
+	// Warm-up: past the first deadline, so cancelled timers surface and
+	// recycle as fast as new ones are scheduled.
+	env.RunUntil(Time(0).Add(2 * Millisecond))
+	allocs := testing.AllocsPerRun(100, func() {
+		env.RunUntil(env.Now().Add(100 * Microsecond))
+	})
+	if allocs != 0 {
+		t.Fatalf("Fire-ended WaitTimeout allocates %.1f objects per 100 µs segment, want 0", allocs)
+	}
+	if timedOut != 0 || fired < 100*100 {
+		t.Fatalf("%d waits fired, %d timed out: want every wait ended by Fire", fired, timedOut)
+	}
+}
