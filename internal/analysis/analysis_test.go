@@ -2,10 +2,13 @@ package analysis
 
 import (
 	"fmt"
+	"go/importer"
+	"go/token"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -158,5 +161,78 @@ func TestSubsetKeepsForeignDirectives(t *testing.T) {
 	}
 	for _, f := range RunModule(m, Config{Analyzers: []*Analyzer{Taint}}) {
 		t.Errorf("unexpected finding with taint-only run: %s", f)
+	}
+}
+
+// TestSharedStdImporterPositions: every module imports the standard
+// library through the process's one importer, whose FileSet no module
+// shares. Loading the corpora as the loader once did — standard library
+// and module files in one FileSet — must yield the same findings at the
+// same positions, so no finding is reported at a standard-library
+// position that a module's own FileSet would misresolve.
+func TestSharedStdImporterPositions(t *testing.T) {
+	fset := token.NewFileSet()
+	private := importer.ForCompiler(fset, "source", nil)
+	dirs := []string{"directive"}
+	for _, c := range corpora() {
+		dirs = append(dirs, c.dir)
+	}
+	for _, dir := range dirs {
+		shared, err := LoadDirAs(filepath.Join("testdata", dir), corpusPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := loadDirAs(filepath.Join("testdata", dir), corpusPath, fset, private)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := RunModule(shared, Config{}), RunModule(own, Config{})
+		if len(got) == 0 {
+			t.Errorf("%s: no findings to compare", dir)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: findings with the shared importer\n%v\ndiffer from one FileSet's\n%v", dir, got, want)
+		}
+		root := shared.Root + string(filepath.Separator)
+		for _, f := range got {
+			if !strings.HasPrefix(f.File, root) {
+				t.Errorf("%s: finding outside the module: %s", dir, f)
+			}
+		}
+	}
+}
+
+// TestConcurrentLoads: loads that run at once share the one
+// standard-library importer, and each still reports its corpus's
+// findings. Run it under -race.
+func TestConcurrentLoads(t *testing.T) {
+	cs := corpora()
+	got := make([][]Finding, len(cs))
+	errs := make([]error, len(cs))
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := LoadDirAs(filepath.Join("testdata", c.dir), corpusPath)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = RunModule(m, Config{Analyzers: []*Analyzer{c.a}})
+		}()
+	}
+	wg.Wait()
+	for i, c := range cs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", c.dir, errs[i])
+		}
+		m, err := LoadDirAs(filepath.Join("testdata", c.dir), corpusPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := RunModule(m, Config{Analyzers: []*Analyzer{c.a}}); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s: concurrent load found\n%v\nwant\n%v", c.dir, got[i], want)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package plus its test files. Test
@@ -84,7 +85,7 @@ func LoadModule(dir string) (*Module, error) {
 			m.Packages = append(m.Packages, pkg)
 		}
 	}
-	if err := m.typecheck(); err != nil {
+	if err := m.typecheck(stdImporter); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -156,10 +157,30 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
+// stdImporter type-checks the standard library from GOROOT/src (modern
+// toolchains ship no pre-built export data) once per process: every
+// module loaded after the first reuses its packages, which are the same
+// for every module. Its FileSet holds only standard-library files, and a
+// finding is always reported at a node of a module's own files, resolved
+// in that module's FileSet — never at a standard-library position. The
+// lock serializes imports, since loads may run concurrently.
+var stdImporter = &lockedImporter{imp: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+
+// lockedImporter serializes an importer that is not safe for concurrent
+// use.
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.Import(path)
+}
+
 // moduleImporter resolves module-internal import paths from the loaded set
-// and everything else (the standard library) through the source importer,
-// which compiles type information from GOROOT/src — modern toolchains ship
-// no pre-built export data.
+// and everything else (the standard library) through std.
 type moduleImporter struct {
 	local map[string]*types.Package
 	std   types.Importer
@@ -185,9 +206,10 @@ func newInfo() *types.Info {
 	}
 }
 
-// typecheck type-checks all packages: base variants in dependency order,
-// then test variants against the completed base map.
-func (m *Module) typecheck() error {
+// typecheck type-checks all packages, importing the standard library
+// through std: base variants in dependency order, then test variants
+// against the completed base map.
+func (m *Module) typecheck(std types.Importer) error {
 	byPath := map[string]*Package{}
 	for _, p := range m.Packages {
 		byPath[p.Path] = p
@@ -200,7 +222,7 @@ func (m *Module) typecheck() error {
 	}
 
 	local := map[string]*types.Package{}
-	imp := &moduleImporter{local: local, std: importer.ForCompiler(m.Fset, "source", nil)}
+	imp := &moduleImporter{local: local, std: std}
 
 	check := func(path string, files []*ast.File) (*types.Package, *types.Info, error) {
 		info := newInfo()
@@ -299,11 +321,17 @@ func (m *Module) topoSort(byPath map[string]*Package) ([]*Package, error) {
 // errdrop). Subdirectories become subpackages — "<asPath>/<rel>" — so a
 // corpus can model cross-package dataflow.
 func LoadDirAs(dir, asPath string) (*Module, error) {
+	return loadDirAs(dir, asPath, token.NewFileSet(), stdImporter)
+}
+
+// loadDirAs is LoadDirAs parsing into fset and importing the standard
+// library through std.
+func loadDirAs(dir, asPath string, fset *token.FileSet, std types.Importer) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: abs, Path: asPath, Fset: token.NewFileSet()}
+	m := &Module{Root: abs, Path: asPath, Fset: fset}
 
 	var dirs []string
 	err = filepath.Walk(abs, func(p string, fi os.FileInfo, err error) error {
@@ -337,7 +365,7 @@ func LoadDirAs(dir, asPath string) (*Module, error) {
 	if len(m.Packages) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	if err := m.typecheck(); err != nil {
+	if err := m.typecheck(std); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -58,6 +58,15 @@ func Substream(seed int64, salt uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(uint64(seed), salt))
 }
 
+// SubstreamIn builds the stream Substream(seed, salt) returns in storage
+// the caller owns: it seeds *src and binds *r to it, allocating nothing,
+// so a slice of streams costs its owner one allocation. *r draws through
+// src, so *src must stay where it is while *r is in use.
+func SubstreamIn(r *rand.Rand, src *rand.PCG, seed int64, salt uint64) {
+	*src = *rand.NewPCG(uint64(seed), salt)
+	*r = *rand.New(src)
+}
+
 // SubSeed derives a non-negative int64 seed from (seed, salt), for APIs
 // that accept a seed rather than a stream (e.g. slack.WithJitter).
 func SubSeed(seed int64, salt uint64) int64 {

@@ -1,6 +1,7 @@
 package remoting
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 
@@ -575,19 +576,25 @@ func (r *Resilient) Drain(p *sim.Proc, server int) error {
 	return nil
 }
 
+// ErrReadmitRefused is Readmit's answer once the transport is exhausted or
+// degraded to node-local. It is one value, so a control plane that
+// retries readmission on every tick allocates nothing per refusal.
+var ErrReadmitRefused = errors.New("remoting: readmit after the pool was exhausted")
+
 // Readmit returns a previously drained or dead server to standby duty as
 // a blank replacement — a rebooted host or a fresh part swapped into the
 // chassis: a new device and context, an empty handle table, the same
 // fault-schedule identity. The transport's virtual handles keep the host
 // the source of truth, so the next migration onto it re-uploads whatever
 // it needs. Once the transport is exhausted or degraded to node-local,
-// readmission is refused (the run has already failed over for good).
+// readmission is refused with ErrReadmitRefused (the run has already
+// failed over for good).
 func (r *Resilient) Readmit(server int) error {
 	if server < 0 || server >= len(r.eps) {
 		return fmt.Errorf("remoting: readmit of unknown server %d", server)
 	}
 	if r.exhausted != nil || r.degraded {
-		return fmt.Errorf("remoting: readmit after the pool was exhausted")
+		return ErrReadmitRefused
 	}
 	ep := r.eps[server]
 	if !ep.dead && !ep.drained {

@@ -214,3 +214,35 @@ func TestComparePerArmStreamsIndependent(t *testing.T) {
 		t.Errorf("arms suspiciously identical: %+v", a)
 	}
 }
+
+// TestRefusedReadmitAllocatesNothing: once the only server is lost and
+// the transport has degraded to node-local, every readmission is refused
+// with the one sentinel error, allocating nothing — the health control
+// plane retries readmission on every evaluator tick.
+func TestRefusedReadmitAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	r, err := NewResilient(env, gpu.A100(), ResilientConfig{
+		Config: Config{Path: mustPathForSlack(t, 50*sim.Microsecond), Seed: 9},
+		Faults: faults.Config{Seed: 9, CrashAfter: 50 * sim.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proxyLoop(env, r, 10, gpu.MatrixBytes(64), gpu.MatMul(64)); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Degraded() {
+		t.Fatalf("transport not degraded after losing only server: %+v", r.Stats())
+	}
+	var got error
+	if allocs := testing.AllocsPerRun(100, func() { got = r.Readmit(0) }); allocs != 0 {
+		t.Errorf("a refused readmit allocates %v times, want 0", allocs)
+	}
+	if !errors.Is(got, ErrReadmitRefused) {
+		t.Errorf("refused readmit returned %v, want ErrReadmitRefused", got)
+	}
+	if n := r.Stats().Readmissions; n != 0 {
+		t.Errorf("%d readmissions after refusals, want 0", n)
+	}
+}

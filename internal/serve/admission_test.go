@@ -164,3 +164,32 @@ func TestAdmissionMergeAndPriorityValidation(t *testing.T) {
 		t.Error("negative tenant priority accepted")
 	}
 }
+
+// TestShedRunReportPinned serves an overloaded generated schedule under a
+// small queue cap and expiry shedding: under every policy requests are
+// shed at the door, as queued victims and on expiry, while their records
+// are recycled for later arrivals. Each policy's report is pinned to the
+// one the engine gave before records were recycled, so a reused record
+// never carries a stale shed flag.
+func TestShedRunReportPinned(t *testing.T) {
+	tenants := []Tenant{
+		{Name: "chat", Rate: 900, MeanPromptTokens: 32, MeanOutputTokens: 8, SLO: 4 * sim.Millisecond},
+		{Name: "batchapi", Rate: 500, MeanPromptTokens: 64, MeanOutputTokens: 12, SLO: 200 * sim.Millisecond, Priority: 1},
+	}
+	reqs, err := Generate(tenants, testWindow, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[Policy]Report{
+		NoBatch:    {Requests: 655, Completed: 231, Shed: 424, Failed: 0, ShedRate: 0.6473282442748092, P50: 0.004661061996031113, P95: 0.009078317397937423, P99: 0.01129498062177662, P999: 0.013455931647142627, SLOAttainment: 0.22137404580152673, Goodput: 290, MeanBatch: 1, MaxBatch: 1, MeanQueue: 4.270833333333333, MaxQueue: 6},
+		FixedBatch: {Requests: 655, Completed: 306, Shed: 349, Failed: 0, ShedRate: 0.5328244274809161, P50: 0.006804609678143968, P95: 0.013850664042145504, P99: 0.016079469926989536, P999: 0.017398495323917462, SLOAttainment: 0.17862595419847327, Goodput: 234, MeanBatch: 3.128938156359393, MaxBatch: 4, MeanQueue: 4.2894736842105265, MaxQueue: 6},
+		Continuous: {Requests: 655, Completed: 393, Shed: 262, Failed: 0, ShedRate: 0.4, P50: 0.00589495686653696, P95: 0.017922944504922593, P99: 0.023016402721803494, P999: 0.025619925036655725, SLOAttainment: 0.29770992366412213, Goodput: 390, MeanBatch: 3.6669931439764936, MaxBatch: 4, MeanQueue: 3.5439453125, MaxQueue: 6},
+	}
+	for _, policy := range []Policy{NoBatch, FixedBatch, Continuous} {
+		e := runAdmissionCfg(t, Config{Policy: policy, MaxBatch: 4, Tenants: tenants,
+			Admission: Admission{ShedExpired: true, MaxQueue: 6}}, reqs)
+		if got := e.Metrics().Report(testWindow); got != want[policy] {
+			t.Errorf("%v: report\n got %#v\nwant %#v", policy, got, want[policy])
+		}
+	}
+}

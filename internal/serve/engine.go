@@ -100,7 +100,11 @@ type pending struct {
 // Engine serves one replica's request stream: a chain of arrival
 // callbacks feeds the admission queue on the sim clock and a batcher
 // process drains it through the Transport according to the configured
-// policy. Results are valid after env.Run() returns.
+// policy. Results are valid after env.Run() returns. Beyond the schedule
+// and one latency per completion, its memory is sized by the live
+// requests: a completed or shed request's record is recycled for the next
+// arrival, and per-step batch widths and queue depths are kept as running
+// summaries.
 type Engine struct {
 	env   *sim.Env
 	tr    Transport
@@ -124,13 +128,15 @@ type Engine struct {
 	more      *sim.Signal
 	completed int
 
-	// ks and batchBuf are per-step scratch reused across iterations, and
-	// pendSlab batch-allocates pending records (never recycled — the
-	// queue and active batch hold pointers into it). Together they keep
-	// the steady-state batching loop allocation-free.
+	// ks and batchBuf are per-step scratch reused across iterations.
+	// pendSlab batch-allocates pending records and freePend holds the
+	// records no queue or batch points to any more (completed or shed),
+	// so the records in use are bounded by the live requests. Together
+	// they keep the steady-state batching loop allocation-free.
 	ks       []gpu.Kernel
 	batchBuf []*pending
 	pendSlab []pending
+	freePend []*pending
 
 	m     *Metrics
 	spans []trace.AppSpan
@@ -167,9 +173,8 @@ func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, err
 		total: len(reqs),
 		reqs:  reqs,
 		more:  sim.NewSignal(env),
-		m:     &Metrics{},
+		m:     &Metrics{Requests: len(reqs), Latencies: make([]float64, 0, len(reqs))},
 	}
-	e.m.Requests = len(reqs)
 	if cfg.Admission.enabled() {
 		e.m.ShedByTenant = make([]int, len(cfg.Tenants))
 	}
@@ -242,6 +247,7 @@ func (e *Engine) enqueue(pd *pending) {
 		}
 		if vi == -1 || e.cfg.Tenants[pd.req.Tenant].Priority >= vp {
 			e.m.shed(pd.req.Tenant)
+			e.release(pd)
 			return
 		}
 		e.queue[vi].shed = true
@@ -252,15 +258,28 @@ func (e *Engine) enqueue(pd *pending) {
 	e.depth++
 }
 
-// newPending hands out a pending record from the engine's slab.
+// newPending hands out a pending record: a released one if any, else
+// one from the engine's slab.
 func (e *Engine) newPending(r Request) *pending {
-	if len(e.pendSlab) == 0 {
-		e.pendSlab = make([]pending, 64)
+	var pd *pending
+	if n := len(e.freePend); n > 0 {
+		pd = e.freePend[n-1]
+		e.freePend = e.freePend[:n-1]
+	} else {
+		if len(e.pendSlab) == 0 {
+			e.pendSlab = make([]pending, 64)
+		}
+		pd = &e.pendSlab[0]
+		e.pendSlab = e.pendSlab[1:]
 	}
-	pd := &e.pendSlab[0]
-	e.pendSlab = e.pendSlab[1:]
-	pd.req, pd.remaining = r, r.OutputTokens
+	pd.req, pd.remaining, pd.shed = r, r.OutputTokens, false
 	return pd
+}
+
+// release returns a completed or shed record for reuse; the caller holds
+// the last pointer to it.
+func (e *Engine) release(pd *pending) {
+	e.freePend = append(e.freePend, pd)
 }
 
 // qlen returns the number of live (unserved, unshed) queued requests.
@@ -311,6 +330,7 @@ func (e *Engine) pop() *pending {
 			e.qhead = 0
 		}
 		if r.shed {
+			e.release(r)
 			continue
 		}
 		e.depth--
@@ -327,6 +347,7 @@ func (e *Engine) take(p *sim.Proc) *pending {
 		r := e.pop()
 		if a.ShedExpired && p.Now().Sub(r.req.Arrival) > e.cfg.Tenants[r.req.Tenant].SLO && a.armed() {
 			e.m.shed(r.req.Tenant)
+			e.release(r)
 			continue
 		}
 		return r
@@ -334,8 +355,8 @@ func (e *Engine) take(p *sim.Proc) *pending {
 	return nil
 }
 
-// finish moves the request's output back to the host and records its
-// latency against the owning tenant's SLO.
+// finish moves the request's output back to the host, records its
+// latency against the owning tenant's SLO and releases its record.
 func (e *Engine) finish(p *sim.Proc, r *pending) error {
 	if err := e.tr.MemcpyD2H(p, e.workspace, int64(r.req.OutputTokens)*bytesPerToken); err != nil {
 		return err
@@ -352,6 +373,7 @@ func (e *Engine) finish(p *sim.Proc, r *pending) error {
 			End:   done,
 		})
 	}
+	e.release(r)
 	return nil
 }
 
@@ -384,7 +406,7 @@ const batchTrack = -1
 
 // stepNoBatch serves exactly one request FCFS.
 func (e *Engine) stepNoBatch(p *sim.Proc) error {
-	e.m.QueueDepths = append(e.m.QueueDepths, float64(e.qlen()))
+	e.m.queue.add(e.qlen(), 1)
 	r := e.take(p)
 	if r == nil {
 		return nil
@@ -402,9 +424,7 @@ func (e *Engine) stepNoBatch(p *sim.Proc) error {
 	if err := e.tr.RunKernels(p, ks); err != nil {
 		return err
 	}
-	for i := 0; i < r.remaining; i++ {
-		e.m.BatchSizes = append(e.m.BatchSizes, 1)
-	}
+	e.m.batch.add(1, r.remaining)
 	r.remaining = 0
 	if err := e.finish(p, r); err != nil {
 		return err
@@ -415,7 +435,7 @@ func (e *Engine) stepNoBatch(p *sim.Proc) error {
 
 // stepFixed serves one static batch to completion.
 func (e *Engine) stepFixed(p *sim.Proc) error {
-	e.m.QueueDepths = append(e.m.QueueDepths, float64(e.qlen()))
+	e.m.queue.add(e.qlen(), 1)
 	batch := e.batchBuf[:0]
 	for len(batch) < e.cfg.MaxBatch && e.qlen() > 0 {
 		r := e.take(p)
@@ -450,9 +470,7 @@ func (e *Engine) stepFixed(p *sim.Proc) error {
 	if err := e.tr.RunKernels(p, ks); err != nil {
 		return err
 	}
-	for i := 0; i < steps; i++ {
-		e.m.BatchSizes = append(e.m.BatchSizes, float64(len(batch)))
-	}
+	e.m.batch.add(len(batch), steps)
 	for _, r := range batch {
 		r.remaining = 0
 		if err := e.finish(p, r); err != nil {
@@ -469,7 +487,7 @@ func (e *Engine) stepFixed(p *sim.Proc) error {
 func (e *Engine) stepContinuous(p *sim.Proc) error {
 	active := e.batchBuf[:0]
 	for {
-		e.m.QueueDepths = append(e.m.QueueDepths, float64(e.qlen()))
+		e.m.queue.add(e.qlen(), 1)
 		start := p.Now()
 		ks := e.ks[:0]
 		for len(active) < e.cfg.MaxBatch && e.qlen() > 0 {
@@ -494,7 +512,7 @@ func (e *Engine) stepContinuous(p *sim.Proc) error {
 		if err := e.tr.RunKernels(p, ks); err != nil {
 			return err
 		}
-		e.m.BatchSizes = append(e.m.BatchSizes, float64(width))
+		e.m.batch.add(width, 1)
 		keep := active[:0]
 		for _, r := range active {
 			r.remaining--

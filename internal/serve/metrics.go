@@ -5,8 +5,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Metrics is the raw measurement record of one serving engine. Slices
-// are in completion order, which is deterministic.
+// Metrics is the raw measurement record of one serving engine. Latencies
+// are in completion order, which is deterministic; the per-step batch
+// widths and queue depths are kept only as running summaries, so the
+// record grows with completed requests, not with executed steps.
 type Metrics struct {
 	// Requests is the offered load; Completed counts requests served.
 	Requests  int
@@ -23,11 +25,33 @@ type Metrics struct {
 	// their device time to requests that could still meet their SLOs.
 	Shed         int
 	ShedByTenant []int
-	// BatchSizes records the decode batch width of every executed
-	// iteration; QueueDepths records the admission-queue depth observed at
-	// the start of each iteration.
-	BatchSizes  []float64
-	QueueDepths []float64
+
+	// batch summarizes the decode batch width of every executed
+	// iteration; queue the admission-queue depth observed at the start of
+	// each step.
+	batch, queue summary
+}
+
+// summary is a running count, sum and maximum of small non-negative
+// integer samples. The sum stays far below 2^53, so its mean is
+// bit-identical to the in-order float64 mean of the same samples.
+type summary struct {
+	n, sum, max int
+}
+
+// add records k samples of value v.
+func (s *summary) add(v, k int) {
+	s.n += k
+	s.sum += v * k
+	s.max = max(s.max, v)
+}
+
+// mean returns the summary's mean (zero when it holds no sample).
+func (s summary) mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return float64(s.sum) / float64(s.n)
 }
 
 // record registers one completed request.
@@ -92,13 +116,7 @@ func (m *Metrics) Report(window sim.Duration) Report {
 	if window > 0 {
 		r.Goodput = float64(m.SLOMet) / window.Seconds()
 	}
-	if len(m.BatchSizes) > 0 {
-		r.MeanBatch = stats.Mean(m.BatchSizes)
-		r.MaxBatch = stats.Max(m.BatchSizes)
-	}
-	if len(m.QueueDepths) > 0 {
-		r.MeanQueue = stats.Mean(m.QueueDepths)
-		r.MaxQueue = stats.Max(m.QueueDepths)
-	}
+	r.MeanBatch, r.MaxBatch = m.batch.mean(), float64(m.batch.max)
+	r.MeanQueue, r.MaxQueue = m.queue.mean(), float64(m.queue.max)
 	return r
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/remoting"
 	"repro/internal/sim"
 	"repro/internal/slack"
+	"repro/internal/trace"
 )
 
 // testTenants is the two-tenant mix the engine tests serve.
@@ -39,6 +40,12 @@ func testSchedule(t *testing.T, seed int64) []Request {
 // injector and returns the engine after the sim has drained.
 func runLocal(t *testing.T, policy Policy, inj *slack.Injector, reqs []Request) *Engine {
 	t.Helper()
+	return runLocalCfg(t, Config{Policy: policy, Tenants: testTenants()}, inj, reqs)
+}
+
+// runLocalCfg is runLocal under a full engine configuration.
+func runLocalCfg(t *testing.T, cfg Config, inj *slack.Injector, reqs []Request) *Engine {
+	t.Helper()
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, err := gpu.NewDevice(env, gpu.A100())
@@ -49,7 +56,7 @@ func runLocal(t *testing.T, policy Policy, inj *slack.Injector, reqs []Request) 
 	if inj != nil {
 		ctx.Interpose(inj)
 	}
-	e, err := Start(env, NewLocal(ctx), Config{Policy: policy, Tenants: testTenants()}, reqs)
+	e, err := Start(env, NewLocal(ctx), cfg, reqs)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -184,24 +191,42 @@ func TestZeroSlackArmEqualsNodeLocalBaseline(t *testing.T) {
 	}
 }
 
+// TestServeDeterministicReplay replays one schedule twice and requires
+// the same latencies and the same batches: every batch span's name (which
+// carries its width), start and end.
 func TestServeDeterministicReplay(t *testing.T) {
 	reqs := testSchedule(t, 33)
+	cfg := Config{Policy: Continuous, Tenants: testTenants(), RecordSpans: true}
 	inj := func() *slack.Injector { return slack.New(100 * sim.Microsecond) }
-	a := runLocal(t, Continuous, inj(), reqs)
-	b := runLocal(t, Continuous, inj(), reqs)
+	a := runLocalCfg(t, cfg, inj(), reqs)
+	b := runLocalCfg(t, cfg, inj(), reqs)
 	am, bm := a.Metrics(), b.Metrics()
-	if len(am.Latencies) != len(bm.Latencies) || len(am.BatchSizes) != len(bm.BatchSizes) {
+	batches := func(e *Engine) []trace.AppSpan {
+		var out []trace.AppSpan
+		for _, s := range e.Spans() {
+			if s.Cat == "batch" {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	ab, bb := batches(a), batches(b)
+	if len(am.Latencies) != len(bm.Latencies) || len(ab) != len(bb) {
 		t.Fatalf("replay shape differs: %d/%d latencies, %d/%d batches",
-			len(am.Latencies), len(bm.Latencies), len(am.BatchSizes), len(bm.BatchSizes))
+			len(am.Latencies), len(bm.Latencies), len(ab), len(bb))
+	}
+	if len(ab) == 0 {
+		t.Fatal("replay recorded no batch span")
 	}
 	for i := range am.Latencies {
 		if am.Latencies[i] != bm.Latencies[i] {
 			t.Fatalf("latency %d differs across replays", i)
 		}
 	}
-	for i := range am.BatchSizes {
-		if am.BatchSizes[i] != bm.BatchSizes[i] {
-			t.Fatalf("batch size %d differs across replays", i)
+	for i := range ab {
+		x, y := ab[i], bb[i]
+		if x.Name != y.Name || x.Start != y.Start || x.End != y.End {
+			t.Fatalf("batch %d differs across replays: %+v vs %+v", i, x, y)
 		}
 	}
 }
@@ -420,5 +445,56 @@ func TestServeOverResilientTransport(t *testing.T) {
 		if fl[i] != al[i] {
 			t.Fatalf("faulty replay latency %d differs", i)
 		}
+	}
+}
+
+// TestWarmContinuousStepAllocatesNothing: once its records, queue and
+// scratch are warm, continuous batching on a local transport — requests
+// enqueued, admitted, decoded in shrinking batches and completed —
+// allocates nothing. The latency record is emptied between rounds, as a
+// window's record is sized for its schedule up front.
+func TestWarmContinuousStepAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev, err := gpu.NewDevice(env, gpu.A100())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := testSchedule(t, 3)[:24]
+	cfg := Config{Policy: Continuous, Tenants: testTenants()}
+	if err := cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{env: env, tr: NewLocal(cuda.NewContext(dev, cuda.Config{})), cfg: cfg,
+		m: &Metrics{Latencies: make([]float64, 0, len(reqs))}}
+	var allocs float64
+	env.Spawn("host", func(p *sim.Proc) {
+		if e.workspace, err = e.tr.Malloc(p, workspaceBytes); err != nil {
+			t.Error(err)
+			return
+		}
+		round := func() {
+			for _, r := range reqs {
+				e.enqueue(e.newPending(r))
+			}
+			if err := e.stepContinuous(p); err != nil {
+				t.Error(err)
+			}
+			e.m.Latencies = e.m.Latencies[:0]
+		}
+		// One measured run of 20 rounds after a warm-up run of 20: the
+		// count is the rounds' total, so even one slab or regrowth shows.
+		allocs = testing.AllocsPerRun(1, func() {
+			for range 20 {
+				round()
+			}
+		})
+	})
+	env.Run()
+	if want := 40 * len(reqs); e.Completed() != want {
+		t.Fatalf("completed %d requests, want %d", e.Completed(), want)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm continuous round allocates %v times, want 0", allocs)
 	}
 }

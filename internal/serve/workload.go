@@ -16,7 +16,8 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/rand/v2"
 
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -58,8 +59,8 @@ func (t Tenant) validate() error {
 	if t.Priority < 0 {
 		return fmt.Errorf("serve: tenant %s priority %d must be >= 0", t.Name, t.Priority)
 	}
-	if t.Rate <= 0 {
-		return fmt.Errorf("serve: tenant %s rate %g must be positive", t.Name, t.Rate)
+	if !(t.Rate > 0) || math.IsInf(t.Rate, 1) {
+		return fmt.Errorf("serve: tenant %s rate %g must be finite and positive", t.Name, t.Rate)
 	}
 	if t.MeanPromptTokens < 1 || t.MeanOutputTokens < 1 {
 		return fmt.Errorf("serve: tenant %s token means must be >= 1", t.Name)
@@ -88,9 +89,13 @@ type Request struct {
 // per-tenant Poisson arrivals with exponential token-length draws, each
 // tenant on its own pair of salted PCG substreams so adding a tenant (or
 // reordering the slice) never perturbs another tenant's schedule. The
-// result is sorted by arrival time (ties broken by tenant index, then
+// result is in arrival order (ties broken by tenant index, then
 // per-tenant sequence) with IDs assigned in that order — the same bytes
 // for the same (tenants, window, seed) on every run and worker count.
+//
+// Each tenant's arrivals are drawn in order, so the schedule is a merge
+// of the tenants' streams, one request of lookahead each: the earliest
+// lookahead is emitted next, the lowest tenant index on a tie.
 func Generate(tenants []Tenant, window sim.Duration, seed int64) ([]Request, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("serve: window %v must be positive", window)
@@ -101,66 +106,80 @@ func Generate(tenants []Tenant, window sim.Duration, seed int64) ([]Request, err
 	if len(tenants) > faults.SaltBlock {
 		return nil, fmt.Errorf("serve: %d tenants exceeds the salt block (%d)", len(tenants), faults.SaltBlock)
 	}
-	type keyed struct {
-		req Request
-		seq int
-	}
-	// Expected schedule size is sum(rate·window); preallocate with a seat
-	// per tenant of headroom (capped — a mis-sized config should not
-	// reserve gigabytes up front).
 	var expect float64
 	for _, t := range tenants {
-		if t.Rate > 0 {
-			expect += t.Rate * float64(window)
-		}
-	}
-	if expect > 1<<20 {
-		expect = 1 << 20
-	}
-	all := make([]keyed, 0, int(expect)+len(tenants))
-	end := sim.Time(0).Add(window)
-	for ti, t := range tenants {
 		if err := t.validate(); err != nil {
 			return nil, err
 		}
-		arr := faults.Substream(seed, saltArrival+uint64(ti))
-		tok := faults.Substream(seed, saltTokens+uint64(ti))
-		now := sim.Time(0)
-		for seq := 0; ; seq++ {
-			now = now.Add(sim.Duration(arr.ExpFloat64() / t.Rate))
-			if now.Sub(end) >= 0 {
-				break
+		expect += t.Rate * float64(window)
+	}
+	// The schedule size is Poisson with mean expect: four standard
+	// deviations and a seat per tenant of headroom make a regrowth rare
+	// (capped — a mis-sized config should not reserve gigabytes up front).
+	size := expect + 4*math.Sqrt(expect)
+	if size > 1<<20 {
+		size = 1 << 20
+	}
+	reqs := make([]Request, 0, int(size)+len(tenants))
+	streams := make([]arrivalStream, len(tenants))
+	end := sim.Time(0).Add(window)
+	for ti := range streams {
+		streams[ti].start(tenants[ti], ti, end, seed)
+	}
+	for {
+		next := -1
+		for i := range streams {
+			if s := &streams[i]; s.more && (next == -1 || s.next.Arrival < streams[next].next.Arrival) {
+				next = i
 			}
-			all = append(all, keyed{
-				req: Request{
-					Tenant:       ti,
-					Arrival:      now,
-					PromptTokens: drawTokens(tok.ExpFloat64(), t.MeanPromptTokens),
-					OutputTokens: drawTokens(tok.ExpFloat64(), t.MeanOutputTokens),
-				},
-				seq: seq,
-			})
 		}
+		if next == -1 {
+			return reqs, nil
+		}
+		s := &streams[next]
+		r := s.next
+		r.ID = len(reqs)
+		reqs = append(reqs, r)
+		s.advance()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.req.Arrival < b.req.Arrival {
-			return true
-		}
-		if b.req.Arrival < a.req.Arrival {
-			return false
-		}
-		if a.req.Tenant != b.req.Tenant {
-			return a.req.Tenant < b.req.Tenant
-		}
-		return a.seq < b.seq
-	})
-	reqs := make([]Request, len(all))
-	for i, k := range all {
-		k.req.ID = i
-		reqs[i] = k.req
+}
+
+// arrivalStream is one tenant's arrivals drawn lazily, one request of
+// lookahead at a time, from the tenant's arrival and token substreams.
+type arrivalStream struct {
+	arrSrc, tokSrc rand.PCG
+	arr, tok       rand.Rand
+
+	t   Tenant
+	ti  int
+	end sim.Time
+	// next is the lookahead, valid while more is set; its arrival is the
+	// last one drawn (zero before the first).
+	next Request
+	more bool
+}
+
+// start seeds the tenant's substreams and draws its first request.
+func (s *arrivalStream) start(t Tenant, ti int, end sim.Time, seed int64) {
+	faults.SubstreamIn(&s.arr, &s.arrSrc, seed, saltArrival+uint64(ti))
+	faults.SubstreamIn(&s.tok, &s.tokSrc, seed, saltTokens+uint64(ti))
+	s.t, s.ti, s.end = t, ti, end
+	s.advance()
+}
+
+// advance draws the next arrival into the lookahead, clearing more once
+// it falls past the window's end.
+func (s *arrivalStream) advance() {
+	at := s.next.Arrival.Add(sim.Duration(s.arr.ExpFloat64() / s.t.Rate))
+	if s.more = at.Sub(s.end) < 0; !s.more {
+		return
 	}
-	return reqs, nil
+	s.next = Request{
+		Tenant:       s.ti,
+		Arrival:      at,
+		PromptTokens: drawTokens(s.tok.ExpFloat64(), s.t.MeanPromptTokens),
+		OutputTokens: drawTokens(s.tok.ExpFloat64(), s.t.MeanOutputTokens),
+	}
 }
 
 // drawTokens turns a unit-mean exponential draw into a token count with
