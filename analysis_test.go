@@ -5,7 +5,8 @@ package cdi
 // fails the moment any package breaks a determinism invariant (wall-clock
 // reads, global rand, bare goroutines, exact float comparison, dropped
 // errors, or a nondeterministic value or map-range loop reaching a
-// result-emitting sink). To check one scratch package, run
+// result-emitting sink), and the moment an exported name in internal/ is
+// used only by tests. To check one scratch package, run
 // `go test -run TestDeterminismInvariants .` with it in the tree.
 //
 // There is no findings baseline: every finding fails the test, and an

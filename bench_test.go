@@ -510,8 +510,8 @@ func BenchmarkServeSteadyState(b *testing.B) {
 		if err := eng.Err(); err != nil {
 			b.Fatal(err)
 		}
-		if eng.Completed() != len(reqs) {
-			b.Fatalf("completed %d of %d requests", eng.Completed(), len(reqs))
+		if eng.Metrics().Completed != len(reqs) {
+			b.Fatalf("completed %d of %d requests", eng.Metrics().Completed, len(reqs))
 		}
 	}
 }

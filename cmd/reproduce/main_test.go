@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -95,6 +98,38 @@ func TestServingTrace(t *testing.T) {
 	}
 	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
 		t.Errorf("trace file missing or empty (stat: %v)", err)
+	}
+}
+
+// TestTraceFilesPinned pins both quick-mode -trace files by byte length
+// and sha256, serially and with two sweep workers: the serving trace at
+// the -trace path and the churn trace beside it. A change to a traced
+// cell, the recorder or the Chrome trace writer that moves one byte fails
+// here.
+func TestTraceFilesPinned(t *testing.T) {
+	want := []struct {
+		suffix string
+		size   int
+		sha256 string
+	}{
+		{"", 666060, "4b34c7cc62061da92191a3b8474e2e979cae1ccaa8f9125e16fa3cf35eb89cc4"},
+		{".churn", 38742, "af590d9c18876d5741354dc990e98430d0ed116fb5ff17bf00be9bc7c308d025"},
+	}
+	for _, j := range []string{"1", "2"} {
+		trace := filepath.Join(t.TempDir(), "trace.json")
+		if code := run([]string{"-exp", "serving,churn", "-j", j, "-trace", trace}, io.Discard, os.Stderr); code != 0 {
+			t.Fatalf("-j %s: exit code %d", j, code)
+		}
+		for _, w := range want {
+			data, err := os.ReadFile(trace + w.suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); len(data) != w.size || got != w.sha256 {
+				t.Errorf("-j %s: trace%s is %d bytes, sha256 %s; want %d bytes, sha256 %s", j, w.suffix, len(data), got, w.size, w.sha256)
+			}
+		}
 	}
 }
 

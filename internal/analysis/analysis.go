@@ -19,8 +19,10 @@
 //	errdrop     silently discarded error returns in internal and cmd
 //	taint       nondeterministic value, or map iteration order, reaching a
 //	            result-emitting sink
+//	testonly    exported API in internal packages that only tests use
 //
-// The first five are per-file syntactic/type checks. taint runs on a
+// The first five are per-file syntactic/type checks. testonly reads the
+// uses of every package at once (testonly.go). taint runs on a
 // module-wide dataflow layer (dataflow.go, callgraph.go): it propagates
 // nondeterminism through assignments, returns, and cross-package calls and
 // reports only at sinks, so the sorted-keys idiom stays silent while a
@@ -142,6 +144,7 @@ func All() []*Analyzer {
 		FloatEq,
 		ErrDrop,
 		Taint,
+		TestOnly,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/importer"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -16,6 +17,22 @@ import (
 // (barego and errdrop apply under internal/, floateq everywhere but
 // internal/stats).
 const corpusPath = "repro/internal/corpus"
+
+// loadCorpus loads testdata/<dir> as a module at corpusPath, importing
+// the standard library through the process's shared importer.
+func loadCorpus(dir string) (*Module, error) {
+	return loadCorpusWith(dir, token.NewFileSet(), stdImporter)
+}
+
+// loadCorpusWith loads testdata/<dir> as a module at corpusPath, parsing
+// into fset and importing the standard library through std.
+func loadCorpusWith(dir string, fset *token.FileSet, std types.Importer) (*Module, error) {
+	root, err := filepath.Abs(filepath.Join("testdata", dir))
+	if err != nil {
+		return nil, err
+	}
+	return loadTree(root, corpusPath, fset, std)
+}
 
 // markers collects the file:line positions of "// want" comments.
 func markers(m *Module) map[string]int {
@@ -58,7 +75,7 @@ func TestCorpus(t *testing.T) {
 	for _, c := range corpora() {
 		a := c.a
 		t.Run(c.dir, func(t *testing.T) {
-			m, err := LoadDirAs(filepath.Join("testdata", c.dir), corpusPath)
+			m, err := loadCorpus(c.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +103,7 @@ func TestCorpus(t *testing.T) {
 // no rule, no reason, an unknown rule name, or no matching finding is
 // itself reported.
 func TestDirectiveProblems(t *testing.T) {
-	m, err := LoadDirAs(filepath.Join("testdata", "directive"), corpusPath)
+	m, err := loadCorpus("directive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +138,7 @@ func TestDirectiveProblems(t *testing.T) {
 func TestFindingOrderStable(t *testing.T) {
 	var first []Finding
 	for i := 0; i < 3; i++ {
-		m, err := LoadDirAs(filepath.Join("testdata", "maporder"), corpusPath)
+		m, err := loadCorpus("maporder")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +172,7 @@ func TestFindingOrderStable(t *testing.T) {
 // "unknown" (validation is against the full suite) nor "stale" (a disabled
 // analyzer cannot prove a suppression useful).
 func TestSubsetKeepsForeignDirectives(t *testing.T) {
-	m, err := LoadDirAs(filepath.Join("testdata", "floateq"), corpusPath)
+	m, err := loadCorpus("floateq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +195,11 @@ func TestSharedStdImporterPositions(t *testing.T) {
 		dirs = append(dirs, c.dir)
 	}
 	for _, dir := range dirs {
-		shared, err := LoadDirAs(filepath.Join("testdata", dir), corpusPath)
+		shared, err := loadCorpus(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, err := loadDirAs(filepath.Join("testdata", dir), corpusPath, fset, private)
+		own, err := loadCorpusWith(dir, fset, private)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +231,7 @@ func TestConcurrentLoads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := LoadDirAs(filepath.Join("testdata", c.dir), corpusPath)
+			m, err := loadCorpus(c.dir)
 			if err != nil {
 				errs[i] = err
 				return
@@ -227,7 +244,7 @@ func TestConcurrentLoads(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", c.dir, errs[i])
 		}
-		m, err := LoadDirAs(filepath.Join("testdata", c.dir), corpusPath)
+		m, err := loadCorpus(c.dir)
 		if err != nil {
 			t.Fatal(err)
 		}

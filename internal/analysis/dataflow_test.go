@@ -11,7 +11,7 @@ import (
 // return value without emitting anything itself, and taint reports it at
 // the emitting sink one package away.
 func TestCrossPackageMiss(t *testing.T) {
-	m, err := LoadDirAs(filepath.Join("testdata", "taint"), corpusPath)
+	m, err := loadCorpus("taint")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,10 +54,19 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet()}
+	return loadTree(root, modPath, token.NewFileSet(), stdImporter)
+}
+
+// loadTree parses the tree under the absolute directory root into fset as
+// a module with import path modPath, subdirectory rel becoming package
+// "<modPath>/<rel>", and type-checks it, importing the standard library
+// through std. The testdata corpora load through it under a synthetic
+// path, which puts a corpus in scope of the path-scoped rules.
+func loadTree(root, modPath string, fset *token.FileSet, std types.Importer) (*Module, error) {
+	m := &Module{Root: root, Path: modPath, Fset: fset}
 
 	var dirs []string
-	err = filepath.Walk(root, func(p string, fi os.FileInfo, err error) error {
+	err := filepath.Walk(root, func(p string, fi os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
@@ -85,7 +94,10 @@ func LoadModule(dir string) (*Module, error) {
 			m.Packages = append(m.Packages, pkg)
 		}
 	}
-	if err := m.typecheck(stdImporter); err != nil {
+	if len(m.Packages) == 0 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", root)
+	}
+	if err := m.typecheck(std); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -311,62 +323,4 @@ func (m *Module) topoSort(byPath map[string]*Package) ([]*Package, error) {
 		}
 	}
 	return order, nil
-}
-
-// LoadDirAs parses and type-checks a directory tree as a standalone module
-// rooted at the given synthetic import path. It is how the testdata corpora
-// are loaded: corpus files import only the standard library (or each other,
-// via the synthetic path), and the synthetic path lets a corpus exercise
-// path-scoped rules (e.g. a "repro/internal/..." path for barego and
-// errdrop). Subdirectories become subpackages — "<asPath>/<rel>" — so a
-// corpus can model cross-package dataflow.
-func LoadDirAs(dir, asPath string) (*Module, error) {
-	return loadDirAs(dir, asPath, token.NewFileSet(), stdImporter)
-}
-
-// loadDirAs is LoadDirAs parsing into fset and importing the standard
-// library through std.
-func loadDirAs(dir, asPath string, fset *token.FileSet, std types.Importer) (*Module, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	m := &Module{Root: abs, Path: asPath, Fset: fset}
-
-	var dirs []string
-	err = filepath.Walk(abs, func(p string, fi os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !fi.IsDir() {
-			return nil
-		}
-		base := fi.Name()
-		if p != abs && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, p)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("analysis: walking %s: %w", abs, err)
-	}
-	sort.Strings(dirs)
-
-	for _, d := range dirs {
-		pkg, err := m.parseDir(d)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			m.Packages = append(m.Packages, pkg)
-		}
-	}
-	if len(m.Packages) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	if err := m.typecheck(std); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -1,0 +1,10 @@
+package corpus
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	if OnlyTested() != 1 || (Settings{TestedOnly: 1}).TestedOnly != 1 {
+		t.Fatal("wrong")
+	}
+	Allowed()
+}

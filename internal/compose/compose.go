@@ -153,15 +153,14 @@ func (s *System) TotalGPUs() int {
 }
 
 // FreeGPUs returns the unallocated GPU count.
+//
+//cdivet:allow testonly the root package's checked Example reports it to facade users
 func (s *System) FreeGPUs() int {
 	if s.arch == Traditional {
 		return s.freeNodes * s.gpusPerNode
 	}
 	return s.freeGPUs
 }
-
-// FreeCores returns the unallocated core count.
-func (s *System) FreeCores() int { return s.freeNodes * s.coresPerNode }
 
 // ceilDiv returns ⌈a/b⌉.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -242,9 +241,6 @@ func (s *System) Release(name string) error {
 	}
 	return nil
 }
-
-// Live returns the number of live allocations.
-func (s *System) Live() int { return len(s.allocs) }
 
 // Trapped sums trapped cores and GPUs across live allocations — the
 // resources the paper calls "trapped" idle devices that cannot be

@@ -31,8 +31,8 @@ func TestTraditionalNodeGranularity(t *testing.T) {
 	if _, gpus := s.Trapped(); gpus != 3 {
 		t.Errorf("trapped gpus = %d", gpus)
 	}
-	if s.FreeCores() != 0 || s.FreeGPUs() != 0 {
-		t.Errorf("free = %d cores, %d gpus", s.FreeCores(), s.FreeGPUs())
+	if s.freeNodes*s.coresPerNode != 0 || s.FreeGPUs() != 0 {
+		t.Errorf("free = %d cores, %d gpus", s.freeNodes*s.coresPerNode, s.FreeGPUs())
 	}
 }
 
@@ -251,7 +251,7 @@ func TestPropertyAllocReleaseConservation(t *testing.T) {
 					break
 				}
 			}
-			if s.FreeCores() < 0 || s.FreeCores() > totalCores {
+			if s.freeNodes*s.coresPerNode < 0 || s.freeNodes*s.coresPerNode > totalCores {
 				return false
 			}
 			if s.FreeGPUs() < 0 || s.FreeGPUs() > totalGPUs {
@@ -263,7 +263,7 @@ func TestPropertyAllocReleaseConservation(t *testing.T) {
 				return false
 			}
 		}
-		return s.FreeCores() == totalCores && s.FreeGPUs() == totalGPUs && s.Live() == 0
+		return s.freeNodes*s.coresPerNode == totalCores && s.FreeGPUs() == totalGPUs && len(s.allocs) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -210,6 +210,8 @@ func (s *Study) Predict(app model.AppProfile) ([]model.Prediction, error) {
 // MaxTolerableSlack returns the largest slack (on a 1 µs .. 1 s log grid)
 // whose pessimistic (upper-bound) predicted penalty stays within budget
 // (e.g. 0.01 for the paper's 1 % bar), and the corresponding fibre reach.
+//
+//cdivet:allow testonly the slack-budget query ROADMAP item 3 gives a program caller
 func (s *Study) MaxTolerableSlack(app model.AppProfile, budget float64) (sim.Duration, float64, error) {
 	if budget <= 0 {
 		return 0, 0, fmt.Errorf("core: non-positive budget %v", budget)
@@ -249,6 +251,8 @@ type Verdict struct {
 
 // Assess produces the paper's headline check for one application: the
 // penalty bounds at 100 µs of slack (≈ 20 km of fibre) against the 1% bar.
+//
+//cdivet:allow testonly the facade's headline check, which the root package's checked Example calls
 func (s *Study) Assess(app model.AppProfile) (Verdict, error) {
 	const slack = 100 * sim.Microsecond
 	pred, err := s.Surface.Predict(app, slack)

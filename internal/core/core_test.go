@@ -28,8 +28,14 @@ func TestNewStudyBuildsSurface(t *testing.T) {
 	if s.Surface == nil || len(s.Points) == 0 {
 		t.Fatal("study missing surface or points")
 	}
-	sizes := s.Surface.Sizes()
-	if len(sizes) != 3 {
+	// Every power-of-two byte count up to 1 TiB rounds up to some surface
+	// size, and each size's footprint is one of them: the rounded-up bins
+	// name exactly the surface's sizes.
+	var bytes []float64
+	for e := 0; e <= 40; e++ {
+		bytes = append(bytes, float64(int64(1)<<e))
+	}
+	if sizes := s.Surface.BinTransferSizes(bytes).RoundedUp; len(sizes) != 3 {
 		t.Fatalf("surface sizes = %v", sizes)
 	}
 }

@@ -92,7 +92,7 @@ func TestLaunchIsAsynchronous(t *testing.T) {
 	env, ctx := newCtx(t)
 	env.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
-		ctx.Launch(p, gpu.Fixed("k", 5*sim.Millisecond), nil)
+		ctx.Launch(p, gpu.Kernel{Name: "k", FixedTime: 5 * sim.Millisecond}, nil)
 		if p.Now() != start {
 			t.Errorf("launch blocked for %v (zero-overhead config)", p.Now().Sub(start))
 		}
@@ -116,7 +116,7 @@ func TestLaunchOverheadCharged(t *testing.T) {
 	ctx := NewContext(dev, Config{CallOverhead: -1})
 	env.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
-		ctx.Launch(p, gpu.Fixed("k", 1*sim.Millisecond), nil)
+		ctx.Launch(p, gpu.Kernel{Name: "k", FixedTime: 1 * sim.Millisecond}, nil)
 		if got := p.Now().Sub(start); math.Abs(float64(got-4*sim.Microsecond)) > 1e-12 {
 			t.Errorf("launch host cost = %v, want 4µs", got)
 		}
@@ -145,8 +145,8 @@ func TestStreamOrderingViaContext(t *testing.T) {
 	env, ctx := newCtx(t)
 	env.Spawn("host", func(p *sim.Proc) {
 		s := ctx.StreamCreate(p)
-		ctx.Launch(p, gpu.Fixed("a", 1*sim.Millisecond), s)
-		ctx.Launch(p, gpu.Fixed("b", 1*sim.Millisecond), s)
+		ctx.Launch(p, gpu.Kernel{Name: "a", FixedTime: 1 * sim.Millisecond}, s)
+		ctx.Launch(p, gpu.Kernel{Name: "b", FixedTime: 1 * sim.Millisecond}, s)
 		start := p.Now()
 		ctx.StreamSynchronize(p, s)
 		if got := p.Now().Sub(start); math.Abs(float64(got-2*sim.Millisecond)) > 1e-12 {
@@ -167,7 +167,7 @@ func TestEventsMeasureGPUTime(t *testing.T) {
 	env.Spawn("host", func(p *sim.Proc) {
 		s := ctx.StreamCreate(p)
 		startEv := ctx.EventRecord(p, s)
-		ctx.Launch(p, gpu.Fixed("k", 3*sim.Millisecond), s)
+		ctx.Launch(p, gpu.Kernel{Name: "k", FixedTime: 3 * sim.Millisecond}, s)
 		endEv := ctx.EventRecord(p, s)
 		ctx.EventSynchronize(p, startEv)
 		ctx.EventSynchronize(p, endEv)
@@ -186,7 +186,7 @@ func TestElapsedTimeRequiresSynchronizedEvents(t *testing.T) {
 	env, ctx := newCtx(t)
 	env.Spawn("host", func(p *sim.Proc) {
 		s := ctx.StreamCreate(p)
-		ctx.Launch(p, gpu.Fixed("k", 1*sim.Millisecond), s)
+		ctx.Launch(p, gpu.Kernel{Name: "k", FixedTime: 1 * sim.Millisecond}, s)
 		e := ctx.EventRecord(p, s)
 		if _, err := ElapsedTime(e, e); err == nil {
 			t.Error("ElapsedTime on pending event succeeded")
@@ -214,7 +214,7 @@ func TestInterposerSeesEveryCall(t *testing.T) {
 	env.Spawn("host", func(p *sim.Proc) {
 		ptr, _ := ctx.Malloc(p, 1024)
 		ctx.MemcpyH2D(p, ptr, 1024)
-		ctx.Launch(p, gpu.Fixed("k", 1*sim.Microsecond), nil)
+		ctx.Launch(p, gpu.Kernel{Name: "k", FixedTime: 1 * sim.Microsecond}, nil)
 		ctx.MemcpyD2H(p, ptr, 1024)
 		ctx.DeviceSynchronize(p)
 		ctx.Free(p, ptr)
@@ -301,7 +301,7 @@ func TestLaunchSyncBlocksForKernel(t *testing.T) {
 	env, ctx := newCtx(t)
 	env.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
-		ctx.LaunchSync(p, gpu.Fixed("k", 3*sim.Millisecond), nil)
+		ctx.LaunchSync(p, gpu.Kernel{Name: "k", FixedTime: 3 * sim.Millisecond}, nil)
 		if got := p.Now().Sub(start); math.Abs(float64(got-3*sim.Millisecond)) > 1e-12 {
 			t.Errorf("LaunchSync returned after %v, want 3ms", got)
 		}
@@ -315,7 +315,7 @@ func TestLaunchSyncBlocksForKernel(t *testing.T) {
 // of 200 calls after 200 warm-up calls, so even one op chunk shows.
 func TestWarmCallsAllocateNothing(t *testing.T) {
 	env, ctx := newCtx(t)
-	k := gpu.Fixed("k", 10*sim.Microsecond)
+	k := gpu.Kernel{Name: "k", FixedTime: 10 * sim.Microsecond}
 	allocs := map[string]float64{}
 	env.Spawn("host", func(p *sim.Proc) {
 		ptr, err := ctx.Malloc(p, 1<<20)
@@ -372,8 +372,8 @@ func TestLaunchLabelsSharedAcrossWorkers(t *testing.T) {
 			}
 			ctx := NewContext(dev, Config{CallOverhead: -1})
 			ctx.Interpose(&logs[w])
-			own := gpu.Fixed("own"+strconv.Itoa(w), sim.Microsecond)
-			shared := gpu.Fixed("shared", sim.Microsecond)
+			own := gpu.Kernel{Name: "own" + strconv.Itoa(w), FixedTime: sim.Microsecond}
+			shared := gpu.Kernel{Name: "shared", FixedTime: sim.Microsecond}
 			env.Spawn("host", func(p *sim.Proc) {
 				for i := 0; i < 50; i++ {
 					ctx.Launch(p, shared, nil)

@@ -176,14 +176,15 @@ func Churn(o Options) ([]ChurnRow, error) {
 		sl := churnSlacks[j.slIdx]
 		load := servingLoads[j.loadIdx]
 		if j.arm == "serving" {
-			rep, err := servingCell(serve.Continuous, sl, load, o.ServeWindow, servingSeed(j.loadIdx))
+			rep, _, err := servingCell(serve.Continuous, sl, load, o.ServeWindow, servingSeed(j.loadIdx), nil)
 			if err != nil {
 				return ChurnRow{}, err
 			}
 			return ChurnRow{Slack: sl, Load: load, Arm: j.arm, Report: rep}, nil
 		}
-		return churnCell(sl, load, churnIntensities[j.intIdx], o.ServeWindow,
-			j.loadIdx, j.intIdx, j.arm == "managed")
+		row, _, err := churnCell(sl, load, churnIntensities[j.intIdx], o.ServeWindow,
+			j.loadIdx, j.intIdx, j.arm == "managed", nil)
+		return row, err
 	})
 }
 
@@ -193,17 +194,20 @@ func Churn(o Options) ([]ChurnRow, error) {
 // identical pool, schedule, and workload with neither. Pool exhaustion
 // (the engine dying because no server survived) is recorded, not
 // returned as an error — a pool that collapses under churn is a
-// measurement, not a failure of the experiment.
+// measurement, not a failure of the experiment. A non-nil rec brackets
+// the window, and the cell returns its application spans: the engine's
+// request and batch spans, then the managed arm's per-server health
+// states.
 func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Duration,
-	loadIdx, intIdx int, managed bool) (ChurnRow, error) {
+	loadIdx, intIdx int, managed bool, rec *trace.Recorder) (ChurnRow, []trace.AppSpan, error) {
 	tenants := churnTenants(load)
 	reqs, err := serve.Generate(tenants, window, servingSeed(loadIdx))
 	if err != nil {
-		return ChurnRow{}, err
+		return ChurnRow{}, nil, err
 	}
 	path, err := fabric.PathForSlack(sl)
 	if err != nil {
-		return ChurnRow{}, err
+		return ChurnRow{}, nil, err
 	}
 	env := sim.NewEnv()
 	defer env.Close()
@@ -216,22 +220,33 @@ func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Dura
 		DisableLocalFallback: true,
 	})
 	if err != nil {
-		return ChurnRow{}, err
+		return ChurnRow{}, nil, err
 	}
-	cfg := serve.Config{Policy: serve.Continuous, Tenants: tenants}
+	cfg := serve.Config{Policy: serve.Continuous, Tenants: tenants, RecordSpans: rec != nil}
 	var ctl *health.Controller
 	if managed {
 		ctl, err = health.Start(env, pool, pool.Injector(), churnHealth(fseed, window, path))
 		if err != nil {
-			return ChurnRow{}, err
+			return ChurnRow{}, nil, err
 		}
 		cfg.Admission = serve.Admission{ShedExpired: true, MaxQueue: churnMaxQueue, Capacity: ctl}
 	}
 	eng, err := serve.Start(env, serve.NewRemote(pool), cfg, reqs)
 	if err != nil {
-		return ChurnRow{}, err
+		return ChurnRow{}, nil, err
+	}
+	var spans []trace.AppSpan
+	if rec != nil {
+		rec.Start(env)
 	}
 	env.Run()
+	if rec != nil {
+		rec.Stop(env)
+		spans = eng.Spans()
+		if managed {
+			spans = append(spans, healthSpans(ctl.Registry().Log(), env.Now())...)
+		}
+	}
 	row := ChurnRow{
 		Slack:     sl,
 		Load:      load,
@@ -250,7 +265,7 @@ func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Dura
 		row.Detection = hs.MeanDetection()
 		row.Suspicions = hs.Suspicions
 	}
-	return row, nil
+	return row, spans, nil
 }
 
 // healthTrackBase is the application-span track the health registry's
@@ -304,49 +319,15 @@ func healthSpans(log []health.Transition, end sim.Time) []trace.AppSpan {
 // it sheds.
 func WriteChurnTrace(o Options, w io.Writer) error {
 	o = o.withDefaults()
-	const intIdx = 2 // intensity 1
-	tenants := churnTenants(1)
-	reqs, err := serve.Generate(tenants, o.ServeWindow, servingSeed(1))
-	if err != nil {
-		return err
-	}
-	path, err := fabric.PathForSlack(100 * sim.Microsecond)
-	if err != nil {
-		return err
-	}
-	env := sim.NewEnv()
-	defer env.Close()
-	fseed := churnFaultSeed(intIdx)
-	pool, err := remoting.NewResilient(env, gpu.A100(), remoting.ResilientConfig{
-		Config:               remoting.Config{Path: path, Seed: fseed},
-		Faults:               churnFaults(churnIntensities[intIdx], fseed),
-		Policy:               churnPolicy(),
-		Standbys:             churnStandbys,
-		DisableLocalFallback: true,
-	})
-	if err != nil {
-		return err
-	}
-	ctl, err := health.Start(env, pool, pool.Injector(), churnHealth(fseed, o.ServeWindow, path))
-	if err != nil {
-		return err
-	}
-	eng, err := serve.Start(env, serve.NewRemote(pool), serve.Config{
-		Policy:      serve.Continuous,
-		Tenants:     tenants,
-		Admission:   serve.Admission{ShedExpired: true, MaxQueue: churnMaxQueue, Capacity: ctl},
-		RecordSpans: true,
-	}, reqs)
-	if err != nil {
-		return err
-	}
+	const loadIdx, intIdx = 1, 2 // load 1, intensity 1
 	rec := trace.NewRecorder("churn-managed-100us")
-	rec.Start(env)
-	env.Run()
-	rec.Stop(env)
+	_, spans, err := churnCell(100*sim.Microsecond, servingLoads[loadIdx], churnIntensities[intIdx],
+		o.ServeWindow, loadIdx, intIdx, true, rec)
+	if err != nil {
+		return err
+	}
 	tr := rec.Trace()
-	tr.AppSpans = append(append(tr.AppSpans, eng.Spans()...),
-		healthSpans(ctl.Registry().Log(), env.Now())...)
+	tr.AppSpans = spans
 	return tr.WriteChromeTrace(w)
 }
 

@@ -134,11 +134,11 @@ func TestChurnManagedDominatesBaseline(t *testing.T) {
 // healthy pool must not perturb the workload at all.
 func TestChurnControlPlaneTransparentWithoutFaults(t *testing.T) {
 	const window = 300 * sim.Millisecond
-	off, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, false)
+	off, _, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, true)
+	on, _, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

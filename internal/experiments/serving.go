@@ -73,7 +73,7 @@ func Serving(o Options) ([]ServingRow, error) {
 		sl := servingSlacks[(i/len(servingLoads))%len(servingSlacks)]
 		loadIdx := i % len(servingLoads)
 		load := servingLoads[loadIdx]
-		rep, err := servingCell(pol, sl, load, o.ServeWindow, servingSeed(loadIdx))
+		rep, _, err := servingCell(pol, sl, load, o.ServeWindow, servingSeed(loadIdx), nil)
 		if err != nil {
 			return ServingRow{}, err
 		}
@@ -83,37 +83,59 @@ func Serving(o Options) ([]ServingRow, error) {
 
 // servingCell runs one serving window on a single node-local GPU with the
 // given per-call slack injected — the paper's method applied to the
-// serving stack.
-func servingCell(pol serve.Policy, sl sim.Duration, load float64, window sim.Duration, seed int64) (serve.Report, error) {
+// serving stack. A non-nil rec records the window — API calls, kernels
+// and DMA — and the cell returns its application spans: the engine's
+// request and batch spans, then every injected slack interval.
+func servingCell(pol serve.Policy, sl sim.Duration, load float64, window sim.Duration, seed int64, rec *trace.Recorder) (serve.Report, []trace.AppSpan, error) {
 	tenants := servingTenants(load)
 	reqs, err := serve.Generate(tenants, window, seed)
 	if err != nil {
-		return serve.Report{}, err
+		return serve.Report{}, nil, err
 	}
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, err := gpu.NewDevice(env, gpu.A100())
 	if err != nil {
-		return serve.Report{}, err
+		return serve.Report{}, nil, err
 	}
 	ctx := cuda.NewContext(dev, cuda.Config{})
-	ctx.Interpose(slack.New(sl))
-	eng, err := serve.Start(env, serve.NewLocal(ctx), serve.Config{Policy: pol, Tenants: tenants}, reqs)
+	var opts []slack.Option
+	var slackSpans []trace.AppSpan
+	if rec != nil {
+		dev.Listen(rec)
+		ctx.Interpose(rec)
+		opts = append(opts, slack.WithObserver(func(name string, start, end sim.Time) {
+			if rec.Recording() {
+				slackSpans = append(slackSpans, trace.AppSpan{
+					Name: name, Cat: "slack", Track: slackTrack, Start: start, End: end,
+				})
+			}
+		}))
+	}
+	ctx.Interpose(slack.New(sl, opts...))
+	eng, err := serve.Start(env, serve.NewLocal(ctx),
+		serve.Config{Policy: pol, Tenants: tenants, RecordSpans: rec != nil}, reqs)
 	if err != nil {
-		return serve.Report{}, err
+		return serve.Report{}, nil, err
+	}
+	if rec != nil {
+		rec.Start(env)
 	}
 	env.Run()
-	if err := eng.Err(); err != nil {
-		return serve.Report{}, err
+	if rec != nil {
+		rec.Stop(env)
 	}
-	return eng.Metrics().Report(window), nil
+	if err := eng.Err(); err != nil {
+		return serve.Report{}, nil, err
+	}
+	return eng.Metrics().Report(window), append(eng.Spans(), slackSpans...), nil
 }
 
 // slackTrack is the application-span track slack intervals render on in
 // the Chrome trace (tenant requests occupy tracks 0.., batches -1).
 const slackTrack = 1000
 
-// WriteServingTrace replays one representative serving window — the
+// WriteServingTrace replays one representative cell of the sweep — the
 // continuous batcher at load 1 under the paper's 100 µs row-scale slack —
 // with the trace recorder attached, and writes the Chrome trace JSON:
 // API calls (pid 0), kernels and DMA (pid 1), and application spans
@@ -121,43 +143,13 @@ const slackTrack = 1000
 // injected slack interval).
 func WriteServingTrace(o Options, w io.Writer) error {
 	o = o.withDefaults()
-	tenants := servingTenants(1)
-	reqs, err := serve.Generate(tenants, o.ServeWindow, servingSeed(1))
-	if err != nil {
-		return err
-	}
-	env := sim.NewEnv()
-	defer env.Close()
-	dev, err := gpu.NewDevice(env, gpu.A100())
-	if err != nil {
-		return err
-	}
-	ctx := cuda.NewContext(dev, cuda.Config{})
 	rec := trace.NewRecorder("serving-continuous-100us")
-	dev.Listen(rec)
-	ctx.Interpose(rec)
-	var slackSpans []trace.AppSpan
-	inj := slack.New(100*sim.Microsecond, slack.WithObserver(func(name string, start, end sim.Time) {
-		if rec.Recording() {
-			slackSpans = append(slackSpans, trace.AppSpan{
-				Name: name, Cat: "slack", Track: slackTrack, Start: start, End: end,
-			})
-		}
-	}))
-	ctx.Interpose(inj)
-	eng, err := serve.Start(env, serve.NewLocal(ctx),
-		serve.Config{Policy: serve.Continuous, Tenants: tenants, RecordSpans: true}, reqs)
+	_, spans, err := servingCell(serve.Continuous, 100*sim.Microsecond, servingLoads[1], o.ServeWindow, servingSeed(1), rec)
 	if err != nil {
-		return err
-	}
-	rec.Start(env)
-	env.Run()
-	rec.Stop(env)
-	if err := eng.Err(); err != nil {
 		return err
 	}
 	tr := rec.Trace()
-	tr.AppSpans = append(append(tr.AppSpans, eng.Spans()...), slackSpans...)
+	tr.AppSpans = spans
 	return tr.WriteChromeTrace(w)
 }
 

@@ -43,7 +43,7 @@ func TestServingByteIdenticalAcrossWorkers(t *testing.T) {
 func TestServingZeroSlackArmIsNodeLocalBaseline(t *testing.T) {
 	const window = 200 * sim.Millisecond
 	for _, pol := range servingPolicies {
-		got, err := servingCell(pol, 0, 1, window, servingSeed(1))
+		got, _, err := servingCell(pol, 0, 1, window, servingSeed(1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,9 +68,6 @@ func (l *SharedLink) Transfer(p *sim.Proc, n int64) sim.Duration {
 	return p.Now().Sub(start)
 }
 
-// Transfers returns the completed transfer count.
-func (l *SharedLink) Transfers() int64 { return l.transfers }
-
 // MeanQueueing returns the average time transfers spent waiting for the
 // link — the congestion-induced slack the single-host method ignores.
 func (l *SharedLink) MeanQueueing() sim.Duration {

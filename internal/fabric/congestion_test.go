@@ -26,8 +26,8 @@ func TestSharedLinkUncontendedMatchesNominal(t *testing.T) {
 	if link.MeanQueueing() != 0 {
 		t.Errorf("queueing = %v on idle link", link.MeanQueueing())
 	}
-	if link.Transfers() != 1 {
-		t.Errorf("transfers = %d", link.Transfers())
+	if link.transfers != 1 {
+		t.Errorf("transfers = %d", link.transfers)
 	}
 }
 

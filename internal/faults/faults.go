@@ -209,9 +209,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 // Config returns the schedule the injector evaluates.
 func (in *Injector) Config() Config { return in.cfg }
 
-// Counters returns a snapshot of the delivered fault events.
-func (in *Injector) Counters() Counters { return in.c }
-
 // DropsMessage draws one message-loss decision from the loss stream.
 func (in *Injector) DropsMessage() bool {
 	if in.cfg.DropProbability <= 0 {
@@ -343,8 +340,3 @@ func (s *Server) OutageAt(t sim.Time) (start, end sim.Time, down bool) {
 	}
 	return 0, 0, false
 }
-
-// CrashTime returns the server's permanent-crash instant and whether it
-// ever crashes permanently (false when crashes are the recurring CrashFor
-// churn kind).
-func (s *Server) CrashTime() (sim.Time, bool) { return s.crashAt, s.crashes }

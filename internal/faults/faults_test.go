@@ -110,8 +110,8 @@ func TestServerScheduleIsolation(t *testing.T) {
 			t.Fatalf("probe at %v: (%v,%v) != (%v,%v)", at, s1, u1, s2, u2)
 		}
 	}
-	c0, ok0 := solo.Server(0).CrashTime()
-	c1, ok1 := pair.Server(1).CrashTime()
+	c0, ok0 := solo.Server(0).crashAt, solo.Server(0).crashes
+	c1, ok1 := pair.Server(1).crashAt, pair.Server(1).crashes
 	if !ok0 || !ok1 {
 		t.Fatal("CrashAfter set but no crash time drawn")
 	}
@@ -132,7 +132,7 @@ func TestInjectorCountersAndDrops(t *testing.T) {
 			drops++
 		}
 	}
-	if c := in.Counters(); c.Drops != int64(drops) || drops < 400 || drops > 600 {
+	if c := in.c; c.Drops != int64(drops) || drops < 400 || drops > 600 {
 		t.Fatalf("drops = %d, counter = %d", drops, c.Drops)
 	}
 	// Disabled loss must not consume the stream or count anything.
@@ -142,8 +142,8 @@ func TestInjectorCountersAndDrops(t *testing.T) {
 			t.Fatal("fault-free injector dropped a message")
 		}
 	}
-	if off.Counters() != (Counters{}) {
-		t.Fatalf("fault-free counters = %+v", off.Counters())
+	if off.c != (Counters{}) {
+		t.Fatalf("fault-free counters = %+v", off.c)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestCrashChurnWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := in.Server(0)
-	if _, ok := srv.CrashTime(); ok {
+	if srv.crashes {
 		t.Error("churn crashes report a permanent crash time")
 	}
 	// Replay the schedule: churn crashes must recur (down then up again)
@@ -286,7 +286,7 @@ func TestPermanentCrashOutageAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := in.Server(0)
-	crashAt, ok := srv.CrashTime()
+	crashAt, ok := srv.crashAt, srv.crashes
 	if !ok {
 		t.Fatal("no crash drawn")
 	}

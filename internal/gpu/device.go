@@ -229,9 +229,6 @@ func NewDevice(env *sim.Env, spec Spec) (*Device, error) {
 	}, nil
 }
 
-// Env returns the simulation environment the device lives on.
-func (d *Device) Env() *sim.Env { return d.env }
-
 // Spec returns the device specification.
 func (d *Device) Spec() Spec { return d.spec }
 
@@ -258,12 +255,6 @@ func (d *Device) Free(p Ptr) error { return d.mem.free(p) }
 
 // AllocSize returns the size of an allocation.
 func (d *Device) AllocSize(p Ptr) (int64, error) { return d.mem.size(p) }
-
-// MemUsed returns the bytes currently allocated.
-func (d *Device) MemUsed() int64 { return d.mem.used }
-
-// MemCapacity returns the device memory capacity.
-func (d *Device) MemCapacity() int64 { return d.spec.MemoryBytes }
 
 // Utilization returns the fraction of [0, now] the compute engine was busy.
 func (d *Device) Utilization() float64 {

@@ -98,8 +98,8 @@ func TestAllocator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.MemUsed() != 1<<29 {
-		t.Errorf("MemUsed = %d", d.MemUsed())
+	if d.mem.used != 1<<29 {
+		t.Errorf("mem used = %d", d.mem.used)
 	}
 	if n, err := d.AllocSize(p1); err != nil || n != 1<<29 {
 		t.Errorf("AllocSize = %d, %v", n, err)
@@ -120,8 +120,8 @@ func TestAllocator(t *testing.T) {
 	if err := d.Free(p2); err != nil {
 		t.Fatal(err)
 	}
-	if d.MemUsed() != 0 {
-		t.Errorf("MemUsed after frees = %d", d.MemUsed())
+	if d.mem.used != 0 {
+		t.Errorf("mem used after frees = %d", d.mem.used)
 	}
 	if _, err := d.Malloc(0); err == nil {
 		t.Error("zero-byte Malloc accepted")
@@ -157,7 +157,7 @@ func TestKernelMinTimeFloor(t *testing.T) {
 }
 
 func TestKernelFixedTime(t *testing.T) {
-	k := Fixed("replay", 7*sim.Millisecond)
+	k := Kernel{Name: "replay", FixedTime: 7 * sim.Millisecond}
 	if got := k.baseDuration(A100()); got != 7*sim.Millisecond {
 		t.Errorf("duration = %v, want 7ms", got)
 	}
@@ -242,7 +242,6 @@ func TestKernelConstructorsPanic(t *testing.T) {
 		"LJForce": func() { LJForce(0, 1) },
 		"Conv3D":  func() { Conv3D(0, 1, 1, 1, 1) },
 		"Dense":   func() { Dense(0, 1, 1) },
-		"Fixed":   func() { Fixed("x", 0) },
 	} {
 		func() {
 			defer func() {
@@ -280,8 +279,8 @@ func TestStreamExecutesInOrder(t *testing.T) {
 	d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { events = append(events, ev) }})
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s.EnqueueKernel(Fixed("k1", 1*sim.Millisecond))
-		s.EnqueueKernel(Fixed("k2", 2*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k1", FixedTime: 1 * sim.Millisecond})
+		s.EnqueueKernel(Kernel{Name: "k2", FixedTime: 2 * sim.Millisecond})
 		s.Sync(p)
 	})
 	env.Run()
@@ -345,8 +344,8 @@ func TestKernelsFromTwoStreamsSerializeOnCompute(t *testing.T) {
 	d, _ := NewDevice(env, fastSpec())
 	s1, s2 := d.NewStream(), d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s1.EnqueueKernel(Fixed("a", 1*sim.Millisecond))
-		s2.EnqueueKernel(Fixed("b", 1*sim.Millisecond))
+		s1.EnqueueKernel(Kernel{Name: "a", FixedTime: 1 * sim.Millisecond})
+		s2.EnqueueKernel(Kernel{Name: "b", FixedTime: 1 * sim.Millisecond})
 		d.Sync(p)
 	})
 	end := env.Run()
@@ -377,7 +376,7 @@ func TestCopyOverlapsKernel(t *testing.T) {
 	d, _ := NewDevice(env, fastSpec())
 	s1, s2 := d.NewStream(), d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s1.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+		s1.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 		s2.EnqueueCopy(H2D, 1_000_000)
 		d.Sync(p)
 	})
@@ -398,10 +397,10 @@ func TestWarmupChargedAfterIdleGap(t *testing.T) {
 	d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { events = append(events, ev) }})
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s.EnqueueKernel(Fixed("k1", 1*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k1", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 		p.Sleep(10 * sim.Millisecond) // starve the device
-		s.EnqueueKernel(Fixed("k2", 1*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k2", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 	})
 	env.Run()
@@ -438,10 +437,10 @@ func TestWarmupSaturates(t *testing.T) {
 	d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { last = ev }})
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s.EnqueueKernel(Fixed("k1", 1*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k1", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 		p.Sleep(1 * sim.Second) // far beyond saturation
-		s.EnqueueKernel(Fixed("k2", 1*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k2", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 	})
 	env.Run()
@@ -463,7 +462,7 @@ func TestBackToBackKernelsPayNoWarmup(t *testing.T) {
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			s.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+			s.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 		}
 		s.Sync(p)
 	})
@@ -489,7 +488,7 @@ func TestSecondStreamFillsIdleGap(t *testing.T) {
 		s1 := d.NewStream()
 		env.Spawn("host1", func(p *sim.Proc) {
 			for i := 0; i < 5; i++ {
-				op := s1.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+				op := s1.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 				op.Wait(p)
 				p.Sleep(4 * sim.Millisecond) // slack-like host delay
 			}
@@ -498,7 +497,7 @@ func TestSecondStreamFillsIdleGap(t *testing.T) {
 			s2 := d.NewStream()
 			env.SpawnAt(2*sim.Millisecond, "host2", func(p *sim.Proc) {
 				for i := 0; i < 5; i++ {
-					op := s2.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+					op := s2.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 					op.Wait(p)
 					p.Sleep(4 * sim.Millisecond)
 				}
@@ -524,7 +523,7 @@ func TestOpWaitAndDone(t *testing.T) {
 	s := d.NewStream()
 	var doneAt sim.Time
 	env.Spawn("host", func(p *sim.Proc) {
-		op := s.EnqueueKernel(Fixed("k", 2*sim.Millisecond))
+		op := s.EnqueueKernel(Kernel{Name: "k", FixedTime: 2 * sim.Millisecond})
 		if op.Done() {
 			t.Error("op done immediately after enqueue")
 		}
@@ -548,7 +547,7 @@ func TestDeviceSyncWaitsAllStreams(t *testing.T) {
 	s1, s2 := d.NewStream(), d.NewStream()
 	var syncAt sim.Time
 	env.Spawn("host", func(p *sim.Proc) {
-		s1.EnqueueKernel(Fixed("a", 1*sim.Millisecond))
+		s1.EnqueueKernel(Kernel{Name: "a", FixedTime: 1 * sim.Millisecond})
 		s2.EnqueueCopy(H2D, 3_000_000) // 3ms
 		d.Sync(p)
 		syncAt = p.Now()
@@ -565,7 +564,7 @@ func TestStreamDestroy(t *testing.T) {
 	d, _ := NewDevice(env, fastSpec())
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 		s.Destroy()
 	})
@@ -578,7 +577,7 @@ func TestStreamDestroy(t *testing.T) {
 			t.Error("enqueue on destroyed stream did not panic")
 		}
 	}()
-	s.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+	s.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 }
 
 func TestUtilization(t *testing.T) {
@@ -590,7 +589,7 @@ func TestUtilization(t *testing.T) {
 	}
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s.EnqueueKernel(Fixed("k", 1*sim.Millisecond))
+		s.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 		p.Sleep(1 * sim.Millisecond)
 	})
@@ -632,7 +631,7 @@ func TestPropertyComputeBusyConservation(t *testing.T) {
 			for i, u := range durs {
 				dur := sim.Duration(int(u)+1) * sim.Microsecond
 				want += dur
-				ss[i%ns].EnqueueKernel(Fixed("k", dur))
+				ss[i%ns].EnqueueKernel(Kernel{Name: "k", FixedTime: dur})
 			}
 			d.Sync(p)
 		})
@@ -672,9 +671,9 @@ func TestContextSwitchChargedBetweenStreams(t *testing.T) {
 	d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { events = append(events, ev) }})
 	s1, s2 := d.NewStream(), d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s1.EnqueueKernel(Fixed("a", 1*sim.Millisecond))
-		s1.EnqueueKernel(Fixed("a2", 1*sim.Millisecond))
-		s2.EnqueueKernel(Fixed("b", 1*sim.Millisecond))
+		s1.EnqueueKernel(Kernel{Name: "a", FixedTime: 1 * sim.Millisecond})
+		s1.EnqueueKernel(Kernel{Name: "a2", FixedTime: 1 * sim.Millisecond})
+		s2.EnqueueKernel(Kernel{Name: "b", FixedTime: 1 * sim.Millisecond})
 		d.Sync(p)
 	})
 	env.Run()
@@ -709,8 +708,8 @@ func TestNoContextSwitchWhenDisabled(t *testing.T) {
 	d, _ := NewDevice(env, fastSpec()) // ContextSwitch zero
 	s1, s2 := d.NewStream(), d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
-		s1.EnqueueKernel(Fixed("a", 1*sim.Millisecond))
-		s2.EnqueueKernel(Fixed("b", 1*sim.Millisecond))
+		s1.EnqueueKernel(Kernel{Name: "a", FixedTime: 1 * sim.Millisecond})
+		s2.EnqueueKernel(Kernel{Name: "b", FixedTime: 1 * sim.Millisecond})
 		d.Sync(p)
 	})
 	end := env.Run()
@@ -735,7 +734,7 @@ func TestStreamsSpawnNoProcess(t *testing.T) {
 	spec.ContextSwitch = 10 * sim.Microsecond
 	d, _ := NewDevice(env, spec)
 	s1, s2 := d.NewStream(), d.NewStream()
-	k := Fixed("k", 10*sim.Microsecond)
+	k := Kernel{Name: "k", FixedTime: 10 * sim.Microsecond}
 	var switches uint64
 	var allocs float64
 	env.Spawn("host", func(p *sim.Proc) {
@@ -774,7 +773,7 @@ func TestReleasedOpIsReused(t *testing.T) {
 	defer env.Close()
 	d, _ := NewDevice(env, fastSpec())
 	s := d.NewStream()
-	k := Fixed("k", 10*sim.Microsecond)
+	k := Kernel{Name: "k", FixedTime: 10 * sim.Microsecond}
 	var allocs float64
 	env.Spawn("host", func(p *sim.Proc) {
 		// One measured run of 200 rounds after a warm-up run of 200: the
@@ -813,7 +812,7 @@ func TestReleasedOpIsReused(t *testing.T) {
 // TestReleasePanics: releasing an op a process waits on, or releasing
 // one twice, is a caller bug the device reports.
 func TestReleasePanics(t *testing.T) {
-	k := Fixed("k", 10*sim.Microsecond)
+	k := Kernel{Name: "k", FixedTime: 10 * sim.Microsecond}
 	for _, tc := range []struct {
 		name string
 		// wait parks a process on o before misuse runs.
@@ -883,7 +882,7 @@ func TestPropertyAllocatorConservation(t *testing.T) {
 				if err == nil {
 					live = append(live, alloc{ptr, size})
 					used += size
-				} else if used+size <= d.MemCapacity() {
+				} else if used+size <= d.spec.MemoryBytes {
 					return false // spurious OOM
 				}
 			} else if len(live) > 0 {
@@ -894,7 +893,7 @@ func TestPropertyAllocatorConservation(t *testing.T) {
 				used -= live[i].size
 				live = append(live[:i], live[i+1:]...)
 			}
-			if d.MemUsed() != used || used > d.MemCapacity() {
+			if d.mem.used != used || used > d.spec.MemoryBytes {
 				return false
 			}
 		}
@@ -903,7 +902,7 @@ func TestPropertyAllocatorConservation(t *testing.T) {
 				return false
 			}
 		}
-		return d.MemUsed() == 0
+		return d.mem.used == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -206,13 +206,3 @@ func DecodeStep(batch int, params float64) Kernel {
 		MemBytes:   2*params + fb*4096,
 	}
 }
-
-// Fixed returns a kernel that executes for exactly d at boost clock —
-// replaying a measured duration through the device's queue and warm-up
-// machinery.
-func Fixed(name string, d sim.Duration) Kernel {
-	if d <= 0 {
-		panic("gpu: Fixed kernel duration must be positive")
-	}
-	return Kernel{Name: name, FixedTime: d}
-}

@@ -470,7 +470,7 @@ func runStreamProg(data []byte, ref bool) streamRun {
 				switch b & 7 {
 				case opcKernel:
 					if live {
-						last = s.kernel(Fixed("k"+strconv.Itoa(a), sim.Duration(a+1)*5*sim.Microsecond))
+						last = s.kernel(Kernel{Name: "k" + strconv.Itoa(a), FixedTime: sim.Duration(a+1) * 5 * sim.Microsecond})
 					}
 					continue
 				case opcCopy:

@@ -116,8 +116,6 @@ func (r *Registry) Degraded() bool { return r.degraded > 0 }
 type Pool interface {
 	// Servers is the pool size (primary + standbys).
 	Servers() int
-	// ActiveServer is the index currently executing calls.
-	ActiveServer() int
 	// Live reports whether server i is in rotation (not dead or drained).
 	Live(i int) bool
 	// Drain takes server i out of rotation, migrating its handle table to

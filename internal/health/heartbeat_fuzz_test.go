@@ -110,15 +110,6 @@ func newFakePool(env *sim.Env, n int, cost sim.Duration) *fakePool {
 
 func (f *fakePool) Servers() int { return len(f.live) }
 
-func (f *fakePool) ActiveServer() int {
-	for i, l := range f.live {
-		if l {
-			return i
-		}
-	}
-	return 0
-}
-
 func (f *fakePool) Live(i int) bool { return f.live[i] }
 
 func (f *fakePool) Drain(p *sim.Proc, server int) error {

@@ -34,18 +34,6 @@ func New(rank *mpi.Rank) *Session {
 	return &Session{rank: rank}
 }
 
-// Rank returns the underlying MPI rank.
-func (s *Session) Rank() *mpi.Rank { return s.rank }
-
-// Size returns the number of workers.
-func (s *Session) Size() int { return s.rank.Size() }
-
-// Cycles returns the number of fusion cycles performed.
-func (s *Session) Cycles() int64 { return s.cycles }
-
-// BytesReduced returns the total gradient bytes this worker contributed.
-func (s *Session) BytesReduced() int64 { return s.bytes }
-
 // SyncBytes synchronizes n gradient bytes: one fusion cycle plus the
 // ring-allreduce cost per fusion-buffer chunk.
 func (s *Session) SyncBytes(n int64) {

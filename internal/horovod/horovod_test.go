@@ -18,11 +18,11 @@ func TestSyncBytesChargesRingCost(t *testing.T) {
 		s.SyncBytes(3 * fusionThreshold) // three fusion chunks
 		if r.Rank() == 0 {
 			elapsed = r.Proc().Now().Sub(start)
-			if s.Cycles() != 3 {
-				t.Errorf("cycles = %d, want 3", s.Cycles())
+			if s.cycles != 3 {
+				t.Errorf("cycles = %d, want 3", s.cycles)
 			}
-			if s.BytesReduced() != 3*fusionThreshold {
-				t.Errorf("bytes = %d", s.BytesReduced())
+			if s.bytes != 3*fusionThreshold {
+				t.Errorf("bytes = %d", s.bytes)
 			}
 		}
 	})
@@ -42,8 +42,8 @@ func TestSyncBytesZeroAndNegative(t *testing.T) {
 	w.SpawnAll(func(r *mpi.Rank) {
 		s := New(r)
 		s.SyncBytes(0) // no-op
-		if s.Cycles() != 0 {
-			t.Errorf("cycles = %d after zero-byte sync", s.Cycles())
+		if s.cycles != 0 {
+			t.Errorf("cycles = %d after zero-byte sync", s.cycles)
 		}
 		defer func() {
 			if recover() == nil {
@@ -51,19 +51,6 @@ func TestSyncBytesZeroAndNegative(t *testing.T) {
 			}
 		}()
 		s.SyncBytes(-1)
-	})
-	env.Run()
-}
-
-func TestSessionAccessors(t *testing.T) {
-	env := sim.NewEnv()
-	t.Cleanup(env.Close)
-	w := mpi.NewWorld(env, 3, mpi.CostModel{})
-	w.SpawnAll(func(r *mpi.Rank) {
-		s := New(r)
-		if s.Size() != 3 || s.Rank() != r {
-			t.Error("accessors wrong")
-		}
 	})
 	env.Run()
 }

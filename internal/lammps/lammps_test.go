@@ -24,11 +24,17 @@ func TestAtomsFormula(t *testing.T) {
 	Atoms(0)
 }
 
+// Reduced-unit constants of LAMMPS bench/in.lj.
+const (
+	density = 0.8442 // reduced number density ρ*
+	cutoff  = 2.5    // LJ interaction cutoff in σ
+)
+
 // TestNeighborsHalfMatchesTheory pins the literal NeighborsHalf to the
 // physics it stands for: half of ρ·(4/3)πr_c³ neighbors inside the cutoff
 // at the benchmark density.
 func TestNeighborsHalfMatchesTheory(t *testing.T) {
-	full := Density * 4 / 3 * math.Pi * Cutoff * Cutoff * Cutoff
+	full := density * 4 / 3 * math.Pi * cutoff * cutoff * cutoff
 	want := int(full / 2)
 	if NeighborsHalf != want {
 		t.Errorf("NeighborsHalf = %d, want %d", NeighborsHalf, want)
@@ -179,11 +185,14 @@ func TestPerfTraceCharacteristics(t *testing.T) {
 	// Kernels: lj_force every step per rank + neigh_build every 10 steps.
 	wantForce := 20 * 8
 	wantNeigh := 2 * 8
-	byName := tr.KernelDurationsByName()
-	if got := len(byName["lj_force"]); got != wantForce {
+	byName := map[string]int{}
+	for _, g := range tr.TopKernels(0) {
+		byName[g.Name] = g.Count
+	}
+	if got := byName["lj_force"]; got != wantForce {
 		t.Errorf("lj_force launches = %d, want %d", got, wantForce)
 	}
-	if got := len(byName["neigh_build"]); got != wantNeigh {
+	if got := byName["neigh_build"]; got != wantNeigh {
 		t.Errorf("neigh_build launches = %d, want %d", got, wantNeigh)
 	}
 	// Copies: pos H2D + force D2H per rank-step, cell meta per rebuild.
@@ -208,8 +217,15 @@ func TestPerfTraceCharacteristics(t *testing.T) {
 	if !sawPos || !sawForce {
 		t.Errorf("expected position and force copy sizes in trace (pos=%v force=%v)", sawPos, sawForce)
 	}
-	if tr.Streams() != 8 {
-		t.Errorf("streams = %d, want 8 (one per rank)", tr.Streams())
+	streams := map[int]bool{}
+	for _, k := range tr.Kernels {
+		streams[k.Stream] = true
+	}
+	for _, c := range tr.Copies {
+		streams[c.Stream] = true
+	}
+	if len(streams) != 8 {
+		t.Errorf("streams = %d, want 8 (one per rank)", len(streams))
 	}
 }
 

@@ -21,15 +21,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Reduced-unit benchmark constants (LAMMPS bench/in.lj).
-const (
-	// Density is the reduced number density ρ*.
-	Density = 0.8442
-	// Cutoff is the LJ interaction cutoff in σ.
-	Cutoff = 2.5
-	// AtomsPerCell is the fcc basis size: 4 atoms per cubic lattice cell.
-	AtomsPerCell = 4
-)
+// AtomsPerCell is the fcc basis size: 4 atoms per cubic lattice cell.
+const AtomsPerCell = 4
 
 // Atoms returns the atom count for a given box size in the paper's units:
 // box size b is b³ fcc lattice cells of 4 atoms (box 20 = 32 000 atoms,
@@ -67,7 +60,8 @@ const (
 	// HaloBytesPerAtom is the wire size of one exchanged ghost atom.
 	HaloBytesPerAtom = 32
 	// NeighborsHalf is the average half-neighbor-list length at the
-	// benchmark density: half of ρ·(4/3)πr_c³ ≈ 55.3, truncated.
+	// benchmark density: half of ρ·(4/3)πr_c³ ≈ 55.3, truncated, at
+	// LAMMPS bench/in.lj's ρ* = 0.8442 and r_c = 2.5σ.
 	NeighborsHalf = 27
 	// DefaultRebuildEvery is the neighbor-list rebuild period in steps.
 	DefaultRebuildEvery = 10

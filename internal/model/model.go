@@ -110,15 +110,6 @@ func BuildSurface(points []proxy.SweepPoint) (*Surface, error) {
 	return s, nil
 }
 
-// Sizes returns the tested matrix sizes, ascending.
-func (s *Surface) Sizes() []int { return append([]int(nil), s.sizes...) }
-
-// KernelTime returns the proxy's baseline kernel time for a tested size.
-func (s *Surface) KernelTime(size int) (sim.Duration, bool) {
-	d, ok := s.kernelTimes[size]
-	return d, ok
-}
-
 // Penalty evaluates the response surface at (size, threads, slack). The
 // thread count snaps down to the nearest tested value (fewer submitters
 // tolerate less slack, so rounding down is the pessimistic choice); a size
@@ -359,14 +350,4 @@ func PaperSlacks() []sim.Duration {
 		1 * sim.Millisecond,
 		10 * sim.Millisecond,
 	}
-}
-
-// TableIIIThresholdsMiB returns the paper's transfer-size bin thresholds
-// in MiB — the matrix footprints of the tested sizes.
-func TableIIIThresholdsMiB(sizes []int) []float64 {
-	out := make([]float64, len(sizes))
-	for i, n := range sizes {
-		out[i] = float64(gpu.MatrixBytes(n)) / (1 << 20)
-	}
-	return out
 }

@@ -53,10 +53,10 @@ func TestSurfaceLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Sizes(); len(got) != 4 || got[0] != 512 || got[3] != 32768 {
-		t.Fatalf("Sizes = %v", got)
+	if got := s.sizes; len(got) != 4 || got[0] != 512 || got[3] != 32768 {
+		t.Fatalf("sizes = %v", got)
 	}
-	if kt, ok := s.KernelTime(2048); !ok || kt != 3*sim.Millisecond {
+	if kt, ok := s.kernelTimes[2048]; !ok || kt != 3*sim.Millisecond {
 		t.Errorf("KernelTime(2048) = %v, %v", kt, ok)
 	}
 	// Exact knot.
@@ -125,12 +125,12 @@ func TestBinKernelDurations(t *testing.T) {
 
 func TestBinTransferSizesTableIIIThresholds(t *testing.T) {
 	s, _ := BuildSurface(syntheticSweep())
-	// Table III thresholds: 1, 16, 256, 4096 MiB.
-	th := TableIIIThresholdsMiB(s.Sizes())
+	// Table III thresholds: 1, 16, 256, 4096 MiB, the matrix footprints
+	// BinTransferSizes bins by.
 	want := []float64{1, 16, 256, 4096}
 	for i := range want {
-		if th[i] != want[i] {
-			t.Fatalf("thresholds = %v, want %v", th, want)
+		if th := float64(gpu.MatrixBytes(s.sizes[i])) / (1 << 20); th != want[i] {
+			t.Fatalf("threshold %d = %v MiB, want %v", i, th, want[i])
 		}
 	}
 	bytes := []float64{

@@ -115,15 +115,6 @@ func NewWorld(env *sim.Env, size int, cost CostModel) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// MessagesSent returns the number of point-to-point messages delivered.
-func (w *World) MessagesSent() int64 { return w.msgsP2P }
-
-// BytesSent returns the point-to-point payload bytes delivered.
-func (w *World) BytesSent() int64 { return w.bytesP2P }
-
 // Rank is one process's endpoint in a World.
 type Rank struct {
 	w    *World

@@ -171,8 +171,8 @@ func TestTrafficCounters(t *testing.T) {
 		r.Recv(0, 1)
 	})
 	env.Run()
-	if w.MessagesSent() != 2 || w.BytesSent() != 300 {
-		t.Fatalf("messages=%d bytes=%d", w.MessagesSent(), w.BytesSent())
+	if w.msgsP2P != 2 || w.bytesP2P != 300 {
+		t.Fatalf("messages=%d bytes=%d", w.msgsP2P, w.bytesP2P)
 	}
 }
 

@@ -10,10 +10,6 @@ import "repro/internal/sim"
 // Servers returns the pool's server count.
 func (s *Scheduler) Servers() int { return s.topo.Servers() }
 
-// ActiveServer satisfies health.Pool; a pool scheduler has no single
-// active primary, so the detector anchors on server 0.
-func (s *Scheduler) ActiveServer() int { return 0 }
-
 // Live reports whether a server is in rotation. It samples the published
 // rotation view from the health plane's domain; the scheduler is the
 // only writer.

@@ -125,9 +125,6 @@ type Result struct {
 	Trace *trace.Trace
 }
 
-// MatrixBytes returns the per-matrix device footprint.
-func (r Result) MatrixBytes() int64 { return gpu.MatrixBytes(r.MatrixSize) }
-
 // Run executes one proxy configuration on a fresh simulated node and
 // returns its measurements.
 func Run(cfg Config) (Result, error) {

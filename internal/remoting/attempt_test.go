@@ -41,7 +41,7 @@ func TestOrphanedServerFiresIntoItsOwnAttempt(t *testing.T) {
 	returned := make([]sim.Time, 200)
 	env.Spawn("host", func(p *sim.Proc) {
 		for i := range returned {
-			if err := r.LaunchSync(p, gpu.Fixed("k"+strconv.Itoa(i), 20*sim.Microsecond)); err != nil {
+			if err := r.LaunchSync(p, gpu.Kernel{Name: "k" + strconv.Itoa(i), FixedTime: 20 * sim.Microsecond}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -87,7 +87,7 @@ func TestWarmLaunchSyncAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := gpu.Fixed("k", 20*sim.Microsecond)
+	k := gpu.Kernel{Name: "k", FixedTime: 20 * sim.Microsecond}
 	var allocs float64
 	var failed error
 	env.Spawn("host", func(p *sim.Proc) {

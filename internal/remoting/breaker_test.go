@@ -110,8 +110,8 @@ func TestBreakerHalfOpenCloses(t *testing.T) {
 	if st.Failovers != 0 {
 		t.Errorf("half-open recovery still paid %d failover(s)", st.Failovers)
 	}
-	if r.ActiveServer() != 0 {
-		t.Errorf("active server %d after recovery, want 0", r.ActiveServer())
+	if r.active != 0 {
+		t.Errorf("active server %d after recovery, want 0", r.active)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestBreakerHalfOpenReopens(t *testing.T) {
 	if st.Failovers != 1 {
 		t.Errorf("failovers = %d, want 1", st.Failovers)
 	}
-	if r.ActiveServer() != 1 {
-		t.Errorf("active server %d after re-open, want 1", r.ActiveServer())
+	if r.active != 1 {
+		t.Errorf("active server %d after re-open, want 1", r.active)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestDrainMigratesAndReadmitRestores(t *testing.T) {
 			t.Errorf("drain(0): %v", err)
 			return
 		}
-		if got := r.ActiveServer(); got != 1 {
+		if got := r.active; got != 1 {
 			t.Errorf("active after drain = %d, want 1", got)
 		}
 		if r.Live(0) {
@@ -191,7 +191,7 @@ func TestDrainMigratesAndReadmitRestores(t *testing.T) {
 			t.Errorf("drain(1): %v", err)
 			return
 		}
-		if got := r.ActiveServer(); got != 0 {
+		if got := r.active; got != 0 {
 			t.Errorf("active after second drain = %d, want 0", got)
 		}
 		if err := m.Iterate(p, r, kernel); err != nil {
@@ -225,7 +225,7 @@ func TestDrainStandbyRemovesFromRotation(t *testing.T) {
 			t.Errorf("drain standby: %v", err)
 			return
 		}
-		if got := r.ActiveServer(); got != 0 {
+		if got := r.active; got != 0 {
 			t.Errorf("draining a standby moved the executor to %d", got)
 		}
 		if got := r.nextLive(0); got != 2 {

@@ -10,11 +10,10 @@ import (
 // live virtual handles in allocation order plus their sizes. It is the
 // unit of live migration — Resilient replays one onto a new server during
 // drain/failover, and the pool defragmenter charges the same table's
-// bytes when it consolidates an allocation onto another server.
+// ReplayTime when it consolidates an allocation onto another server.
 type HandleTable struct {
 	handles []gpu.Ptr
 	sizes   map[gpu.Ptr]int64
-	bytes   int64
 }
 
 // NewHandleTable returns an empty table.
@@ -25,25 +24,18 @@ func NewHandleTable() *HandleTable {
 // Add records a live handle of n bytes. Re-adding a handle replaces its
 // size (the transport never does this; the pool rebuilds tables freely).
 func (t *HandleTable) Add(h gpu.Ptr, n int64) {
-	if old, ok := t.sizes[h]; ok {
-		t.bytes -= old
-		t.sizes[h] = n
-		t.bytes += n
-		return
+	if _, ok := t.sizes[h]; !ok {
+		t.handles = append(t.handles, h)
 	}
-	t.handles = append(t.handles, h)
 	t.sizes[h] = n
-	t.bytes += n
 }
 
 // Remove drops a handle; unknown handles are a no-op.
 func (t *HandleTable) Remove(h gpu.Ptr) {
-	n, ok := t.sizes[h]
-	if !ok {
+	if _, ok := t.sizes[h]; !ok {
 		return
 	}
 	delete(t.sizes, h)
-	t.bytes -= n
 	for i, live := range t.handles {
 		if live == h {
 			t.handles = append(t.handles[:i], t.handles[i+1:]...)
@@ -51,15 +43,6 @@ func (t *HandleTable) Remove(h gpu.Ptr) {
 		}
 	}
 }
-
-// Len returns the number of live handles.
-func (t *HandleTable) Len() int { return len(t.handles) }
-
-// Bytes returns the total live payload the table holds.
-func (t *HandleTable) Bytes() int64 { return t.bytes }
-
-// Size returns the recorded size of handle h (0 when unknown).
-func (t *HandleTable) Size(h gpu.Ptr) int64 { return t.sizes[h] }
 
 // Each walks the table in allocation order — the DMA-replay order both
 // failover and pool defragmentation use — stopping at the first error.

@@ -201,10 +201,6 @@ func (r *Resilient) Stats() Stats { return r.stats }
 // execution.
 func (r *Resilient) Degraded() bool { return r.degraded }
 
-// ActiveServer returns the index of the GPU server currently serving
-// calls (meaningless once Degraded).
-func (r *Resilient) ActiveServer() int { return r.active }
-
 // Servers returns how many GPU servers the transport was provisioned
 // with (primary plus standbys).
 func (r *Resilient) Servers() int { return len(r.eps) }

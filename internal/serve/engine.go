@@ -124,9 +124,8 @@ type Engine struct {
 	qhead int
 	// depth counts live (unserved, unshed) queued requests; backpressure
 	// marks victims shed in place and pop discards them lazily.
-	depth     int
-	more      *sim.Signal
-	completed int
+	depth int
+	more  *sim.Signal
 
 	// ks and batchBuf are per-step scratch reused across iterations.
 	// pendSlab batch-allocates pending records and freePend holds the
@@ -194,9 +193,6 @@ func (e *Engine) Metrics() *Metrics { return e.m }
 
 // Spans returns the recorded serving spans (empty unless RecordSpans).
 func (e *Engine) Spans() []trace.AppSpan { return e.spans }
-
-// Completed returns how many requests have finished.
-func (e *Engine) Completed() int { return e.completed }
 
 // arrivals delivers the pre-generated schedule into the admission queue:
 // every request whose arrival time has come is enqueued inline, and the
@@ -294,7 +290,7 @@ func (e *Engine) batcher(p *sim.Proc) {
 		return
 	}
 	e.workspace = in
-	for e.completed+e.m.Shed < e.total {
+	for e.m.Completed+e.m.Shed < e.total {
 		if e.qlen() == 0 {
 			e.more.Wait(p)
 			continue
@@ -363,7 +359,6 @@ func (e *Engine) finish(p *sim.Proc, r *pending) error {
 	}
 	done := p.Now()
 	e.m.record(done.Sub(r.req.Arrival), e.cfg.Tenants[r.req.Tenant].SLO)
-	e.completed++
 	if e.cfg.RecordSpans {
 		e.spans = append(e.spans, trace.AppSpan{
 			Name:  "req " + strconv.Itoa(r.req.ID) + " (" + e.cfg.Tenants[r.req.Tenant].Name + ")",

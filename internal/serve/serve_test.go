@@ -64,8 +64,8 @@ func runLocalCfg(t *testing.T, cfg Config, inj *slack.Injector, reqs []Request) 
 	if e.Err() != nil {
 		t.Fatalf("engine error: %v", e.Err())
 	}
-	if e.Completed() != len(reqs) {
-		t.Fatalf("completed %d of %d requests", e.Completed(), len(reqs))
+	if e.Metrics().Completed != len(reqs) {
+		t.Fatalf("completed %d of %d requests", e.Metrics().Completed, len(reqs))
 	}
 	return e
 }
@@ -116,8 +116,8 @@ func TestStartSpawnsOnlyBatcher(t *testing.T) {
 		t.Fatalf("Start spawned %d processes, want 1", n)
 	}
 	env.Run()
-	if e.Err() != nil || e.Completed() != len(reqs) {
-		t.Fatalf("completed %d of %d requests, err %v", e.Completed(), len(reqs), e.Err())
+	if e.Err() != nil || e.Metrics().Completed != len(reqs) {
+		t.Fatalf("completed %d of %d requests, err %v", e.Metrics().Completed, len(reqs), e.Err())
 	}
 }
 
@@ -378,7 +378,7 @@ func TestPoolServesAllTenantsAcrossReplicas(t *testing.T) {
 		if e.Err() != nil {
 			t.Fatalf("replica %d error: %v", i, e.Err())
 		}
-		completed += e.Completed()
+		completed += e.Metrics().Completed
 	}
 	if completed != len(reqs) {
 		t.Fatalf("pool completed %d of %d", completed, len(reqs))
@@ -418,15 +418,15 @@ func TestServeOverResilientTransport(t *testing.T) {
 		return e, r.Stats()
 	}
 	clean, cleanStats := run(0)
-	if clean.Completed() != len(reqs) {
-		t.Fatalf("completed %d of %d over clean resilient transport", clean.Completed(), len(reqs))
+	if clean.Metrics().Completed != len(reqs) {
+		t.Fatalf("completed %d of %d over clean resilient transport", clean.Metrics().Completed, len(reqs))
 	}
 	if cleanStats.Retries != 0 || cleanStats.Failovers != 0 {
 		t.Fatalf("clean run took policy actions: %+v", cleanStats)
 	}
 	faulty, faultyStats := run(2)
-	if faulty.Completed() != len(reqs) {
-		t.Fatalf("completed %d of %d under faults", faulty.Completed(), len(reqs))
+	if faulty.Metrics().Completed != len(reqs) {
+		t.Fatalf("completed %d of %d under faults", faulty.Metrics().Completed, len(reqs))
 	}
 	if faultyStats.Retries == 0 {
 		t.Error("fault schedule at intensity 2 caused no retries")
@@ -491,8 +491,8 @@ func TestWarmContinuousStepAllocatesNothing(t *testing.T) {
 		})
 	})
 	env.Run()
-	if want := 40 * len(reqs); e.Completed() != want {
-		t.Fatalf("completed %d requests, want %d", e.Completed(), want)
+	if want := 40 * len(reqs); e.Metrics().Completed != want {
+		t.Fatalf("completed %d requests, want %d", e.Metrics().Completed, want)
 	}
 	if allocs != 0 {
 		t.Errorf("a warm continuous round allocates %v times, want 0", allocs)

@@ -229,6 +229,8 @@ type Stats struct {
 }
 
 // Stats returns the engine's counters.
+//
+//cdivet:allow testonly the engine's event counters, which ROADMAP item 9 gives the bench reader and TestEngineStatsPinned pins
 func (e *Env) Stats() Stats {
 	// Scheduled, Delivered and SelfWakes are derived, so the self-wake
 	// fast path does no bookkeeping: every scheduled event took one seq
@@ -569,6 +571,8 @@ func (e *Env) endSegment() {
 // callback runs on the calling goroutine. Unlike RunUntil, a woken
 // process suspends straight back to Step after one wake-up, so every
 // wake-up Step delivers is a switch.
+//
+//cdivet:allow testonly the reference driver that FuzzRunStepOrder and the pool tests hold RunUntil to
 func (e *Env) Step() bool {
 	e.horizon = Time(math.Inf(1))
 	ev := e.next()
@@ -594,9 +598,6 @@ func (e *Env) Blocked() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Live returns the number of processes that have started but not finished.
-func (e *Env) Live() int { return e.nprocs }
 
 // Close unwinds every parked process, drops pending callbacks without
 // running them, and marks the environment unusable. It must not be called

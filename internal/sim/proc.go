@@ -41,9 +41,6 @@ type Proc struct {
 	nextFree *Proc // the next Proc on Env.procs, while this one is free
 }
 
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
 // Env returns the environment that owns this process.
 func (p *Proc) Env() *Env { return p.env }
 
@@ -228,6 +225,3 @@ func (w *WaitGroup) Wait(p *Proc) {
 		w.done.Wait(p)
 	}
 }
-
-// Count returns the current counter value.
-func (w *WaitGroup) Count() int { return w.count }

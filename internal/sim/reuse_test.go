@@ -89,10 +89,10 @@ func TestSpawnThenReturnReusesGoroutine(t *testing.T) {
 		env.Spawn("parent", func(p *Proc) {
 			p.Env().Spawn("child", func(c *Proc) {
 				c.Sleep(Microsecond)
-				c.Env().Spawn("grandchild", func(g *Proc) { ran = append(ran, g.Name()) })
-				ran = append(ran, c.Name())
+				c.Env().Spawn("grandchild", func(g *Proc) { ran = append(ran, g.name) })
+				ran = append(ran, c.name)
 			})
-			ran = append(ran, p.Name())
+			ran = append(ran, p.name)
 		})
 		if step {
 			for env.Step() {

@@ -376,8 +376,8 @@ func TestWaitGroup(t *testing.T) {
 	if doneAt != Time(3e-3) {
 		t.Fatalf("waiter released at %v, want 3ms", doneAt)
 	}
-	if wg.Count() != 0 {
-		t.Fatalf("Count = %d, want 0", wg.Count())
+	if wg.count != 0 {
+		t.Fatalf("Count = %d, want 0", wg.count)
 	}
 }
 
@@ -417,8 +417,8 @@ func TestBlockedReportsDeadlockedProcesses(t *testing.T) {
 		t.Fatalf("Blocked() = %v", got)
 	}
 	env.Close()
-	if env.Live() != 0 {
-		t.Fatalf("Live() after Close = %d, want 0", env.Live())
+	if env.nprocs != 0 {
+		t.Fatalf("Live() after Close = %d, want 0", env.nprocs)
 	}
 }
 
@@ -430,8 +430,8 @@ func TestCloseUnwindsTimerParkedProcesses(t *testing.T) {
 	})
 	env.RunUntil(Time(0)) // deliver the start event only
 	env.Close()
-	if env.Live() != 0 {
-		t.Fatalf("Live() = %d after Close, want 0", env.Live())
+	if env.nprocs != 0 {
+		t.Fatalf("Live() = %d after Close, want 0", env.nprocs)
 	}
 }
 
@@ -632,11 +632,11 @@ func TestCloseWithPendingTimers(t *testing.T) {
 	// A delayed start, never delivered.
 	env.SpawnAt(10*Millisecond, "unstarted", func(p *Proc) { finished++ })
 	env.RunUntil(Time(0).Add(10 * Microsecond))
-	if got := env.Live(); got != 3 {
+	if got := env.nprocs; got != 3 {
 		t.Fatalf("Live() = %d before Close, want 3 (two sleepers, one undelivered start)", got)
 	}
 	env.Close()
-	if got := env.Live(); got != 0 {
+	if got := env.nprocs; got != 0 {
 		t.Errorf("Live() = %d after Close, want 0", got)
 	}
 	if finished != 0 {
@@ -707,7 +707,7 @@ func TestBlocked(t *testing.T) {
 	if got := env.Blocked(); len(got) != 0 {
 		t.Fatalf("Blocked() after drain = %v, want empty", got)
 	}
-	if env.Live() != 0 {
-		t.Fatalf("Live() after drain = %d, want 0", env.Live())
+	if env.nprocs != 0 {
+		t.Fatalf("Live() after drain = %d, want 0", env.nprocs)
 	}
 }

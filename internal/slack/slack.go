@@ -99,9 +99,6 @@ func FromPath(p fabric.Path, opts ...Option) *Injector {
 	return New(fabric.SlackForPath(p), opts...)
 }
 
-// Amount returns the configured per-call slack.
-func (in *Injector) Amount() sim.Duration { return in.amount }
-
 // SetAmount changes the per-call slack; setting 0 disables injection
 // (baseline runs reuse the same wiring).
 func (in *Injector) SetAmount(d sim.Duration) {
@@ -114,11 +111,6 @@ func (in *Injector) SetAmount(d sim.Duration) {
 // DelayedCalls returns how many calls have been delayed — the
 // num_CUDAcalls term of Equation 1.
 func (in *Injector) DelayedCalls() int64 { return in.delayedCalls }
-
-// TotalInjected returns the cumulative injected delay — the
-// num_CUDAcalls × Slack_call term of Equation 1 (they differ from
-// DelayedCalls×Amount only under jitter).
-func (in *Injector) TotalInjected() sim.Duration { return in.totalInjected }
 
 // Reset zeroes the call counters (between baseline and slack runs).
 func (in *Injector) Reset() {

@@ -45,7 +45,7 @@ func runProxyIteration(t *testing.T, in *Injector) sim.Duration {
 		start := p.Now()
 		ctx.MemcpyH2D(p, a, 1000)
 		ctx.MemcpyH2D(p, b, 1000)
-		ctx.LaunchSync(p, gpu.Fixed("sgemm", 1*sim.Millisecond), nil)
+		ctx.LaunchSync(p, gpu.Kernel{Name: "sgemm", FixedTime: 1 * sim.Millisecond}, nil)
 		ctx.DeviceSynchronize(p)
 		ctx.MemcpyD2H(p, c, 1000)
 		elapsed = p.Now().Sub(start)
@@ -65,8 +65,8 @@ func TestInjectorAddsExactlyPerCallSlack(t *testing.T) {
 	if got := with - base; math.Abs(float64(got-wantExtra)) > 1e-12 {
 		t.Errorf("slack added %v, want %v", got, wantExtra)
 	}
-	if got := in.TotalInjected(); math.Abs(float64(got-wantExtra)) > 1e-12 {
-		t.Errorf("TotalInjected = %v, want %v", got, wantExtra)
+	if got := in.totalInjected; math.Abs(float64(got-wantExtra)) > 1e-12 {
+		t.Errorf("totalInjected = %v, want %v", got, wantExtra)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	run := func() (int64, sim.Duration) {
 		in := New(100*sim.Microsecond, WithJitter(0.2, 7))
 		runProxyIteration(t, in)
-		return in.DelayedCalls(), in.TotalInjected()
+		return in.DelayedCalls(), in.totalInjected
 	}
 	c1, t1 := run()
 	c2, t2 := run()
@@ -127,7 +127,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	// Bounds: 5 calls × 100µs × [0.8, 1.2].
 	lo, hi := 5*80*sim.Microsecond, 5*120*sim.Microsecond
 	if t1 < lo || t1 > hi {
-		t.Errorf("TotalInjected = %v outside [%v, %v]", t1, lo, hi)
+		t.Errorf("totalInjected = %v outside [%v, %v]", t1, lo, hi)
 	}
 	if t1 == 5*100*sim.Microsecond {
 		t.Error("jitter had no effect")
@@ -140,11 +140,11 @@ func TestFromPathUsesOneWayLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := FromPath(p)
-	if in.Amount() != 42*sim.Microsecond {
-		t.Errorf("Amount = %v", in.Amount())
+	if in.amount != 42*sim.Microsecond {
+		t.Errorf("amount = %v", in.amount)
 	}
 	row := FromPath(fabric.Preset(fabric.RowScale, 0))
-	if row.Amount() <= 0 {
+	if row.amount <= 0 {
 		t.Error("row-scale path produced zero slack")
 	}
 }
@@ -156,7 +156,7 @@ func TestSetAmountAndReset(t *testing.T) {
 		t.Fatal("no calls delayed")
 	}
 	in.Reset()
-	if in.DelayedCalls() != 0 || in.TotalInjected() != 0 {
+	if in.DelayedCalls() != 0 || in.totalInjected != 0 {
 		t.Error("Reset did not zero counters")
 	}
 	in.SetAmount(0)

@@ -153,15 +153,6 @@ func (t *Trace) KernelDurations() []float64 {
 	return out
 }
 
-// KernelDurationsByName groups kernel durations (seconds) by kernel name.
-func (t *Trace) KernelDurationsByName() map[string][]float64 {
-	out := make(map[string][]float64)
-	for _, k := range t.Kernels {
-		out[k.Name] = append(out[k.Name], float64(k.Duration()))
-	}
-	return out
-}
-
 // MemcpySizes returns transfer sizes in bytes for the given directions
 // (no directions selects all).
 func (t *Trace) MemcpySizes(dirs ...gpu.Direction) []float64 {
@@ -251,29 +242,4 @@ func (t *Trace) MemcpyFraction() float64 {
 		return 0
 	}
 	return float64(t.MemcpyTime()) / float64(rt)
-}
-
-// LinkCrossingCalls returns the number of calls the slack model delays —
-// Equation 1's num_CUDAcalls for this trace.
-func (t *Trace) LinkCrossingCalls() int {
-	n := 0
-	for _, c := range t.Calls {
-		if c.Class.CrossesLink() {
-			n++
-		}
-	}
-	return n
-}
-
-// Streams returns the distinct device streams that executed work, an
-// indicator of kernel-submission parallelism.
-func (t *Trace) Streams() int {
-	seen := map[int]bool{}
-	for _, k := range t.Kernels {
-		seen[k.Stream] = true
-	}
-	for _, c := range t.Copies {
-		seen[c.Stream] = true
-	}
-	return len(seen)
 }
