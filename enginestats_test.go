@@ -95,9 +95,12 @@ func poolCellStats(t *testing.T) sim.Stats {
 
 // TestEngineStatsPinned pins every engine counter of the benchmark's four
 // serve-churn cells (input 0: 2,082 spawns on 12 coroutines) and its first
-// pool-8k cell. Reusing Procs, events and remoting attempt states changes
-// what is allocated, never which events are scheduled or delivered, so a
-// host-side engine change must keep these counts.
+// pool-8k cell. Reusing Procs, events and remoting attempt states, or
+// moving events between the queue's tiers, changes what is allocated,
+// never which events are scheduled or delivered, so a host-side engine
+// change must keep these counts. Figure 2's switch-heavy cell (box 120, 24
+// ranks) is pinned the same way beside lammps.RunPerf, whose Env only a
+// test inside that package can reach.
 func TestEngineStatsPinned(t *testing.T) {
 	churn := []struct {
 		slack, gap sim.Duration

@@ -237,6 +237,9 @@ func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Dura
 	}
 	var spans []trace.AppSpan
 	if rec != nil {
+		if managed {
+			ctl.Registry().KeepLog()
+		}
 		rec.Start(env)
 	}
 	env.Run()

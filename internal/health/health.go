@@ -75,7 +75,9 @@ type Transition struct {
 // deterministic.
 type Registry struct {
 	states []State
-	log    []Transition
+	// log holds the transitions in order while keep is set (see KeepLog).
+	log  []Transition
+	keep bool
 
 	degraded int // servers not currently Healthy
 }
@@ -84,14 +86,17 @@ func newRegistry(n int) *Registry {
 	return &Registry{states: make([]State, n)}
 }
 
-// set transitions server i to state s, recording the change.
+// set transitions server i to state s, recording the change when the
+// log is kept.
 func (r *Registry) set(i int, s State, at sim.Time) {
 	from := r.states[i]
 	if from == s {
 		return
 	}
 	r.states[i] = s
-	r.log = append(r.log, Transition{Server: i, From: from, To: s, At: at})
+	if r.keep {
+		r.log = append(r.log, Transition{Server: i, From: from, To: s, At: at})
+	}
 	if from == Healthy {
 		r.degraded++
 	}
@@ -103,7 +108,12 @@ func (r *Registry) set(i int, s State, at sim.Time) {
 // StateOf returns the current state of server i.
 func (r *Registry) StateOf(i int) State { return r.states[i] }
 
-// Log returns the recorded transitions in order.
+// KeepLog makes the registry record every later transition for Log. A run
+// that never reads the log leaves it off and keeps no record per
+// transition.
+func (r *Registry) KeepLog() { r.keep = true }
+
+// Log returns the transitions recorded since KeepLog, in order.
 func (r *Registry) Log() []Transition { return r.log }
 
 // Degraded reports whether any server is currently not Healthy. The

@@ -232,6 +232,7 @@ func TestZeroFaultNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Registry().KeepLog()
 	env.Run()
 	st := c.Stats()
 	if st.Beats == 0 {
@@ -269,6 +270,7 @@ func TestDetectsDrainsAndReadmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Registry().KeepLog()
 	env.Run()
 	st := c.Stats()
 	if st.Suspicions == 0 || st.Deaths == 0 || st.Recoveries == 0 {
@@ -341,6 +343,7 @@ func TestControllerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Registry().KeepLog()
 		env.Run()
 		return c.Stats(), c.Registry().Log()
 	}
@@ -363,10 +366,11 @@ func TestControllerDeterminism(t *testing.T) {
 }
 
 // checkInvariants recomputes the registry's derived books from scratch:
-// the degraded count from the states, and the transition log as a chain
-// per server that starts Healthy, where each From is the previous To, no
-// transition leaves a state for itself, time never runs backwards, and
-// the last To is the current state.
+// the degraded count from the states, and, when the log is kept, the
+// transition log as a chain per server that starts Healthy, where each
+// From is the previous To, no transition leaves a state for itself, time
+// never runs backwards, and the last To is the current state. A registry
+// that does not keep its log must hold none.
 func (r *Registry) checkInvariants() error {
 	degraded := 0
 	for _, s := range r.states {
@@ -376,6 +380,12 @@ func (r *Registry) checkInvariants() error {
 	}
 	if degraded != r.degraded {
 		return fmt.Errorf("degraded count %d, states say %d", r.degraded, degraded)
+	}
+	if !r.keep {
+		if len(r.log) != 0 {
+			return fmt.Errorf("%d transitions logged with the log off", len(r.log))
+		}
+		return nil
 	}
 	cur := make([]State, len(r.states))
 	var at sim.Time

@@ -232,6 +232,7 @@ func runBeats(t *testing.T, bc beatCase, ref bool) beatRun {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Registry().KeepLog()
 	env.Run()
 	st := env.Stats()
 	r := beatRun{

@@ -172,6 +172,24 @@ func TestPerfContextSwitchesCounted(t *testing.T) {
 	}
 }
 
+// TestFigure2CellEngineStatsPinned pins every engine counter of Figure 2's
+// box 120 cell at 24 ranks and the quick run's 40 steps: the
+// switch-heavy path, where ranks hand the device back and forth. A
+// host-side engine change must keep these counts.
+func TestFigure2CellEngineStatsPinned(t *testing.T) {
+	var got sim.Stats
+	afterRun = func(env *sim.Env) { got = env.Stats() }
+	t.Cleanup(func() { afterRun = nil })
+	if _, err := RunPerf(PerfConfig{BoxSize: 120, Procs: 24, Steps: 40}); err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Stats{Scheduled: 29920, Delivered: 29920, Callbacks: 9152,
+		Spawns: 24, Goroutines: 24, SelfWakes: 3071, Switches: 17697, PeakPending: 24}
+	if got != want {
+		t.Errorf("box 120, 24 ranks: %+v, want %+v", got, want)
+	}
+}
+
 func TestPerfTraceCharacteristics(t *testing.T) {
 	// The paper's profiling configuration: 8 procs × 1 thread, box 120.
 	r, err := RunPerf(PerfConfig{BoxSize: 120, Procs: 8, Steps: 20, Record: true})

@@ -155,6 +155,11 @@ type PerfResult struct {
 	Trace *trace.Trace
 }
 
+// afterRun, when set, receives RunPerf's engine once the stepping loop
+// drains. Tests read the engine's counters through it; it is nil
+// otherwise.
+var afterRun func(*sim.Env)
+
 // RunPerf executes one LAMMPS performance-mode run: Procs MPI ranks, each
 // stepping its sub-domain, offloading the force kernel to the shared GPU
 // and exchanging halos with its neighbors.
@@ -280,6 +285,9 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 	}
 	start := env.Now()
 	env.Run()
+	if afterRun != nil {
+		afterRun(env)
+	}
 	if rankErr != nil {
 		return PerfResult{}, rankErr
 	}

@@ -87,7 +87,7 @@ func (s *Scheduler) movable(sv int) bool {
 		return false
 	}
 	for _, n := range s.jobsOn[sv] {
-		if len(s.slots[n].slices) != 1 {
+		if len(s.slot(n).slices) != 1 {
 			return false
 		}
 	}
@@ -104,7 +104,7 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 	s.planFree = plan
 	moves := s.scratchMoves[:0]
 	for _, n := range s.jobsOn[v] {
-		g := s.slots[n].job.Gang
+		g := s.slot(n).job.Gang
 		best, bestScore := -1, 0
 		for sv, f := range plan {
 			if sv == v || !s.live[sv] || f < g {
@@ -153,7 +153,7 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 // charged at the crossed tier, and a copy callback reports back when the
 // replay completes.
 func (s *Scheduler) executeMove(now sim.Time, mv move) {
-	a := &s.slots[mv.slot]
+	a := s.slot(mv.slot)
 	j := a.job
 	s.unclaim(mv.from, j.Gang)
 	s.claim(mv.to, j.Gang)

@@ -76,16 +76,21 @@ func (s *Scheduler) checkInvariants() error {
 	// The slot table: the free list names each free slot exactly once, a
 	// free slot holds no slices, and the live slots are the running,
 	// queued and tombstoned jobs.
-	onFree := make([]bool, len(s.slots))
-	for _, n := range s.freeSlots {
-		if n < 0 || n >= len(s.slots) || onFree[n] {
-			return fmt.Errorf("free list names slot %d twice or out of [0, %d)", n, len(s.slots))
+	if want := (s.nslots + slotChunk - 1) / slotChunk; len(s.slots) != want {
+		return fmt.Errorf("%d slots in %d chunks, want %d", s.nslots, len(s.slots), want)
+	}
+	onFree := make([]bool, s.nslots)
+	nfree := 0
+	for n := s.freeHead; n >= 0; n = int(s.slot(n).nextFree) {
+		if n >= s.nslots || onFree[n] {
+			return fmt.Errorf("free list names slot %d twice or out of [0, %d)", n, s.nslots)
 		}
 		onFree[n] = true
+		nfree++
 	}
 	var perState [allocKilled + 1]int
-	for n := range s.slots {
-		a := &s.slots[n]
+	for n := 0; n < s.nslots; n++ {
+		a := s.slot(n)
 		if onFree[n] != (a.state == allocFree) {
 			return fmt.Errorf("slot %d in state %d, on the free list %v", n, a.state, onFree[n])
 		}
@@ -97,12 +102,12 @@ func (s *Scheduler) checkInvariants() error {
 	if perState[allocQueued] != len(s.queue) {
 		return fmt.Errorf("%d queued slots, %d queue entries", perState[allocQueued], len(s.queue))
 	}
-	if live := len(s.slots) - len(s.freeSlots); live != s.runningJobs+len(s.queue)+perState[allocKilled] {
+	if live := s.nslots - nfree; live != s.runningJobs+len(s.queue)+perState[allocKilled] {
 		return fmt.Errorf("%d live slots, want %d running + %d queued + %d tombstones",
 			live, s.runningJobs, len(s.queue), perState[allocKilled])
 	}
 	for _, n := range s.queue {
-		if st := s.slots[n].state; st != allocQueued {
+		if st := s.slot(n).state; st != allocQueued {
 			return fmt.Errorf("queue names slot %d in state %d", n, st)
 		}
 	}
@@ -111,8 +116,8 @@ func (s *Scheduler) checkInvariants() error {
 	// per-server GPU balance.
 	used := make([]int, servers)
 	entries := 0
-	for n := range s.slots {
-		a := &s.slots[n]
+	for n := 0; n < s.nslots; n++ {
+		a := s.slot(n)
 		if a.state != allocPlaced {
 			if len(a.slices) != 0 {
 				return fmt.Errorf("slot %d in state %d still holds %d slices", n, a.state, len(a.slices))
@@ -133,7 +138,7 @@ func (s *Scheduler) checkInvariants() error {
 		}
 		entries -= len(ns)
 		for _, n := range ns {
-			if st := s.slots[n].state; st != allocPlaced {
+			if st := s.slot(n).state; st != allocPlaced {
 				return fmt.Errorf("server %d lists slot %d in state %d", sv, n, st)
 			}
 			listed, held := 0, 0
@@ -142,7 +147,7 @@ func (s *Scheduler) checkInvariants() error {
 					listed++
 				}
 			}
-			for _, x := range s.slots[n].slices {
+			for _, x := range s.slot(n).slices {
 				if x.server == sv {
 					held++
 				}

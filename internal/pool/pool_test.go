@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/serve"
@@ -206,11 +207,11 @@ func TestSchedulerSmoke(t *testing.T) {
 }
 
 // TestSlotTableSizedByLiveJobs: the slot table holds the live jobs, not
-// the schedule, so a run four times as long ends with the slot table and
-// free list it started with, every slot back on the free list.
+// the schedule, so a run four times as long ends with as many slot chunks
+// as the short one, every slot back on the free list.
 func TestSlotTableSizedByLiveJobs(t *testing.T) {
 	checkEveryWake(t)
-	type table struct{ jobs, slots, capSlots, capFree int }
+	type table struct{ jobs, slots, chunks int }
 	run := func(window sim.Duration) table {
 		env := sim.NewEnv()
 		defer env.Close()
@@ -223,24 +224,23 @@ func TestSlotTableSizedByLiveJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		capSlots, capFree := cap(s.slots), cap(s.freeSlots)
 		env.Run()
-		if len(s.freeSlots) != len(s.slots) {
-			t.Fatalf("window %v: %d of %d slots free after the run", window, len(s.freeSlots), len(s.slots))
+		free := 0
+		for n := s.freeHead; n >= 0; n = int(s.slot(n).nextFree) {
+			free++
 		}
-		if cap(s.slots) != capSlots || cap(s.freeSlots) != capFree {
-			t.Fatalf("window %v: slot table grew from %d to %d, free list from %d to %d",
-				window, capSlots, cap(s.slots), capFree, cap(s.freeSlots))
+		if free != s.nslots {
+			t.Fatalf("window %v: %d of %d slots free after the run", window, free, s.nslots)
 		}
-		return table{s.Stats().Jobs, len(s.slots), cap(s.slots), cap(s.freeSlots)}
+		return table{s.Stats().Jobs, s.nslots, len(s.slots)}
 	}
 	one, four := run(100*sim.Millisecond), run(400*sim.Millisecond)
 	if four.jobs < 2*one.jobs {
 		t.Fatalf("the 4x window drew %d jobs against %d", four.jobs, one.jobs)
 	}
-	if four.capSlots != one.capSlots || four.capFree != one.capFree {
-		t.Fatalf("slot table capacity %d (free list %d) at 4x the window, %d (%d) at 1x",
-			four.capSlots, four.capFree, one.capSlots, one.capFree)
+	if four.chunks != one.chunks {
+		t.Fatalf("slot table of %d chunks (%d slots) at 4x the window, %d (%d) at 1x",
+			four.chunks, four.slots, one.chunks, one.slots)
 	}
 	if four.slots >= four.jobs/2 {
 		t.Fatalf("%d slots for %d jobs: the table is not recycling", four.slots, four.jobs)
@@ -285,8 +285,8 @@ func TestWarmPlacementAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Fatalf("a warm place-complete cycle allocates %v times", got)
 	}
-	if st := s.Stats(); st.Placed != 103 || s.runningJobs != 1 || len(s.slots) != 2 {
-		t.Fatalf("%d placed, %d running, %d slots; want 103, 1 and 2", st.Placed, s.runningJobs, len(s.slots))
+	if st := s.Stats(); st.Placed != 103 || s.runningJobs != 1 || s.nslots != 2 {
+		t.Fatalf("%d placed, %d running, %d slots; want 103, 1 and 2", st.Placed, s.runningJobs, s.nslots)
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -298,8 +298,8 @@ func TestWarmPlacementAllocatesNothing(t *testing.T) {
 func TestWarmMoveAllocatesNothing(t *testing.T) {
 	env, s := warmScheduler(t)
 	s.admit(env.Now(), Job{Shape: CosmoFlowShape, Gang: 2, Lifetime: 1000 * sim.Second})
-	n := len(s.slots) - 1
-	from, to := s.slots[n].slices[0].server, -1
+	n := s.nslots - 1
+	from, to := s.slot(n).slices[0].server, -1
 	for sv, f := range s.free {
 		if sv != from && f >= 2 {
 			to = sv
@@ -666,7 +666,7 @@ func (s *Scheduler) refPickVictim() int {
 		}
 		movable := true
 		for _, n := range s.jobsOn[sv] {
-			if len(s.slots[n].slices) != 1 {
+			if len(s.slot(n).slices) != 1 {
 				movable = false
 				break
 			}
@@ -770,9 +770,9 @@ func FuzzPoolOps(f *testing.F) {
 				if arg >= 16 {
 					want = allocKilled
 				}
-				for k := range s.slots {
-					if n := (arg + k) % len(s.slots); s.slots[n].state == want {
-						delete(timers, s.slots[n].job.ID)
+				for k := 0; k < s.nslots; k++ {
+					if n := (arg + k) % s.nslots; s.slot(n).state == want {
+						delete(timers, s.slot(n).job.ID)
 						s.post(msgDone, n)
 						s.drainMail(now)
 						break
@@ -790,14 +790,14 @@ func FuzzPoolOps(f *testing.F) {
 			if err := s.checkInvariants(); err != nil {
 				t.Fatalf("step %d (byte %d): %v", step, b, err)
 			}
-			for n := range s.slots {
-				a := &s.slots[n]
+			for n := 0; n < s.nslots; n++ {
+				a := s.slot(n)
 				if _, ok := timers[a.job.ID]; !ok && a.state == allocPlaced {
 					timers[a.job.ID] = n // placed this step: its timer started
 				}
 			}
 			for id, n := range timers {
-				if a := &s.slots[n]; a.job.ID != id || (a.state != allocPlaced && a.state != allocKilled) {
+				if a := s.slot(n); a.job.ID != id || (a.state != allocPlaced && a.state != allocKilled) {
 					t.Fatalf("step %d: slot %d, whose end timer for job %d is in flight, holds job %d in state %d",
 						step, n, id, a.job.ID, a.state)
 				}
@@ -817,4 +817,12 @@ func FuzzPoolOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A slot holds no field that nothing reads: it stays 104 bytes, so a
+// 64-slot chunk fits the 6,784-byte size class.
+func TestSlotFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n > 104 {
+		t.Fatalf("slot is %d bytes, want at most 104", n)
+	}
 }

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/compose"
 	"repro/internal/fabric"
@@ -109,10 +108,12 @@ const (
 // buffer: a placement copies the scratch slices into it, and a freed slot
 // keeps its capacity for the next job.
 type alloc struct {
-	state  allocState
-	slices []slice
-	scale  fabric.Scale
-	eff    float64
+	state allocState
+	// nextFree links a free slot to the next one on the free list (-1 at
+	// its end); it fills the padding after state.
+	nextFree int32
+	slices   []slice
+	eff      float64
 	// segStart opens the current efficiency segment; effAcc accumulates
 	// closed segments as effective GPU-seconds (window-clipped).
 	segStart sim.Time
@@ -127,6 +128,9 @@ type slot struct {
 	alloc
 	done func()
 }
+
+// slotChunk is how many slots the slot table adds at once.
+const slotChunk = 64
 
 // Scheduler is the pool control loop: a single process owns every
 // placement decision; job-end and migration-copy callback events talk
@@ -194,11 +198,15 @@ type Scheduler struct {
 	// degraded counter.
 	live []bool
 
-	// slots is the slot table and freeSlots its free list. Queue
-	// entries, jobsOn lists and end-timer messages carry slot numbers,
-	// so the table grows with the live jobs, not with the schedule.
-	slots     []slot
-	freeSlots []int
+	// slots is the slot table, slotChunk slots at a time, and nslots
+	// the number of slots made; freeHead heads the free list through
+	// alloc.nextFree (-1 when empty). Queue entries, jobsOn lists and
+	// end-timer messages carry slot numbers, so the table grows with the
+	// live jobs, not with the schedule, and a chunk, once made, is never
+	// copied.
+	slots    []*[slotChunk]slot
+	nslots   int
+	freeHead int
 
 	// scratch buffers reused across placements and sweeps.
 	scratchSl    []slice
@@ -281,14 +289,7 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s.arrivals = arrivals
-	// Size the slot table once for the live jobs of a full batch
-	// capacity: the running count is Poisson about batchGPUs/gangMean
-	// jobs, so four standard deviations of headroom cover its peak; only
-	// a deep queue grows the table.
-	mean := float64(s.batchGPUs) / gangMean()
-	live := int(mean+4*math.Sqrt(mean)) + 1
-	s.slots = make([]slot, 0, live)
-	s.freeSlots = make([]int, 0, live)
+	s.freeHead = -1
 	s.mail = make([]msg, 0, 256)
 	s.migrated = func() { s.post(msgMigrated, 0) }
 
@@ -490,33 +491,38 @@ func (s *Scheduler) admit(now sim.Time, j Job) {
 		s.doPlace(now, n, sl, scale, true)
 		return
 	}
-	s.slots[n].state = allocQueued
+	s.slot(n).state = allocQueued
 	s.queue = append(s.queue, n)
 	s.stats.Blocked++
 }
 
-// newSlot takes a slot off the free list, or appends one with its
+// slot returns slot n of the table.
+func (s *Scheduler) slot(n int) *slot { return &s.slots[uint(n)/slotChunk][uint(n)%slotChunk] }
+
+// newSlot takes the head of the free list, or else makes a slot with its
 // end-timer callback bound, and gives it to j.
 func (s *Scheduler) newSlot(j Job) int {
-	var n int
-	if k := len(s.freeSlots); k > 0 {
-		n = s.freeSlots[k-1]
-		s.freeSlots = s.freeSlots[:k-1]
+	n := s.freeHead
+	if n >= 0 {
+		s.freeHead = int(s.slot(n).nextFree)
 	} else {
-		n = len(s.slots)
-		s.slots = append(s.slots, slot{})
-		s.slots[n].done = func() { s.post(msgDone, n) }
+		n = s.nslots
+		if n%slotChunk == 0 {
+			s.slots = append(s.slots, new([slotChunk]slot))
+		}
+		s.nslots++
+		s.slot(n).done = func() { s.post(msgDone, n) }
 	}
-	s.slots[n].job = j
+	s.slot(n).job = j
 	return n
 }
 
 // freeSlot returns a slot to the free list, keeping its slice buffer and
 // its callback for the next job.
 func (s *Scheduler) freeSlot(n int) {
-	sl := &s.slots[n]
-	sl.alloc = alloc{slices: sl.slices[:0]}
-	s.freeSlots = append(s.freeSlots, n)
+	sl := s.slot(n)
+	sl.alloc = alloc{slices: sl.slices[:0], nextFree: int32(s.freeHead)}
+	s.freeHead = n
 }
 
 // tryQueue re-attempts every queued job in arrival order, keeping the
@@ -527,7 +533,7 @@ func (s *Scheduler) tryQueue(now sim.Time) {
 	}
 	w := 0
 	for _, n := range s.queue {
-		if sl, scale, ok := s.placeJob(s.slots[n].job); ok {
+		if sl, scale, ok := s.placeJob(s.slot(n).job); ok {
 			s.doPlace(now, n, sl, scale, true)
 			continue
 		}
@@ -541,7 +547,7 @@ func (s *Scheduler) tryQueue(now sim.Time) {
 // buffer. Initial placements start the job's lifetime clock;
 // re-placements (drain recovery) keep the original end time.
 func (s *Scheduler) doPlace(now sim.Time, n int, sl []slice, scale fabric.Scale, initial bool) {
-	a := &s.slots[n]
+	a := s.slot(n)
 	j := a.job
 	for _, x := range sl {
 		s.claim(x.server, x.gpus)
@@ -549,7 +555,6 @@ func (s *Scheduler) doPlace(now sim.Time, n int, sl []slice, scale fabric.Scale,
 	}
 	a.state = allocPlaced
 	a.slices = append(a.slices[:0], sl...)
-	a.scale = scale
 	a.eff = s.eff[j.Shape][scale]
 	a.segStart = now
 	if !initial {
@@ -613,7 +618,7 @@ func (s *Scheduler) drainMail(now sim.Time) {
 // whose lifetime expired, or frees the tombstone of one killed while the
 // timer was in flight.
 func (s *Scheduler) complete(n int, now sim.Time) {
-	a := &s.slots[n]
+	a := s.slot(n)
 	if a.state == allocPlaced {
 		s.closeSegment(&a.alloc, a.job.Gang, now)
 		for _, x := range a.slices {
@@ -658,7 +663,7 @@ func (s *Scheduler) drainServer(v int, now sim.Time) {
 
 	victims := append(s.scratchJobs[:0], s.jobsOn[v]...)
 	for _, n := range victims {
-		a := &s.slots[n]
+		a := s.slot(n)
 		if a.state != allocPlaced {
 			continue
 		}

@@ -52,8 +52,8 @@ func TestCloseDropsPendingCallback(t *testing.T) {
 		t.Fatalf("ran = %d after Close, want 1: Close ran a pending callback", ran)
 	}
 	st := env.Stats()
-	if st.Callbacks != 1 || st.Cancelled != 1 || len(env.queue) != 0 {
-		t.Fatalf("after Close: %d callbacks run, %d cancelled, %d queued; want 1, 1, 0", st.Callbacks, st.Cancelled, len(env.queue))
+	if st.Callbacks != 1 || st.Cancelled != 1 || env.queued() != 0 {
+		t.Fatalf("after Close: %d callbacks run, %d cancelled, %d queued; want 1, 1, 0", st.Callbacks, st.Cancelled, env.queued())
 	}
 }
 

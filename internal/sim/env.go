@@ -35,6 +35,16 @@ type event struct {
 // eventChunk is how many events Env.newEvent allocates at once.
 const eventChunk = 64
 
+// eventBlock is one allocation of events. With next it stays in the
+// 2,688-byte size class that the events alone fill.
+type eventBlock struct {
+	ev [eventChunk]event
+	// next links the block's far-tier events into their buckets by id. It
+	// is made the first time one of them goes far, so an Env whose events
+	// all stay near never makes it.
+	next *[eventChunk]uint32
+}
+
 type wakeKind uint8
 
 const (
@@ -53,9 +63,11 @@ const (
 //
 // # Scheduling core
 //
-// Pending events live in one min-heap ordered by (time, seq), where seq is
-// the global schedule counter. Each process runs as a coroutine (iter.Pull)
-// under one scheduling loop in RunUntil, on the goroutine that called it.
+// Pending events are delivered in (time, seq) order, where seq is the
+// global schedule counter: a min-heap holds the events near the earliest
+// one, and radix buckets hold the far-future rest (see queue.go). Each
+// process runs as a coroutine (iter.Pull) under one scheduling loop in
+// RunUntil, on the goroutine that called it.
 // When a process parks, it pops the next event itself: if that event is its
 // own wake-up it simply continues (no switch at all); otherwise it leaves
 // the woken process for the loop and suspends, and the loop resumes that
@@ -78,20 +90,22 @@ type Env struct {
 	now Time
 	seq uint64
 
-	// queue holds every pending event, cancelled ones included, as a
-	// min-heap ordered by evLess.
+	// queue is the near tier: the pending events, cancelled ones
+	// included, whose time key agrees with base from bit nearBits up (any
+	// event while the far tier is empty), as a min-heap ordered by evLess.
+	// far and nfar are the far tier: every other pending event, in radix
+	// buckets by the key's highest bit that differs from base, and their
+	// number.
 	queue eventHeap
+	base  uint64
+	far   *farTier
 
 	horizon Time // current run's clock bound (+Inf outside RunUntil)
-	// direct is set inside RunUntil: a parking or finishing process pops
-	// the next event itself. Step and Close leave it clear.
-	direct bool
 	// handed is the process a coroutine suspending inside RunUntil popped
 	// and woke for the loop to resume next; every such suspend sets it, and
 	// nil ends the run segment.
 	handed *Proc
 	nprocs int // live (started, not finished) processes
-	closed bool
 
 	// idle lists, through coro.nextIdle, the coroutines whose process
 	// finished in the current run segment; SpawnAt takes the head. It is
@@ -116,85 +130,28 @@ type Env struct {
 	// once it has left both its queue and its process's waits list.
 	free   uint32
 	made   uint32 // events made so far; the newest has id made
-	chunks []*[eventChunk]event
+	chunks []*eventBlock
 
 	// procs lists, through Proc.nextFree, the Procs of processes that
 	// returned; SpawnAt reuses them before allocating.
 	procs *Proc
 
-	sinceYield int // nextWake calls since the last yield (see yieldEvery)
-}
-
-// evLess is the engine's total event order: time first, then the global
-// schedule sequence as FIFO tie-break.
-func evLess(a, b *event) bool {
-	//cdivet:allow floateq exact tie-break: events at bit-identical times fall through to the seq FIFO order; an epsilon would merge distinct instants
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a hand-rolled 4-ary min-heap ordered by evLess. The
-// container/heap interface would force an `any` conversion and dynamic
-// dispatch on the hottest queue path. Four children per node halve a
-// binary heap's depth, so each push and pop walks fewer levels.
-type eventHeap []*event
-
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !evLess(ev, s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
-}
-
-// pop removes and returns the minimum event. The heap must be non-empty.
-func (h *eventHeap) pop() *event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = nil
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
-	}
-	// Sift last down from the root.
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		least := first
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if evLess(s[c], s[least]) {
-				least = c
-			}
-		}
-		if !evLess(s[least], last) {
-			break
-		}
-		s[i] = s[least]
-		i = least
-	}
-	s[i] = last
-	return top
+	nfar       uint32 // events in the far tier (see queue)
+	sinceYield int32  // nextWake calls since the last yield (see yieldEvery)
+	// direct is set inside RunUntil: a parking or finishing process pops
+	// the next event itself. Step and Close leave it clear.
+	direct bool
+	closed bool
+	// gate is the heap length below which any push goes on the heap:
+	// heapOnly while the far tier is empty, else 0 (see setGate).
+	gate uint8
 }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{}
 	e.horizon = Time(math.Inf(1))
+	e.gate = heapOnly
 	return e
 }
 
@@ -238,7 +195,7 @@ func (e *Env) Stats() Stats {
 	// callback, a switch, or else a self-wake.
 	st := e.stats
 	st.Scheduled = e.seq
-	st.Delivered = st.Scheduled - st.Cancelled - uint64(len(e.queue))
+	st.Delivered = st.Scheduled - st.Cancelled - uint64(e.queued())
 	st.SelfWakes = st.Delivered - st.Callbacks - st.Switches
 	return st
 }
@@ -251,7 +208,7 @@ func (e *Env) newEvent() *event {
 	id := e.free
 	if id == 0 {
 		if e.made%eventChunk == 0 {
-			e.chunks = append(e.chunks, new([eventChunk]event))
+			e.chunks = append(e.chunks, new(eventBlock))
 		}
 		e.made++
 		id = e.made
@@ -264,7 +221,7 @@ func (e *Env) newEvent() *event {
 
 // eventByID returns the event newEvent numbered id (counting from 1).
 func (e *Env) eventByID(id uint32) *event {
-	return &e.chunks[(id-1)/eventChunk][(id-1)%eventChunk]
+	return &e.chunks[(id-1)/eventChunk].ev[(id-1)%eventChunk]
 }
 
 // schedule enqueues a wake-up event for p and registers it with the
@@ -287,8 +244,12 @@ func (e *Env) push(at Time) *event {
 	ev := e.newEvent()
 	ev.at, ev.seq = at, e.seq
 	ev.cancelled = false
-	e.queue.push(ev)
-	if n := uint64(len(e.queue)); n > e.stats.PeakPending {
+	if k := timeKey(at); len(e.queue) < int(e.gate) || k^e.base < nearSpan {
+		e.queue.push(ev)
+	} else {
+		e.pushFar(ev, k)
+	}
+	if n := uint64(e.queued()); n > e.stats.PeakPending {
 		e.stats.PeakPending = n
 	}
 	return ev
@@ -333,25 +294,30 @@ func (e *Env) recycle(ev *event) {
 // cancelled events as they surface. It returns nil when the run segment is
 // over: either the queue is empty, or the earliest live event lies beyond
 // the horizon (in which case the clock advances to the horizon, matching
-// the contract of RunUntil).
+// the contract of RunUntil). The inner loop reads the heap alone; only
+// when the heap is empty does refill bring the lowest far bucket down.
 func (e *Env) next() *event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if ev.cancelled {
-			e.queue.pop()
-			e.recycle(ev)
-			e.stats.Cancelled++
-			continue
-		}
-		if ev.at > e.horizon {
-			if e.now < e.horizon {
-				e.now = e.horizon
+	for {
+		for len(e.queue) > 0 {
+			ev := e.queue[0]
+			if ev.cancelled {
+				e.queue.pop()
+				e.recycle(ev)
+				e.stats.Cancelled++
+				continue
 			}
+			if ev.at > e.horizon {
+				if e.now < e.horizon {
+					e.now = e.horizon
+				}
+				return nil
+			}
+			return e.queue.pop()
+		}
+		if !e.refill() {
 			return nil
 		}
-		return e.queue.pop()
 	}
-	return nil
 }
 
 // yieldEvery is how many nextWake calls pass between yields to the Go
@@ -642,5 +608,5 @@ func (e *Env) Close() {
 // String summarizes the environment state for debugging.
 func (e *Env) String() string {
 	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d}",
-		e.now, len(e.queue), e.nprocs, len(e.parked))
+		e.now, e.queued(), e.nprocs, len(e.parked))
 }

@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// Two fuzzers guard the engine. FuzzRunStepOrder pins that RunUntil's
+// Three fuzzers guard the engine. FuzzRunStepOrder pins that RunUntil's
 // scheduling loop delivers the same wake-ups as one-event Steps: it runs a
 // random little concurrent program once under Run, where a parking process
 // pops the next event itself and continues inline on a self-wake, and once
 // under a Step loop, where Step delivers every wake-up, and demands
-// identical completion logs. Both paths pop one
-// heap, so FuzzEventHeap checks the heap itself against an independent
+// identical completion logs. Both paths pop one queue, so FuzzEventHeap
+// (microsecond times) and FuzzEventTiers (microseconds to tens of seconds,
+// across the near/far split) check the queue itself against an independent
 // sorted-slice reference.
 
 // progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait,
@@ -181,80 +182,143 @@ func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{160, 192, 2, 6, 10, 255, 254, 3, 30, 2})
 	f.Add([]byte("0A007AAA0000000000000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The reference's inserts and cancels are linear; cap the program
-		// so long mutated inputs stay fast to run and to minimize. 512 ops
-		// still build a heap five levels deep.
-		if len(data) > 512 {
-			data = data[:512]
-		}
-		env := NewEnv()
-		p := &Proc{env: env, parkIdx: -1}
-		type entry struct {
-			at  Time
-			seq uint64
-			ev  *event
-		}
-		var ref []entry // live events, sorted by (at, seq)
-		pop := func(step int, horizon Time) {
-			env.horizon = horizon
-			before := env.now
-			ev := env.next()
-			switch {
-			case len(ref) == 0:
-				if ev != nil || env.now != before {
-					t.Fatalf("step %d: empty queue returned %v and moved the clock %v -> %v", step, ev, before, env.now)
-				}
-			case ref[0].at > horizon:
-				if ev != nil {
-					t.Fatalf("step %d: popped (%v, %d) past horizon %v", step, ev.at, ev.seq, horizon)
-				}
-				if want := max(before, horizon); env.now != want {
-					t.Fatalf("step %d: clock %v after a pop past the horizon, want %v", step, env.now, want)
-				}
-			default:
-				if ev != ref[0].ev || ev.at != ref[0].at || ev.seq != ref[0].seq {
-					t.Fatalf("step %d: popped %v, want (%v, %d)", step, ev, ref[0].at, ref[0].seq)
-				}
-				ref = ref[1:]
-				env.wake(ev)
+		checkQueue(t, data, func(arg int) Time {
+			return Time(0).Add(Duration(arg>>3) * Microsecond)
+		}, func(arg int) Time {
+			if h := arg & 7; h < 7 {
+				return Time(0).Add(Duration(h) * Microsecond)
 			}
-		}
-		for step, b := range data {
-			arg := int(b >> 2)
-			switch b & 3 {
-			case 0, 1:
-				at := Time(0).Add(Duration(b>>5) * Microsecond)
-				ev := env.schedule(at, p, wakeTimer)
-				p.waits = p.waits[:0]
-				want := entry{at: max(at, env.now), seq: ev.seq, ev: ev}
-				if ev.at != want.at {
-					t.Fatalf("step %d: scheduled at %v, want %v", step, ev.at, want.at)
-				}
-				i := sort.Search(len(ref), func(i int) bool {
-					return want.at < ref[i].at || (!(ref[i].at < want.at) && want.seq < ref[i].seq)
-				})
-				ref = append(ref, entry{})
-				copy(ref[i+1:], ref[i:])
-				ref[i] = want
-			case 2:
-				horizon := Time(math.Inf(1))
-				if h := arg & 7; h < 7 {
-					horizon = Time(0).Add(Duration(h) * Microsecond)
-				}
-				pop(step, horizon)
-			case 3:
-				if len(ref) > 0 {
-					i := arg % len(ref)
-					ref[i].ev.cancelled = true
-					ref = append(ref[:i], ref[i+1:]...)
-				}
-			}
-		}
-		for len(ref) > 0 {
-			pop(len(data), Time(math.Inf(1)))
-		}
-		if ev := env.next(); ev != nil || len(env.queue) != 0 {
-			t.Fatalf("drained queue still holds %d events, next = %v", len(env.queue), ev)
-		}
+			return Time(math.Inf(1))
+		})
 	})
+}
+
+// FuzzEventTiers is FuzzEventHeap with push times and horizons from 1 µs
+// to 70 s, so programs cross the queue's near/far split, park events in
+// every far bucket, refill the heap from them and push below the base
+// after a horizon stop. The six high bits of a push or pop byte are a
+// digit (low three bits) times a power of ten from 1 µs to 10 s (high
+// three bits); a pop with all six set has no horizon.
+func FuzzEventTiers(f *testing.F) {
+	push := func(arg int) byte { return byte(arg << 2) }
+	pop := func(arg int) byte { return byte(arg<<2 | 2) }
+	// Seeds: pushes across every decade past the heap-only size, drained;
+	// the same interleaved with cancels and pops; and the program that
+	// catches a re-file skipping the heap. Its two 7 µs events wait in the
+	// heap when a pop with a 1 µs horizon stops before them, so the next
+	// push, at 1 µs, lands below the base; were the heap's events not
+	// re-filed, they would pop before the 2 µs push that follows.
+	var wide, mixed []byte
+	for i := 0; i < heapOnly+16; i++ {
+		arg := (i*37)%63 | 1
+		wide = append(wide, push(arg))
+		mixed = append(mixed, push(arg))
+		if i%5 == 4 {
+			mixed = append(mixed, byte(i<<2|3), pop(arg))
+		}
+	}
+	wide = append(wide, pop(63))
+	f.Add(wide)
+	f.Add(mixed)
+	refile := []byte{push(7), push(7)}
+	for i := 0; i < heapOnly; i++ {
+		refile = append(refile, push(8*(3+i%4)+1+i%7))
+	}
+	refile = append(refile, pop(1), push(1), push(2), pop(63))
+	f.Add(refile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkQueue(t, data, wideTime, func(arg int) Time {
+			if arg == 63 {
+				return Time(math.Inf(1))
+			}
+			return wideTime(arg)
+		})
+	})
+}
+
+// wideTime decodes six bits into an instant from 0 to 70 s: the low three
+// bits are a digit and the high three a power of ten from 1 µs to 10 s.
+func wideTime(arg int) Time {
+	d := Duration(arg & 7)
+	for k := arg >> 3; k > 0; k-- {
+		d *= 10
+	}
+	return Time(0).Add(d * Microsecond)
+}
+
+// checkQueue runs one FuzzEventHeap-style program: pushAt decodes a push
+// byte's high six bits into its time and horizon a pop byte's into its
+// horizon.
+func checkQueue(t *testing.T, data []byte, pushAt, horizon func(arg int) Time) {
+	// The reference's inserts and cancels are linear; cap the program
+	// so long mutated inputs stay fast to run and to minimize. 512 ops
+	// still build a heap five levels deep.
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	env := NewEnv()
+	p := &Proc{env: env, parkIdx: -1}
+	type entry struct {
+		at  Time
+		seq uint64
+		ev  *event
+	}
+	var ref []entry // live events, sorted by (at, seq)
+	pop := func(step int, horizon Time) {
+		env.horizon = horizon
+		before := env.now
+		ev := env.next()
+		switch {
+		case len(ref) == 0:
+			if ev != nil || env.now != before {
+				t.Fatalf("step %d: empty queue returned %v and moved the clock %v -> %v", step, ev, before, env.now)
+			}
+		case ref[0].at > horizon:
+			if ev != nil {
+				t.Fatalf("step %d: popped (%v, %d) past horizon %v", step, ev.at, ev.seq, horizon)
+			}
+			if want := max(before, horizon); env.now != want {
+				t.Fatalf("step %d: clock %v after a pop past the horizon, want %v", step, env.now, want)
+			}
+		default:
+			if ev != ref[0].ev || ev.at != ref[0].at || ev.seq != ref[0].seq {
+				t.Fatalf("step %d: popped %v, want (%v, %d)", step, ev, ref[0].at, ref[0].seq)
+			}
+			ref = ref[1:]
+			env.wake(ev)
+		}
+	}
+	for step, b := range data {
+		arg := int(b >> 2)
+		switch b & 3 {
+		case 0, 1:
+			at := pushAt(arg)
+			ev := env.schedule(at, p, wakeTimer)
+			p.waits = p.waits[:0]
+			want := entry{at: max(at, env.now), seq: ev.seq, ev: ev}
+			if ev.at != want.at {
+				t.Fatalf("step %d: scheduled at %v, want %v", step, ev.at, want.at)
+			}
+			i := sort.Search(len(ref), func(i int) bool {
+				return want.at < ref[i].at || (!(ref[i].at < want.at) && want.seq < ref[i].seq)
+			})
+			ref = append(ref, entry{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = want
+		case 2:
+			pop(step, horizon(arg))
+		case 3:
+			if len(ref) > 0 {
+				i := arg % len(ref)
+				ref[i].ev.cancelled = true
+				ref = append(ref[:i], ref[i+1:]...)
+			}
+		}
+	}
+	for len(ref) > 0 {
+		pop(len(data), Time(math.Inf(1)))
+	}
+	if ev := env.next(); ev != nil || env.queued() != 0 {
+		t.Fatalf("drained queue still holds %d events, next = %v", env.queued(), ev)
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 	"time"
@@ -246,5 +247,56 @@ func TestProcFitsSizeClass(t *testing.T) {
 func TestEventFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n > 40 {
 		t.Fatalf("event is %d bytes, want at most 40", n)
+	}
+}
+
+// The far tier adds nothing to what NewEnv and an event block allocate:
+// an Env stays in the 240-byte size class and a block of events, with its
+// pointer to the far-tier links, in the 2,688-byte one that the events
+// alone fill. An Env whose events all stay near allocates no other queue
+// state.
+func TestEnvAndEventBlockKeepSizeClasses(t *testing.T) {
+	if n := unsafe.Sizeof(Env{}); n > 240 {
+		t.Fatalf("Env is %d bytes, want at most 240", n)
+	}
+	if n := unsafe.Sizeof(eventBlock{}); n > 2688 {
+		t.Fatalf("an event block is %d bytes, want at most 2688", n)
+	}
+	env := NewEnv()
+	defer env.Close()
+	for i := 0; i < heapOnly-1; i++ {
+		env.After(Duration(uint64(1)<<(i%32))*Microsecond, func() {})
+	}
+	env.Run()
+	if env.far != nil || env.chunks[0].next != nil {
+		t.Fatalf("%d pending events made far-tier state", heapOnly-1)
+	}
+}
+
+// A warm Env parks far-future events in the far tier, refills the heap
+// from its buckets (splitting each into lower ones) and pops them all
+// without allocating.
+func TestWarmFarTierAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	n := 0
+	tick := func() { n++ }
+	var buckets int
+	cycle := func() {
+		// Delays from 1 µs to about 9 minutes, interleaved, so the events
+		// spread over many buckets.
+		for i := 0; i < 4*heapOnly; i++ {
+			env.After(Duration(1+i%5)*Duration(uint64(1)<<(i*7%29))*Microsecond, tick)
+		}
+		buckets = bits.OnesCount64(env.far.mask)
+		env.Run()
+	}
+	cycle() // warm-up: the events, the far tier and its links
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a warm far-tier cycle allocates %.1f objects, want 0", allocs)
+	}
+	if buckets < 4 || n != 22*4*heapOnly || env.queued() != 0 {
+		t.Fatalf("%d far buckets in use, %d callbacks ran, %d queued; want at least 4, %d and 0",
+			buckets, n, env.queued(), 22*4*heapOnly)
 	}
 }

@@ -100,9 +100,9 @@ func TestNaNDurationsPanic(t *testing.T) {
 			if got == nil {
 				t.Fatalf("%s did not panic", c.name)
 			}
-			if at != 1 || env.Now() != 1 || len(env.Blocked()) != 0 || len(env.queue) != 0 {
+			if at != 1 || env.Now() != 1 || len(env.Blocked()) != 0 || env.queued() != 0 {
 				t.Errorf("after the panic: due process ran at %v, clock %v, blocked %v, %d queued; want 1, 1, none, 0",
-					at, env.Now(), env.Blocked(), len(env.queue))
+					at, env.Now(), env.Blocked(), env.queued())
 			}
 		})
 	}
