@@ -65,13 +65,20 @@ func TestPublicWorkloadRuns(t *testing.T) {
 		t.Errorf("atoms = %d", lr.Atoms)
 	}
 	cr, err := RunCosmoFlow(CosmoFlowConfig{
-		Epochs: 1, TrainSamples: 16, ValSamples: 8, InputSide: 32,
+		Epochs: 1, TrainSamples: 16, ValSamples: 8, InputSide: 32, Record: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.TrainSteps != 4 {
-		t.Errorf("train steps = %d", cr.TrainSteps)
+	// Each training step ends with one sgd_update kernel.
+	steps := 0
+	for _, k := range cr.Trace.Kernels {
+		if k.Name == "sgd_update" {
+			steps++
+		}
+	}
+	if steps != 4 {
+		t.Errorf("train steps = %d", steps)
 	}
 }
 

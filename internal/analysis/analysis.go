@@ -19,7 +19,8 @@
 //	errdrop     silently discarded error returns in internal and cmd
 //	taint       nondeterministic value, or map iteration order, reaching a
 //	            result-emitting sink
-//	testonly    exported API in internal packages that only tests use
+//	testonly    exported API in internal packages that only tests use, or a
+//	            struct field that only tests read
 //
 // The first five are per-file syntactic/type checks. testonly reads the
 // uses of every package at once (testonly.go). taint runs on a
@@ -73,7 +74,6 @@ func (f Finding) String() string {
 // need cross-package call summaries). Exactly one of the two is non-nil.
 type Analyzer struct {
 	Name      string
-	Doc       string
 	Run       func(*Pass)
 	RunModule func(*ModulePass)
 }

@@ -26,7 +26,6 @@ import (
 // still flagged.
 var BareGo = &Analyzer{
 	Name: "barego",
-	Doc:  "go statement in a simulation package outside internal/sim breaks single-owner handoff (sync.WaitGroup-joined pools are structured and exempt)",
 	Run:  runBareGo,
 }
 

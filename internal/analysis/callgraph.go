@@ -12,7 +12,6 @@ type funcNode struct {
 	obj  *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
-	file *ast.File
 
 	// callees are the module-internal functions this body calls, in source
 	// order (deduplicated), so fixpoint iteration stays deterministic.
@@ -52,7 +51,7 @@ func buildCallGraph(m *Module) *callGraph {
 				if !ok {
 					continue
 				}
-				n := &funcNode{obj: obj, decl: fd, pkg: p, file: f}
+				n := &funcNode{obj: obj, decl: fd, pkg: p}
 				if params := obj.Type().(*types.Signature).Params(); params != nil {
 					n.sinkParams = make([]bool, params.Len())
 				}

@@ -17,7 +17,6 @@ import (
 // strings.Builder writers are exempt.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "silently discarded error return in an internal or cmd package",
 	Run:  runErrDrop,
 }
 

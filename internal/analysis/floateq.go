@@ -23,7 +23,6 @@ import (
 // determinism tests work.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "exact floating-point ==/!= outside internal/stats; use an epsilon helper",
 	Run:  runFloatEq,
 }
 

@@ -21,8 +21,6 @@ import (
 // graph.
 type Package struct {
 	Path string // import path, e.g. "repro/internal/sim"
-	Dir  string
-	Name string
 
 	Files      []*ast.File // non-test files
 	TestFiles  []*ast.File // in-package _test.go files
@@ -143,7 +141,7 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	if rel != "." {
 		pkgPath = m.Path + "/" + filepath.ToSlash(rel)
 	}
-	pkg := &Package{Path: pkgPath, Dir: dir}
+	pkg := &Package{Path: pkgPath}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
@@ -159,7 +157,6 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 		case strings.HasSuffix(name, "_test.go"):
 			pkg.TestFiles = append(pkg.TestFiles, f)
 		default:
-			pkg.Name = f.Name.Name
 			pkg.Files = append(pkg.Files, f)
 		}
 	}

@@ -22,7 +22,6 @@ var seededRandAllowed = map[string]bool{
 // *rand.Rand are fine everywhere, including tests.
 var SeededRand = &Analyzer{
 	Name: "seededrand",
-	Doc:  "global math/rand state; use an explicit rand.New(rand.NewSource(seed)) stream",
 	Run:  runSeededRand,
 }
 

@@ -12,7 +12,6 @@ package analysis
 // key, in map order.
 var Taint = &Analyzer{
 	Name:      "taint",
-	Doc:       "nondeterministic value (map order, wall clock, unseeded rand), or a map-range loop, reaching a result-emitting sink",
 	RunModule: runTaint,
 }
 

@@ -7,4 +7,9 @@ func TestOnlyTested(t *testing.T) {
 		t.Fatal("wrong")
 	}
 	Allowed()
+	c := &Counter{}
+	Count(c, 1)
+	if c.seen != 1 {
+		t.Fatal("wrong")
+	}
 }

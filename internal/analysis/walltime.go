@@ -29,7 +29,6 @@ var wallClockFuncs = map[string]bool{
 // the same reason.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc:  "wall-clock time (time.Now etc.) in simulated code; use internal/sim virtual time",
 	Run:  runWallTime,
 }
 

@@ -20,7 +20,6 @@ type JobOutcome struct {
 // Comparison is the side-by-side result of scheduling the same job set on
 // a traditional system and a CDI system with equal total resources.
 type Comparison struct {
-	Jobs        []Request
 	Traditional []JobOutcome
 	CDI         []JobOutcome
 
@@ -49,7 +48,7 @@ func CompareArchitectures(jobs []Request, nodes, coresPerNode, gpusPerNode, gpus
 		return Comparison{}, err
 	}
 
-	cmp := Comparison{Jobs: jobs}
+	var cmp Comparison
 	run := func(s *System) []JobOutcome {
 		var out []JobOutcome
 		for _, j := range jobs {

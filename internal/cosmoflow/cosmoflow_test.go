@@ -68,22 +68,33 @@ func TestPerfRejectsBadInterconnect(t *testing.T) {
 }
 
 func TestPerfRunsAndReports(t *testing.T) {
-	r, err := RunPerf(fastPerf())
+	cfg := fastPerf()
+	cfg.Record = true
+	r, err := RunPerf(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.TrainSteps != 8 {
-		t.Errorf("TrainSteps = %d, want 8", r.TrainSteps)
+	if n := trainSteps(r); n != 8 {
+		t.Errorf("train steps = %d, want 8", n)
 	}
 	if r.Runtime <= 0 || r.StepTime <= 0 {
 		t.Errorf("runtime %v steptime %v", r.Runtime, r.StepTime)
 	}
-	if r.ParamBytes <= 0 {
-		t.Error("no parameter bytes")
+	if u := r.Trace.KernelFraction(); u <= 0 || u > 1 {
+		t.Errorf("utilization = %v", u)
 	}
-	if r.GPUUtilization <= 0 || r.GPUUtilization > 1 {
-		t.Errorf("utilization = %v", r.GPUUtilization)
+}
+
+// trainSteps counts the training steps in r's recording: each one ends
+// with one sgd_update kernel.
+func trainSteps(r PerfResult) int {
+	n := 0
+	for _, k := range r.Trace.Kernels {
+		if k.Name == "sgd_update" {
+			n++
+		}
 	}
+	return n
 }
 
 func TestPerfCPUAffinityMatchesPaper(t *testing.T) {

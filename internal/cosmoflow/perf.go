@@ -176,19 +176,10 @@ func paramBytes(side int) int64 {
 
 // PerfResult reports one performance-mode run.
 type PerfResult struct {
-	GPUs      int
-	BatchSize int
-	Epochs    int
-	// TrainSteps is the per-worker training step count executed.
-	TrainSteps int
 	// Runtime is the full training wall (virtual) time.
 	Runtime sim.Duration
 	// StepTime is the average training-step time (loader-pipelined).
 	StepTime sim.Duration
-	// ParamBytes is the gradient payload synchronized per step.
-	ParamBytes int64
-	// GPUUtilization is worker 0's compute busy fraction.
-	GPUUtilization float64
 	// DelayedCalls counts slack-delayed CUDA calls across workers.
 	DelayedCalls int64
 	// Trace is worker 0's recording when Record was set.
@@ -406,15 +397,8 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 	}
 
 	res := PerfResult{
-		GPUs:           cfg.GPUs,
-		BatchSize:      cfg.BatchSize,
-		Epochs:         cfg.Epochs,
-		TrainSteps:     cfg.Epochs * steps,
-		Runtime:        runtime,
-		StepTime:       runtime / sim.Duration(cfg.Epochs*(steps+valSteps)),
-		ParamBytes:     pBytes,
-		GPUUtilization: devs[0].Utilization(),
-		Trace:          nil,
+		Runtime:  runtime,
+		StepTime: runtime / sim.Duration(cfg.Epochs*(steps+valSteps)),
 	}
 	for _, in := range injs {
 		res.DelayedCalls += in.DelayedCalls()

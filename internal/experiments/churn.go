@@ -41,10 +41,8 @@ type ChurnRow struct {
 	Arm       string
 	Report    serve.Report
 	// Detection is the mean true-positive detection latency (managed arm
-	// only); Suspicions counts suspicion episodes the control plane
-	// raised.
-	Detection  sim.Duration
-	Suspicions int64
+	// only).
+	Detection sim.Duration
 	// Failovers counts reactive (timeout-triggered) server switches;
 	// Migrations counts proactive drains; Readmissions counts servers
 	// returned to rotation.
@@ -259,17 +257,23 @@ func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Dura
 		Exhausted: eng.Err() != nil,
 	}
 	st := pool.Stats()
+	if afterChurnCell != nil {
+		afterChurnCell(st)
+	}
 	row.Failovers = st.Failovers
 	row.Migrations = st.Migrations
 	row.Readmissions = st.Readmissions
 	if managed {
 		row.Arm = "managed"
-		hs := ctl.Stats()
-		row.Detection = hs.MeanDetection()
-		row.Suspicions = hs.Suspicions
+		row.Detection = ctl.Stats().MeanDetection()
 	}
 	return row, spans, nil
 }
+
+// afterChurnCell, when set, receives each churn cell's transport counters
+// once its window drains. Tests count fault-free timeouts through it; it
+// is nil otherwise.
+var afterChurnCell func(remoting.Stats)
 
 // healthTrackBase is the application-span track the health registry's
 // state intervals render on in the Chrome trace, one track per server

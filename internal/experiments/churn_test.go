@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // churnOpts shrinks the window so the grid stays cheap in tests; the
@@ -114,16 +115,16 @@ func TestChurnManagedDominatesBaseline(t *testing.T) {
 			t.Errorf("cell %+v: managed goodput %.1f does not dominate baseline %.1f",
 				c, m.Report.Goodput, b.Report.Goodput)
 		}
-		if m.Suspicions == 0 || m.Migrations == 0 || m.Readmissions == 0 {
-			t.Errorf("cell %+v: control plane idle (suspicions %d, migrations %d, readmissions %d)",
-				c, m.Suspicions, m.Migrations, m.Readmissions)
+		if m.Migrations == 0 || m.Readmissions == 0 {
+			t.Errorf("cell %+v: control plane idle (migrations %d, readmissions %d)",
+				c, m.Migrations, m.Readmissions)
 		}
 		if m.Detection <= 0 || m.Detection >= churnPolicy().CallTimeout {
 			t.Errorf("cell %+v: detection latency %v outside (0, call timeout)", c, m.Detection)
 		}
-		if b.Suspicions != 0 || b.Migrations != 0 {
-			t.Errorf("cell %+v: baseline arm ran a control plane (suspicions %d, migrations %d)",
-				c, b.Suspicions, b.Migrations)
+		if b.Migrations != 0 || b.Detection != 0 {
+			t.Errorf("cell %+v: baseline arm ran a control plane (migrations %d, detection %v)",
+				c, b.Migrations, b.Detection)
 		}
 	}
 }
@@ -138,16 +139,25 @@ func TestChurnControlPlaneTransparentWithoutFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, _, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, true, nil)
+	// With a recorder the cell returns, after the request spans, one
+	// "health" span per episode a server spent out of Healthy: none means
+	// no suspicion was raised.
+	on, spans, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, true, trace.NewRecorder("churn"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.Report != off.Report {
 		t.Errorf("control plane perturbs a fault-free run:\non:  %+v\noff: %+v", on.Report, off.Report)
 	}
-	if on.Suspicions != 0 || on.Migrations != 0 || on.Readmissions != 0 {
-		t.Errorf("fault-free control plane acted: suspicions %d, migrations %d, readmissions %d",
-			on.Suspicions, on.Migrations, on.Readmissions)
+	episodes := 0
+	for _, sp := range spans {
+		if sp.Cat == "health" {
+			episodes++
+		}
+	}
+	if episodes != 0 || on.Migrations != 0 || on.Readmissions != 0 {
+		t.Errorf("fault-free control plane acted: %d health episodes, migrations %d, readmissions %d",
+			episodes, on.Migrations, on.Readmissions)
 	}
 	if on.Exhausted || off.Exhausted {
 		t.Error("fault-free pool cell exhausted")

@@ -178,19 +178,6 @@ type Injector struct {
 	link    *windows
 	degrade *windows
 	servers []*Server
-	c       Counters
-}
-
-// Counters aggregates the fault events the schedule actually delivered.
-type Counters struct {
-	// Drops counts messages consumed by packet loss.
-	Drops int64
-	// LinkDownHits counts sends attempted during a flap outage.
-	LinkDownHits int64
-	// StallHits counts requests that arrived at a stalled server.
-	StallHits int64
-	// DegradedTransfers counts transfers serialized at reduced bandwidth.
-	DegradedTransfers int64
 }
 
 // NewInjector builds an injector for the schedule.
@@ -214,28 +201,17 @@ func (in *Injector) DropsMessage() bool {
 	if in.cfg.DropProbability <= 0 {
 		return false
 	}
-	if in.drop.Float64() < in.cfg.DropProbability {
-		in.c.Drops++
-		return true
-	}
-	return false
+	return in.drop.Float64() < in.cfg.DropProbability
 }
 
 // LinkDown reports whether the host↔chassis link is inside a flap outage
 // at t and, if so, when the outage ends.
-func (in *Injector) LinkDown(t sim.Time) (bool, sim.Time) {
-	down, until := in.link.at(t)
-	if down {
-		in.c.LinkDownHits++
-	}
-	return down, until
-}
+func (in *Injector) LinkDown(t sim.Time) (bool, sim.Time) { return in.link.at(t) }
 
 // BandwidthFactor returns the serialization-bandwidth multiplier at t:
 // 1 normally, Config.DegradeFactor inside a degraded period.
 func (in *Injector) BandwidthFactor(t sim.Time) float64 {
 	if down, _ := in.degrade.at(t); down {
-		in.c.DegradedTransfers++
 		return in.cfg.DegradeFactor
 	}
 	return 1
@@ -275,7 +251,6 @@ type Server struct {
 	crashes bool
 	crashAt sim.Time
 	churn   *windows // non-nil when CrashFor > 0: recurring crash outages
-	c       *Counters
 }
 
 // Server returns the fault state for server id (0 = primary, 1+ =
@@ -287,7 +262,6 @@ func (in *Injector) Server(id int) *Server {
 		i := uint64(len(in.servers))
 		s := &Server{
 			stalls: newWindows(Substream(in.cfg.Seed, saltStall+i), in.cfg.StallEvery, in.cfg.StallFor),
-			c:      &in.c,
 		}
 		if in.cfg.CrashAfter > 0 {
 			if in.cfg.CrashFor > 0 {
@@ -316,7 +290,6 @@ func (s *Server) StateAt(t sim.Time) (ServerState, sim.Time) {
 		}
 	}
 	if down, until := s.stalls.at(t); down {
-		s.c.StallHits++
 		return Stalled, until
 	}
 	return Healthy, 0

@@ -102,20 +102,10 @@ func (p Policy) Backoff(k int, jitter *rand.Rand) sim.Duration {
 
 // CallStats aggregates what the resilience policy did to a run's calls.
 type CallStats struct {
-	// Calls counts link-crossing calls seen while remote execution was
-	// still live (degraded node-local calls are not counted).
-	Calls int64
-	// FaultedCalls counts calls that experienced any fault delay at all.
-	FaultedCalls int64
-	// Retries, Timeouts and Failovers count policy actions; BreakerTrips
-	// counts failovers forced by the circuit breaker.
-	Retries      int64
-	Timeouts     int64
-	Failovers    int64
-	BreakerTrips int64
-	// FaultDelay is the total extra time faults added on top of nominal
-	// slack.
-	FaultDelay sim.Duration
+	// Retries, Timeouts and Failovers count policy actions.
+	Retries   int64
+	Timeouts  int64
+	Failovers int64
 	// DegradedToLocal records that every remote died and the workload
 	// fell back to node-local execution.
 	DegradedToLocal bool
@@ -184,8 +174,6 @@ func (f *CallInjector) After(p *sim.Proc, info cuda.CallInfo) {
 	if f.degraded || !info.Class.CrossesLink() || !f.inj.cfg.Enabled() {
 		return
 	}
-	f.stats.Calls++
-	start := p.Now()
 	retries := 0
 	for {
 		if f.attempt(p) {
@@ -196,9 +184,6 @@ func (f *CallInjector) After(p *sim.Proc, info cuda.CallInfo) {
 		f.consecTimeouts++
 		tripped := f.pol.BreakerThreshold > 0 && f.consecTimeouts >= f.pol.BreakerThreshold
 		if tripped || retries >= f.pol.MaxRetries {
-			if tripped {
-				f.stats.BreakerTrips++
-			}
 			f.failover(p)
 			if f.degraded {
 				break
@@ -209,10 +194,6 @@ func (f *CallInjector) After(p *sim.Proc, info cuda.CallInfo) {
 		retries++
 		f.stats.Retries++
 		p.Sleep(f.pol.Backoff(retries, f.jitter))
-	}
-	if d := p.Now().Sub(start); d > 0 {
-		f.stats.FaultedCalls++
-		f.stats.FaultDelay += d
 	}
 }
 

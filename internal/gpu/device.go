@@ -35,22 +35,16 @@ func (d Direction) String() string {
 
 // KernelEvent describes one completed kernel execution.
 type KernelEvent struct {
-	Device  string
-	Stream  int
-	Name    string
-	Enqueue sim.Time
-	Start   sim.Time
-	End     sim.Time
+	Stream int
+	Name   string
+	Start  sim.Time
+	End    sim.Time
 	// Warmup is the extra execution time charged by the starvation model
 	// because the compute engine was idle when this kernel started.
 	Warmup sim.Duration
 	// IdleGap is the compute-engine idle time that preceded this kernel
 	// (zero when the device was already busy).
 	IdleGap sim.Duration
-	// CtxSwitch is the context-switch delay paid before Start because the
-	// previous kernel came from a different stream. It is not part of
-	// Duration: traces report pure kernel execution time, as NSys does.
-	CtxSwitch sim.Duration
 }
 
 // Duration returns the kernel's execution time.
@@ -58,13 +52,11 @@ func (e KernelEvent) Duration() sim.Duration { return e.End.Sub(e.Start) }
 
 // CopyEvent describes one completed memory transfer.
 type CopyEvent struct {
-	Device  string
-	Stream  int
-	Dir     Direction
-	Bytes   int64
-	Enqueue sim.Time
-	Start   sim.Time
-	End     sim.Time
+	Stream int
+	Dir    Direction
+	Bytes  int64
+	Start  sim.Time
+	End    sim.Time
 }
 
 // Duration returns the transfer's execution time.
@@ -74,23 +66,6 @@ func (e CopyEvent) Duration() sim.Duration { return e.End.Sub(e.Start) }
 type Listener interface {
 	OnKernel(ev KernelEvent)
 	OnCopy(ev CopyEvent)
-}
-
-// Counters aggregates device activity.
-type Counters struct {
-	Kernels     int64
-	CopiesH2D   int64
-	CopiesD2H   int64
-	CopiesD2D   int64
-	BytesH2D    int64
-	BytesD2H    int64
-	BytesD2D    int64
-	ComputeBusy sim.Duration // total kernel execution time, warm-up included
-	CopyBusy    sim.Duration // total DMA engine occupancy
-	WarmupTotal sim.Duration // total starvation penalty charged
-	IdleEvents  int64        // kernels that started on an idle compute engine
-	CtxSwitches int64        // stream-to-stream kernel transitions charged
-	CtxTotal    sim.Duration // total context-switch time charged
 }
 
 // Device is one simulated GPU.
@@ -109,7 +84,6 @@ type Device struct {
 	lastStream     int
 	everComputed   bool
 
-	counters  Counters
 	listeners []Listener
 
 	streams      []*Stream
@@ -232,9 +206,6 @@ func NewDevice(env *sim.Env, spec Spec) (*Device, error) {
 // Spec returns the device specification.
 func (d *Device) Spec() Spec { return d.spec }
 
-// Counters returns a snapshot of activity counters.
-func (d *Device) Counters() Counters { return d.counters }
-
 // Listen registers a completion-event listener.
 func (d *Device) Listen(l Listener) { d.listeners = append(d.listeners, l) }
 
@@ -256,15 +227,6 @@ func (d *Device) Free(p Ptr) error { return d.mem.free(p) }
 // AllocSize returns the size of an allocation.
 func (d *Device) AllocSize(p Ptr) (int64, error) { return d.mem.size(p) }
 
-// Utilization returns the fraction of [0, now] the compute engine was busy.
-func (d *Device) Utilization() float64 {
-	now := d.env.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(d.counters.ComputeBusy) / float64(now)
-}
-
 // opKind discriminates stream operations.
 type opKind uint8
 
@@ -282,10 +244,9 @@ type Op struct {
 	// dur is a kernel's base duration before warm-up, or a copy's
 	// duration. Both are fixed at enqueue, so a bad one panics on the
 	// caller's stack instead of inside the engine.
-	dur     sim.Duration
-	dir     Direction
-	bytes   int64
-	enqueue sim.Time
+	dur   sim.Duration
+	dir   Direction
+	bytes int64
 	// next links the op into the device's free list.
 	next *Op
 	kind opKind
@@ -344,14 +305,14 @@ type Stream struct {
 
 	// cur is the executing op, or the one waiting for an engine.
 	cur *Op
-	// When cur started, and for a kernel its idle gap, warm-up and
-	// context switch, kept between its callbacks.
-	start                  sim.Time
-	gap, warmup, ctxSwitch sim.Duration
+	// When cur started, and for a kernel its idle gap and warm-up, kept
+	// between its callbacks.
+	start       sim.Time
+	gap, warmup sim.Duration
 
 	// cb holds the stream's callbacks, bound once so that scheduling one
 	// allocates nothing.
-	cb struct{ run, begin, switched, kernelDone, copyDone func() }
+	cb struct{ run, begin, startKernel, kernelDone, copyDone func() }
 }
 
 // NewStream creates a stream and schedules its start at the current
@@ -362,7 +323,7 @@ func (d *Device) NewStream() *Stream {
 		dev:     d,
 		drained: sim.NewSignal(d.env),
 	}
-	s.cb.run, s.cb.begin, s.cb.switched = s.run, s.begin, s.switched
+	s.cb.run, s.cb.begin, s.cb.startKernel = s.run, s.begin, s.startKernel
 	s.cb.kernelDone, s.cb.copyDone = s.kernelDone, s.copyDone
 	d.nextStreamID++
 	d.streams = append(d.streams, s)
@@ -389,7 +350,6 @@ func (s *Stream) enqueue(o *Op) *Op {
 	if s.closed {
 		panic("gpu: enqueue on destroyed stream")
 	}
-	o.enqueue = s.dev.env.Now()
 	o.doneSig.Bind(s.dev.env)
 	s.queue = append(s.queue, o)
 	s.pending++
@@ -499,20 +459,12 @@ func (s *Stream) begin() {
 	if !d.compute.acquire(s) {
 		return
 	}
-	s.ctxSwitch = 0
 	if d.everComputed && d.lastStream != s.id && d.spec.ContextSwitch > 0 {
-		s.ctxSwitch = d.spec.ContextSwitch
-		d.env.After(s.ctxSwitch, s.cb.switched)
+		// The context switch precedes the kernel's Start; it is not part
+		// of its duration, as NSys reports pure kernel execution time.
+		d.env.After(d.spec.ContextSwitch, s.cb.startKernel)
 		return
 	}
-	s.startKernel()
-}
-
-// switched charges the context switch that preceded the current kernel.
-func (s *Stream) switched() {
-	d := s.dev
-	d.counters.CtxSwitches++
-	d.counters.CtxTotal += s.ctxSwitch
 	s.startKernel()
 }
 
@@ -535,7 +487,6 @@ func (s *Stream) startKernel() {
 			g = d.spec.WarmupSaturation
 		}
 		s.warmup = sim.Duration(d.spec.WarmupRate) * g
-		d.counters.IdleEvents++
 	}
 	d.env.After(s.cur.dur+s.warmup, s.cb.kernelDone)
 }
@@ -548,21 +499,15 @@ func (s *Stream) kernelDone() {
 	d.lastComputeEnd = end
 	d.lastStream = s.id
 	d.everComputed = true
-	d.counters.Kernels++
-	d.counters.ComputeBusy += o.dur + s.warmup
-	d.counters.WarmupTotal += s.warmup
 	d.compute.release(d.env)
 
 	ev := KernelEvent{
-		Device:    d.spec.Name,
-		Stream:    s.id,
-		Name:      o.name,
-		Enqueue:   o.enqueue,
-		Start:     s.start,
-		End:       end,
-		Warmup:    s.warmup,
-		IdleGap:   s.gap,
-		CtxSwitch: s.ctxSwitch,
+		Stream:  s.id,
+		Name:    o.name,
+		Start:   s.start,
+		End:     end,
+		Warmup:  s.warmup,
+		IdleGap: s.gap,
 	}
 	for _, l := range d.listeners {
 		l.OnKernel(ev)
@@ -575,28 +520,14 @@ func (s *Stream) kernelDone() {
 func (s *Stream) copyDone() {
 	d := s.dev
 	o := s.cur
-	switch o.dir {
-	case H2D:
-		d.counters.CopiesH2D++
-		d.counters.BytesH2D += o.bytes
-	case D2H:
-		d.counters.CopiesD2H++
-		d.counters.BytesD2H += o.bytes
-	case D2D:
-		d.counters.CopiesD2D++
-		d.counters.BytesD2D += o.bytes
-	}
-	d.counters.CopyBusy += o.dur
 	d.dma.release(d.env)
 
 	ev := CopyEvent{
-		Device:  d.spec.Name,
-		Stream:  s.id,
-		Dir:     o.dir,
-		Bytes:   o.bytes,
-		Enqueue: o.enqueue,
-		Start:   s.start,
-		End:     d.env.Now(),
+		Stream: s.id,
+		Dir:    o.dir,
+		Bytes:  o.bytes,
+		Start:  s.start,
+		End:    d.env.Now(),
 	}
 	for _, l := range d.listeners {
 		l.OnCopy(ev)

@@ -300,20 +300,19 @@ func TestCopyDuration(t *testing.T) {
 	defer env.Close()
 	spec := fastSpec() // 1 GB/s copy bandwidth
 	d, _ := NewDevice(env, spec)
-	var ev CopyEvent
-	d.Listen(listenerFunc{onCopy: func(e CopyEvent) { ev = e }})
+	var evs []CopyEvent
+	d.Listen(listenerFunc{onCopy: func(e CopyEvent) { evs = append(evs, e) }})
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
 		s.EnqueueCopy(H2D, 1_000_000) // 1 MB at 1 GB/s = 1 ms
 		s.Sync(p)
 	})
 	env.Run()
-	if got := ev.Duration(); math.Abs(float64(got-1*sim.Millisecond)) > 1e-12 {
-		t.Errorf("copy duration = %v, want 1ms", got)
+	if len(evs) != 1 || evs[0].Dir != H2D || evs[0].Bytes != 1_000_000 {
+		t.Fatalf("copies = %+v", evs)
 	}
-	c := d.Counters()
-	if c.CopiesH2D != 1 || c.BytesH2D != 1_000_000 {
-		t.Errorf("counters = %+v", c)
+	if got := evs[0].Duration(); math.Abs(float64(got-1*sim.Millisecond)) > 1e-12 {
+		t.Errorf("copy duration = %v, want 1ms", got)
 	}
 }
 
@@ -321,6 +320,12 @@ func TestCopyDirectionsCounted(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	d, _ := NewDevice(env, fastSpec())
+	var copies [3]int
+	var bytes [3]int64
+	d.Listen(listenerFunc{onCopy: func(e CopyEvent) {
+		copies[e.Dir]++
+		bytes[e.Dir] += e.Bytes
+	}})
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
 		s.EnqueueCopy(H2D, 100)
@@ -329,12 +334,11 @@ func TestCopyDirectionsCounted(t *testing.T) {
 		s.Sync(p)
 	})
 	env.Run()
-	c := d.Counters()
-	if c.CopiesH2D != 1 || c.CopiesD2H != 1 || c.CopiesD2D != 1 {
-		t.Errorf("copy counts = %+v", c)
+	if copies != [3]int{1, 1, 1} {
+		t.Errorf("copy counts (H2D, D2H, D2D) = %v", copies)
 	}
-	if c.BytesH2D != 100 || c.BytesD2H != 200 || c.BytesD2D != 300 {
-		t.Errorf("copy bytes = %+v", c)
+	if bytes != [3]int64{100, 200, 300} {
+		t.Errorf("copy bytes (H2D, D2H, D2D) = %v", bytes)
 	}
 }
 
@@ -420,9 +424,16 @@ func TestWarmupChargedAfterIdleGap(t *testing.T) {
 	if got := events[1].Duration(); math.Abs(float64(got-6*sim.Millisecond)) > 1e-12 {
 		t.Errorf("stretched duration = %v, want 6ms", got)
 	}
-	c := d.Counters()
-	if c.IdleEvents != 1 || math.Abs(float64(c.WarmupTotal-want)) > 1e-12 {
-		t.Errorf("counters = %+v", c)
+	var idle int
+	var warmup sim.Duration
+	for _, ev := range events {
+		if ev.IdleGap > 0 {
+			idle++
+		}
+		warmup += ev.Warmup
+	}
+	if idle != 1 || math.Abs(float64(warmup-want)) > 1e-12 {
+		t.Errorf("%d kernels started idle, %v warm-up in all, want 1 and %v", idle, warmup, want)
 	}
 }
 
@@ -584,17 +595,16 @@ func TestUtilization(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	d, _ := NewDevice(env, fastSpec())
-	if d.Utilization() != 0 {
-		t.Error("utilization nonzero before any work")
-	}
+	var busy sim.Duration
+	d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { busy += ev.Duration() }})
 	s := d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
 		s.EnqueueKernel(Kernel{Name: "k", FixedTime: 1 * sim.Millisecond})
 		s.Sync(p)
 		p.Sleep(1 * sim.Millisecond)
 	})
-	env.Run()
-	if u := d.Utilization(); math.Abs(u-0.5) > 1e-9 {
+	end := env.Run()
+	if u := float64(busy) / float64(end); math.Abs(u-0.5) > 1e-9 {
 		t.Errorf("utilization = %v, want 0.5", u)
 	}
 }
@@ -622,7 +632,8 @@ func TestPropertyComputeBusyConservation(t *testing.T) {
 		env := sim.NewEnv()
 		defer env.Close()
 		d, _ := NewDevice(env, fastSpec())
-		var want sim.Duration
+		var want, got sim.Duration
+		d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { got += ev.Duration() }})
 		ss := make([]*Stream, ns)
 		for i := range ss {
 			ss[i] = d.NewStream()
@@ -636,13 +647,21 @@ func TestPropertyComputeBusyConservation(t *testing.T) {
 			d.Sync(p)
 		})
 		env.Run()
-		got := d.Counters().ComputeBusy
 		return math.Abs(float64(got-want)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// tally counts completed kernels, and copies by direction.
+type tally struct {
+	kernels int
+	copies  [3]int
+}
+
+func (c *tally) OnKernel(KernelEvent) { c.kernels++ }
+func (c *tally) OnCopy(ev CopyEvent)  { c.copies[ev.Dir]++ }
 
 // listenerFunc adapts closures to the Listener interface.
 type listenerFunc struct {
@@ -680,25 +699,28 @@ func TestContextSwitchChargedBetweenStreams(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("events = %d", len(events))
 	}
-	// Same-stream back-to-back: no switch. Cross-stream: one switch.
+	// Same-stream back-to-back: no switch. Cross-stream: one switch, the
+	// gap between the two kernels.
 	var switches int
 	var total sim.Duration
-	for _, ev := range events {
-		if ev.CtxSwitch > 0 {
-			switches++
-			total += ev.CtxSwitch
-		}
+	for i, ev := range events {
 		// Reported duration stays the pure kernel time.
 		if math.Abs(float64(ev.Duration()-1*sim.Millisecond)) > 1e-12 {
 			t.Errorf("kernel %s duration %v includes switch cost", ev.Name, ev.Duration())
 		}
+		if i == 0 {
+			continue
+		}
+		gap := ev.Start.Sub(events[i-1].End)
+		if ev.Stream != events[i-1].Stream {
+			switches++
+			total += gap
+		} else if gap != 0 {
+			t.Errorf("kernel %s started %v after its stream's last kernel", ev.Name, gap)
+		}
 	}
-	if switches != 1 || total != 500*sim.Microsecond {
+	if switches != 1 || math.Abs(float64(total-500*sim.Microsecond)) > 1e-12 {
 		t.Errorf("switches=%d total=%v, want 1 and 500µs", switches, total)
-	}
-	c := d.Counters()
-	if c.CtxSwitches != 1 || c.CtxTotal != 500*sim.Microsecond {
-		t.Errorf("counters = %+v", c)
 	}
 }
 
@@ -706,6 +728,8 @@ func TestNoContextSwitchWhenDisabled(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	d, _ := NewDevice(env, fastSpec()) // ContextSwitch zero
+	var events []KernelEvent
+	d.Listen(listenerFunc{onKernel: func(ev KernelEvent) { events = append(events, ev) }})
 	s1, s2 := d.NewStream(), d.NewStream()
 	env.Spawn("host", func(p *sim.Proc) {
 		s1.EnqueueKernel(Kernel{Name: "a", FixedTime: 1 * sim.Millisecond})
@@ -716,8 +740,8 @@ func TestNoContextSwitchWhenDisabled(t *testing.T) {
 	if math.Abs(float64(end)-2e-3) > 1e-12 {
 		t.Errorf("end = %v, want 2ms without switch cost", end)
 	}
-	if d.Counters().CtxSwitches != 0 {
-		t.Errorf("CtxSwitches = %d", d.Counters().CtxSwitches)
+	if len(events) != 2 || events[1].Start != events[0].End {
+		t.Errorf("kernels %+v, want the second to start as the first ends", events)
 	}
 }
 
@@ -735,6 +759,8 @@ func TestStreamsSpawnNoProcess(t *testing.T) {
 	d, _ := NewDevice(env, spec)
 	s1, s2 := d.NewStream(), d.NewStream()
 	k := Kernel{Name: "k", FixedTime: 10 * sim.Microsecond}
+	var c tally
+	d.Listen(&c)
 	var switches uint64
 	var allocs float64
 	env.Spawn("host", func(p *sim.Proc) {
@@ -760,8 +786,8 @@ func TestStreamsSpawnNoProcess(t *testing.T) {
 		t.Errorf("enqueue and wait allocates %v times per round, want 0", allocs)
 	}
 	// AllocsPerRun calls its function once more to warm up.
-	if c := d.Counters(); c.Kernels != 40+201 || c.CopiesH2D != 20 || c.CopiesD2H != 20 {
-		t.Errorf("counters = %+v", c)
+	if c.kernels != 40+201 || c.copies != [3]int{20, 20, 0} {
+		t.Errorf("completions = %+v", c)
 	}
 }
 
@@ -774,6 +800,8 @@ func TestReleasedOpIsReused(t *testing.T) {
 	d, _ := NewDevice(env, fastSpec())
 	s := d.NewStream()
 	k := Kernel{Name: "k", FixedTime: 10 * sim.Microsecond}
+	var c tally
+	d.Listen(&c)
 	var allocs float64
 	env.Spawn("host", func(p *sim.Proc) {
 		// One measured run of 200 rounds after a warm-up run of 200: the
@@ -804,8 +832,8 @@ func TestReleasedOpIsReused(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("200 rounds of enqueue, wait and release allocate %v times, want 0", allocs)
 	}
-	if c := d.Counters(); c.Kernels != 400+2 || c.CopiesH2D != 1 {
-		t.Errorf("counters = %+v", c)
+	if c.kernels != 400+2 || c.copies != [3]int{1, 0, 0} {
+		t.Errorf("completions = %+v", c)
 	}
 }
 
@@ -851,11 +879,11 @@ func TestReleasePanics(t *testing.T) {
 	}
 }
 
-// Device comes in a 416-byte size class; NewDevice runs once per
+// Device comes in a 320-byte size class; NewDevice runs once per
 // simulated GPU, so the op free list must not push it into the next one.
 func TestDeviceFitsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Device{}); n > 416 {
-		t.Fatalf("Device is %d bytes, want at most 416", n)
+	if n := unsafe.Sizeof(Device{}); n > 320 {
+		t.Fatalf("Device is %d bytes, want at most 320", n)
 	}
 }
 

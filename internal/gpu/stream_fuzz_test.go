@@ -57,7 +57,6 @@ type refOp struct {
 	kernel  Kernel
 	dir     Direction
 	bytes   int64
-	enqueue sim.Time
 	done    bool
 	doneSig sim.Signal
 }
@@ -74,7 +73,6 @@ type refDevice struct {
 	lastStream     int
 	everComputed   bool
 
-	counters  Counters
 	listeners []Listener
 
 	streams      []*refStream
@@ -93,8 +91,6 @@ func newRefDevice(env *sim.Env, spec Spec) *refDevice {
 		allIdle: sim.NewWaitGroup(env),
 	}
 }
-
-func (d *refDevice) Counters() Counters { return d.counters }
 
 func (d *refDevice) Listen(l Listener) { d.listeners = append(d.listeners, l) }
 
@@ -158,7 +154,6 @@ func (s *refStream) enqueue(o *refOp) *refOp {
 	if s.closed {
 		panic("gpu: enqueue on destroyed stream")
 	}
-	o.enqueue = s.dev.env.Now()
 	o.doneSig.Bind(s.dev.env)
 	s.queue = append(s.queue, o)
 	s.pending++
@@ -248,12 +243,8 @@ func (s *refStream) run(p *sim.Proc) {
 func (s *refStream) execKernel(p *sim.Proc, o *refOp) {
 	d := s.dev
 	d.compute.Acquire(p)
-	var ctxSwitch sim.Duration
 	if d.everComputed && d.lastStream != s.id && d.spec.ContextSwitch > 0 {
-		ctxSwitch = d.spec.ContextSwitch
-		p.Sleep(ctxSwitch)
-		d.counters.CtxSwitches++
-		d.counters.CtxTotal += ctxSwitch
+		p.Sleep(d.spec.ContextSwitch)
 	}
 	start := p.Now()
 	var gap sim.Duration
@@ -271,7 +262,6 @@ func (s *refStream) execKernel(p *sim.Proc, o *refOp) {
 			g = d.spec.WarmupSaturation
 		}
 		warmup = sim.Duration(d.spec.WarmupRate) * g
-		d.counters.IdleEvents++
 	}
 	dur := base + warmup
 	p.Sleep(dur)
@@ -279,21 +269,15 @@ func (s *refStream) execKernel(p *sim.Proc, o *refOp) {
 	d.lastComputeEnd = end
 	d.lastStream = s.id
 	d.everComputed = true
-	d.counters.Kernels++
-	d.counters.ComputeBusy += dur
-	d.counters.WarmupTotal += warmup
 	d.compute.Release()
 
 	ev := KernelEvent{
-		Device:    d.spec.Name,
-		Stream:    s.id,
-		Name:      o.kernel.Name,
-		Enqueue:   o.enqueue,
-		Start:     start,
-		End:       end,
-		Warmup:    warmup,
-		IdleGap:   gap,
-		CtxSwitch: ctxSwitch,
+		Stream:  s.id,
+		Name:    o.kernel.Name,
+		Start:   start,
+		End:     end,
+		Warmup:  warmup,
+		IdleGap: gap,
 	}
 	for _, l := range d.listeners {
 		l.OnKernel(ev)
@@ -320,28 +304,14 @@ func (s *refStream) execCopy(p *sim.Proc, o *refOp) {
 	dur := d.spec.CopyLatency + sim.Duration(float64(o.bytes)/bw)
 	p.Sleep(dur)
 	end := p.Now()
-	switch o.dir {
-	case H2D:
-		d.counters.CopiesH2D++
-		d.counters.BytesH2D += o.bytes
-	case D2H:
-		d.counters.CopiesD2H++
-		d.counters.BytesD2H += o.bytes
-	case D2D:
-		d.counters.CopiesD2D++
-		d.counters.BytesD2D += o.bytes
-	}
-	d.counters.CopyBusy += dur
 	d.dma.Release()
 
 	ev := CopyEvent{
-		Device:  d.spec.Name,
-		Stream:  s.id,
-		Dir:     o.dir,
-		Bytes:   o.bytes,
-		Enqueue: o.enqueue,
-		Start:   start,
-		End:     end,
+		Stream: s.id,
+		Dir:    o.dir,
+		Bytes:  o.bytes,
+		Start:  start,
+		End:    end,
 	}
 	for _, l := range d.listeners {
 		l.OnCopy(ev)
@@ -365,7 +335,6 @@ type fuzzDevice interface {
 	stream() fuzzStream
 	release(w waiter)
 	Sync(p *sim.Proc)
-	Counters() Counters
 	Listen(l Listener)
 }
 
@@ -402,9 +371,8 @@ func fuzzSpec() Spec {
 
 // streamRun is what FuzzStreamOps compares between the implementations.
 type streamRun struct {
-	events   []any        // KernelEvents and CopyEvents in completion order
-	wakes    [][]sim.Time // each host's time after every blocking call
-	counters Counters
+	events []any        // KernelEvents and CopyEvents in completion order
+	wakes  [][]sim.Time // each host's time after every blocking call
 	// The engine's Scheduled, Delivered, Cancelled and PeakPending counts,
 	// read after Run and before Close.
 	stats [4]uint64
@@ -521,16 +489,14 @@ func runStreamProg(data []byte, ref bool) streamRun {
 	env.Run()
 	st := env.Stats()
 	r.stats = [4]uint64{st.Scheduled, st.Delivered, st.Cancelled, st.PeakPending}
-	r.counters = dev.Counters()
 	return r
 }
 
 // FuzzStreamOps runs random host programs against the device's callback
 // streams and against the process-based runner they replaced, and
 // requires the same kernel and copy completions in the same order, the
-// same host wake times, the same counters and the same engine event
-// counts: a callback takes exactly the (time, seq) slot of the runner
-// wake-up it stands for.
+// same host wake times and the same engine event counts: a callback
+// takes exactly the (time, seq) slot of the runner wake-up it stands for.
 func FuzzStreamOps(f *testing.F) {
 	k := func(s, a int) byte { return progOp(opcKernel, s, a) }
 	cp := func(s, a int) byte { return progOp(opcCopy, s, a) }
@@ -571,9 +537,6 @@ func FuzzStreamOps(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got.wakes, want.wakes) {
 			t.Fatalf("host wake times %v, runner %v", got.wakes, want.wakes)
-		}
-		if got.counters != want.counters {
-			t.Fatalf("counters %+v, runner %+v", got.counters, want.counters)
 		}
 		if got.stats != want.stats {
 			t.Fatalf("scheduled, delivered, cancelled, peak pending = %v, runner %v", got.stats, want.stats)

@@ -63,9 +63,9 @@ func (s State) String() string {
 
 // Transition is one registry state change, recorded in order.
 type Transition struct {
-	Server   int
-	From, To State
-	At       sim.Time
+	Server int
+	To     State
+	At     sim.Time
 }
 
 // Registry tracks the control plane's view of every server. Only the
@@ -95,7 +95,7 @@ func (r *Registry) set(i int, s State, at sim.Time) {
 	}
 	r.states[i] = s
 	if r.keep {
-		r.log = append(r.log, Transition{Server: i, From: from, To: s, At: at})
+		r.log = append(r.log, Transition{Server: i, To: s, At: at})
 	}
 	if from == Healthy {
 		r.degraded++

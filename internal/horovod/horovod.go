@@ -24,9 +24,6 @@ const (
 // Session is one worker's handle to the synchronization layer.
 type Session struct {
 	rank *mpi.Rank
-
-	cycles int64
-	bytes  int64
 }
 
 // New returns a session for this rank.
@@ -46,9 +43,7 @@ func (s *Session) SyncBytes(n int64) {
 			chunk = fusionThreshold
 		}
 		s.rank.Proc().Sleep(cycleTime)
-		s.cycles++
 		s.rank.AllreduceBytes(chunk)
-		s.bytes += chunk
 		n -= chunk
 	}
 }

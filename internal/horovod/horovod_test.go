@@ -18,12 +18,6 @@ func TestSyncBytesChargesRingCost(t *testing.T) {
 		s.SyncBytes(3 * fusionThreshold) // three fusion chunks
 		if r.Rank() == 0 {
 			elapsed = r.Proc().Now().Sub(start)
-			if s.cycles != 3 {
-				t.Errorf("cycles = %d, want 3", s.cycles)
-			}
-			if s.bytes != 3*fusionThreshold {
-				t.Errorf("bytes = %d", s.bytes)
-			}
 		}
 	})
 	env.Run()
@@ -41,9 +35,10 @@ func TestSyncBytesZeroAndNegative(t *testing.T) {
 	w := mpi.NewWorld(env, 1, mpi.CostModel{})
 	w.SpawnAll(func(r *mpi.Rank) {
 		s := New(r)
-		s.SyncBytes(0) // no-op
-		if s.cycles != 0 {
-			t.Errorf("cycles = %d after zero-byte sync", s.cycles)
+		start := r.Proc().Now()
+		s.SyncBytes(0) // no-op: no fusion cycle, no allreduce
+		if d := r.Proc().Now().Sub(start); d != 0 {
+			t.Errorf("zero-byte sync took %v", d)
 		}
 		defer func() {
 			if recover() == nil {

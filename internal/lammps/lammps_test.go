@@ -155,20 +155,34 @@ func TestPerfThreadsImprove(t *testing.T) {
 	}
 }
 
+// TestPerfContextSwitchesCounted reads the device's context switches off
+// the recording: a kernel from another stream than the one before it
+// starts at least CtxSwitch after that one ends.
 func TestPerfContextSwitchesCounted(t *testing.T) {
-	r, err := RunPerf(PerfConfig{BoxSize: 20, Procs: 4, Steps: 10})
-	if err != nil {
-		t.Fatal(err)
+	switches := func(procs int) int {
+		t.Helper()
+		r, err := RunPerf(PerfConfig{BoxSize: 20, Procs: procs, Steps: 10, Record: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		ks := r.Trace.Kernels
+		for i := 1; i < len(ks); i++ {
+			if ks[i].Stream == ks[i-1].Stream {
+				continue
+			}
+			n++
+			if gap := ks[i].Start.Sub(ks[i-1].End); gap < CtxSwitch-1e-12 {
+				t.Errorf("%d ranks: kernel %d started %v after another stream's, want at least %v", procs, i, gap, CtxSwitch)
+			}
+		}
+		return n
 	}
-	if r.CtxSwitches == 0 {
+	if switches(4) == 0 {
 		t.Error("multi-rank run recorded no context switches")
 	}
-	r1, err := RunPerf(PerfConfig{BoxSize: 20, Procs: 1, Steps: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.CtxSwitches != 0 {
-		t.Errorf("single-rank run recorded %d context switches", r1.CtxSwitches)
+	if n := switches(1); n != 0 {
+		t.Errorf("single-rank run recorded %d context switches", n)
 	}
 }
 
@@ -281,11 +295,11 @@ func TestPerfDeterminism(t *testing.T) {
 }
 
 func TestPerfGPUUtilizationSane(t *testing.T) {
-	r, err := RunPerf(PerfConfig{BoxSize: 120, Procs: 1, Steps: 10})
+	r, err := RunPerf(PerfConfig{BoxSize: 120, Procs: 1, Steps: 10, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.GPUUtilization <= 0 || r.GPUUtilization >= 1 {
-		t.Errorf("GPU utilization = %v, want in (0,1)", r.GPUUtilization)
+	if u := r.Trace.KernelFraction(); u <= 0 || u >= 1 {
+		t.Errorf("GPU utilization = %v, want in (0,1)", u)
 	}
 }

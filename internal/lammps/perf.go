@@ -133,11 +133,7 @@ func (c PerfConfig) validate() error {
 
 // PerfResult reports one performance-mode run.
 type PerfResult struct {
-	BoxSize int
-	Atoms   int
-	Procs   int
-	Threads int
-	Steps   int
+	Atoms int
 
 	// Runtime is the measured wall (virtual) time of the stepping loop.
 	Runtime sim.Duration
@@ -145,10 +141,6 @@ type PerfResult struct {
 	StepTime sim.Duration
 	// FullRuntime extrapolates to the paper's 5000-step runs (Table I).
 	FullRuntime sim.Duration
-	// GPUUtilization is compute-engine busy time over the loop.
-	GPUUtilization float64
-	// CtxSwitches counts device context switches during the loop.
-	CtxSwitches int64
 	// DelayedCalls counts slack-delayed CUDA calls (with Slack > 0).
 	DelayedCalls int64
 	// Trace is the recording when Record was set.
@@ -297,16 +289,10 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 	}
 
 	res := PerfResult{
-		BoxSize:        cfg.BoxSize,
-		Atoms:          atoms,
-		Procs:          cfg.Procs,
-		Threads:        cfg.Threads,
-		Steps:          cfg.Steps,
-		Runtime:        runtime,
-		StepTime:       runtime / sim.Duration(cfg.Steps),
-		FullRuntime:    runtime / sim.Duration(cfg.Steps) * sim.Duration(DefaultSteps),
-		GPUUtilization: float64(dev.Counters().ComputeBusy) / float64(runtime),
-		CtxSwitches:    dev.Counters().CtxSwitches,
+		Atoms:       atoms,
+		Runtime:     runtime,
+		StepTime:    runtime / sim.Duration(cfg.Steps),
+		FullRuntime: runtime / sim.Duration(cfg.Steps) * sim.Duration(DefaultSteps),
 	}
 	for _, in := range injs {
 		res.DelayedCalls += in.DelayedCalls()

@@ -297,9 +297,6 @@ type Prediction struct {
 	Slack sim.Duration
 	// Lower and Upper bound the total penalty (fraction of runtime).
 	Lower, Upper float64
-	// Kernel and memory components (lower/upper), for diagnostics.
-	KernelLower, KernelUpper float64
-	MemoryLower, MemoryUpper float64
 }
 
 // Predict evaluates Equations 2 and 3 for an application at one slack
@@ -319,11 +316,9 @@ func (s *Surface) Predict(app AppProfile, slack sim.Duration) (Prediction, error
 		return Prediction{}, err
 	}
 	return Prediction{
-		Slack:       slack,
-		Lower:       app.KernelFraction*kl + app.MemcpyFraction*ml,
-		Upper:       app.KernelFraction*ku + app.MemcpyFraction*mu,
-		KernelLower: kl, KernelUpper: ku,
-		MemoryLower: ml, MemoryUpper: mu,
+		Slack: slack,
+		Lower: app.KernelFraction*kl + app.MemcpyFraction*ml,
+		Upper: app.KernelFraction*ku + app.MemcpyFraction*mu,
 	}, nil
 }
 

@@ -30,7 +30,7 @@ func syntheticSweep() []proxy.SweepPoint {
 					Threads:    th,
 					Slack:      sl,
 					Penalty:    pen,
-					Result:     proxy.Result{MatrixSize: size, KernelTime: kernelTimes[size]},
+					Result:     proxy.Result{KernelTime: kernelTimes[size]},
 				})
 			}
 		}
@@ -169,9 +169,6 @@ func TestPredictCombinesFractions(t *testing.T) {
 	want := 0.5*0.2 + 0.25*0.2
 	if math.Abs(pred.Lower-want) > 1e-12 || math.Abs(pred.Upper-want) > 1e-12 {
 		t.Errorf("prediction = %+v, want %v", pred, want)
-	}
-	if pred.KernelLower != 0.2 || pred.MemoryUpper != 0.2 {
-		t.Errorf("components = %+v", pred)
 	}
 }
 

@@ -77,10 +77,8 @@ type World struct {
 	// meets in colls[k%2]: a rank enters collective k+2 only after every
 	// rank arrived at k+1, and every rank picks k up before it leaves for
 	// k+1, so slot k%2 is free again by then.
-	collSeq  []int
-	colls    [2]collective
-	bytesP2P int64
-	msgsP2P  int64
+	collSeq []int
+	colls   [2]collective
 }
 
 // collective is the rendezvous state of one collective call in flight;
@@ -159,8 +157,6 @@ func (r *Rank) Send(dst, tag int, bytes int64) {
 	}
 	r.p.Sleep(r.w.cost.transferTime(bytes))
 	r.w.inbox[dst] = append(r.w.inbox[dst], message{src: r.rank, tag: tag, bytes: bytes})
-	r.w.msgsP2P++
-	r.w.bytesP2P += bytes
 	r.w.avail[dst].Fire()
 }
 

@@ -166,13 +166,13 @@ func TestTrafficCounters(t *testing.T) {
 		r.Send(1, 0, 100)
 		r.Send(1, 1, 200)
 	})
+	var got []int64
 	w.Spawn(1, func(r *Rank) {
-		r.Recv(0, 0)
-		r.Recv(0, 1)
+		got = append(got, r.Recv(0, 0), r.Recv(0, 1))
 	})
 	env.Run()
-	if w.msgsP2P != 2 || w.bytesP2P != 300 {
-		t.Fatalf("messages=%d bytes=%d", w.msgsP2P, w.bytesP2P)
+	if len(got) != 2 || got[0]+got[1] != 300 || len(w.inbox[1]) != 0 {
+		t.Fatalf("received %v, %d left in the inbox", got, len(w.inbox[1]))
 	}
 }
 

@@ -107,6 +107,7 @@ func gangMean() float64 {
 // Job is one batch tenant: a gang allocation with an arrival, a lifetime,
 // and a shape that prices its slack tolerance and migration payload.
 type Job struct {
+	//cdivet:allow testonly FuzzPoolOps tells jobs apart by it to check that no end timer in flight finds another job in its slot
 	ID       int
 	Shape    Shape
 	Gang     int

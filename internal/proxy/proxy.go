@@ -109,9 +109,7 @@ func (c Config) validate() error {
 
 // Result reports one proxy run.
 type Result struct {
-	MatrixSize int
-	Threads    int
-	Slack      sim.Duration
+	Slack sim.Duration
 
 	// KernelTime is the preliminary single-kernel baseline timing.
 	KernelTime sim.Duration
@@ -155,7 +153,7 @@ func Run(cfg Config) (Result, error) {
 	inj := slack.New(cfg.Slack)
 	ctx.Interpose(inj)
 
-	res := Result{MatrixSize: cfg.MatrixSize, Threads: cfg.Threads, Slack: cfg.Slack}
+	res := Result{Slack: cfg.Slack}
 	kernel := gpu.MatMul(cfg.MatrixSize)
 	matBytes := gpu.MatrixBytes(cfg.MatrixSize)
 

@@ -61,8 +61,6 @@ func (c Config) validate() error {
 // CompareResult contrasts remoting against controlled injection for the
 // same nominal slack.
 type CompareResult struct {
-	MatrixSize int
-	Iterations int
 	// NominalSlack is the path's zero-payload one-way latency — what the
 	// injector would add per call.
 	NominalSlack sim.Duration
@@ -137,8 +135,6 @@ func Compare(matrixSize, n int, cfg Config) (CompareResult, error) {
 		rSD, iSD = stats.Stddev(remoted), stats.Stddev(injected)
 	}
 	return CompareResult{
-		MatrixSize:     matrixSize,
-		Iterations:     n,
 		NominalSlack:   cfg.Path.Latency(),
 		RemotedMean:    sim.Duration(stats.Mean(remoted)),
 		RemotedStddev:  sim.Duration(rSD),

@@ -70,7 +70,6 @@ type Stats struct {
 
 // execResult is what a server-side call body produces.
 type execResult struct {
-	ptr gpu.Ptr
 	err error
 }
 
@@ -289,7 +288,7 @@ func (cs *callSpec) exec(sp *sim.Proc, ep *endpoint) execResult {
 		if err == nil {
 			ep.phys[cs.h] = ptr
 		}
-		return execResult{ptr: ptr, err: err}
+		return execResult{err: err}
 	case callFree:
 		ptr, ok := ep.phys[cs.h]
 		if !ok {

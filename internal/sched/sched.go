@@ -58,8 +58,7 @@ func (j Job) validate() error {
 // JobStats reports one job's fate.
 type JobStats struct {
 	Job
-	Started  sim.Time
-	Finished sim.Time
+	Started sim.Time
 	// Wait is Started − Arrival.
 	Wait sim.Duration
 	// Rejected is set when the job can never fit on the machine.
@@ -72,7 +71,6 @@ type Result struct {
 	Makespan sim.Duration
 	MeanWait sim.Duration
 	MaxWait  sim.Duration
-	Rejected int
 	// GPUEnergyWh integrates GPU power (busy + idle-but-powered) over the
 	// makespan.
 	GPUEnergyWh float64
@@ -178,7 +176,6 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 					if err := system.Release(job.Name); err != nil {
 						panic(err)
 					}
-					job.Finished = env.Now()
 					running--
 					poke.Fire()
 				})
@@ -232,7 +229,6 @@ func Run(system *compose.System, jobs []Job, policy Policy) (Result, error) {
 		}
 		res.Jobs = append(res.Jobs, *js)
 		if js.Rejected {
-			res.Rejected++
 			continue
 		}
 		started++

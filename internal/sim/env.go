@@ -173,12 +173,14 @@ type Stats struct {
 	// (each on a goroutine of its own) created to run them; Spawns minus
 	// Goroutines processes ran on a coroutine that a process finished
 	// earlier in the same run segment left idle.
+	//cdivet:allow testonly coroutine reuse shows only here, to TestSpawnThenReturnReusesGoroutine and TestEngineStatsPinned; ROADMAP item 9 gives them a bench reader
 	Spawns, Goroutines uint64
 	// SelfWakes counts wake-ups a yielding process popped for itself and
 	// continued inline; Switches counts wake-ups delivered by resuming a
 	// suspended process's coroutine from the scheduling loop, Step or
 	// Close. Every delivered event is exactly one of a callback, a
 	// self-wake or a switch.
+	//cdivet:allow testonly the self-wake fast path shows only here, to TestEngineStatsPinned; ROADMAP item 9 gives it a bench reader
 	SelfWakes, Switches uint64
 	// PeakPending is the largest queue length seen, cancelled events
 	// still queued included.

@@ -194,14 +194,13 @@ func (s *Signal) Waiters() int { return len(s.waiters) }
 // WaitGroup counts outstanding work in virtual time; Wait parks until the
 // count returns to zero.
 type WaitGroup struct {
-	env   *Env
 	count int
 	done  *Signal
 }
 
 // NewWaitGroup returns a WaitGroup bound to env.
 func NewWaitGroup(env *Env) *WaitGroup {
-	return &WaitGroup{env: env, done: NewSignal(env)}
+	return &WaitGroup{done: NewSignal(env)}
 }
 
 // Add adjusts the counter by delta, which may be negative. A counter that

@@ -42,8 +42,7 @@ type Injector struct {
 	// layer renders these as slack spans).
 	observer func(name string, start, end sim.Time)
 
-	delayedCalls  int64
-	totalInjected sim.Duration
+	delayedCalls int64
 }
 
 // Option configures an Injector.
@@ -115,7 +114,6 @@ func (in *Injector) DelayedCalls() int64 { return in.delayedCalls }
 // Reset zeroes the call counters (between baseline and slack runs).
 func (in *Injector) Reset() {
 	in.delayedCalls = 0
-	in.totalInjected = 0
 }
 
 // applies reports whether this call should be delayed.
@@ -147,7 +145,6 @@ func (in *Injector) After(p *sim.Proc, info cuda.CallInfo) {
 	start := p.Now()
 	p.Sleep(d)
 	in.delayedCalls++
-	in.totalInjected += d
 	if in.observer != nil {
 		in.observer(info.Name, start, p.Now())
 	}

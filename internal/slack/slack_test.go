@@ -56,7 +56,10 @@ func runProxyIteration(t *testing.T, in *Injector) sim.Duration {
 
 func TestInjectorAddsExactlyPerCallSlack(t *testing.T) {
 	base := runProxyIteration(t, nil)
-	in := New(100 * sim.Microsecond)
+	var injected sim.Duration
+	in := New(100*sim.Microsecond, WithObserver(func(_ string, start, end sim.Time) {
+		injected += end.Sub(start)
+	}))
 	with := runProxyIteration(t, in)
 	if in.DelayedCalls() != 5 {
 		t.Fatalf("DelayedCalls = %d, want 5 (3 memcpy + launch + sync)", in.DelayedCalls())
@@ -65,8 +68,8 @@ func TestInjectorAddsExactlyPerCallSlack(t *testing.T) {
 	if got := with - base; math.Abs(float64(got-wantExtra)) > 1e-12 {
 		t.Errorf("slack added %v, want %v", got, wantExtra)
 	}
-	if got := in.totalInjected; math.Abs(float64(got-wantExtra)) > 1e-12 {
-		t.Errorf("totalInjected = %v, want %v", got, wantExtra)
+	if math.Abs(float64(injected-wantExtra)) > 1e-12 {
+		t.Errorf("observed %v of injected delay, want %v", injected, wantExtra)
 	}
 }
 
@@ -115,9 +118,12 @@ func TestWithSymbolsLDPreloadStyle(t *testing.T) {
 
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	run := func() (int64, sim.Duration) {
-		in := New(100*sim.Microsecond, WithJitter(0.2, 7))
+		var injected sim.Duration
+		in := New(100*sim.Microsecond, WithJitter(0.2, 7), WithObserver(func(_ string, start, end sim.Time) {
+			injected += end.Sub(start)
+		}))
 		runProxyIteration(t, in)
-		return in.DelayedCalls(), in.totalInjected
+		return in.DelayedCalls(), injected
 	}
 	c1, t1 := run()
 	c2, t2 := run()
@@ -127,9 +133,9 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	// Bounds: 5 calls × 100µs × [0.8, 1.2].
 	lo, hi := 5*80*sim.Microsecond, 5*120*sim.Microsecond
 	if t1 < lo || t1 > hi {
-		t.Errorf("totalInjected = %v outside [%v, %v]", t1, lo, hi)
+		t.Errorf("injected %v outside [%v, %v]", t1, lo, hi)
 	}
-	if t1 == 5*100*sim.Microsecond {
+	if math.Abs(float64(t1-5*100*sim.Microsecond)) < 1e-12 {
 		t.Error("jitter had no effect")
 	}
 }
@@ -156,7 +162,7 @@ func TestSetAmountAndReset(t *testing.T) {
 		t.Fatal("no calls delayed")
 	}
 	in.Reset()
-	if in.DelayedCalls() != 0 || in.totalInjected != 0 {
+	if in.DelayedCalls() != 0 {
 		t.Error("Reset did not zero counters")
 	}
 	in.SetAmount(0)

@@ -114,7 +114,6 @@ type Summary struct {
 	Median float64
 	Q3     float64
 	Max    float64
-	Sum    float64
 }
 
 // Summarize computes a Summary of xs. An empty input yields a zero-count
@@ -129,7 +128,6 @@ func Summarize(xs []float64) Summary {
 		Median: Median(xs),
 		Q3:     Percentile(xs, 75),
 		Max:    Max(xs),
-		Sum:    Sum(xs),
 	}
 }
 

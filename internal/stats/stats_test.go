@@ -90,7 +90,7 @@ func TestPercentileOutOfRangePanics(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 || s.Sum != 15 {
+	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
 		t.Errorf("Summary = %+v", s)
 	}
 	if s.Q1 != 2 || s.Q3 != 4 {
@@ -172,9 +172,6 @@ func TestViolinLogScale(t *testing.T) {
 	// Durations spanning orders of magnitude.
 	xs := []float64{1e-6, 2e-6, 1e-5, 1e-4, 1e-4, 2e-4}
 	v := NewViolin(xs, 50, true)
-	if v.Summary.N != 6 {
-		t.Errorf("N = %d", v.Summary.N)
-	}
 	if len(v.Grid) != 50 || len(v.Density) != 50 {
 		t.Errorf("grid/density lengths %d/%d", len(v.Grid), len(v.Density))
 	}

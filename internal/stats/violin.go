@@ -7,9 +7,8 @@ import (
 )
 
 // Violin is the textual equivalent of the violin plots in Figures 4 and 5:
-// a five-number summary plus a kernel-density profile sampled on a grid.
+// a kernel-density profile sampled on a grid.
 type Violin struct {
-	Summary Summary
 	// Grid holds the positions at which the density was evaluated and
 	// Density the corresponding KDE values (unnormalized shape).
 	Grid    []float64
@@ -65,9 +64,9 @@ func KDE(xs, grid []float64, h float64) []float64 {
 // NewViolin builds a violin summary of xs with points density samples.
 // When logScale is true (recommended for durations and byte sizes spanning
 // orders of magnitude) the KDE runs on log10(xs), ignoring non-positive
-// samples for the density while keeping them in the summary.
+// samples.
 func NewViolin(xs []float64, points int, logScale bool) Violin {
-	v := Violin{Summary: Summarize(xs), LogScale: logScale}
+	v := Violin{LogScale: logScale}
 	if len(xs) == 0 || points < 2 {
 		return v
 	}
