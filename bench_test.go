@@ -342,8 +342,13 @@ func benchName(prefix string, n int) string {
 func BenchmarkExtensionAppValidation(b *testing.B) {
 	opts := experiments.Quick()
 	opts.LAMMPSSteps = 15
+	study, err := experiments.Calibrate(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AppSlackValidation(opts, []sim.Duration{100 * sim.Microsecond})
+		rows, err := experiments.AppSlackValidation(opts, study, []sim.Duration{100 * sim.Microsecond})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func RunProxy(cfg ProxyConfig) (ProxyResult, error) { return proxy.Run(cfg) }
 
 // ProxySweep runs the full proxy grid (Figure 3's data).
 func ProxySweep(sizes, threads []int, slacks []Duration, iters int) ([]SweepPoint, error) {
-	return proxy.Sweep(sizes, threads, slacks, iters, 0)
+	return proxy.Sweep(sizes, threads, slacks, iters)
 }
 
 // ProxyPenalty is the Equation-1-corrected normalized penalty of a run

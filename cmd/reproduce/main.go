@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -55,14 +56,12 @@ var table = []experiment{
 		return experiments.RenderTable3(experiments.Table3(in.traces(), nil), nil)
 	}},
 	{id: "table4", run: func(in *inputs) string {
-		blocks, _, err := experiments.Table4(in.opts, in.traces())
-		check(err)
-		return experiments.RenderTable4(blocks)
+		return experiments.RenderTable4(must(experiments.PredictTable4(in.opts, in.study(), in.traces())))
 	}},
 	{id: "validate", run: render(experiments.Validate, experiments.RenderValidation)},
 	{id: "compose", run: func(*inputs) string { return experiments.RenderCompose(must(experiments.Compose())) }},
 	{id: "appvalidate", run: func(in *inputs) string {
-		return experiments.RenderAppValidation(must(experiments.AppSlackValidation(in.opts, nil)))
+		return experiments.RenderAppValidation(must(experiments.AppSlackValidation(in.opts, in.study(), nil)))
 	}},
 	{id: "scales", run: render(experiments.DeploymentScales, experiments.RenderDeploymentScales)},
 	{id: "preload", run: render(experiments.PreloadComparison, experiments.RenderPreload)},
@@ -73,7 +72,7 @@ var table = []experiment{
 	{id: "coupling", run: render(experiments.ChassisCoupling, experiments.RenderChassisCoupling)},
 	{id: "throughput", run: render(experiments.Throughput, experiments.RenderThroughput)},
 	{id: "reach", run: func(in *inputs) string {
-		return experiments.RenderReach(must(experiments.Reach(in.opts, in.traces())))
+		return experiments.RenderReach(must(experiments.Reach(in.opts, in.study(), in.traces())))
 	}},
 	{id: "serving", run: render(experiments.Serving, experiments.RenderServing),
 		trace: experiments.WriteServingTrace},
@@ -87,6 +86,7 @@ var table = []experiment{
 type inputs struct {
 	opts experiments.Options
 	tr   *experiments.Traces
+	cal  *core.Study
 }
 
 // traces returns the LAMMPS and CosmoFlow traces behind figure4, figure5,
@@ -97,6 +97,15 @@ func (in *inputs) traces() experiments.Traces {
 		in.tr = &tr
 	}
 	return *in.tr
+}
+
+// study returns the calibrated proxy surface behind table4, appvalidate
+// and reach, calibrating it on first use.
+func (in *inputs) study() *core.Study {
+	if in.cal == nil {
+		in.cal = must(experiments.Calibrate(in.opts))
+	}
+	return in.cal
 }
 
 // render adapts a compute/render pair to a table entry.

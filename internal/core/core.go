@@ -39,11 +39,6 @@ type StudyConfig struct {
 	// the paper-faithful zero value makes sweeps expensive, so tools and
 	// tests usually set a small count.
 	Iters int
-	// Jobs bounds the worker pool the calibrating sweep fans out across
-	// (0 = GOMAXPROCS, 1 = serial). Every worker owns a private
-	// simulation and results merge in grid order, so the surface is
-	// byte-identical for every value.
-	Jobs int
 }
 
 func (c StudyConfig) withDefaults() StudyConfig {
@@ -68,7 +63,7 @@ type Study struct {
 // NewStudy runs the proxy sweep and builds the response surface.
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	cfg = cfg.withDefaults()
-	pts, err := proxy.Sweep(cfg.Sizes, cfg.Threads, cfg.Slacks, cfg.Iters, cfg.Jobs)
+	pts, err := proxy.Sweep(cfg.Sizes, cfg.Threads, cfg.Slacks, cfg.Iters)
 	if err != nil {
 		return nil, fmt.Errorf("core: proxy sweep: %w", err)
 	}

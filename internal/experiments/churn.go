@@ -24,7 +24,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/health"
 	"repro/internal/remoting"
-	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -134,56 +133,39 @@ func churnHealth(seed int64, window sim.Duration, path fabric.Path) health.Confi
 	return health.Config{Seed: seed, Horizon: 2 * window, Path: path}
 }
 
-// churnJob names one cell of the sweep.
-type churnJob struct {
-	slIdx, loadIdx, intIdx int
-	arm                    string
-}
-
-// churnJobs flattens the sweep grid in deterministic order: zero-churn
-// cells contribute one "serving" job, faulty cells a baseline/managed
-// pair.
-func churnJobs() []churnJob {
-	var jobs []churnJob
-	for si := range churnSlacks {
-		for li := range servingLoads {
-			for ii, intensity := range churnIntensities {
-				if intensity == 0 {
-					jobs = append(jobs, churnJob{si, li, ii, "serving"})
-					continue
-				}
-				jobs = append(jobs,
-					churnJob{si, li, ii, "baseline"},
-					churnJob{si, li, ii, "managed"})
-			}
-		}
-	}
-	return jobs
-}
-
 // Churn sweeps slack × load × churn intensity over the serving window.
 // Every cell owns a private sim.Env and fixed seeds, so the sweep is
 // byte-identical across runs and worker counts, and the zero-churn cells
 // call the serving experiment's own cell function, reproducing its
 // continuous-batching rows exactly.
-func Churn(o Options) ([]ChurnRow, error) {
+func Churn(o Options) ([]ChurnRow, error) { return sweep(o.Jobs, churnCells(o)) }
+
+// churnCells is the grid in slack, load, intensity order: a zero-churn
+// point is one "serving" cell, a faulty one a baseline/managed pair.
+func churnCells(o Options) []cell[ChurnRow] {
 	o = o.withDefaults()
-	jobs := churnJobs()
-	return runner.Map(o.Jobs, len(jobs), func(i int) (ChurnRow, error) {
-		j := jobs[i]
-		sl := churnSlacks[j.slIdx]
-		load := servingLoads[j.loadIdx]
-		if j.arm == "serving" {
-			rep, _, err := servingCell(serve.Continuous, sl, load, o.ServeWindow, servingSeed(j.loadIdx), nil)
-			if err != nil {
-				return ChurnRow{}, err
+	var cells []cell[ChurnRow]
+	for _, sl := range churnSlacks {
+		for li, load := range servingLoads {
+			for ii, intensity := range churnIntensities {
+				key := fmt.Sprintf("churn/%v/load%g/x%g", sl, load, intensity)
+				if intensity == 0 {
+					cells = append(cells, cell[ChurnRow]{key + "/serving", func() (ChurnRow, error) {
+						rep, _, err := servingCell(serve.Continuous, sl, load, o.ServeWindow, servingSeed(li), nil)
+						return ChurnRow{Slack: sl, Load: load, Arm: "serving", Report: rep}, err
+					}})
+					continue
+				}
+				for _, arm := range []string{"baseline", "managed"} {
+					cells = append(cells, cell[ChurnRow]{key + "/" + arm, func() (ChurnRow, error) {
+						row, _, err := churnCell(sl, load, intensity, o.ServeWindow, li, ii, arm == "managed", nil)
+						return row, err
+					}})
+				}
 			}
-			return ChurnRow{Slack: sl, Load: load, Arm: j.arm, Report: rep}, nil
 		}
-		row, _, err := churnCell(sl, load, churnIntensities[j.intIdx], o.ServeWindow,
-			j.loadIdx, j.intIdx, j.arm == "managed", nil)
-		return row, err
-	})
+	}
+	return cells
 }
 
 // churnCell serves one window against a resilient pool under the churn

@@ -38,9 +38,9 @@ func TestTable4ByteIdentical(t *testing.T) {
 }
 
 // renderParallelSuite renders a representative slice of the reproduction —
-// a table (runner.Map over boxes), a figure (Map over a 2-D grid), a slack
-// sweep (proxy.Sweep) and the congestion extension (Map inside
-// fabric) — at one worker-pool width.
+// a table (cells over boxes), a figure (cells over a 2-D grid), the proxy
+// slack sweep (one cell per size × threads) and the congestion extension
+// (one cell per host count) — at one worker-pool width.
 func renderParallelSuite(t *testing.T, jobs int) string {
 	t.Helper()
 	o := tiny()

@@ -231,7 +231,11 @@ func TestComposeExperiment(t *testing.T) {
 // --- Extensions ---
 
 func TestAppSlackValidation(t *testing.T) {
-	rows, err := AppSlackValidation(tiny(), []sim.Duration{100 * sim.Microsecond})
+	study, err := Calibrate(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := AppSlackValidation(tiny(), study, []sim.Duration{100 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +319,11 @@ func TestReachShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Reach(tiny(), tr)
+	study, err := Calibrate(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Reach(tiny(), study, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

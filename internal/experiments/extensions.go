@@ -24,6 +24,7 @@ import (
 	"repro/internal/cosmoflow"
 	"repro/internal/cuda"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/lammps"
 	"repro/internal/model"
@@ -48,87 +49,104 @@ type AppValidationRow struct {
 
 // AppSlackValidation runs LAMMPS with slack injected on every rank's CUDA
 // calls, applies Equation 1 to the measured runtime, and compares the
-// residual against the model's prediction from the zero-slack trace.
-func AppSlackValidation(o Options, slacks []sim.Duration) ([]AppValidationRow, error) {
+// residual against the calibrated study's prediction from the zero-slack
+// trace.
+func AppSlackValidation(o Options, study *core.Study, slacks []sim.Duration) ([]AppValidationRow, error) {
+	cells, err := appValidationCells(o, study, slacks)
+	if err != nil {
+		return nil, err
+	}
+	return sweep(o.Jobs, cells)
+}
+
+// appValidationCells runs both applications' zero-slack baselines, then
+// returns one cell per (app, slack).
+func appValidationCells(o Options, study *core.Study, slacks []sim.Duration) ([]cell[AppValidationRow], error) {
 	o = o.withDefaults()
 	if len(slacks) == 0 {
 		slacks = []sim.Duration{100 * sim.Microsecond, 10 * sim.Millisecond}
 	}
 	lcfg := lammps.PerfConfig{BoxSize: 60, Procs: lammps.ProfileProcs, Steps: o.LAMMPSSteps}
-	lcfg.Record = true
 	ccfg := cosmoflow.PerfConfig{
 		Epochs: o.CosmoEpochs, TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2,
 	}
-	ccfg.Record = true
-
-	// Calibration and the two zero-slack baselines are independent.
 	var (
-		study *core.Study
 		lbase lammps.PerfResult
 		cbase cosmoflow.PerfResult
 	)
 	err := runner.Go(o.Jobs,
 		func() error {
 			var err error
-			// The inner grid stays serial; the outer pool owns the parallelism.
-			study, err = calibrationStudy(o, 1)
+			cfg := lcfg
+			cfg.Record = true
+			lbase, err = lammps.RunPerf(cfg)
 			return err
 		},
 		func() error {
 			var err error
-			lbase, err = lammps.RunPerf(lcfg)
-			return err
-		},
-		func() error {
-			var err error
-			cbase, err = cosmoflow.RunPerf(ccfg)
+			cfg := ccfg
+			cfg.Record = true
+			cbase, err = cosmoflow.RunPerf(cfg)
 			return err
 		},
 	)
 	if err != nil {
 		return nil, err
 	}
-	lapp := model.ProfileFromTrace(lbase.Trace, lcfg.Procs)
-	capp := model.ProfileFromTrace(cbase.Trace, cosmoflow.ProfileParallelism)
+	apps := []struct {
+		name    string
+		profile model.AppProfile
+		base    sim.Duration
+		run     appRun
+	}{
+		{"lammps", model.ProfileFromTrace(lbase.Trace, lcfg.Procs), lbase.Runtime, lammpsRun(lcfg)},
+		{"cosmoflow", model.ProfileFromTrace(cbase.Trace, cosmoflow.ProfileParallelism), cbase.Runtime, cosmoflowRun(ccfg)},
+	}
+	var cells []cell[AppValidationRow]
+	for _, a := range apps {
+		for _, sl := range slacks {
+			cells = append(cells, cell[AppValidationRow]{"appvalidate/" + a.name + "/" + sl.String(), func() (AppValidationRow, error) {
+				measured, calls, err := a.run(sl, nil)
+				if err != nil {
+					return AppValidationRow{}, err
+				}
+				pred, err := study.Surface.Predict(a.profile, sl)
+				return AppValidationRow{
+					App: a.name, Slack: sl,
+					Measured: slack.ClampPenalty(slack.Penalty(measured, a.base, calls, sl)),
+					Lower:    pred.Lower, Upper: pred.Upper,
+				}, err
+			}})
+		}
+	}
+	return cells, nil
+}
 
-	// One point per (app, slack): LAMMPS carries its slack share on every
-	// rank's serial path for Equation 1; CosmoFlow's single worker puts
-	// every delayed call on one serial path.
-	return runner.Map(o.Jobs, 2*len(slacks), func(i int) (AppValidationRow, error) {
-		sl := slacks[i%len(slacks)]
-		row := AppValidationRow{Slack: sl}
-		var measured, base sim.Duration
-		var calls int64
-		var app model.AppProfile
-		if i < len(slacks) {
-			runCfg := lcfg
-			runCfg.Record = false
-			runCfg.Slack = sl
-			run, err := lammps.RunPerf(runCfg)
-			if err != nil {
-				return AppValidationRow{}, err
-			}
-			row.App, measured, base, app = "lammps", run.Runtime, lbase.Runtime, lapp
-			calls = run.DelayedCalls / int64(lcfg.Procs)
-		} else {
-			runCfg := ccfg
-			runCfg.Record = false
-			runCfg.Slack = sl
-			run, err := cosmoflow.RunPerf(runCfg)
-			if err != nil {
-				return AppValidationRow{}, err
-			}
-			row.App, measured, base, app = "cosmoflow", run.Runtime, cbase.Runtime, capp
-			calls = run.DelayedCalls
-		}
-		pred, err := study.Surface.Predict(app, sl)
-		if err != nil {
-			return AppValidationRow{}, err
-		}
-		row.Measured = slack.ClampPenalty(slack.Penalty(measured, base, calls, sl))
-		row.Lower, row.Upper = pred.Lower, pred.Upper
-		return row, nil
-	})
+// appRun runs one production application at a slack, under a fault
+// injector when ci is non-nil, and returns its runtime and the delayed
+// calls on one serial path, Equation 1's count.
+type appRun func(sl sim.Duration, ci *faults.CallInjector) (sim.Duration, int64, error)
+
+// lammpsRun runs cfg; each rank carries its share of the delayed calls
+// on its own serial path.
+func lammpsRun(cfg lammps.PerfConfig) appRun {
+	return func(sl sim.Duration, ci *faults.CallInjector) (sim.Duration, int64, error) {
+		c := cfg
+		c.Slack, c.Faults = sl, ci
+		r, err := lammps.RunPerf(c)
+		return r.Runtime, r.DelayedCalls / int64(c.Procs), err
+	}
+}
+
+// cosmoflowRun runs cfg; its single worker puts every delayed call on
+// one serial path.
+func cosmoflowRun(cfg cosmoflow.PerfConfig) appRun {
+	return func(sl sim.Duration, ci *faults.CallInjector) (sim.Duration, int64, error) {
+		c := cfg
+		c.Slack, c.Faults = sl, ci
+		r, err := cosmoflow.RunPerf(c)
+		return r.Runtime, r.DelayedCalls, err
+	}
 }
 
 // RenderAppValidation formats the in-situ validation.
@@ -146,15 +164,24 @@ func RenderAppValidation(rows []AppValidationRow) string {
 
 // Congestion sweeps host count on a shared chassis uplink.
 func Congestion(o Options) ([]fabric.CongestionPoint, error) {
-	return fabric.CongestionSweep(
-		[]int{1, 2, 4, 8, 16, 32},
-		10<<20,            // 10 MiB position/force-sized transfers
-		2*sim.Millisecond, // per-step think time
-		1*sim.Microsecond,
-		23e9,
-		40,
-		o.Jobs,
-	)
+	return sweep(o.Jobs, congestionCells())
+}
+
+func congestionCells() []cell[fabric.CongestionPoint] {
+	var cells []cell[fabric.CongestionPoint]
+	for _, hosts := range []int{1, 2, 4, 8, 16, 32} {
+		cells = append(cells, cell[fabric.CongestionPoint]{fmt.Sprintf("congestion/hosts%d", hosts), func() (fabric.CongestionPoint, error) {
+			return fabric.MeasureCongestion(
+				hosts,
+				10<<20,            // 10 MiB position/force-sized transfers
+				2*sim.Millisecond, // per-step think time
+				1*sim.Microsecond,
+				23e9,
+				40,
+			)
+		}})
+	}
+	return cells
 }
 
 // RenderCongestion formats the sweep.
@@ -172,18 +199,25 @@ func RenderCongestion(pts []fabric.CongestionPoint) string {
 // RemotingComparison contrasts controlled injection with rCUDA-style
 // forwarding at row scale, with and without network noise.
 func RemotingComparison(o Options) ([]remoting.CompareResult, error) {
+	return sweep(o.Jobs, remotingCells(o))
+}
+
+func remotingCells(o Options) []cell[remoting.CompareResult] {
 	iters := o.ProxyIters
 	if iters <= 0 {
 		iters = 50
 	}
-	noises := []float64{0, 0.3}
-	return runner.Map(o.Jobs, len(noises), func(i int) (remoting.CompareResult, error) {
-		return remoting.Compare(2048, iters, remoting.Config{
-			Path:          fabric.Preset(fabric.RowScale, 0),
-			NoiseFraction: noises[i],
-			Seed:          42,
-		})
-	})
+	var cells []cell[remoting.CompareResult]
+	for _, noise := range []float64{0, 0.3} {
+		cells = append(cells, cell[remoting.CompareResult]{fmt.Sprintf("remoting/noise%g", noise), func() (remoting.CompareResult, error) {
+			return remoting.Compare(2048, iters, remoting.Config{
+				Path:          fabric.Preset(fabric.RowScale, 0),
+				NoiseFraction: noise,
+				Seed:          42,
+			})
+		}})
+	}
+	return cells
 }
 
 // RenderRemoting formats the comparison.
@@ -217,33 +251,34 @@ type WeakScalingRow struct {
 // rank keeps ≈ 256k atoms — the weak-scaling reading the paper says its
 // ratio study informs.
 func WeakScaling(o Options) ([]WeakScalingRow, error) {
-	o = o.withDefaults()
-	shapes := []struct{ box, procs int }{
-		{40, 1}, {80, 8}, {120, 27},
-	}
-	rows, err := runner.Map(o.Jobs, len(shapes), func(i int) (WeakScalingRow, error) {
-		s := shapes[i]
-		r, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: s.box, Procs: s.procs, Steps: o.LAMMPSSteps})
-		if err != nil {
-			return WeakScalingRow{}, err
-		}
-		return WeakScalingRow{
-			BoxSize:      s.box,
-			Procs:        s.procs,
-			AtomsPerRank: r.Atoms / s.procs,
-			StepTime:     r.StepTime,
-		}, nil
-	})
+	rows, err := sweep(o.Jobs, weakCells(o))
 	if err != nil {
 		return nil, err
 	}
-	// shapes[0] is the single-rank reference, so efficiency is a pure
-	// post-pass over the merged rows.
+	// The first cell is the single-rank reference, so efficiency is a
+	// pure post-pass over the merged rows.
 	base := rows[0].StepTime
 	for i := range rows {
 		rows[i].Efficiency = float64(base) / float64(rows[i].StepTime)
 	}
 	return rows, nil
+}
+
+func weakCells(o Options) []cell[WeakScalingRow] {
+	o = o.withDefaults()
+	var cells []cell[WeakScalingRow]
+	for _, s := range []struct{ box, procs int }{{40, 1}, {80, 8}, {120, 27}} {
+		cells = append(cells, cell[WeakScalingRow]{fmt.Sprintf("weak/box%d/p%d", s.box, s.procs), func() (WeakScalingRow, error) {
+			r, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: s.box, Procs: s.procs, Steps: o.LAMMPSSteps})
+			return WeakScalingRow{
+				BoxSize:      s.box,
+				Procs:        s.procs,
+				AtomsPerRank: r.Atoms / s.procs,
+				StepTime:     r.StepTime,
+			}, err
+		}})
+	}
+	return cells
 }
 
 // RenderWeakScaling formats the weak-scaling table.
@@ -269,26 +304,28 @@ type ReachRow struct {
 
 // Reach evaluates both applications' pessimistic penalty as a function of
 // fibre distance — the cluster-scale question the conclusions raise.
-func Reach(o Options, tr Traces) ([]ReachRow, error) {
-	study, err := calibrationStudy(o, o.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	kms := []float64{0.05, 1, 5, 20, 100, 500, 2000}
+// The study is the calibrated one (Calibrate) that Table IV predicts from.
+func Reach(o Options, study *core.Study, tr Traces) ([]ReachRow, error) {
+	return sweep(o.Jobs, reachCells(study, tr))
+}
+
+// reachCells reads the study's surface over the (app, km) grid.
+func reachCells(study *core.Study, tr Traces) []cell[ReachRow] {
 	labels, apps := tr.profiles()
-	// Predictions over the (app, km) grid are independent surface reads.
-	return runner.Map(o.Jobs, len(apps)*len(kms), func(i int) (ReachRow, error) {
-		a, km := i/len(kms), kms[i%len(kms)]
-		slack := fabric.PropagationDelay(km)
-		pred, err := study.Surface.Predict(apps[a], slack)
-		if err != nil {
-			return ReachRow{}, err
+	var cells []cell[ReachRow]
+	for a, app := range apps {
+		for _, km := range []float64{0.05, 1, 5, 20, 100, 500, 2000} {
+			cells = append(cells, cell[ReachRow]{fmt.Sprintf("reach/%s/%gkm", labels[a], km), func() (ReachRow, error) {
+				slack := fabric.PropagationDelay(km)
+				pred, err := study.Surface.Predict(app, slack)
+				return ReachRow{
+					App: labels[a], Km: km, Slack: slack,
+					Upper: pred.Upper, Within1: pred.Upper < 0.01,
+				}, err
+			}})
 		}
-		return ReachRow{
-			App: labels[a], Km: km, Slack: slack,
-			Upper: pred.Upper, Within1: pred.Upper < 0.01,
-		}, nil
-	})
+	}
+	return cells
 }
 
 // RenderReach formats the distance budget.
@@ -316,15 +353,7 @@ type ThroughputRow struct {
 // traditional and CDI machines and aggregates over several seeds — the
 // introduction's job-throughput and energy claims, quantified.
 func Throughput(o Options) ([]ThroughputRow, error) {
-	const seeds = 5
-	cmps, err := runner.Map(o.Jobs, seeds, func(i int) (sched.Comparison, error) {
-		seed := int64(i + 1)
-		jobs, err := sched.WorkloadMix(40, 24, seed)
-		if err != nil {
-			return sched.Comparison{}, err
-		}
-		return sched.Compare(jobs, 8, 24, 2, sched.Backfill)
-	})
+	cmps, err := sweep(o.Jobs, throughputCells())
 	if err != nil {
 		return nil, err
 	}
@@ -333,14 +362,32 @@ func Throughput(o Options) ([]ThroughputRow, error) {
 	var trad, cdi ThroughputRow
 	trad.Arch, cdi.Arch = "traditional", "cdi"
 	for _, cmp := range cmps {
-		trad.Makespan += cmp.Traditional.Makespan / seeds
-		cdi.Makespan += cmp.CDI.Makespan / seeds
-		trad.MeanWait += cmp.Traditional.MeanWait / seeds
-		cdi.MeanWait += cmp.CDI.MeanWait / seeds
-		trad.GPUEnergyWh += cmp.Traditional.GPUEnergyWh / seeds
-		cdi.GPUEnergyWh += cmp.CDI.GPUEnergyWh / seeds
+		trad.Makespan += cmp.Traditional.Makespan / throughputSeeds
+		cdi.Makespan += cmp.CDI.Makespan / throughputSeeds
+		trad.MeanWait += cmp.Traditional.MeanWait / throughputSeeds
+		cdi.MeanWait += cmp.CDI.MeanWait / throughputSeeds
+		trad.GPUEnergyWh += cmp.Traditional.GPUEnergyWh / throughputSeeds
+		cdi.GPUEnergyWh += cmp.CDI.GPUEnergyWh / throughputSeeds
 	}
 	return []ThroughputRow{trad, cdi}, nil
+}
+
+// throughputSeeds is how many workload seeds the throughput comparison
+// averages over.
+const throughputSeeds = 5
+
+func throughputCells() []cell[sched.Comparison] {
+	var cells []cell[sched.Comparison]
+	for seed := int64(1); seed <= throughputSeeds; seed++ {
+		cells = append(cells, cell[sched.Comparison]{fmt.Sprintf("throughput/seed%d", seed), func() (sched.Comparison, error) {
+			jobs, err := sched.WorkloadMix(40, 24, seed)
+			if err != nil {
+				return sched.Comparison{}, err
+			}
+			return sched.Compare(jobs, 8, 24, 2, sched.Backfill)
+		}})
+	}
+	return cells
 }
 
 // RenderThroughput formats the batch comparison.
@@ -367,7 +414,9 @@ type CouplingRow struct {
 // and inter-node network — quantifying the Discussion's claim that a CDI
 // chassis "can greatly increase the performance of CPU asynchronous
 // operations such as GPU-to-GPU collective operations".
-func ChassisCoupling(o Options) ([]CouplingRow, error) {
+func ChassisCoupling(o Options) ([]CouplingRow, error) { return sweep(o.Jobs, couplingCells(o)) }
+
+func couplingCells(o Options) []cell[CouplingRow] {
 	o = o.withDefaults()
 	const gpus = 4
 	cases := []struct {
@@ -378,21 +427,21 @@ func ChassisCoupling(o Options) ([]CouplingRow, error) {
 		{"intra-node", mpi.IntraNode()},
 		{"inter-node", mpi.InterNode()},
 	}
-	return runner.Map(o.Jobs, len(cases), func(i int) (CouplingRow, error) {
-		c := cases[i]
-		r, err := cosmoflow.RunPerf(cosmoflow.PerfConfig{
-			GPUs: gpus, Epochs: o.CosmoEpochs,
-			TrainSamples: o.CosmoSamples * gpus, ValSamples: o.CosmoSamples,
-			Interconnect: c.cost,
-		})
-		if err != nil {
-			return CouplingRow{}, err
-		}
-		return CouplingRow{
-			Interconnect: c.name, GPUs: gpus,
-			Runtime: r.Runtime, StepTime: r.StepTime,
-		}, nil
-	})
+	var cells []cell[CouplingRow]
+	for _, c := range cases {
+		cells = append(cells, cell[CouplingRow]{"coupling/" + c.name, func() (CouplingRow, error) {
+			r, err := cosmoflow.RunPerf(cosmoflow.PerfConfig{
+				GPUs: gpus, Epochs: o.CosmoEpochs,
+				TrainSamples: o.CosmoSamples * gpus, ValSamples: o.CosmoSamples,
+				Interconnect: c.cost,
+			})
+			return CouplingRow{
+				Interconnect: c.name, GPUs: gpus,
+				Runtime: r.Runtime, StepTime: r.StepTime,
+			}, err
+		}})
+	}
+	return cells
 }
 
 // RenderChassisCoupling formats the comparison.
@@ -508,6 +557,20 @@ type ScaleRow struct {
 // compressed to one table: what a user would experience moving the same
 // job further from its GPU.
 func DeploymentScales(o Options) ([]ScaleRow, error) {
+	rows, err := sweep(o.Jobs, scalesCells(o))
+	if err != nil {
+		return nil, err
+	}
+	// The first cell is node-local, so the overhead column is a post-pass
+	// against the merged first row.
+	base := rows[0].Runtime
+	for i := range rows {
+		rows[i].Overhead = float64(rows[i].Runtime)/float64(base) - 1
+	}
+	return rows, nil
+}
+
+func scalesCells(o Options) []cell[ScaleRow] {
 	o = o.withDefaults()
 	cases := []struct {
 		scale fabric.Scale
@@ -518,31 +581,17 @@ func DeploymentScales(o Options) ([]ScaleRow, error) {
 		{fabric.RowScale, 0},
 		{fabric.ClusterScale, 20},
 	}
-	rows, err := runner.Map(o.Jobs, len(cases), func(i int) (ScaleRow, error) {
-		c := cases[i]
-		slackAmt := fabric.SlackForPath(fabric.Preset(c.scale, c.km))
-		r, err := lammps.RunPerf(lammps.PerfConfig{
-			BoxSize: 60, Procs: 8, Steps: o.LAMMPSSteps, Slack: slackAmt,
-		})
-		if err != nil {
-			return ScaleRow{}, err
-		}
-		return ScaleRow{
-			Scale:   c.scale,
-			Slack:   slackAmt,
-			Runtime: r.Runtime,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+	var cells []cell[ScaleRow]
+	for _, c := range cases {
+		cells = append(cells, cell[ScaleRow]{fmt.Sprintf("scales/%v", c.scale), func() (ScaleRow, error) {
+			slackAmt := fabric.SlackForPath(fabric.Preset(c.scale, c.km))
+			r, err := lammps.RunPerf(lammps.PerfConfig{
+				BoxSize: 60, Procs: 8, Steps: o.LAMMPSSteps, Slack: slackAmt,
+			})
+			return ScaleRow{Scale: c.scale, Slack: slackAmt, Runtime: r.Runtime}, err
+		}})
 	}
-	// cases[0] is node-local, so the overhead column is a post-pass against
-	// the merged first row.
-	base := rows[0].Runtime
-	for i := range rows {
-		rows[i].Overhead = float64(rows[i].Runtime)/float64(base) - 1
-	}
-	return rows, nil
+	return cells
 }
 
 // RenderDeploymentScales formats the table.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -96,49 +95,45 @@ type CongestionPoint struct {
 	SlackInflation float64
 }
 
-// CongestionSweep drives the shared link with an increasing number of
-// hosts, each issuing transfers of msgBytes with thinkTime between them,
-// and reports how queueing inflates the nominal slack at each population.
-// jobs bounds the workers (non-positive = GOMAXPROCS, 1 = serial). Each
-// host population runs in a private simulation with its own seeded jitter
-// stream, so results are byte-identical for every jobs value.
-func CongestionSweep(hosts []int, msgBytes int64, thinkTime sim.Duration, latency sim.Duration, bandwidth float64, perHost, jobs int) ([]CongestionPoint, error) {
+// MeasureCongestion drives the shared link with hosts senders, each
+// issuing perHost transfers of msgBytes with thinkTime between them, and
+// reports how queueing inflates the nominal slack at that population.
+// Each call runs a private simulation whose jitter stream is seeded by
+// the host count, so a population's point is the same wherever it runs.
+func MeasureCongestion(hosts int, msgBytes int64, thinkTime sim.Duration, latency sim.Duration, bandwidth float64, perHost int) (CongestionPoint, error) {
 	if msgBytes <= 0 || perHost <= 0 {
-		return nil, fmt.Errorf("fabric: invalid congestion sweep (%d bytes × %d)", msgBytes, perHost)
+		return CongestionPoint{}, fmt.Errorf("fabric: invalid congestion sweep (%d bytes × %d)", msgBytes, perHost)
 	}
-	return runner.Map(jobs, len(hosts), func(i int) (CongestionPoint, error) {
-		h := hosts[i]
-		if h <= 0 {
-			return CongestionPoint{}, fmt.Errorf("fabric: non-positive host count %d", h)
-		}
-		env := sim.NewEnv()
-		defer env.Close()
-		link, err := NewSharedLink(env, latency, bandwidth)
-		if err != nil {
-			return CongestionPoint{}, err
-		}
-		rng := rand.New(rand.NewSource(int64(h)))
-		for i := 0; i < h; i++ {
-			// Jitter each host's phase and period: perfectly staggered
-			// deterministic senders would never collide, which is not how
-			// independent hosts behave.
-			offset := sim.Duration(rng.Float64()) * thinkTime
-			think := sim.Duration(float64(thinkTime) * (0.7 + 0.6*rng.Float64()))
-			env.SpawnAt(offset, fmt.Sprintf("host%d", i), func(p *sim.Proc) {
-				for k := 0; k < perHost; k++ {
-					link.Transfer(p, msgBytes)
-					p.Sleep(think)
-				}
-			})
-		}
-		env.Run()
-		nominal := latency + sim.Duration(float64(msgBytes)/bandwidth)
-		pt := CongestionPoint{
-			Hosts:        h,
-			Utilization:  link.Utilization(),
-			MeanQueueing: link.MeanQueueing(),
-		}
-		pt.SlackInflation = float64(nominal+link.MeanQueueing()) / float64(nominal)
-		return pt, nil
-	})
+	if hosts <= 0 {
+		return CongestionPoint{}, fmt.Errorf("fabric: non-positive host count %d", hosts)
+	}
+	env := sim.NewEnv()
+	defer env.Close()
+	link, err := NewSharedLink(env, latency, bandwidth)
+	if err != nil {
+		return CongestionPoint{}, err
+	}
+	rng := rand.New(rand.NewSource(int64(hosts)))
+	for i := 0; i < hosts; i++ {
+		// Jitter each host's phase and period: perfectly staggered
+		// deterministic senders would never collide, which is not how
+		// independent hosts behave.
+		offset := sim.Duration(rng.Float64()) * thinkTime
+		think := sim.Duration(float64(thinkTime) * (0.7 + 0.6*rng.Float64()))
+		env.SpawnAt(offset, fmt.Sprintf("host%d", i), func(p *sim.Proc) {
+			for k := 0; k < perHost; k++ {
+				link.Transfer(p, msgBytes)
+				p.Sleep(think)
+			}
+		})
+	}
+	env.Run()
+	nominal := latency + sim.Duration(float64(msgBytes)/bandwidth)
+	pt := CongestionPoint{
+		Hosts:        hosts,
+		Utilization:  link.Utilization(),
+		MeanQueueing: link.MeanQueueing(),
+	}
+	pt.SlackInflation = float64(nominal+link.MeanQueueing()) / float64(nominal)
+	return pt, nil
 }

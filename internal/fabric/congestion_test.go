@@ -65,17 +65,20 @@ func TestSharedLinkValidation(t *testing.T) {
 }
 
 func TestCongestionSweepInflatesWithLoad(t *testing.T) {
-	pts, err := CongestionSweep(
-		[]int{1, 4, 16},
-		1<<20,             // 1 MiB messages
-		1*sim.Millisecond, // think time
-		1*sim.Microsecond, // latency
-		23e9,              // HDR-class bandwidth
-		30,                // transfers per host
-		0,                 // jobs
-	)
-	if err != nil {
-		t.Fatal(err)
+	var pts []CongestionPoint
+	for _, hosts := range []int{1, 4, 16} {
+		pt, err := MeasureCongestion(
+			hosts,
+			1<<20,             // 1 MiB messages
+			1*sim.Millisecond, // think time
+			1*sim.Microsecond, // latency
+			23e9,              // HDR-class bandwidth
+			30,                // transfers per host
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, pt)
 	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
@@ -101,10 +104,10 @@ func TestCongestionSweepInflatesWithLoad(t *testing.T) {
 }
 
 func TestCongestionSweepValidation(t *testing.T) {
-	if _, err := CongestionSweep([]int{1}, 0, 0, 0, 1e9, 1, 0); err == nil {
+	if _, err := MeasureCongestion(1, 0, 0, 0, 1e9, 1); err == nil {
 		t.Error("zero message size accepted")
 	}
-	if _, err := CongestionSweep([]int{0}, 1, 0, 0, 1e9, 1, 0); err == nil {
+	if _, err := MeasureCongestion(0, 1, 0, 0, 1e9, 1); err == nil {
 		t.Error("zero hosts accepted")
 	}
 }

@@ -234,7 +234,7 @@ func TestSelfValidation(t *testing.T) {
 		1 * sim.Microsecond, 10 * sim.Microsecond, 100 * sim.Microsecond,
 		1 * sim.Millisecond, 10 * sim.Millisecond,
 	}
-	pts, err := proxy.Sweep(sizes, []int{1}, slacks, 20, 0)
+	pts, err := proxy.Sweep(sizes, []int{1}, slacks, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/slack"
 	"repro/internal/trace"
@@ -363,54 +362,49 @@ type SweepPoint struct {
 	Penalty float64
 }
 
-// Sweep runs the full proxy grid: for each size and thread count, a
-// zero-slack baseline plus one run per slack value. Configurations that do
-// not fit in device memory are skipped (as the paper excludes 2^15 at ≥4
+// Sweep runs the full proxy grid: for each size and thread count, in
+// grid order, the Series of that combination. Configurations that do not
+// fit in device memory are skipped (as the paper excludes 2^15 at ≥4
 // threads). Iters, when positive, overrides the 30-second sizing to keep
-// test and bench runtimes bounded. The (size, threads) combinations fan
-// out across jobs workers (non-positive = GOMAXPROCS, 1 = the exact serial
-// path), each combination running its baseline and slack series inside a
-// private simulation. Results merge in grid order, so output is
-// byte-identical for every jobs value.
-func Sweep(sizes, threads []int, slacks []sim.Duration, iters, jobs int) ([]SweepPoint, error) {
-	type combo struct{ n, t int }
-	combos := make([]combo, 0, len(sizes)*len(threads))
+// test and bench runtimes bounded.
+func Sweep(sizes, threads []int, slacks []sim.Duration, iters int) ([]SweepPoint, error) {
+	out := make([]SweepPoint, 0, len(sizes)*len(threads)*len(slacks))
 	for _, n := range sizes {
 		for _, t := range threads {
-			combos = append(combos, combo{n, t})
-		}
-	}
-	groups, err := runner.Map(jobs, len(combos), func(i int) ([]SweepPoint, error) {
-		n, t := combos[i].n, combos[i].t
-		base, err := Run(Config{MatrixSize: n, Threads: t, Iters: iters})
-		if errors.Is(err, ErrDoesNotFit) {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		var pts []SweepPoint
-		for _, s := range slacks {
-			r, err := Run(Config{MatrixSize: n, Threads: t, Slack: s, Iters: iters})
+			pts, err := Series(n, t, slacks, iters)
 			if err != nil {
 				return nil, err
 			}
-			pts = append(pts, SweepPoint{
-				MatrixSize: n,
-				Threads:    t,
-				Slack:      s,
-				Result:     r,
-				Penalty:    Penalty(base, r),
-			})
+			out = append(out, pts...)
 		}
-		return pts, nil
-	})
+	}
+	return out, nil
+}
+
+// Series runs one (size, threads) combination of the grid: a zero-slack
+// baseline, then one run per slack value, each in a private simulation.
+// A combination that does not fit in device memory yields no points.
+func Series(n, threads int, slacks []sim.Duration, iters int) ([]SweepPoint, error) {
+	base, err := Run(Config{MatrixSize: n, Threads: threads, Iters: iters})
+	if errors.Is(err, ErrDoesNotFit) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, 0, len(slacks)*len(combos))
-	for _, g := range groups {
-		out = append(out, g...)
+	pts := make([]SweepPoint, 0, len(slacks))
+	for _, s := range slacks {
+		r, err := Run(Config{MatrixSize: n, Threads: threads, Slack: s, Iters: iters})
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, SweepPoint{
+			MatrixSize: n,
+			Threads:    threads,
+			Slack:      s,
+			Result:     r,
+			Penalty:    Penalty(base, r),
+		})
 	}
-	return out, nil
+	return pts, nil
 }

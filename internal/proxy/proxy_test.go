@@ -305,7 +305,7 @@ func TestRecordProducesTrace(t *testing.T) {
 }
 
 func TestSweepSkipsOversizedConfigs(t *testing.T) {
-	pts, err := Sweep([]int{1 << 15}, []int{2, 4}, []sim.Duration{1 * sim.Microsecond}, 2, 0)
+	pts, err := Sweep([]int{1 << 15}, []int{2, 4}, []sim.Duration{1 * sim.Microsecond}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSweepSkipsOversizedConfigs(t *testing.T) {
 
 func TestSweepGridComplete(t *testing.T) {
 	slacks := []sim.Duration{1 * sim.Microsecond, 1 * sim.Millisecond}
-	pts, err := Sweep([]int{1 << 9, 1 << 11}, []int{1, 2}, slacks, 5, 0)
+	pts, err := Sweep([]int{1 << 9, 1 << 11}, []int{1, 2}, slacks, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
