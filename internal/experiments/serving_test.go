@@ -151,3 +151,28 @@ func TestServingTraceValidAndStable(t *testing.T) {
 		t.Fatal("serving trace bytes differ across identical runs")
 	}
 }
+
+// TestServingClaimAtQuickParameters pins the serving footer's claim at
+// the quick parameters all.golden records. At the 1 ms slack it fails at
+// load 0.5 (continuous 52.0 against fixed 62.0 and nobatch 54.0) and
+// holds at load 1 (continuous 86.0 against fixed 76.0 and nobatch 22.0).
+func TestServingClaimAtQuickParameters(t *testing.T) {
+	rows, err := Serving(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := servingClaims(rows)
+	want := []struct {
+		load  float64
+		holds bool
+	}{{0.5, false}, {1, true}}
+	if len(claims) != len(want) {
+		t.Fatalf("%d claims, want %d", len(claims), len(want))
+	}
+	for i, c := range claims {
+		if c.load != want[i].load || c.slack != sim.Millisecond || c.holds != want[i].holds || len(c.rows) != len(servingPolicies) {
+			t.Errorf("claim %d: load %g at %v holds %v over %d rows; want load %g at 1ms holds %v over %d",
+				i, c.load, c.slack, c.holds, len(c.rows), want[i].load, want[i].holds, len(servingPolicies))
+		}
+	}
+}

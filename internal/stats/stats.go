@@ -145,8 +145,6 @@ func (s Summary) String() string {
 // rule, because two mathematically equal results reached along different
 // code paths routinely differ in the final ulp. NaN equals nothing,
 // matching IEEE-754.
-//
-//cdivet:allow testonly the comparison floateq's findings tell code to use
 func ApproxEqual(a, b, tol float64) bool {
 	if tol < 0 {
 		panic("stats: negative ApproxEqual tolerance")
