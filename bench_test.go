@@ -342,13 +342,21 @@ func benchName(prefix string, n int) string {
 func BenchmarkExtensionAppValidation(b *testing.B) {
 	opts := experiments.Quick()
 	opts.LAMMPSSteps = 15
-	study, err := experiments.Calibrate(opts)
+	pts, err := experiments.Figure3(opts, []int{1, 4, 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	study, err := experiments.Calibrate(pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := experiments.CollectTraces(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AppSlackValidation(opts, study, []sim.Duration{100 * sim.Microsecond})
+		rows, err := experiments.AppSlackValidation(opts, study, tr, []sim.Duration{100 * sim.Microsecond})
 		if err != nil {
 			b.Fatal(err)
 		}

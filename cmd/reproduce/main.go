@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/proxy"
 )
 
 // experiment is one -exp section.
@@ -46,9 +47,7 @@ var table = []experiment{
 	{id: "threads", run: render(experiments.ThreadScaling, experiments.RenderThreadScaling)},
 	{id: "cfcpu", run: render(experiments.CosmoFlowCPU, experiments.RenderCosmoFlowCPU)},
 	{id: "table2", run: render(experiments.Table2, experiments.RenderTable2)},
-	{id: "figure3", run: func(in *inputs) string {
-		return experiments.RenderFigure3(must(experiments.Figure3(in.opts, nil)))
-	}},
+	{id: "figure3", run: func(in *inputs) string { return experiments.RenderFigure3(in.proxyGrid()) }},
 	{id: "figure4", run: func(in *inputs) string { return experiments.RenderFigure4(in.traces()) }},
 	{id: "figure5", run: func(in *inputs) string { return experiments.RenderFigure5(in.traces()) }},
 	// Table III reads only the traces; its surface parameter is unused.
@@ -58,10 +57,12 @@ var table = []experiment{
 	{id: "table4", run: func(in *inputs) string {
 		return experiments.RenderTable4(must(experiments.PredictTable4(in.opts, in.study(), in.traces())))
 	}},
-	{id: "validate", run: render(experiments.Validate, experiments.RenderValidation)},
+	{id: "validate", run: func(in *inputs) string {
+		return experiments.RenderValidation(must(experiments.ValidateFromSweep(in.opts, in.proxyGrid())))
+	}},
 	{id: "compose", run: func(*inputs) string { return experiments.RenderCompose(must(experiments.Compose())) }},
 	{id: "appvalidate", run: func(in *inputs) string {
-		return experiments.RenderAppValidation(must(experiments.AppSlackValidation(in.opts, in.study(), nil)))
+		return experiments.RenderAppValidation(must(experiments.AppSlackValidation(in.opts, in.study(), in.traces(), nil)))
 	}},
 	{id: "scales", run: render(experiments.DeploymentScales, experiments.RenderDeploymentScales)},
 	{id: "preload", run: render(experiments.PreloadComparison, experiments.RenderPreload)},
@@ -85,12 +86,23 @@ var table = []experiment{
 // invocation computes each shared input at most once.
 type inputs struct {
 	opts experiments.Options
+	grid []proxy.SweepPoint
 	tr   *experiments.Traces
 	cal  *core.Study
 }
 
+// proxyGrid returns Figure 3's proxy sweep behind figure3 and validate,
+// and through the study behind table4, reach and appvalidate, sweeping it
+// on first use.
+func (in *inputs) proxyGrid() []proxy.SweepPoint {
+	if in.grid == nil {
+		in.grid = must(experiments.Figure3(in.opts, nil))
+	}
+	return in.grid
+}
+
 // traces returns the LAMMPS and CosmoFlow traces behind figure4, figure5,
-// table3, table4 and reach, collecting them on first use.
+// table3, table4, appvalidate and reach, collecting them on first use.
 func (in *inputs) traces() experiments.Traces {
 	if in.tr == nil {
 		tr := must(experiments.CollectTraces(in.opts))
@@ -99,11 +111,11 @@ func (in *inputs) traces() experiments.Traces {
 	return *in.tr
 }
 
-// study returns the calibrated proxy surface behind table4, appvalidate
-// and reach, calibrating it on first use.
+// study returns the proxy surface behind table4, appvalidate and reach,
+// calibrating it from the proxy grid on first use.
 func (in *inputs) study() *core.Study {
 	if in.cal == nil {
-		in.cal = must(experiments.Calibrate(in.opts))
+		in.cal = must(experiments.Calibrate(in.proxyGrid()))
 	}
 	return in.cal
 }

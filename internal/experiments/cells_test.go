@@ -4,6 +4,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cosmoflow"
+	"repro/internal/model"
+	"repro/internal/proxy"
+	"repro/internal/sim"
 )
 
 // checkCells holds one section's cells to their contract; the section is
@@ -53,7 +58,11 @@ func TestCellAloneMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	study, err := Calibrate(o)
+	pts, err := Figure3(o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := Calibrate(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,21 +72,13 @@ func TestCellAloneMatchesSweep(t *testing.T) {
 	t.Run("cfcpu", func(t *testing.T) { checkCells(t, cfcpuCells(o), cfcpuCells(o)) })
 	t.Run("table2", func(t *testing.T) { checkCells(t, table2Cells(o), table2Cells(o)) })
 	t.Run("figure3", func(t *testing.T) { checkCells(t, figure3Cells(o, nil), figure3Cells(o, nil)) })
-	t.Run("calib", func(t *testing.T) {
-		threads := []int{1, 4, 8}
-		checkCells(t, calibrationCells(o, "calib", threads), calibrationCells(o, "calib", threads))
-	})
-	t.Run("validate", func(t *testing.T) {
-		threads := []int{1}
-		checkCells(t, calibrationCells(o, "validate", threads), calibrationCells(o, "validate", threads))
-	})
 	t.Run("table4", func(t *testing.T) { checkCells(t, table4Cells(study, tr), table4Cells(study, tr)) })
 	t.Run("appvalidate", func(t *testing.T) {
-		cells, err := appValidationCells(o, study, nil)
+		cells, err := appValidationCells(o, study, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := appValidationCells(o, study, nil)
+		fresh, err := appValidationCells(o, study, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,20 +109,116 @@ func TestCellAloneMatchesSweep(t *testing.T) {
 
 // TestFailingCellNamesItself: a sweep's error names the failing cell,
 // and with several failing cells it is the lowest-index one at every
-// worker count.
+// worker count. That holds for the traces' two cells too.
 func TestFailingCellNamesItself(t *testing.T) {
-	var msgs []string
-	for _, jobs := range []int{1, 2} {
-		_, err := Table1(Options{LAMMPSSteps: -1, Jobs: jobs})
-		if err == nil {
-			t.Fatalf("-j %d: a negative step count ran", jobs)
+	// The traces run at quick sizes, so the CosmoFlow cell that -j 2 runs
+	// beside the failing LAMMPS one stays cheap.
+	badTraces := Quick()
+	badTraces.LAMMPSSteps = -1
+	for _, c := range []struct {
+		name, want string
+		run        func(jobs int) error
+	}{
+		{"Table1", "table1/box20: lammps: invalid run shape", func(jobs int) error {
+			_, err := Table1(Options{LAMMPSSteps: -1, Jobs: jobs})
+			return err
+		}},
+		{"CollectTraces", "traces/lammps: lammps: invalid run shape", func(jobs int) error {
+			o := badTraces
+			o.Jobs = jobs
+			_, err := CollectTraces(o)
+			return err
+		}},
+	} {
+		var msgs []string
+		for _, jobs := range []int{1, 2} {
+			err := c.run(jobs)
+			if err == nil {
+				t.Fatalf("%s -j %d: a negative step count ran", c.name, jobs)
+			}
+			msgs = append(msgs, err.Error())
 		}
-		msgs = append(msgs, err.Error())
+		if msgs[0] != msgs[1] {
+			t.Errorf("%s: -j 1 and -j 2 report different errors:\n%s\n%s", c.name, msgs[0], msgs[1])
+		}
+		if !strings.HasPrefix(msgs[0], c.want) {
+			t.Errorf("%s: error %q does not start with %q", c.name, msgs[0], c.want)
+		}
 	}
-	if msgs[0] != msgs[1] {
-		t.Errorf("-j 1 and -j 2 report different errors:\n%s\n%s", msgs[0], msgs[1])
+}
+
+// TestProxyGridIsSharedOnce holds the premise that lets Figure 3's sweep
+// stand in for the calibration and self-validation sweeps: the points
+// Calibrate keeps are the calibration grid's own sweep, and Validate's
+// measurement is the two runs it used to make itself.
+func TestProxyGridIsSharedOnce(t *testing.T) {
+	o := Quick()
+	pts, err := Figure3(o, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(msgs[0], "table1/box20: lammps: invalid run shape") {
-		t.Errorf("error %q does not name cell table1/box20 ahead of lammps' error", msgs[0])
+	want, err := proxy.Sweep([]int{1 << 9, 1 << 11, 1 << 13}, []int{1, 4, 8}, model.PaperSlacks(), o.ProxyIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calibrationPoints(pts); !reflect.DeepEqual(got, want) {
+		t.Errorf("calibration points of Figure 3 (%d) differ from the calibration sweep (%d)", len(got), len(want))
+	}
+
+	v, err := Validate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := proxy.Run(proxy.Config{MatrixSize: 1 << 11, Threads: 1, Iters: o.ProxyIters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := proxy.Run(proxy.Config{MatrixSize: 1 << 11, Threads: 1, Iters: o.ProxyIters, Slack: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := proxy.Penalty(base, run); v.Measured != want {
+		t.Errorf("Validate measured %v, two direct runs give %v", v.Measured, want)
+	}
+
+	twoThreads, err := Figure3(o, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Calibrate(twoThreads); err == nil {
+		t.Error("Calibrate built a study from a sweep with no calibration point")
+	}
+	if _, err := ValidateFromSweep(o, twoThreads); err == nil {
+		t.Error("ValidateFromSweep ran without its 2^11, 1-thread, 1ms point")
+	}
+}
+
+// TestCosmoFlowBaselineIsTheTrace holds the premise that lets the in-situ
+// validation read CosmoFlow's zero-slack baseline from the traces: the
+// recorded profiling run takes exactly as long as an unrecorded one, and
+// a fresh recorded run profiles as tr.profiles() does. A recorder that
+// perturbed the run would fail here before any golden does.
+func TestCosmoFlowBaselineIsTheTrace(t *testing.T) {
+	o := Quick()
+	tr, err := CollectTraces(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := cosmoflow.RunPerf(cosmoflowConfig(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.CosmoFlow.Runtime(); got != plain.Runtime {
+		t.Errorf("recorded runtime %v, unrecorded %v", got, plain.Runtime)
+	}
+	cfg := cosmoflowConfig(o)
+	cfg.Record = true
+	rec, err := cosmoflow.RunPerf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, profiles := tr.profiles()
+	if got := model.ProfileFromTrace(rec.Trace, cosmoflow.ProfileParallelism); !reflect.DeepEqual(got, profiles[1]) {
+		t.Errorf("a fresh recorded run profiles as\n%+v\nthe traces' CosmoFlow entry is\n%+v", got, profiles[1])
 	}
 }

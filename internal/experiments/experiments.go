@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/compose"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/lammps"
 	"repro/internal/model"
 	"repro/internal/proxy"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -295,15 +295,22 @@ func cfcpuCells(o Options) []cell[CPUAffinityRow] {
 	o = o.withDefaults()
 	var cells []cell[CPUAffinityRow]
 	for _, cores := range []int{1, 2, 4, 8} {
+		cfg := cosmoflowConfig(o)
+		cfg.Cores = cores
 		cells = append(cells, cell[CPUAffinityRow]{fmt.Sprintf("cfcpu/cores%d", cores), func() (CPUAffinityRow, error) {
-			r, err := cosmoflow.RunPerf(cosmoflow.PerfConfig{
-				Cores: cores, Epochs: o.CosmoEpochs,
-				TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2,
-			})
+			r, err := cosmoflow.RunPerf(cfg)
 			return CPUAffinityRow{Cores: cores, Runtime: r.Runtime}, err
 		}})
 	}
 	return cells
+}
+
+// cosmoflowConfig is the single-GPU CosmoFlow training at o's size
+// (after withDefaults) that the sections share: the profiled run behind
+// the traces, the in-situ validation's slack runs, the resilience
+// sweep's runs and, on 1 to 8 cores, the affinity sweep.
+func cosmoflowConfig(o Options) cosmoflow.PerfConfig {
+	return cosmoflow.PerfConfig{Epochs: o.CosmoEpochs, TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2}
 }
 
 // RenderCosmoFlowCPU formats the affinity results.
@@ -365,9 +372,12 @@ func RenderTable2(rows []Table2Row) string {
 // Figure3 regenerates the slack sweep for the requested thread counts,
 // over the slacks of Table IV (1 µs to 10 ms by decades).
 func Figure3(o Options, threads []int) ([]proxy.SweepPoint, error) {
-	return proxySweep(o.Jobs, figure3Cells(o, threads))
+	series, err := sweep(o.Jobs, figure3Cells(o, threads))
+	return slices.Concat(series...), err
 }
 
+// figure3Cells returns one proxy.Series cell per (size, threads)
+// combination, size-major, keyed figure3/2^k/tN.
 func figure3Cells(o Options, threads []int) []cell[[]proxy.SweepPoint] {
 	if len(threads) == 0 {
 		threads = proxy.PaperThreads()
@@ -378,7 +388,14 @@ func figure3Cells(o Options, threads []int) []cell[[]proxy.SweepPoint] {
 		// keep the three sizes that show every trend.
 		sizes = sizes[:3]
 	}
-	return proxyCells("figure3", sizes, threads, model.PaperSlacks(), o.ProxyIters)
+	var cells []cell[[]proxy.SweepPoint]
+	for _, n := range sizes {
+		for _, t := range threads {
+			cells = append(cells, cell[[]proxy.SweepPoint]{fmt.Sprintf("figure3/2^%d/t%d", log2(n), t),
+				func() ([]proxy.SweepPoint, error) { return proxy.Series(n, t, model.PaperSlacks(), o.ProxyIters) }})
+		}
+	}
+	return cells
 }
 
 // RenderFigure3 formats the sweep as one grid per thread count.
@@ -448,35 +465,27 @@ func (t Traces) profiles() ([]string, []model.AppProfile) {
 		model.ProfileFromTrace(t.LAMMPS, lammps.ProfileProcs), model.ProfileFromTrace(t.CosmoFlow, cosmoflow.ProfileParallelism)}
 }
 
-// CollectTraces profiles both applications, each in its own simulation.
+// CollectTraces profiles both applications as two cells, traces/lammps
+// and traces/cosmoflow, each in its own simulation.
 func CollectTraces(o Options) (Traces, error) {
 	o = o.withDefaults()
-	var tr Traces
-	err := runner.Go(o.Jobs,
-		func() error {
-			lr, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: 120, Procs: lammps.ProfileProcs, Steps: o.LAMMPSSteps, Record: true})
-			if err != nil {
-				return err
-			}
-			tr.LAMMPS = lr.Trace
-			return nil
-		},
-		func() error {
-			cr, err := cosmoflow.RunPerf(cosmoflow.PerfConfig{
-				Epochs: o.CosmoEpochs, TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2,
-				Record: true,
-			})
-			if err != nil {
-				return err
-			}
-			tr.CosmoFlow = cr.Trace
-			return nil
-		},
-	)
+	lcfg := lammps.PerfConfig{BoxSize: 120, Procs: lammps.ProfileProcs, Steps: o.LAMMPSSteps, Record: true}
+	ccfg := cosmoflowConfig(o)
+	ccfg.Record = true
+	trs, err := sweep(o.Jobs, []cell[*trace.Trace]{
+		{"traces/lammps", func() (*trace.Trace, error) {
+			r, err := lammps.RunPerf(lcfg)
+			return r.Trace, err
+		}},
+		{"traces/cosmoflow", func() (*trace.Trace, error) {
+			r, err := cosmoflow.RunPerf(ccfg)
+			return r.Trace, err
+		}},
+	})
 	if err != nil {
 		return Traces{}, err
 	}
-	return tr, nil
+	return Traces{LAMMPS: trs[0], CosmoFlow: trs[1]}, nil
 }
 
 // RenderFigure4 formats the kernel-duration violins (top five kernels plus
@@ -584,10 +593,15 @@ type Table4Block struct {
 	Predictions []model.Prediction
 }
 
-// Table4 calibrates the proxy surface, then regenerates the
-// slack-penalty predictions for both applications from it.
+// Table4 sweeps Figure 3 at the calibration's thread counts, calibrates
+// the proxy surface from it, then regenerates the slack-penalty
+// predictions for both applications.
 func Table4(o Options, tr Traces) ([]Table4Block, *model.Surface, error) {
-	study, err := Calibrate(o)
+	pts, err := Figure3(o, calibrationThreads)
+	if err != nil {
+		return nil, nil, err
+	}
+	study, err := Calibrate(pts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -648,41 +662,38 @@ type ValidationResult struct {
 	Upper      float64
 }
 
-// Validate reruns the model self-validation: the proxy predicts its own
-// penalty from its own trace.
+// Validate runs the model self-validation on its own single-threaded
+// Figure 3 sweep.
 func Validate(o Options) (ValidationResult, error) {
-	pts, err := proxySweep(o.Jobs, calibrationCells(o, "validate", []int{1}))
+	pts, err := Figure3(o, []int{1})
 	if err != nil {
 		return ValidationResult{}, err
 	}
-	study, err := core.NewStudyFromSweep(pts, nil)
-	if err != nil {
-		return ValidationResult{}, err
-	}
+	return ValidateFromSweep(o, pts)
+}
+
+// ValidateFromSweep runs the model self-validation: the proxy predicts
+// its own penalty from its own trace, on a surface calibrated from the
+// sweep's single-threaded calibration points, and the sweep's own point
+// at 2^11, 1 thread and 1 ms is the measurement. cmd/reproduce passes
+// the Figure 3 sweep that Table IV calibrates from.
+func ValidateFromSweep(o Options, pts []proxy.SweepPoint) (ValidationResult, error) {
 	const (
 		size  = 1 << 11
 		slack = 1 * sim.Millisecond
 	)
-	var (
-		app       model.AppProfile
-		base, run proxy.Result
-	)
-	err = runner.Go(o.Jobs,
-		func() (err error) {
-			app, _, err = study.Profile(core.ProxyWorkload{Config: proxy.Config{
-				MatrixSize: size, Threads: 1, Iters: o.ProxyIters,
-			}})
-			return err
-		},
-		func() (err error) {
-			base, err = proxy.Run(proxy.Config{MatrixSize: size, Threads: 1, Iters: o.ProxyIters})
-			return err
-		},
-		func() (err error) {
-			run, err = proxy.Run(proxy.Config{MatrixSize: size, Threads: 1, Iters: o.ProxyIters, Slack: slack})
-			return err
-		},
-	)
+	oneThread := slices.DeleteFunc(slices.Clone(pts), func(pt proxy.SweepPoint) bool { return pt.Threads != 1 })
+	i := slices.IndexFunc(oneThread, func(pt proxy.SweepPoint) bool { return pt.MatrixSize == size && pt.Slack == slack })
+	if i < 0 {
+		return ValidationResult{}, fmt.Errorf("validate: the sweep has no point at 2^%d, 1 thread, %v", log2(size), slack)
+	}
+	study, err := Calibrate(oneThread)
+	if err != nil {
+		return ValidationResult{}, err
+	}
+	app, _, err := study.Profile(core.ProxyWorkload{Config: proxy.Config{
+		MatrixSize: size, Threads: 1, Iters: o.ProxyIters,
+	}})
 	if err != nil {
 		return ValidationResult{}, err
 	}
@@ -692,7 +703,7 @@ func Validate(o Options) (ValidationResult, error) {
 	}
 	return ValidationResult{
 		MatrixSize: size, Threads: 1, Slack: slack,
-		Measured: proxy.Penalty(base, run),
+		Measured: oneThread[i].Penalty,
 		Lower:    pred.Lower, Upper: pred.Upper,
 	}, nil
 }

@@ -4,12 +4,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
 // tiny keeps experiment tests fast while preserving structure.
 func tiny() Options {
 	return Options{LAMMPSSteps: 10, ProxyIters: 10, CosmoEpochs: 1, CosmoSamples: 16}
+}
+
+// tinyStudy calibrates the proxy surface from a Figure 3 sweep at tiny
+// parameters.
+func tinyStudy(t *testing.T) *core.Study {
+	t.Helper()
+	pts, err := Figure3(tiny(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := Calibrate(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return study
 }
 
 func TestOptionsDefaults(t *testing.T) {
@@ -231,11 +247,11 @@ func TestComposeExperiment(t *testing.T) {
 // --- Extensions ---
 
 func TestAppSlackValidation(t *testing.T) {
-	study, err := Calibrate(tiny())
+	tr, err := CollectTraces(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := AppSlackValidation(tiny(), study, []sim.Duration{100 * sim.Microsecond})
+	rows, err := AppSlackValidation(tiny(), tinyStudy(t), tr, []sim.Duration{100 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +335,7 @@ func TestReachShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	study, err := Calibrate(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Reach(tiny(), study, tr)
+	rows, err := Reach(tiny(), tinyStudy(t), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

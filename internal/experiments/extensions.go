@@ -31,7 +31,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/proxy"
 	"repro/internal/remoting"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/slack"
@@ -47,51 +46,32 @@ type AppValidationRow struct {
 	Upper    float64
 }
 
-// AppSlackValidation runs LAMMPS with slack injected on every rank's CUDA
-// calls, applies Equation 1 to the measured runtime, and compares the
-// residual against the calibrated study's prediction from the zero-slack
-// trace.
-func AppSlackValidation(o Options, study *core.Study, slacks []sim.Duration) ([]AppValidationRow, error) {
-	cells, err := appValidationCells(o, study, slacks)
+// AppSlackValidation runs LAMMPS and CosmoFlow with slack injected on
+// every rank's CUDA calls, applies Equation 1 to the measured runtime,
+// and compares the residual against the calibrated study's prediction
+// from the zero-slack trace. CosmoFlow's zero-slack trace and runtime are
+// tr's profiling run, which has the same configuration.
+func AppSlackValidation(o Options, study *core.Study, tr Traces, slacks []sim.Duration) ([]AppValidationRow, error) {
+	cells, err := appValidationCells(o, study, tr, slacks)
 	if err != nil {
 		return nil, err
 	}
 	return sweep(o.Jobs, cells)
 }
 
-// appValidationCells runs both applications' zero-slack baselines, then
-// returns one cell per (app, slack).
-func appValidationCells(o Options, study *core.Study, slacks []sim.Duration) ([]cell[AppValidationRow], error) {
+// appValidationCells runs LAMMPS's recorded zero-slack baseline, reads
+// CosmoFlow's from tr, then returns one cell per (app, slack).
+func appValidationCells(o Options, study *core.Study, tr Traces, slacks []sim.Duration) ([]cell[AppValidationRow], error) {
 	o = o.withDefaults()
 	if len(slacks) == 0 {
 		slacks = []sim.Duration{100 * sim.Microsecond, 10 * sim.Millisecond}
 	}
 	lcfg := lammps.PerfConfig{BoxSize: 60, Procs: lammps.ProfileProcs, Steps: o.LAMMPSSteps}
-	ccfg := cosmoflow.PerfConfig{
-		Epochs: o.CosmoEpochs, TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2,
-	}
-	var (
-		lbase lammps.PerfResult
-		cbase cosmoflow.PerfResult
-	)
-	err := runner.Go(o.Jobs,
-		func() error {
-			var err error
-			cfg := lcfg
-			cfg.Record = true
-			lbase, err = lammps.RunPerf(cfg)
-			return err
-		},
-		func() error {
-			var err error
-			cfg := ccfg
-			cfg.Record = true
-			cbase, err = cosmoflow.RunPerf(cfg)
-			return err
-		},
-	)
+	rec := lcfg
+	rec.Record = true
+	lbase, err := lammps.RunPerf(rec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("appvalidate/lammps/baseline: %w", err)
 	}
 	apps := []struct {
 		name    string
@@ -100,7 +80,7 @@ func appValidationCells(o Options, study *core.Study, slacks []sim.Duration) ([]
 		run     appRun
 	}{
 		{"lammps", model.ProfileFromTrace(lbase.Trace, lcfg.Procs), lbase.Runtime, lammpsRun(lcfg)},
-		{"cosmoflow", model.ProfileFromTrace(cbase.Trace, cosmoflow.ProfileParallelism), cbase.Runtime, cosmoflowRun(ccfg)},
+		{"cosmoflow", model.ProfileFromTrace(tr.CosmoFlow, cosmoflow.ProfileParallelism), tr.CosmoFlow.Runtime(), cosmoflowRun(cosmoflowConfig(o))},
 	}
 	var cells []cell[AppValidationRow]
 	for _, a := range apps {
@@ -477,27 +457,17 @@ func PreloadComparison(o Options) ([]PreloadRow, error) {
 		size = 1 << 11
 		sl   = 1 * sim.Millisecond
 	)
-	var base, full, partial proxy.Result
-	err := runner.Go(o.Jobs,
-		func() error {
-			var err error
-			base, err = proxy.Run(proxy.Config{MatrixSize: size, Iters: iters})
-			return err
-		},
-		func() error {
-			var err error
-			full, err = proxy.Run(proxy.Config{MatrixSize: size, Iters: iters, Slack: sl})
-			return err
-		},
-		func() error {
-			var err error
-			partial.LoopTime, partial.DelayedCalls, err = runPreloadProxy(size, iters, sl)
-			return err
-		},
-	)
+	runs, err := sweep(o.Jobs, []cell[proxy.Result]{
+		{"preload/baseline", func() (proxy.Result, error) { return proxy.Run(proxy.Config{MatrixSize: size, Iters: iters}) }},
+		{"preload/all-calls", func() (proxy.Result, error) {
+			return proxy.Run(proxy.Config{MatrixSize: size, Iters: iters, Slack: sl})
+		}},
+		{"preload/memcpy-only", func() (proxy.Result, error) { return runPreloadProxy(size, iters, sl) }},
+	})
 	if err != nil {
 		return nil, err
 	}
+	base, full, partial := runs[0], runs[1], runs[2]
 	// Equation 1 with the shim's actual coverage (3 calls/iteration).
 	shim := slack.ClampPenalty(slack.Penalty(partial.LoopTime, base.LoopTime, partial.DelayedCalls, sl))
 	return []PreloadRow{
@@ -508,15 +478,15 @@ func PreloadComparison(o Options) ([]PreloadRow, error) {
 
 // runPreloadProxy reruns the proxy loop with an LD_PRELOAD-style injector
 // that only wraps the synchronous memcpy symbols, and returns the loop time
-// and the number of calls the shim delayed.
-func runPreloadProxy(size, iters int, sl sim.Duration) (sim.Duration, int64, error) {
+// and the number of calls the shim delayed as a proxy.Result.
+func runPreloadProxy(size, iters int, sl sim.Duration) (proxy.Result, error) {
 	// proxy.Run's injector covers every call, so this run builds its own
 	// node with a memcpy-only injector and drives the proxy's loop on it.
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, err := gpu.NewDevice(env, gpu.A100())
 	if err != nil {
-		return 0, 0, err
+		return proxy.Result{}, err
 	}
 	ctx := cuda.NewContext(dev, cuda.Config{})
 	inj := slack.New(sl, slack.WithSymbols("cudaMemcpy(HtoD)", "cudaMemcpy(DtoH)"))
@@ -524,9 +494,9 @@ func runPreloadProxy(size, iters int, sl sim.Duration) (sim.Duration, int64, err
 
 	loop, err := timeProxyLoop(env, "omp0", proxy.Local{Context: ctx}, size, iters)
 	if err != nil {
-		return 0, 0, err
+		return proxy.Result{}, err
 	}
-	return loop, inj.DelayedCalls(), nil
+	return proxy.Result{LoopTime: loop, DelayedCalls: inj.DelayedCalls()}, nil
 }
 
 // RenderPreload formats the comparison.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cosmoflow"
 	"repro/internal/cuda"
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/proxy"
 	"repro/internal/remoting"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -81,42 +79,31 @@ func Resilience(o Options) ([]ResilienceRow, error) {
 }
 
 // resilienceCells runs the fault-free zero-slack baseline of each
-// application, then returns one cell per (app, slack, intensity). The
-// applications run under the fault interposer on every rank's CUDA calls
-// with the same Equation-1 accounting as AppSlackValidation.
+// application as a cell of its own (resilience/<app>/baseline), then
+// returns one cell per (app, slack, intensity). The applications run
+// under the fault interposer on every rank's CUDA calls with the same
+// Equation-1 accounting as AppSlackValidation.
 func resilienceCells(o Options) ([]cell[ResilienceRow], error) {
 	o = o.withDefaults()
 	iters := o.ProxyIters
 	if iters <= 0 {
 		iters = 30
 	}
-	lcfg := lammps.PerfConfig{BoxSize: 40, Procs: 4, Steps: o.LAMMPSSteps}
-	ccfg := cosmoflow.PerfConfig{
-		Epochs: o.CosmoEpochs, TrainSamples: o.CosmoSamples, ValSamples: o.CosmoSamples / 2,
+	apps := []struct {
+		name string
+		run  appRun
+	}{
+		{"lammps", lammpsRun(lammps.PerfConfig{BoxSize: 40, Procs: 4, Steps: o.LAMMPSSteps})},
+		{"cosmoflow", cosmoflowRun(cosmoflowConfig(o))},
 	}
-
-	var (
-		pbase sim.Duration
-		lbase lammps.PerfResult
-		cbase cosmoflow.PerfResult
-	)
-	err := runner.Go(o.Jobs,
-		func() error {
-			var err error
-			pbase, err = localProxyLoop(iters)
-			return err
-		},
-		func() error {
-			var err error
-			lbase, err = lammps.RunPerf(lcfg)
-			return err
-		},
-		func() error {
-			var err error
-			cbase, err = cosmoflow.RunPerf(ccfg)
-			return err
-		},
-	)
+	baseCells := []cell[sim.Duration]{{"resilience/proxy/baseline", func() (sim.Duration, error) { return localProxyLoop(iters) }}}
+	for _, a := range apps {
+		baseCells = append(baseCells, cell[sim.Duration]{"resilience/" + a.name + "/baseline", func() (sim.Duration, error) {
+			runtime, _, err := a.run(0, nil)
+			return runtime, err
+		}})
+	}
+	bases, err := sweep(o.Jobs, baseCells)
 	if err != nil {
 		return nil, err
 	}
@@ -135,13 +122,10 @@ func resilienceCells(o Options) ([]cell[ResilienceRow], error) {
 		}
 	}
 	add("proxy", func(sl sim.Duration, intensity float64, seed int64) (ResilienceRow, error) {
-		return resilientProxyCell(iters, sl, intensity, seed, pbase)
+		return resilientProxyCell(iters, sl, intensity, seed, bases[0])
 	})
-	for _, a := range []struct {
-		name string
-		base sim.Duration
-		run  appRun
-	}{{"lammps", lbase.Runtime, lammpsRun(lcfg)}, {"cosmoflow", cbase.Runtime, cosmoflowRun(ccfg)}} {
+	for i, a := range apps {
+		base := bases[i+1]
 		add(a.name, func(sl sim.Duration, intensity float64, seed int64) (ResilienceRow, error) {
 			ci, err := faults.NewCallInjector(faults.AtIntensity(intensity, seed), faults.Policy{}, 1)
 			if err != nil {
@@ -151,7 +135,7 @@ func resilienceCells(o Options) ([]cell[ResilienceRow], error) {
 			st := ci.Stats()
 			return ResilienceRow{
 				App: a.name, Slack: sl, Intensity: intensity,
-				Penalty: model.AvailabilityAdjustedPenalty(runtime, calls, sl, a.base),
+				Penalty: model.AvailabilityAdjustedPenalty(runtime, calls, sl, base),
 				Retries: st.Retries, Timeouts: st.Timeouts, Failovers: st.Failovers, Degraded: st.DegradedToLocal,
 			}, err
 		})

@@ -5,14 +5,12 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/proxy"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // cell is one addressable point of a sweep. Its key names it by section
-// and coordinates ("table1/box20", "calib/2^11/t4",
+// and coordinates ("table1/box20", "figure3/2^11/t4",
 // "serving/continuous/load1/100µs"), and run computes it in a private
 // simulation from the values the closure captured, so a cell gives the
 // same result alone as inside its sweep.
@@ -35,40 +33,29 @@ func sweep[R any](jobs int, cells []cell[R]) ([]R, error) {
 	})
 }
 
-// proxyCells returns one proxy.Series cell per (size, threads)
-// combination of a grid, in grid order, keyed section/2^k/tN.
-func proxyCells(section string, sizes, threads []int, slacks []sim.Duration, iters int) []cell[[]proxy.SweepPoint] {
-	var cells []cell[[]proxy.SweepPoint]
-	for _, n := range sizes {
-		for _, t := range threads {
-			cells = append(cells, cell[[]proxy.SweepPoint]{fmt.Sprintf("%s/2^%d/t%d", section, log2(n), t),
-				func() ([]proxy.SweepPoint, error) { return proxy.Series(n, t, slacks, iters) }})
+// The calibration grid is the part of Figure 3's grid the proxy surface
+// is built from: the sizes up to 2^13 at 1, 4 and 8 threads, over the
+// paper's Table IV slacks.
+var calibrationThreads = []int{1, 4, 8}
+
+const calibrationMaxSize = 1 << 13
+
+// calibrationPoints returns the points of a Figure 3 sweep that lie on
+// the calibration grid, in sweep order.
+func calibrationPoints(pts []proxy.SweepPoint) []proxy.SweepPoint {
+	out := make([]proxy.SweepPoint, 0, len(pts))
+	for _, pt := range pts {
+		if pt.MatrixSize <= calibrationMaxSize && slices.Contains(calibrationThreads, pt.Threads) {
+			out = append(out, pt)
 		}
 	}
-	return cells
+	return out
 }
 
-// proxySweep runs proxy cells and returns their points in grid order, as
-// proxy.Sweep does.
-func proxySweep(jobs int, cells []cell[[]proxy.SweepPoint]) ([]proxy.SweepPoint, error) {
-	series, err := sweep(jobs, cells)
-	return slices.Concat(series...), err
-}
-
-// calibrationCells is a calibration's proxy grid: the sizes 2^9, 2^11
-// and 2^13 at the given thread counts over the paper's Table IV slacks.
-func calibrationCells(o Options, section string, threads []int) []cell[[]proxy.SweepPoint] {
-	return proxyCells(section, []int{1 << 9, 1 << 11, 1 << 13}, threads, model.PaperSlacks(), o.ProxyIters)
-}
-
-// Calibrate sweeps the calibration grid at 1, 4 and 8 threads and builds
-// the study that Table IV, the distance budget and the in-situ validation
-// predict from. cmd/reproduce calibrates once and hands the study to all
-// three.
-func Calibrate(o Options) (*core.Study, error) {
-	pts, err := proxySweep(o.Jobs, calibrationCells(o, "calib", []int{1, 4, 8}))
-	if err != nil {
-		return nil, err
-	}
-	return core.NewStudyFromSweep(pts, nil)
+// Calibrate builds the study that Table IV, the distance budget and the
+// in-situ validation predict from, out of a Figure 3 sweep's calibration
+// points. cmd/reproduce sweeps Figure 3 once and calibrates all three
+// from it. A sweep with no calibration point is an error.
+func Calibrate(pts []proxy.SweepPoint) (*core.Study, error) {
+	return core.NewStudyFromSweep(calibrationPoints(pts), nil)
 }

@@ -16,7 +16,7 @@
 //     lowest-index one, not whichever goroutine lost the race.
 //
 // The pool itself is structured concurrency in the sync.WaitGroup sense:
-// every worker goroutine is joined before Map or Go returns, so no
+// every worker goroutine is joined before Map returns, so no
 // simulation work ever outlives the call that spawned it. The cdivet
 // barego analyzer recognizes exactly this shape.
 package runner
@@ -124,17 +124,6 @@ func runPoint[T any](i int, fn func(int) (T, error), results []T, errs []error, 
 		}
 	}()
 	results[i], errs[i] = fn(i)
-}
-
-// Go runs heterogeneous closures concurrently — each one unit of work
-// writing its own captured variables — and joins them all before
-// returning. workers bounds concurrency exactly as in Map; the returned
-// error (or re-raised panic) is the lowest-index one.
-func Go(workers int, fns ...func() error) error {
-	_, err := Map(workers, len(fns), func(i int) (struct{}, error) {
-		return struct{}{}, fns[i]()
-	})
-	return err
 }
 
 // stack returns the current goroutine's stack, bounded so a deep

@@ -152,22 +152,6 @@ func TestMapEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGo: heterogeneous closures run and join; the lowest-index error wins.
-func TestGo(t *testing.T) {
-	var a, b int
-	if err := Go(0, func() error { a = 1; return nil }, func() error { b = 2; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if a != 1 || b != 2 {
-		t.Fatalf("closures did not run: a=%d b=%d", a, b)
-	}
-	e1, e2 := errors.New("first"), errors.New("second")
-	err := Go(2, func() error { return e1 }, func() error { return e2 })
-	if !errors.Is(err, e1) {
-		t.Fatalf("err = %v, want %v", err, e1)
-	}
-}
-
 // TestJobs: the knob normalization contract Map and the -j flag share.
 func TestJobs(t *testing.T) {
 	if Jobs(3) != 3 {
